@@ -43,6 +43,7 @@ from .majorize import (
     RINorm,
     YoungFunction,
     calderon_check,
+    hinge_integrals,
     hlp_equivalence_check,
     majorizes,
     orlicz_integral,
@@ -65,8 +66,10 @@ from .symmetrize import (
     symmetrized_field,
 )
 from .verify import (
+    Analysis,
     ConvergenceStudy,
     IneqReport,
+    analyze,
     check_interval_bound,
     check_mazya_talenti,
     check_norm_inequality,

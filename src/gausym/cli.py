@@ -29,6 +29,7 @@ from .gaussian import equal_measure_grid
 from .majorize import DEFAULT_NORM_FAMILY, parse_norm
 from .verify import (
     IneqReport,
+    analyze,
     check_interval_bound,
     check_mazya_talenti,
     check_norm_inequality,
@@ -50,7 +51,6 @@ DEFAULTS = {
     "norms": "",
     "tol": None,
     "equality": False,
-    "seed": 0,
     "out": None,
     "curves": None,
 }
@@ -78,7 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tol", type=float, help="tolerance override for all checks")
     parser.add_argument("--equality", action="store_true", default=None,
                         help="two-sided comparison (equality cases)")
-    parser.add_argument("--seed", type=int, help="reserved for randomized corpus extensions")
     parser.add_argument("--out", help="JSON report path")
     parser.add_argument("--curves", help="directory for per-check CSV curves")
     parser.add_argument("--config", help="flat key=value config file (flags win)")
@@ -110,7 +109,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
         for key, text in file_values.items():
             if key not in cfg:
                 raise ConfigError(f"unknown config key {key!r}")
-            if key in ("dim", "grid", "sgrid", "seed"):
+            if key in ("dim", "grid", "sgrid"):
                 cfg[key] = int(text)
             elif key == "tol":
                 cfg[key] = float(text)
@@ -195,13 +194,13 @@ def _build_field(cfg: dict):
     return builtin_field(cfg["builtin"], params or None, dim=cfg["dim"])
 
 
-def _converge_rows(cfg: dict, field, M: int, tol) -> list[IneqReport]:
+def _converge_rows(cfg: dict, field, M: int, tol, analysis) -> list[IneqReport]:
     # Default refinement ladder derived from --grid: N/16, N/4, N.
     N = cfg["grid"]
     Ns = sorted({max(2, N // 16), max(2, N // 4), N})
     inner = [t for t in cfg["check_tokens"] if t in ("uno", "dos", "mt")] or ["uno"]
     rows = []
-    for study in convergence_study(field, inner, Ns, M=M, dim=cfg["dim"]):
+    for study in convergence_study(field, inner, Ns, M=M, dim=cfg["dim"], analysis=analysis):
         # Rows share the study verdict; the recorded tolerance is the worst
         # violation in the ladder so the schema stays numeric.
         row_tol = tol if tol is not None else max(max(study.violations), 1e-12)
@@ -230,22 +229,23 @@ def _run_checks(cfg: dict, field, grid) -> list[IneqReport]:
     M = cfg["sgrid"]
     tol = cfg["tol"]
     eq = bool(cfg["equality"])
+    shared = {"M": M, "tol": tol, "analysis": analyze(field, grid, M)}
     reports: list[IneqReport] = []
     for token in cfg["check_tokens"]:
         if token == "uno":
-            reports.append(check_reformulated(field, grid, M=M, tol=tol, equality=eq))
+            reports.append(check_reformulated(field, grid, equality=eq, **shared))
         elif token == "dos":
-            reports.append(check_polya_szego(field, grid, M=M, tol=tol, equality=eq))
+            reports.append(check_polya_szego(field, grid, equality=eq, **shared))
         elif token == "norm":
-            reports.extend(check_norm_inequality(field, grid, cfg["norm_list"], M=M, tol=tol))
+            reports.extend(check_norm_inequality(field, grid, cfg["norm_list"], **shared))
         elif token == "mt":
-            reports.append(check_mazya_talenti(field, grid, M=M, tol=tol))
+            reports.append(check_mazya_talenti(field, grid, **shared))
         elif token == "interval":
-            reports.append(check_interval_bound(field, grid, cfg["interval_list"], M=M, tol=tol))
+            reports.append(check_interval_bound(field, grid, cfg["interval_list"], **shared))
         elif token == "orlicz":
-            reports.append(check_orlicz_equality(field, grid, M=M, tol=tol))
+            reports.append(check_orlicz_equality(field, grid, **shared))
         elif token == "converge":
-            reports.extend(_converge_rows(cfg, field, M, tol))
+            reports.extend(_converge_rows(cfg, field, M, tol, shared["analysis"]))
     return reports
 
 

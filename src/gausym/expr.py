@@ -220,18 +220,6 @@ def uses_abs(node) -> bool:
     return False
 
 
-def max_var_index(node) -> int:
-    if isinstance(node, Var):
-        return node.index
-    if isinstance(node, Call):
-        return max_var_index(node.arg)
-    if isinstance(node, Neg):
-        return max_var_index(node.arg)
-    if isinstance(node, Bin):
-        return max(max_var_index(node.left), max_var_index(node.right))
-    return 0
-
-
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 
 

@@ -1,5 +1,13 @@
 """Inequality and identity checks on rearranged gradients.
 
+Every check compares curves built from the same objects: the decreasing
+rearrangement f* of |f|, the rearranged |grad f|, and the surrogate
+(-f*)' * I.  ``analyze(field, grid, M)`` builds them once into an
+``Analysis``; each ``check_*`` takes a prebuilt one through its
+``analysis`` keyword (the CLI builds one per run and shares it across all
+checks) and otherwise builds its own.  The gradient of the symmetrized
+field is computed lazily, on first use by ``dos`` or ``orlicz``.
+
 Each check compares two curves over a common grid on (0, 1) and reports
 the worst signed violation against a tolerance.  The default tolerance
 model budgets first-order quadrature error against the cell count and
@@ -17,6 +25,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,7 +33,7 @@ import numpy as np
 from .errors import DomainError, IntervalError, NonSmoothFieldError
 from .fields import ScalarField, gradient_norm
 from .gaussian import GaussianGrid, equal_measure_grid, iso_profile
-from .majorize import DEFAULT_NORM_FAMILY, RINorm, ri_norm
+from .majorize import DEFAULT_NORM_FAMILY, HINGE_GRID_SIZE, RINorm, hinge_integrals, ri_norm
 from .rearrange import (
     GridCurve,
     Profile,
@@ -69,8 +78,11 @@ class IneqReport:
         }
 
 
-class _Pipeline:
-    """Shared per-(field, grid, M) data: rearrangements and surrogate."""
+class Analysis:
+    """Shared per-(field, grid, M) data: rearrangements and surrogate.
+
+    Build it with ``analyze``; every check reads it and none modifies it.
+    """
 
     def __init__(self, field: ScalarField, grid: GaussianGrid, M: int):
         if M < 8:
@@ -122,6 +134,15 @@ class _Pipeline:
         idx = np.searchsorted(self._jump_at, np.asarray(t, dtype=float), side="right")
         return self._mass_cum[idx]
 
+    @cached_property
+    def sym_grad_prof(self) -> Profile:
+        """Rearranged |grad| of the linear symmetrized field on the grid."""
+        fo = symmetrized_field(
+            self.p, dim=self.grid.dim, interpolation="linear", n_bins=self.m_d
+        )
+        sym_grad = gradient_norm(fo, self.grid.representatives)
+        return lebesgue_rearrangement(np.column_stack((self.grid.measures, sym_grad)))
+
     def tolerance(self, override: Optional[float]) -> float:
         if override is not None:
             return float(override)
@@ -132,9 +153,33 @@ class _Pipeline:
         return tol if self.field.smooth else 2.0 * tol
 
 
+def analyze(field: ScalarField, grid: GaussianGrid, M: int) -> Analysis:
+    """Build the shared analysis of ``field`` on ``grid`` with an M-point t-grid."""
+    return Analysis(field, grid, M)
+
+
+def _matches(analysis: Analysis, field: ScalarField, dim: int, N: int, M: int) -> bool:
+    grid = analysis.grid
+    return (
+        analysis.field is field and grid.dim == dim and grid.cells_per_axis == N
+        and analysis.M == M
+    )
+
+
+def _shared(
+    analysis: Optional[Analysis], field: ScalarField, grid: GaussianGrid, M: int
+) -> Analysis:
+    """The prebuilt analysis if given (it must fit the arguments), else a new one."""
+    if analysis is None:
+        return analyze(field, grid, M)
+    if not _matches(analysis, field, grid.dim, grid.cells_per_axis, M):
+        raise DomainError("prebuilt analysis was built for another field, grid or M")
+    return analysis
+
+
 def _finish(
     name: str,
-    pipe: _Pipeline,
+    pipe: Analysis,
     s_grid: np.ndarray,
     lhs: np.ndarray,
     rhs: np.ndarray,
@@ -171,6 +216,8 @@ def check_polya_szego(
     M: int = 4096,
     tol: Optional[float] = None,
     equality: bool = False,
+    *,
+    analysis: Optional[Analysis] = None,
 ) -> IneqReport:
     """Cumulative gradient rearrangement of the symmetrized field against
     that of the field itself: LHS(t) <= RHS(t) on the t-grid.
@@ -179,12 +226,9 @@ def check_polya_szego(
     """
     if not field.smooth:
         raise NonSmoothFieldError(f"check needs a smooth field, got {field.label!r}")
+    pipe = _shared(analysis, field, grid, M)
     t0 = time.perf_counter()
-    pipe = _Pipeline(field, grid, M)
-    fo = symmetrized_field(pipe.p, dim=grid.dim, interpolation="linear", n_bins=pipe.m_d)
-    sym_grad = gradient_norm(fo, grid.representatives)
-    sym_prof = lebesgue_rearrangement(np.column_stack((grid.measures, sym_grad)))
-    lhs = sym_prof.cumulative(pipe.t_grid)
+    lhs = pipe.sym_grad_prof.cumulative(pipe.t_grid)
     rhs = pipe.grad_prof.cumulative(pipe.t_grid)
     return _finish("dos", pipe, pipe.t_grid, lhs, rhs, pipe.tolerance(tol), equality, t0)
 
@@ -195,11 +239,13 @@ def check_reformulated(
     M: int = 4096,
     tol: Optional[float] = None,
     equality: bool = False,
+    *,
+    analysis: Optional[Analysis] = None,
 ) -> IneqReport:
     """Cumulative comparison of the rearranged surrogate (-f*)' * I against
     the rearranged gradient: LHS(t) <= RHS(t) on the t-grid."""
+    pipe = _shared(analysis, field, grid, M)
     t0 = time.perf_counter()
-    pipe = _Pipeline(field, grid, M)
     lhs = pipe.surr_prof.cumulative(pipe.t_grid)
     rhs = pipe.grad_prof.cumulative(pipe.t_grid)
     return _finish("uno", pipe, pipe.t_grid, lhs, rhs, pipe.tolerance(tol), equality, t0)
@@ -211,11 +257,12 @@ def check_norm_inequality(
     norms: Sequence[RINorm] = DEFAULT_NORM_FAMILY,
     M: int = 4096,
     tol: Optional[float] = None,
+    *,
+    analysis: Optional[Analysis] = None,
 ) -> list[IneqReport]:
     """Norm-by-norm domination of the rearranged surrogate by the
     rearranged gradient across the implemented r.i. family."""
-    t0 = time.perf_counter()
-    pipe = _Pipeline(field, grid, M)
+    pipe = _shared(analysis, field, grid, M)
     tol_value = pipe.tolerance(tol)
     reports = []
     for X in norms:
@@ -223,21 +270,12 @@ def check_norm_inequality(
         lhs = np.array([ri_norm(pipe.surr_prof, X)])
         rhs = np.array([ri_norm(pipe.grad_prof, X)])
         reports.append(
-            _finish(
-                f"norm:{X.label}",
-                pipe,
-                np.array([1.0]),
-                lhs,
-                rhs,
-                tol_value,
-                False,
-                t_norm if reports else t0,
-            )
+            _finish(f"norm:{X.label}", pipe, np.array([1.0]), lhs, rhs, tol_value, False, t_norm)
         )
     return reports
 
 
-def _level_cut_gradient_integral(pipe: _Pipeline, levels: np.ndarray) -> np.ndarray:
+def _level_cut_gradient_integral(pipe: Analysis, levels: np.ndarray) -> np.ndarray:
     """Integral of |grad f| over {|f| > level} for each level, exact on
     grid data (cells ordered by decreasing |f|)."""
     counts = np.searchsorted(-pipe.p.values, -levels, side="left")
@@ -252,6 +290,8 @@ def check_mazya_talenti(
     grid: GaussianGrid,
     M: int = 4096,
     tol: Optional[float] = None,
+    *,
+    analysis: Optional[Analysis] = None,
 ) -> IneqReport:
     """Level-set gradient bound in cumulative form: for every grid t, the
     integral of (-f*)' * I over (0, t] must stay below the integral of
@@ -262,8 +302,8 @@ def check_mazya_talenti(
     profile drops by more than 10x the median single-cell drop; its worst
     violation is folded into the verdict.
     """
+    pipe = _shared(analysis, field, grid, M)
     t0 = time.perf_counter()
-    pipe = _Pipeline(field, grid, M)
     lhs = pipe.surrogate_cumulative(pipe.t_grid)
     rhs = _level_cut_gradient_integral(pipe, pipe.p(pipe.t_grid))
 
@@ -314,6 +354,8 @@ def check_interval_bound(
     intervals,
     M: int = 4096,
     tol: Optional[float] = None,
+    *,
+    analysis: Optional[Analysis] = None,
 ) -> IneqReport:
     """Surrogate mass on a finite union E of disjoint intervals against the
     gradient rearrangement integrated over (0, |E|).
@@ -323,8 +365,8 @@ def check_interval_bound(
     with t = 1 giving the bound for E itself.
     """
     arr = validate_intervals(intervals)
+    pipe = _shared(analysis, field, grid, M)
     t0 = time.perf_counter()
-    pipe = _Pipeline(field, grid, M)
     a, b = arr[:, 0], arr[:, 1]
     t = pipe.t_grid
     clamped = np.clip(t[None, :], a[:, None], b[:, None])
@@ -343,25 +385,25 @@ def check_orlicz_equality(
     c_grid: Optional[np.ndarray] = None,
     M: int = 4096,
     tol: Optional[float] = None,
+    *,
+    analysis: Optional[Analysis] = None,
 ) -> IneqReport:
     """Change-of-variables identity tested as an equality over the hinge
     family: for each threshold c, the uniform-grid integral of
     (surrogate - c)+ must match the Gaussian-grid integral of
-    (|grad of the symmetrized field| - c)+."""
+    (|grad of the symmetrized field| - c)+.
+
+    Both sides are hinge integrals of rearranged (already sorted)
+    profiles, evaluated by prefix sums."""
     if not field.smooth:
         raise NonSmoothFieldError(f"check needs a smooth field, got {field.label!r}")
+    pipe = _shared(analysis, field, grid, M)
     t0 = time.perf_counter()
-    pipe = _Pipeline(field, grid, M)
     if c_grid is None:
-        c_grid = np.linspace(0.0, float(np.max(pipe.surr.values)), 256)
+        c_grid = np.linspace(0.0, float(np.max(pipe.surr.values)), HINGE_GRID_SIZE)
     c_grid = np.asarray(c_grid, dtype=float)
-    fo = symmetrized_field(pipe.p, dim=grid.dim, interpolation="linear", n_bins=pipe.m_d)
-    sym_grad = gradient_norm(fo, grid.representatives)
-    lhs = np.mean(np.maximum(pipe.surr.values[None, :] - c_grid[:, None], 0.0), axis=1)
-    rhs = (
-        np.sum(np.maximum(sym_grad[None, :] - c_grid[:, None], 0.0), axis=1)
-        * grid.cell_measure
-    )
+    lhs = hinge_integrals(pipe.surr_prof, c_grid)
+    rhs = hinge_integrals(pipe.sym_grad_prof, c_grid)
     return _finish(
         "orlicz", pipe, c_grid, lhs, rhs, pipe.tolerance(tol), True, t0,
         {"c_max": float(c_grid[-1])},
@@ -394,9 +436,14 @@ def convergence_study(
     Ns: Sequence[int],
     M: int = 4096,
     dim: int = 1,
+    *,
+    analysis: Optional[Analysis] = None,
 ) -> list[ConvergenceStudy]:
     """Refinement study: rerun checks over increasing per-axis cell counts
     and fit the empirical decay order of the positive violations.
+
+    One analysis per rung serves every check; a prebuilt ``analysis``
+    (which must fit the finest rung) is reused there.
 
     Violations must not increase along refinement beyond a factor-1.5
     slack; violations at or below the round-off floor count as converged,
@@ -410,11 +457,17 @@ def convergence_study(
         raise DomainError(
             f"convergence study supports {sorted(_CONVERGENT_CHECKS)}, got {unknown}"
         )
-    grids = [equal_measure_grid(dim, n) for n in Ns]
+    if analysis is not None and not (Ns and _matches(analysis, field, dim, Ns[-1], M)):
+        raise DomainError("prebuilt analysis does not fit the finest refinement rung")
+    rungs = [
+        analysis if analysis is not None and n == Ns[-1]
+        else analyze(field, equal_measure_grid(dim, n), M)
+        for n in Ns
+    ]
     studies = []
     for name in checks:
         run = _CONVERGENT_CHECKS[name]
-        violations = tuple(run(field, g, M=M).max_violation for g in grids)
+        violations = tuple(run(field, a.grid, M=M, analysis=a).max_violation for a in rungs)
         positive = [max(v, 0.0) for v in violations]
         nonincreasing = all(
             later <= max(1.5 * earlier, VIOLATION_FLOOR)

@@ -5,7 +5,10 @@ import os
 
 import pytest
 
+from gausym import verify
 from gausym.cli import main
+from gausym.fields import builtin_field
+from gausym.gaussian import equal_measure_grid
 
 SCHEMA_KEYS = {"name", "field", "dim", "N", "M", "tolerance", "max_violation", "pass", "runtime_ms"}
 
@@ -65,6 +68,10 @@ class TestConfigErrors:
     def test_bad_intervals(self, capsys):
         assert main(["--expr", "x1", "--checks", "interval", "--intervals", "0.5"]) == 2
         assert main(["--expr", "x1", "--checks", "interval", "--intervals", "0.5,0.2"]) == 2
+
+    def test_seed_flag_removed(self, capsys):
+        assert main(["--builtin", "coordinate", "--checks", "uno", "--seed", "3"]) == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_cell_budget(self, capsys):
         assert main(["--builtin", "coordinate", "--dim", "3", "--grid", "500"]) == 2
@@ -138,6 +145,56 @@ class TestReportEmission:
         names = [e["name"] for e in read_report(out)["checks"]]
         assert "converge:uno[N=64]" in names
         assert "converge:uno[N=1024]" in names
+
+
+class TestSharedAnalysis:
+    """One CLI run builds one analysis and shares it; the lower converge
+    rungs add one each.  Rows match standalone check calls."""
+
+    def _standalone(self, field, grid, M):
+        rows = [
+            verify.check_reformulated(field, grid, M=M),
+            verify.check_polya_szego(field, grid, M=M),
+            *verify.check_norm_inequality(field, grid, M=M),
+            verify.check_mazya_talenti(field, grid, M=M),
+            verify.check_interval_bound(field, grid, [(0.1, 0.2), (0.6, 0.7)], M=M),
+            verify.check_orlicz_equality(field, grid, M=M),
+        ]
+        expected = [(r.check_name, r.passed, r.max_violation, r.tolerance) for r in rows]
+        for study in verify.convergence_study(field, ["uno", "dos", "mt"], [4, 16, 64], M=M,
+                                              dim=2):
+            row_tol = max(max(study.violations), 1e-12)
+            expected += [
+                (f"converge:{study.check_name}[N={n}]", study.passed, v, row_tol)
+                for n, v in zip(study.Ns, study.violations)
+            ]
+        return expected
+
+    def test_all_checks_share_one_analysis(self, tmp_path, monkeypatch):
+        builds = []
+        init = verify.Analysis.__init__
+
+        def counting_init(self, field, grid, M):
+            builds.append(grid.cells_per_axis)
+            init(self, field, grid, M)
+
+        monkeypatch.setattr(verify.Analysis, "__init__", counting_init)
+        out = tmp_path / "r.json"
+        code = main([
+            "--builtin", "mixture", "--dim", "2", "--grid", "64",
+            "--checks", "uno,dos,norm,mt,interval,orlicz,converge", "--out", str(out),
+        ])
+        assert sorted(builds) == [4, 16, 64]
+        monkeypatch.undo()
+        rows = read_report(out)["checks"]
+        assert code == (0 if all(r["pass"] for r in rows) else 1)
+        field, grid = builtin_field("mixture", dim=2), equal_measure_grid(2, 64)
+        expected = self._standalone(field, grid, 4096)
+        assert [r["name"] for r in rows] == [e[0] for e in expected]
+        for row, (name, passed, violation, tol) in zip(rows, expected):
+            assert row["pass"] == passed, name
+            assert row["max_violation"] == pytest.approx(violation, rel=1e-10, abs=0.0), name
+            assert row["tolerance"] == pytest.approx(tol, rel=1e-10, abs=0.0), name
 
 
 class TestConfigFile:

@@ -14,7 +14,9 @@ from gausym import (
     RINorm,
     YoungFunction,
     calderon_check,
+    hinge_integrals,
     hlp_equivalence_check,
+    lebesgue_rearrangement,
     majorizes,
     orlicz_integral,
     parse_norm,
@@ -74,6 +76,60 @@ class TestOrliczIntegral:
     def test_hinge_above_sup(self):
         assert orlicz_integral(THREE_ONE, YoungFunction.hinge(3.0)) == 0.0
         assert orlicz_integral(THREE_ONE, YoungFunction.hinge(17.0)) == 0.0
+
+
+def _hinge_thresholds(values, extra):
+    """Thresholds hitting the edge cases: 0, every sample exactly, above the
+    maximum, plus arbitrary ones."""
+    top = float(np.max(values))
+    return np.concatenate(([0.0, top, top + 1.0], np.asarray(values), np.asarray(extra)))
+
+
+# few distinct levels, so ties are common; no subnormals, where the
+# products with weights underflow in either form
+_LEVELS = st.sampled_from([0.0, 0.25, 1.0, 1.0 / 3.0, 2.5, 7.0, 1e3])
+_VALUES = st.one_of(_LEVELS, st.floats(1e-9, 1e3))
+_SAMPLES = st.lists(_VALUES, min_size=1, max_size=200)
+_THRESHOLDS = st.lists(st.floats(0.0, 2e3), max_size=20)
+
+
+class TestHingeIntegrals:
+    """Prefix-sum hinge integrals against the dense (thresholds x pieces)
+    reference, within 1e-12 of the size of the terms involved."""
+
+    @staticmethod
+    def _assert_matches_dense(fast, dense, values, weights, c):
+        scale = float(np.sum(np.abs(values) * weights)) + np.abs(c)
+        assert np.all(np.abs(fast - dense) <= 1e-12 * scale)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(_VALUES, st.floats(0.01, 1.0)), min_size=1, max_size=200),
+           _THRESHOLDS)
+    def test_profile_matches_dense(self, pieces, extra):
+        values = np.sort([v for v, _ in pieces])[::-1]
+        widths = np.array([w for _, w in pieces])
+        widths = widths / widths.sum()
+        knots = np.concatenate(([0.0], np.cumsum(widths)))
+        knots[-1] = 1.0
+        p = Profile(knots, values)
+        c = _hinge_thresholds(values, extra)
+        dense = np.maximum(p.values[None, :] - c[:, None], 0.0) @ p.widths
+        self._assert_matches_dense(hinge_integrals(p, c), dense, p.values, p.widths, c)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_SAMPLES, _THRESHOLDS)
+    def test_rearranged_samples_match_dense_mean(self, values, extra):
+        # the orlicz check's form: equal-weight samples in arbitrary order
+        values = np.asarray(values)
+        n = len(values)
+        p = lebesgue_rearrangement(np.column_stack((np.full(n, 1.0 / n), values)))
+        c = _hinge_thresholds(values, extra)
+        dense = np.mean(np.maximum(values[None, :] - c[:, None], 0.0), axis=1)
+        self._assert_matches_dense(hinge_integrals(p, c), dense, values, 1.0 / n, c)
+
+    def test_hand_values(self):
+        c = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+        assert np.array_equal(hinge_integrals(THREE_ONE, c), [2.0, 1.0, 0.5, 0.0, 0.0])
 
 
 class TestMajorizes:

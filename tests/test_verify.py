@@ -9,6 +9,7 @@ from gausym import (
     DomainError,
     IntervalError,
     NonSmoothFieldError,
+    analyze,
     builtin_field,
     check_interval_bound,
     check_mazya_talenti,
@@ -18,8 +19,10 @@ from gausym import (
     check_reformulated,
     convergence_study,
     equal_measure_grid,
+    gradient_norm,
     parse_field,
     parse_norm,
+    symmetrized_field,
 )
 
 GRID_1K = equal_measure_grid(1, 1024)
@@ -123,6 +126,20 @@ class TestOrliczEquality:
         with pytest.raises(NonSmoothFieldError):
             check_orlicz_equality(parse_field("abs(x1)", 1), GRID_1K)
 
+    def test_matches_dense_hinge_reference(self):
+        # the former thresholds-by-cells computation of both sides
+        grid = equal_measure_grid(2, 32)
+        field = builtin_field("mixture", dim=2)
+        rep = check_orlicz_equality(field, grid, M=512)
+        pipe = analyze(field, grid, 512)
+        fo = symmetrized_field(pipe.p, dim=2, interpolation="linear", n_bins=pipe.m_d)
+        sym_grad = gradient_norm(fo, grid.representatives)
+        c = rep.s_grid[:, None]
+        lhs = np.mean(np.maximum(pipe.surr.values[None, :] - c, 0.0), axis=1)
+        rhs = np.sum(np.maximum(sym_grad[None, :] - c, 0.0), axis=1) * grid.cell_measure
+        assert np.allclose(rep.lhs_curve, lhs, rtol=0.0, atol=1e-12 * lhs[0])
+        assert np.allclose(rep.rhs_curve, rhs, rtol=0.0, atol=1e-12 * rhs[0])
+
 
 class TestNormInequality:
     def test_corpus_passes(self):
@@ -221,3 +238,48 @@ class TestConvergenceStudy:
             convergence_study(COORD, ["uno"], [512, 512], M=256)
         with pytest.raises(DomainError):
             convergence_study(COORD, ["norm"], [64, 128], M=256)
+
+
+class TestSharedAnalysis:
+    FIELD = builtin_field("mixture", dim=2)
+    GRID = equal_measure_grid(2, 32)
+
+    def _pairs(self, analysis):
+        f, g, M = self.FIELD, self.GRID, 512
+        shared = {"M": M, "analysis": analysis}
+        return [
+            (check_reformulated(f, g, M=M), check_reformulated(f, g, **shared)),
+            (check_polya_szego(f, g, M=M), check_polya_szego(f, g, **shared)),
+            (check_mazya_talenti(f, g, M=M), check_mazya_talenti(f, g, **shared)),
+            (check_interval_bound(f, g, [(0.1, 0.4)], M=M),
+             check_interval_bound(f, g, [(0.1, 0.4)], **shared)),
+            (check_orlicz_equality(f, g, M=M), check_orlicz_equality(f, g, **shared)),
+            *zip(check_norm_inequality(f, g, M=M), check_norm_inequality(f, g, **shared)),
+        ]
+
+    def test_prebuilt_analysis_gives_identical_reports(self):
+        for alone, shared in self._pairs(analyze(self.FIELD, self.GRID, 512)):
+            assert shared.check_name == alone.check_name
+            assert shared.max_violation == alone.max_violation
+            assert shared.tolerance == alone.tolerance
+            assert np.array_equal(shared.lhs_curve, alone.lhs_curve)
+            assert np.array_equal(shared.rhs_curve, alone.rhs_curve)
+
+    def test_mismatched_analysis_rejected(self):
+        analysis = analyze(self.FIELD, self.GRID, 512)
+        with pytest.raises(DomainError):
+            check_reformulated(self.FIELD, self.GRID, M=256, analysis=analysis)
+        with pytest.raises(DomainError):
+            check_reformulated(self.FIELD, equal_measure_grid(2, 16), M=512, analysis=analysis)
+        with pytest.raises(DomainError):
+            check_reformulated(builtin_field("mixture", dim=2), self.GRID, M=512,
+                               analysis=analysis)
+        with pytest.raises(DomainError):
+            convergence_study(self.FIELD, ["uno"], [8, 16], M=512, dim=2, analysis=analysis)
+
+    def test_convergence_study_same_with_prebuilt_analysis(self):
+        analysis = analyze(self.FIELD, self.GRID, 512)
+        fresh = convergence_study(self.FIELD, ["uno", "dos", "mt"], [8, 32], M=512, dim=2)
+        reused = convergence_study(self.FIELD, ["uno", "dos", "mt"], [8, 32], M=512, dim=2,
+                                   analysis=analysis)
+        assert fresh == reused
