@@ -14,6 +14,7 @@ from .errors import (
     GausymError,
     IntervalError,
     InvalidParameterError,
+    NonFiniteFieldError,
     NonSmoothFieldError,
     UnknownFieldError,
     WeightSumError,

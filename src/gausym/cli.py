@@ -7,9 +7,10 @@ Usage:
     gausym corpus describe coordinate
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad
-configuration, 3 runtime failure while checking.  Report files are
-written atomically (temp file + rename), so a crash never leaves a
-partial report behind.
+configuration or a field that is not finite on the grid, 3 runtime
+failure while checking or a report holding a non-finite number.  Report
+files are written atomically (temp file + rename), so a crash never
+leaves a partial report behind.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GausymError
+from .errors import GausymError, NonFiniteFieldError
 from .fields import builtin_field, corpus_names, describe_field, parse_field
 from .gaussian import equal_measure_grid
 from .majorize import DEFAULT_NORM_FAMILY, parse_norm
@@ -281,7 +282,7 @@ def write_report(reports: list[IneqReport], out: Optional[str], curves_dir: Opti
             entry["curves_file"] = fpath
         entries.append(entry)
     payload = {"version": 1, "checks": entries}
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(payload, indent=2, allow_nan=False)
     if out:
         _atomic_write(out, text + "\n")
     else:
@@ -329,9 +330,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     try:
         reports = _run_checks(cfg, field, grid)
-        write_report(reports, cfg["out"], cfg["curves"])
+    except NonFiniteFieldError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (GausymError, ArithmeticError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return 3
+    try:
+        write_report(reports, cfg["out"], cfg["curves"])
+    except ValueError as exc:  # strict JSON refuses NaN and infinities
+        print(f"runtime error: report holds a non-finite number: {exc}", file=sys.stderr)
         return 3
     failed = [r for r in reports if not r.passed]
     for report in reports:

@@ -9,6 +9,10 @@ class DomainError(GausymError, ValueError):
     """Argument outside the mathematical domain of an operation."""
 
 
+class NonFiniteFieldError(DomainError):
+    """Field value or gradient is not finite at a grid point."""
+
+
 class CellBudgetError(GausymError, ValueError):
     """Requested grid exceeds the configured cell budget."""
 

@@ -73,13 +73,19 @@ def gradient_at(field: ScalarField, x) -> np.ndarray:
 
 def finite_difference_gradient(field: ScalarField, pts: np.ndarray) -> np.ndarray:
     out = np.empty_like(pts)
+    # one working copy, column-major so each shifted axis is contiguous;
+    # per axis it holds x+h, then x-h, then x again
+    work = np.array(pts, order="F")
     for axis in range(field.dim):
-        h = FD_STEP * (1.0 + np.abs(pts[:, axis]))
-        hi = pts.copy()
-        lo = pts.copy()
-        hi[:, axis] += h
-        lo[:, axis] -= h
-        out[:, axis] = (field.evaluator(hi) - field.evaluator(lo)) / (2.0 * h)
+        x = pts[:, axis]
+        h = FD_STEP * (1.0 + np.abs(x))
+        col = work[:, axis]
+        np.add(x, h, out=col)
+        # an evaluator may return a view of its input (e.g. the field x1)
+        hi = np.array(field.evaluator(work))
+        np.subtract(x, h, out=col)
+        out[:, axis] = (hi - field.evaluator(work)) / (2.0 * h)
+        col[:] = x
     return out
 
 

@@ -127,6 +127,11 @@ class GaussianGrid:
         return self.representatives.shape[0]
 
     @property
+    def axis_points(self) -> np.ndarray:
+        """The N per-axis representatives Phi_inv((k+1/2)/N), read off x1."""
+        return self.representatives[:: self.num_cells // self.cells_per_axis, 0]
+
+    @property
     def measures(self) -> np.ndarray:
         return np.full(self.num_cells, self.cell_measure)
 

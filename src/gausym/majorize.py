@@ -37,13 +37,20 @@ class YoungFunction:
     param: float
 
     def __call__(self, t):
-        x = np.abs(np.asarray(t, dtype=float))
+        # one fresh array, then in place: the Luxemburg bisection calls this
+        # on whole profiles dozens of times
+        x = np.array(t, dtype=float)
+        np.abs(x, out=x)
         if self.kind == "power":
-            return x**self.param
-        if self.kind == "hinge":
-            return np.maximum(x - self.param, 0.0)
-        capped = np.minimum(x, self.param)
-        return np.expm1(capped * capped)
+            x **= self.param
+        elif self.kind == "hinge":
+            x -= self.param
+            np.maximum(x, 0.0, out=x)
+        else:
+            np.minimum(x, self.param, out=x)
+            x *= x
+            np.expm1(x, out=x)
+        return x if x.ndim else x[()]
 
     @property
     def label(self) -> str:
@@ -223,9 +230,17 @@ def _luxemburg(p: Profile, A: YoungFunction, rel_tol: float = 1e-10) -> float:
     if p.sup == 0.0:
         return 0.0
 
+    values, widths = p.values, p.widths  # p.widths is recomputed on each access
+    # Each pass allocates one profile-sized array (inside A).  Several per
+    # pass let the C allocator trim and regrow its heap on every pass, which
+    # tripled the time of this loop depending on earlier allocations.
+    scaled = np.empty_like(values)
+
     def theta(lam: float) -> float:
         with np.errstate(over="ignore"):
-            return float(np.sum(A(p.values / lam) * p.widths))
+            terms = A(np.divide(values, lam, out=scaled))
+            terms *= widths
+            return float(np.sum(terms))
 
     hi = max(p.sup, 1.0)
     for _ in range(200):

@@ -152,10 +152,37 @@ def distribution_function(field: ScalarField, grid: GaussianGrid, level: float) 
     return float(np.count_nonzero(vals > level) * grid.cell_measure)
 
 
+def sort_decreasing(values: np.ndarray) -> np.ndarray:
+    """``values`` sorted into nonincreasing order, NaNs last, bit for bit
+    equal to ``values[np.argsort(-values, kind="stable")]``.
+
+    A value sort is several times faster than the stable argsort and its
+    gather.  Tied values are interchangeable except for +0.0 against -0.0
+    (equal, yet distinct bits) and NaNs (the sort returns them canonical);
+    each kind sits in one block of the sorted array, and is copied back in
+    input order, as the stable sort keeps it.
+    """
+    ascending = np.sort(-values)
+    out = -ascending
+    lo = np.searchsorted(ascending, 0.0, side="left")
+    hi = np.searchsorted(ascending, 0.0, side="right")
+    if hi > lo:
+        out[lo:hi] = values[values == 0.0]
+    first_nan = np.searchsorted(ascending, np.nan)
+    if first_nan < len(out):
+        out[first_nan:] = values[np.isnan(values)]
+    return out
+
+
 def _profile_from_weighted(values: np.ndarray, weights: np.ndarray) -> Profile:
-    order = np.argsort(-values, kind="stable")  # ties keep cell order
-    sorted_vals = values[order]
-    knots = np.concatenate(([0.0], np.cumsum(weights[order])))
+    if np.all(weights == weights[0]):
+        # equal weights: the knots do not depend on the order
+        sorted_vals = sort_decreasing(values)
+        knots = np.concatenate(([0.0], np.cumsum(weights)))
+    else:
+        order = np.argsort(-values, kind="stable")  # ties keep cell order
+        sorted_vals = values[order]
+        knots = np.concatenate(([0.0], np.cumsum(weights[order])))
     knots[-1] = 1.0
     return Profile(knots, sorted_vals)
 
@@ -163,8 +190,8 @@ def _profile_from_weighted(values: np.ndarray, weights: np.ndarray) -> Profile:
 def decreasing_rearrangement(field: ScalarField, grid: GaussianGrid) -> Profile:
     """Decreasing rearrangement of |f| with respect to the Gaussian measure.
 
-    Sorts |f| over the equal-measure cells (stable, ties by cell index),
-    so the result is equimeasurable with the sampled |f| by construction.
+    Sorts the values of |f| over the equal-measure cells, so the result is
+    equimeasurable with the sampled |f| by construction.
     """
     vals = np.abs(field(grid.representatives))
     return _profile_from_weighted(vals, grid.measures)

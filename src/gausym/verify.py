@@ -5,8 +5,15 @@ rearrangement f* of |f|, the rearranged |grad f|, and the surrogate
 (-f*)' * I.  ``analyze(field, grid, M)`` builds them once into an
 ``Analysis``; each ``check_*`` takes a prebuilt one through its
 ``analysis`` keyword (the CLI builds one per run and shares it across all
-checks) and otherwise builds its own.  The gradient of the symmetrized
-field is computed lazily, on first use by ``dos`` or ``orlicz``.
+checks) and otherwise builds its own.  Building it refuses a field whose
+values or gradients are not finite on the grid (``NonFiniteFieldError``).
+
+Only sorted values enter the profiles, so the rearrangements are value
+sorts.  The cell order by decreasing |f|, which the level-set check
+``mt`` alone reads, is a lazy stable argsort.  The gradient of the
+symmetrized field is computed lazily, on first use by ``dos`` or
+``orlicz``; that field depends on x1 alone, so its gradient is taken on
+the N axis points, not on all N^dim cells.
 
 Each check compares two curves over a common grid on (0, 1) and reports
 the worst signed violation against a tolerance.  The default tolerance
@@ -30,7 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, IntervalError, NonSmoothFieldError
+from .errors import DomainError, IntervalError, NonFiniteFieldError, NonSmoothFieldError
 from .fields import ScalarField, gradient_norm
 from .gaussian import GaussianGrid, equal_measure_grid, iso_profile
 from .majorize import DEFAULT_NORM_FAMILY, HINGE_GRID_SIZE, RINorm, hinge_integrals, ri_norm
@@ -39,6 +46,7 @@ from .rearrange import (
     Profile,
     derivative_bin_count,
     lebesgue_rearrangement,
+    sort_decreasing,
 )
 from .symmetrize import symmetrized_field
 
@@ -92,12 +100,13 @@ class Analysis:
         self.M = M
         reps = grid.representatives
         vals = np.abs(field(reps))
-        order = np.argsort(-vals, kind="stable")
+        _require_finite(field, reps, "|f|", vals)
+        self.grad_values = gradient_norm(field, reps)
+        _require_finite(field, reps, "|grad f|", self.grad_values)
         K = grid.num_cells
         knots = np.concatenate(([0.0], np.arange(1, K + 1) / K))
-        self.p = Profile(knots, vals[order])
-        self.grad_values = gradient_norm(field, reps)
-        self.grads_by_level = self.grad_values[order]
+        self.p = Profile(knots, sort_decreasing(vals))
+        self._levels = vals
         self.grad_prof = lebesgue_rearrangement(
             np.column_stack((grid.measures, self.grad_values))
         )
@@ -135,13 +144,26 @@ class Analysis:
         return self._mass_cum[idx]
 
     @cached_property
+    def grads_by_level(self) -> np.ndarray:
+        """|grad f| in the cell order of ``p``: decreasing |f|, ties by cell index."""
+        return self.grad_values[np.argsort(-self._levels, kind="stable")]
+
+    @cached_property
     def sym_grad_prof(self) -> Profile:
-        """Rearranged |grad| of the linear symmetrized field on the grid."""
-        fo = symmetrized_field(
-            self.p, dim=self.grid.dim, interpolation="linear", n_bins=self.m_d
+        """Rearranged |grad| of the linear symmetrized field on the grid.
+
+        The field depends on x1 alone, so its gradient is taken on the N
+        axis points and each sorted value covers the N^(dim-1) cells of its
+        x1 slab, on the same equal-measure knots as ``grad_prof``.
+        """
+        grid = self.grid
+        fo = symmetrized_field(self.p, dim=grid.dim, interpolation="linear", n_bins=self.m_d)
+        axis = np.zeros((grid.cells_per_axis, grid.dim))
+        axis[:, 0] = grid.axis_points
+        sym_grad = sort_decreasing(gradient_norm(fo, axis))
+        return Profile(
+            self.grad_prof.knots, np.repeat(sym_grad, grid.num_cells // grid.cells_per_axis)
         )
-        sym_grad = gradient_norm(fo, self.grid.representatives)
-        return lebesgue_rearrangement(np.column_stack((self.grid.measures, sym_grad)))
 
     def tolerance(self, override: Optional[float]) -> float:
         if override is not None:
@@ -151,6 +173,18 @@ class Analysis:
         c2 = 10.0 * (float(np.max(interior)) if interior.size else 0.0)
         tol = c1 / math.sqrt(self.grid.cells_per_axis) + c2 / self.M
         return tol if self.field.smooth else 2.0 * tol
+
+
+def _require_finite(field: ScalarField, points: np.ndarray, name: str, arr: np.ndarray):
+    """Raise NonFiniteFieldError naming the first grid point where ``arr``
+    (the field's ``name`` sampled on ``points``) is not finite."""
+    finite = np.isfinite(arr)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        x = ", ".join(f"{c:.17g}" for c in points[i])
+        raise NonFiniteFieldError(
+            f"field {field.label!r} is not finite on the grid: {name} = {arr[i]} at x = ({x})"
+        )
 
 
 def analyze(field: ScalarField, grid: GaussianGrid, M: int) -> Analysis:

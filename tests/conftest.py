@@ -18,6 +18,21 @@ def quasi_random_points(n: int, dim: int, low: float = -3.0, high: float = 3.0) 
     return low + (high - low) * u
 
 
+def stable_argsort_profile(values: np.ndarray, weights: np.ndarray) -> Profile:
+    """Reference rearrangement: stable argsort of -values (ties keep input
+    order) with knots at the cumulative sorted weights."""
+    order = np.argsort(-values, kind="stable")
+    knots = np.concatenate(([0.0], np.cumsum(weights[order])))
+    knots[-1] = 1.0
+    return Profile(knots, values[order])
+
+
+def assert_same_bits(a: np.ndarray, b: np.ndarray):
+    """Bitwise equality of two float arrays (tells -0.0 from 0.0, matches NaNs)."""
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def random_profile(rng: np.random.Generator, max_pieces: int = 64) -> Profile:
     k = int(rng.integers(4, max_pieces))
     widths = rng.dirichlet(np.ones(k))

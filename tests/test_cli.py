@@ -97,6 +97,27 @@ class TestExitCodes:
         assert code == 3
         assert not out.exists()  # no partial report
 
+    @pytest.mark.parametrize("argv", [
+        ["--expr", "sqrt(x1)", "--checks", "uno"],
+        ["--expr", "sqrt(x1)", "--checks", "norm"],
+        # N odd: the middle representative sits exactly at x1 = 0
+        ["--expr", "1/x1", "--grid", "125", "--checks", "uno"],
+    ])
+    def test_non_finite_field_is_two(self, tmp_path, capsys, argv):
+        out = tmp_path / "never.json"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not finite" in err and "at x = (" in err
+        assert not out.exists()
+
+    def test_non_finite_report_is_three(self, tmp_path, capsys):
+        out = tmp_path / "never.json"
+        code = main(["--builtin", "coordinate", "--grid", "64", "--checks", "uno",
+                     "--tol", "inf", "--out", str(out)])
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_temp_files_left(self, tmp_path):
         out = tmp_path / "r.json"
         main(["--builtin", "coordinate", "--grid", "64", "--checks", "uno", "--out", str(out)])
@@ -195,6 +216,23 @@ class TestSharedAnalysis:
             assert row["pass"] == passed, name
             assert row["max_violation"] == pytest.approx(violation, rel=1e-10, abs=0.0), name
             assert row["tolerance"] == pytest.approx(tol, rel=1e-10, abs=0.0), name
+
+    def test_symmetrized_gradient_on_axis_points(self, tmp_path, monkeypatch):
+        points = []
+        original = verify.gradient_norm
+
+        def counting_gradient_norm(field, x):
+            norms = original(field, x)
+            if field.label.startswith("symmetrized["):
+                points.append(len(norms))
+            return norms
+
+        monkeypatch.setattr(verify, "gradient_norm", counting_gradient_norm)
+        main([
+            "--builtin", "mixture", "--dim", "2", "--grid", "64",
+            "--checks", "dos,orlicz,converge", "--out", str(tmp_path / "r.json"),
+        ])
+        assert sorted(points) == [4, 16, 64]
 
 
 class TestConfigFile:

@@ -12,11 +12,13 @@ from gausym import (
     builtin_field,
     corpus_names,
     describe_field,
+    equal_measure_grid,
     gradient_at,
     gradient_norm,
     parse_field,
 )
 from gausym.expr import parse_expression, serialize
+from gausym.fields import FD_STEP, finite_difference_gradient
 
 from conftest import quasi_random_points
 
@@ -223,3 +225,31 @@ class TestGradientAt:
         f = parse_field("x1*x2", 2)
         g = gradient_at(f, quasi_random_points(10, 2))
         assert g.shape == (10, 2)
+
+
+def _two_copy_gradient(field, pts):
+    """Reference central differences: fresh shifted copies per axis."""
+    out = np.empty_like(pts)
+    for axis in range(field.dim):
+        h = FD_STEP * (1.0 + np.abs(pts[:, axis]))
+        hi = pts.copy()
+        lo = pts.copy()
+        hi[:, axis] += h
+        lo[:, axis] -= h
+        out[:, axis] = (field.evaluator(hi) - field.evaluator(lo)) / (2.0 * h)
+    return out
+
+
+class TestFiniteDifferenceGradient:
+    @pytest.mark.parametrize("text,dim", [
+        ("x1", 1), ("x1", 2), ("-x2", 2), ("exp(-x1^2)", 1),
+        ("cos(x1*x2) + sqrt(abs(x2))", 2), ("tanh(x1 + 0.5*x2*x3) + 0.3*sin(x2)", 3),
+    ])
+    def test_one_buffer_matches_two_copies(self, text, dim):
+        field = parse_field(text, dim)
+        for pts in (equal_measure_grid(dim, 17).representatives, quasi_random_points(101, dim)):
+            before = pts.copy()
+            got = finite_difference_gradient(field, pts)
+            ref = _two_copy_gradient(field, pts)
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+            assert np.array_equal(pts, before)  # the input is never shifted in place

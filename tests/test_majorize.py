@@ -52,6 +52,29 @@ class TestYoungFunction:
             assert np.all(np.diff(vals) >= -1e-12)
             assert np.all(np.diff(vals, 2) >= -1e-9)
 
+    @pytest.mark.parametrize("A", [
+        YoungFunction.power(1), YoungFunction.power(1.5), YoungFunction.power(2),
+        YoungFunction.power(4), YoungFunction.hinge(0.0), YoungFunction.hinge(0.7),
+        YoungFunction.exp_sq_truncated(), YoungFunction.exp_sq_truncated(2.0),
+    ])
+    def test_in_place_evaluation_matches_reference(self, A):
+        def reference(t):
+            x = np.abs(np.asarray(t, dtype=float))
+            if A.kind == "power":
+                return x**A.param
+            if A.kind == "hinge":
+                return np.maximum(x - A.param, 0.0)
+            capped = np.minimum(x, A.param)
+            return np.expm1(capped * capped)
+
+        t = np.concatenate((np.linspace(-30.0, 30.0, 1001), [0.0, -0.0, 1e-300, np.inf]))
+        t.setflags(write=False)
+        with np.errstate(over="ignore"):
+            got, ref = A(t), reference(t)
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        assert type(A(-1.5)) is type(reference(-1.5))
+        assert A(-1.5) == reference(-1.5)
+
     def test_truncation_keeps_finite(self):
         A = YoungFunction.exp_sq_truncated(20.0)
         assert np.isfinite(A(1e6))

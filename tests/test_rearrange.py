@@ -23,6 +23,8 @@ from gausym import (
 )
 from gausym.rearrange import derivative_bin_count
 
+from conftest import assert_same_bits, stable_argsort_profile
+
 HALVES = Profile(np.array([0.0, 0.5, 1.0]), np.array([3.0, 1.0]))
 
 
@@ -177,6 +179,36 @@ class TestLebesgueRearrangement:
         p = lebesgue_rearrangement(np.column_stack((weights, values)))
         assert np.all(np.diff(p.values) <= 0)
         assert p.total_integral() == pytest.approx(float(np.sum(weights * values)), abs=1e-12)
+
+
+class TestEqualWeightSort:
+    """Equal weights take a value sort; it must give the stable-argsort
+    Profile bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.nan, np.inf, -np.inf]),
+                st.floats(allow_nan=False),
+            ),
+            min_size=1,
+            max_size=200,
+        )
+    )
+    def test_matches_stable_argsort(self, vals):
+        values = np.array(vals)
+        weights = np.full(len(values), 1.0 / len(values))
+        got = lebesgue_rearrangement(np.column_stack((weights, values)))
+        ref = stable_argsort_profile(values, weights)
+        assert_same_bits(got.values, ref.values)
+        assert_same_bits(got.knots, ref.knots)
+
+    def test_signed_zeros_keep_input_order(self):
+        values = np.array([-0.0, 0.0, 1.0] * 400 + [0.0, -0.0])
+        weights = np.full(len(values), 1.0 / len(values))
+        got = lebesgue_rearrangement(np.column_stack((weights, values)))
+        assert_same_bits(got.values, stable_argsort_profile(values, weights).values)
 
 
 class TestNegDerivative:

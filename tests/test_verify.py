@@ -8,7 +8,9 @@ import pytest
 from gausym import (
     DomainError,
     IntervalError,
+    NonFiniteFieldError,
     NonSmoothFieldError,
+    Profile,
     analyze,
     builtin_field,
     check_interval_bound,
@@ -24,6 +26,8 @@ from gausym import (
     parse_norm,
     symmetrized_field,
 )
+
+from conftest import assert_same_bits, stable_argsort_profile
 
 GRID_1K = equal_measure_grid(1, 1024)
 COORD = builtin_field("coordinate")
@@ -283,3 +287,29 @@ class TestSharedAnalysis:
         reused = convergence_study(self.FIELD, ["uno", "dos", "mt"], [8, 32], M=512, dim=2,
                                    analysis=analysis)
         assert fresh == reused
+
+
+class TestAnalysisSorts:
+    """The analysis sorts values and takes the symmetrized gradient on the
+    x1 axis; the full-grid argsort forms stay here as the references."""
+
+    @pytest.mark.parametrize("dim,N", [(1, 64), (1, 63), (2, 32), (2, 33), (3, 12), (3, 13)])
+    def test_matches_full_grid_argsort_reference(self, dim, N):
+        field, grid = builtin_field("mixture", dim=dim), equal_measure_grid(dim, N)
+        a = analyze(field, grid, 512)
+        reps, K = grid.representatives, grid.num_cells
+        vals = np.abs(field(reps))
+        order = np.argsort(-vals, kind="stable")
+        p_ref = Profile(np.arange(K + 1) / K, vals[order])
+        assert_same_bits(a.p.values, p_ref.values)
+        assert_same_bits(a.p.knots, p_ref.knots)
+        assert_same_bits(a.grads_by_level, gradient_norm(field, reps)[order])
+        fo = symmetrized_field(a.p, dim=dim, interpolation="linear", n_bins=a.m_d)
+        sym_ref = stable_argsort_profile(gradient_norm(fo, reps), grid.measures)
+        assert_same_bits(a.sym_grad_prof.values, sym_ref.values)
+        assert_same_bits(a.sym_grad_prof.knots, sym_ref.knots)
+
+    @pytest.mark.parametrize("text,N", [("sqrt(x1)", 64), ("1/x1", 125), ("x1/abs(x1)", 33)])
+    def test_non_finite_field_refused(self, text, N):
+        with pytest.raises(NonFiniteFieldError, match="at x = "):
+            analyze(parse_field(text, 1), equal_measure_grid(1, N), 512)
