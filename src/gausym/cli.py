@@ -5,18 +5,26 @@ Usage:
     gausym --builtin monotone1d --checks dos --equality
     gausym corpus list
     gausym corpus describe coordinate
+    gausym --config run.cfg --grid 256
+
+``_build_parser`` alone defines the options.  Each ``key=value`` line of
+a ``--config`` file is parsed as the flag ``--key`` (``equality`` takes
+1/true/yes or 0/false/no; ``param=a=1;b=2`` is two ``--param`` flags)
+before the command line, so the command line wins per option and per
+``--param`` key.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad
-configuration or a field that is not finite on the grid, 3 runtime
-failure while checking or a report holding a non-finite number.  Report
-files are written atomically (temp file + rename), so a crash never
-leaves a partial report behind.
+configuration (a non-finite --tol included) or a field that is not
+finite on the grid, 3 runtime failure while checking or a report holding
+a non-finite number.  Report files are written atomically (temp file +
+rename), so a crash never leaves a partial report behind.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -43,22 +51,29 @@ from .verify import (
 
 CHECK_TOKENS = ("uno", "dos", "norm", "mt", "interval", "orlicz", "converge")
 
-DEFAULTS = {
-    "dim": 1,
-    "grid": 1024,
-    "sgrid": 4096,
-    "checks": "uno,dos",
-    "intervals": "0.1,0.2;0.6,0.7",
-    "norms": "",
-    "tol": None,
-    "equality": False,
-    "out": None,
-    "curves": None,
-}
+EQUALITY_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
 class ConfigError(Exception):
     pass
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _param(text: str) -> tuple[str, float]:
+    key, _, value = text.partition("=")
+    try:
+        return key.strip(), float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected K=V with a number V, got {text!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,16 +83,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--expr", help="field expression in x1..xn")
     parser.add_argument("--builtin", help="builtin field name (see 'gausym corpus list')")
-    parser.add_argument("--param", action="append", default=[], metavar="K=V",
-                        help="builtin field parameter, repeatable")
-    parser.add_argument("--dim", type=int, choices=(1, 2, 3))
-    parser.add_argument("--grid", type=int, metavar="N", help="cells per axis")
-    parser.add_argument("--sgrid", type=int, metavar="M", help="s-grid size (default 4096)")
-    parser.add_argument("--checks", help=f"comma list from {{{','.join(CHECK_TOKENS)}}}")
-    parser.add_argument("--intervals", help="finite union 'a,b[;c,d]...' for the interval check")
-    parser.add_argument("--norms", help="comma list of norm specs, e.g. lp:2,lorentz:2")
-    parser.add_argument("--tol", type=float, help="tolerance override for all checks")
-    parser.add_argument("--equality", action="store_true", default=None,
+    parser.add_argument("--param", type=_param, action="append", default=[], metavar="K=V",
+                        help="builtin field parameter, repeatable (the last value of a K wins)")
+    parser.add_argument("--dim", type=int, choices=(1, 2, 3), default=1)
+    parser.add_argument("--grid", type=int, default=1024, metavar="N", help="cells per axis")
+    parser.add_argument("--sgrid", type=int, default=4096, metavar="M",
+                        help="s-grid size (default %(default)s)")
+    parser.add_argument("--checks", default="uno,dos",
+                        help=f"comma list from {{{','.join(CHECK_TOKENS)}}}")
+    parser.add_argument("--intervals", default="0.1,0.2;0.6,0.7",
+                        help="finite union 'a,b[;c,d]...' for the interval check")
+    parser.add_argument("--norms", default="",
+                        help="comma list of norm specs, e.g. lp:2,lorentz:2")
+    parser.add_argument("--tol", type=_finite_float, help="tolerance override for all checks")
+    parser.add_argument("--equality", action="store_true",
                         help="two-sided comparison (equality cases)")
     parser.add_argument("--out", help="JSON report path")
     parser.add_argument("--curves", help="directory for per-check CSV curves")
@@ -85,59 +104,42 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config_file(path: str) -> dict:
-    values = {}
+def _config_argv(path: str, keys) -> list[str]:
+    """The flags a config file stands for; ``keys`` are the option names."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, sep, value = line.partition("=")
-                if not sep:
-                    raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                values[key.strip()] = value.strip()
-        return values
+            lines = fh.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-
-
-def _merge_config(args: argparse.Namespace) -> dict:
-    cfg = dict(DEFAULTS)
-    cfg.update({"expr": None, "builtin": None, "param": []})
-    if args.config:
-        file_values = _read_config_file(args.config)
-        for key, text in file_values.items():
-            if key not in cfg:
-                raise ConfigError(f"unknown config key {key!r}")
-            if key in ("dim", "grid", "sgrid"):
-                cfg[key] = int(text)
-            elif key == "tol":
-                cfg[key] = float(text)
-            elif key == "equality":
-                cfg[key] = text.lower() in ("1", "true", "yes")
-            elif key == "param":
-                cfg[key] = text.split(";")
-            else:
-                cfg[key] = text
-    for key in cfg:
-        value = getattr(args, key, None)
-        if value is not None and value != []:
-            cfg[key] = value
-    return cfg
-
-
-def _parse_params(pairs) -> dict:
-    params = {}
-    for item in pairs:
-        key, sep, value = item.partition("=")
+    argv = []
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = (part.strip() for part in line.partition("="))
         if not sep:
-            raise ConfigError(f"--param needs K=V, got {item!r}")
-        try:
-            params[key.strip()] = float(value)
-        except ValueError as exc:
-            raise ConfigError(f"--param {key}: {value!r} is not a number") from exc
-    return params
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        if key not in keys or key == "config":
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key == "equality":
+            if value.lower() not in EQUALITY_WORDS:
+                raise ConfigError(f"{path}:{lineno}: equality must be one of "
+                                  f"{'/'.join(EQUALITY_WORDS)}, got {value!r}")
+            argv += ["--equality"] if EQUALITY_WORDS[value.lower()] else []
+        elif key == "param":
+            argv += [f"--param={item}" for item in value.split(";")]
+        else:
+            argv.append(f"--{key}={value}")
+    return argv
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """Parse the flags after those of the --config file, if one is given."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    return parser.parse_args(_config_argv(args.config, vars(args)) + argv)
 
 
 def _parse_intervals(text: str) -> list:
@@ -161,8 +163,6 @@ def _parse_intervals(text: str) -> list:
 def _validate(cfg: dict) -> dict:
     if cfg["grid"] < 2:
         raise ConfigError("grid must be ≥ 2")
-    if cfg["dim"] not in (1, 2, 3):
-        raise ConfigError("dim must be 1, 2 or 3")
     if cfg["sgrid"] < 8:
         raise ConfigError("sgrid must be >= 8")
     if (cfg["expr"] is None) == (cfg["builtin"] is None):
@@ -191,8 +191,7 @@ def _validate(cfg: dict) -> dict:
 def _build_field(cfg: dict):
     if cfg["expr"] is not None:
         return parse_field(cfg["expr"], cfg["dim"])
-    params = _parse_params(cfg["param"])
-    return builtin_field(cfg["builtin"], params or None, dim=cfg["dim"])
+    return builtin_field(cfg["builtin"], dict(cfg["param"]) or None, dim=cfg["dim"])
 
 
 def _converge_rows(cfg: dict, field, M: int, tol, analysis) -> list[IneqReport]:
@@ -201,7 +200,7 @@ def _converge_rows(cfg: dict, field, M: int, tol, analysis) -> list[IneqReport]:
     Ns = sorted({max(2, N // 16), max(2, N // 4), N})
     inner = [t for t in cfg["check_tokens"] if t in ("uno", "dos", "mt")] or ["uno"]
     rows = []
-    for study in convergence_study(field, inner, Ns, M=M, dim=cfg["dim"], analysis=analysis):
+    for study in convergence_study(field, inner, Ns, M=M, analysis=analysis):
         # Rows share the study verdict; the recorded tolerance is the worst
         # violation in the ladder so the schema stays numeric.
         row_tol = tol if tol is not None else max(max(study.violations), 1e-12)
@@ -229,7 +228,7 @@ def _converge_rows(cfg: dict, field, M: int, tol, analysis) -> list[IneqReport]:
 def _run_checks(cfg: dict, field, grid) -> list[IneqReport]:
     M = cfg["sgrid"]
     tol = cfg["tol"]
-    eq = bool(cfg["equality"])
+    eq = cfg["equality"]
     shared = {"M": M, "tol": tol, "analysis": analyze(field, grid, M)}
     reports: list[IneqReport] = []
     for token in cfg["check_tokens"]:
@@ -316,15 +315,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "corpus":
         return _corpus_main(argv[1:])
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        cfg = _validate(_merge_config(args))
+        cfg = _validate(vars(_parse_args(argv)))
         field = _build_field(cfg)
         grid = equal_measure_grid(cfg["dim"], cfg["grid"])
+    except SystemExit as exc:  # argparse has printed usage and the error
+        return int(exc.code or 0)
     except (ConfigError, GausymError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

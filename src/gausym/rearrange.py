@@ -207,10 +207,11 @@ def lebesgue_rearrangement(samples) -> Profile:
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
         raise WeightSumError("samples must be nonempty (weight, value) pairs")
     weights, values = arr[:, 0], arr[:, 1]
-    if np.any(weights <= 0.0):
+    # written so that NaN weights fail both tests
+    if not np.all(weights > 0.0):
         raise WeightSumError("weights must be positive")
     total = float(np.sum(weights))
-    if abs(total - 1.0) > 1e-12:
+    if not abs(total - 1.0) <= 1e-12:
         raise WeightSumError(f"weights sum to {total!r}, expected 1 within 1e-12")
     return _profile_from_weighted(values, weights)
 

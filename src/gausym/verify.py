@@ -469,15 +469,15 @@ def convergence_study(
     checks: Sequence[str],
     Ns: Sequence[int],
     M: int = 4096,
-    dim: int = 1,
     *,
     analysis: Optional[Analysis] = None,
 ) -> list[ConvergenceStudy]:
     """Refinement study: rerun checks over increasing per-axis cell counts
     and fit the empirical decay order of the positive violations.
 
-    One analysis per rung serves every check; a prebuilt ``analysis``
-    (which must fit the finest rung) is reused there.
+    The rungs are grids of ``field.dim`` dimensions.  One analysis per
+    rung serves every check; a prebuilt ``analysis`` (which must fit the
+    finest rung) is reused there.
 
     Violations must not increase along refinement beyond a factor-1.5
     slack; violations at or below the round-off floor count as converged,
@@ -491,11 +491,11 @@ def convergence_study(
         raise DomainError(
             f"convergence study supports {sorted(_CONVERGENT_CHECKS)}, got {unknown}"
         )
-    if analysis is not None and not (Ns and _matches(analysis, field, dim, Ns[-1], M)):
+    if analysis is not None and not (Ns and _matches(analysis, field, field.dim, Ns[-1], M)):
         raise DomainError("prebuilt analysis does not fit the finest refinement rung")
     rungs = [
         analysis if analysis is not None and n == Ns[-1]
-        else analyze(field, equal_measure_grid(dim, n), M)
+        else analyze(field, equal_measure_grid(field.dim, n), M)
         for n in Ns
     ]
     studies = []

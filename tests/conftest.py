@@ -1,8 +1,11 @@
-"""Shared test helpers: quasi-random point sets and random profile pairs."""
+"""Shared test helpers: quasi-random point sets, random profile pairs and
+random field expressions."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from gausym import Profile
+from gausym.expr import FUNCTIONS
 
 
 def quasi_random_points(n: int, dim: int, low: float = -3.0, high: float = 3.0) -> np.ndarray:
@@ -72,3 +75,25 @@ def majorized_pair(rng: np.random.Generator) -> tuple[Profile, Profile]:
     if rng.random() < 0.5:
         g = g.scaled(float(rng.uniform(0.75, 1.0)))
     return g, h
+
+
+def expressions():
+    """Strategy for 2-d expression texts over the grammar of
+    ``gausym.expr``: positive literals, variables, every binary operator,
+    unary minus and every function."""
+    return st.recursive(
+        st.one_of(
+            st.floats(min_value=0.1, max_value=5.0).map(lambda v: f"{v:.3f}"),
+            st.sampled_from(["x1", "x2"]),
+        ),
+        lambda children: st.one_of(
+            st.tuples(children, st.sampled_from("+-*/^"), children).map(
+                lambda t: f"({t[0]}{t[1]}{t[2]})"
+            ),
+            st.tuples(st.sampled_from(sorted(FUNCTIONS)), children).map(
+                lambda t: f"{t[0]}({t[1]})"
+            ),
+            children.map(lambda c: f"-{c}"),
+        ),
+        max_leaves=12,
+    )

@@ -1,14 +1,20 @@
 """CLI contract: flags, exit codes, report schema, atomic emission."""
 
+import dataclasses
 import json
+import math
 import os
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
-from gausym import verify
+from gausym import cli, verify
 from gausym.cli import main
 from gausym.fields import builtin_field
 from gausym.gaussian import equal_measure_grid
+
+from conftest import expressions
 
 SCHEMA_KEYS = {"name", "field", "dim", "N", "M", "tolerance", "max_violation", "pass", "runtime_ms"}
 
@@ -16,6 +22,22 @@ SCHEMA_KEYS = {"name", "field", "dim", "N", "M", "tolerance", "max_violation", "
 def read_report(path):
     with open(path, "r", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def strict_report(path):
+    """The report at ``path``, refusing the NaN/Infinity literals that
+    strict JSON parsers reject."""
+    def refuse(constant):
+        raise AssertionError(f"report holds {constant}")
+
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
+def config_flags(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    return ["--config", str(path)]
 
 
 class TestDocumentedInvocations:
@@ -110,12 +132,30 @@ class TestExitCodes:
         assert err.startswith("error: ") and "not finite" in err and "at x = (" in err
         assert not out.exists()
 
-    def test_non_finite_report_is_three(self, tmp_path, capsys):
+    def test_non_finite_report_is_three(self, tmp_path, capsys, monkeypatch):
+        reformulated = cli.check_reformulated
+        monkeypatch.setattr(cli, "check_reformulated", lambda *args, **kwargs: (
+            dataclasses.replace(reformulated(*args, **kwargs), max_violation=math.nan)))
         out = tmp_path / "never.json"
         code = main(["--builtin", "coordinate", "--grid", "64", "--checks", "uno",
-                     "--tol", "inf", "--out", str(out)])
+                     "--out", str(out)])
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tol", [["--tol", "nan"], ["--tol", "inf"], ["--tol=-inf"], "tol=nan"],
+                             ids=["flag-nan", "flag-inf", "flag-minus-inf", "file-nan"])
+    def test_non_finite_tolerance_is_two(self, tmp_path, capsys, monkeypatch, tol):
+        def refuse(*args, **kwargs):
+            raise AssertionError("analysis built for an invalid configuration")
+
+        monkeypatch.setattr(cli, "analyze", refuse)
+        flags = config_flags(tmp_path, tol + "\n") if isinstance(tol, str) else tol
+        out = tmp_path / "never.json"
+        code = main(["--builtin", "coordinate", "--grid", "64", "--checks", "uno",
+                     *flags, "--out", str(out)])
+        assert code == 2
+        assert "finite number" in capsys.readouterr().err
         assert not out.exists()
 
     def test_no_temp_files_left(self, tmp_path):
@@ -182,8 +222,7 @@ class TestSharedAnalysis:
             verify.check_orlicz_equality(field, grid, M=M),
         ]
         expected = [(r.check_name, r.passed, r.max_violation, r.tolerance) for r in rows]
-        for study in verify.convergence_study(field, ["uno", "dos", "mt"], [4, 16, 64], M=M,
-                                              dim=2):
+        for study in verify.convergence_study(field, ["uno", "dos", "mt"], [4, 16, 64], M=M):
             row_tol = max(max(study.violations), 1e-12)
             expected += [
                 (f"converge:{study.check_name}[N={n}]", study.passed, v, row_tol)
@@ -259,6 +298,87 @@ class TestConfigFile:
 
     def test_missing_file(self, capsys):
         assert main(["--config", "/nonexistent/run.cfg", "--expr", "x1"]) == 2
+
+    @pytest.mark.parametrize("line,message", [
+        ("equality=maybe", "equality must be one of"),
+        ("gri=64", "unknown config key 'gri'"),  # flags abbreviate, file keys do not
+        ("config=other.cfg", "unknown config key 'config'"),
+        ("dim=4", "invalid choice"),
+        ("grid", "expected key=value"),
+    ])
+    def test_invalid_line_is_two(self, tmp_path, capsys, line, message):
+        out = tmp_path / "never.json"
+        flags = config_flags(tmp_path, f"builtin=coordinate\n{line}\n")
+        assert main([*flags, "--checks", "uno", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_param_merges_per_key(self, tmp_path):
+        out = tmp_path / "r.json"
+        flags = config_flags(tmp_path, "builtin=mixture\nparam=m=1.0;c1=2.0\n")
+        main([*flags, "--param", "m=1.1", "--grid", "64", "--checks", "uno",
+              "--out", str(out)])
+        field = read_report(out)["checks"][0]["field"]
+        assert field == "mixture(w1=1.0,w2=0.6,c1=2.0,c2=2.0,m=1.1)"
+
+    # each key once, as a file line and as the flags it stands for
+    PARITY = [
+        ("expr=exp(-x1^2)", ["--expr", "exp(-x1^2)"]),
+        ("builtin=gaussian_bump", ["--builtin", "gaussian_bump"]),
+        ("param=m=1.1;c1=0.9", ["--param", "m=1.1", "--param", "c1=0.9"]),
+        ("dim=2", ["--dim", "2"]),
+        ("grid=48", ["--grid", "48"]),
+        ("sgrid=128", ["--sgrid", "128"]),
+        ("checks=dos,mt,orlicz", ["--checks", "dos,mt,orlicz"]),
+        ("intervals=0.2,0.3;0.5,0.9", ["--intervals", "0.2,0.3;0.5,0.9"]),
+        ("norms=lp:2,lorentz:2", ["--norms", "lp:2,lorentz:2"]),
+        ("tol=1e-3", ["--tol", "1e-3"]),
+        ("equality=Yes", ["--equality"]),
+        ("out={out}", ["--out", "{out}"]),
+        ("curves={curves}", ["--curves", "{curves}"]),
+    ]
+    BASE = {"builtin": "mixture", "grid": "32", "sgrid": "64",
+            "checks": "uno,norm,interval", "out": "{out}", "curves": "{curves}"}
+
+    @pytest.mark.parametrize("line,flags", PARITY, ids=[p[0].split("=")[0] for p in PARITY])
+    def test_file_line_matches_flag(self, tmp_path, capsys, line, flags):
+        key = line.split("=")[0]
+        base = [f"--{k}={v}" for k, v in self.BASE.items()
+                if k != key and not (key == "expr" and k == "builtin")]
+        curves = tmp_path / "curves"
+        reports = []
+        for source in ("file", "flags"):
+            paths = {"out": tmp_path / f"{source}.json", "curves": curves}
+            fill = [arg.format(**paths) for arg in base]
+            if source == "file":
+                argv = [*config_flags(tmp_path, line.format(**paths) + "\n"), *fill]
+            else:
+                argv = [*fill, *(arg.format(**paths) for arg in flags)]
+            assert main(argv) in (0, 1)
+            text = paths["out"].read_text()
+            reports.append((re.sub(r'"runtime_ms": \d+', '"runtime_ms": 0', text),
+                            capsys.readouterr().out))
+        assert reports[0] == reports[1]
+
+
+class TestGeneratedExpressions:
+    """Any expression of the grammar exits 0..3 without a traceback, and
+    every report it writes is strict JSON."""
+
+    @given(text=expressions())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_every_check_exits_cleanly(self, tmp_path, capsys, text):
+        out = tmp_path / "r.json"
+        if out.exists():
+            out.unlink()
+        code = main(["--expr", text, "--dim", "2", "--grid", "16", "--sgrid", "64",
+                     "--checks", ",".join(cli.CHECK_TOKENS), "--out", str(out)])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in capsys.readouterr().err
+        assert out.exists() == (code in (0, 1))
+        if out.exists():
+            strict_report(out)
 
 
 class TestCorpus:

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from gausym import (
     ExpressionError,
@@ -20,7 +19,7 @@ from gausym import (
 from gausym.expr import parse_expression, serialize
 from gausym.fields import FD_STEP, finite_difference_gradient
 
-from conftest import quasi_random_points
+from conftest import expressions, quasi_random_points
 
 
 class TestBuiltins:
@@ -185,22 +184,7 @@ class TestParser:
         assert np.array_equal(f1(pts), f2(pts))
         assert serialize(again) == serialize(ast)
 
-    @given(st.recursive(
-        st.one_of(
-            st.floats(min_value=0.1, max_value=5.0).map(lambda v: f"{v:.3f}"),
-            st.sampled_from(["x1", "x2"]),
-        ),
-        lambda children: st.one_of(
-            st.tuples(children, st.sampled_from("+-*/"), children).map(
-                lambda t: f"({t[0]}{t[1]}{t[2]})"
-            ),
-            st.tuples(st.sampled_from(["exp", "tanh", "sin", "cos"]), children).map(
-                lambda t: f"{t[0]}({t[1]})"
-            ),
-            children.map(lambda c: f"-{c}"),
-        ),
-        max_leaves=12,
-    ))
+    @given(expressions())
     @settings(max_examples=60, deadline=None)
     def test_round_trip_generated(self, text):
         ast = parse_expression(text, 2)

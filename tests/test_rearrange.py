@@ -158,6 +158,12 @@ class TestLebesgueRearrangement:
         with pytest.raises(WeightSumError):
             lebesgue_rearrangement([(1.5, 1.0), (-0.5, 2.0)])
 
+    @pytest.mark.parametrize("weights", [(np.nan, 0.5), (np.nan, np.nan), (np.inf, 0.5)])
+    def test_non_finite_weights_rejected(self, weights):
+        samples = np.column_stack([weights, [1.0, 2.0]])
+        with pytest.raises(WeightSumError):
+            lebesgue_rearrangement(samples)
+
     @given(st.integers(min_value=2, max_value=24), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=50, deadline=None)
     def test_permutation_invariance(self, k, seed):

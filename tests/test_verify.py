@@ -243,6 +243,15 @@ class TestConvergenceStudy:
         with pytest.raises(DomainError):
             convergence_study(COORD, ["norm"], [64, 128], M=256)
 
+    def test_rungs_take_the_field_dimension(self):
+        field = builtin_field("mixture", dim=2)
+        study = convergence_study(field, ["uno"], [8, 16], M=256)[0]
+        expected = tuple(
+            check_reformulated(field, equal_measure_grid(2, n), M=256).max_violation
+            for n in (8, 16)
+        )
+        assert study.violations == expected
+
 
 class TestSharedAnalysis:
     FIELD = builtin_field("mixture", dim=2)
@@ -279,12 +288,12 @@ class TestSharedAnalysis:
             check_reformulated(builtin_field("mixture", dim=2), self.GRID, M=512,
                                analysis=analysis)
         with pytest.raises(DomainError):
-            convergence_study(self.FIELD, ["uno"], [8, 16], M=512, dim=2, analysis=analysis)
+            convergence_study(self.FIELD, ["uno"], [8, 16], M=512, analysis=analysis)
 
     def test_convergence_study_same_with_prebuilt_analysis(self):
         analysis = analyze(self.FIELD, self.GRID, 512)
-        fresh = convergence_study(self.FIELD, ["uno", "dos", "mt"], [8, 32], M=512, dim=2)
-        reused = convergence_study(self.FIELD, ["uno", "dos", "mt"], [8, 32], M=512, dim=2,
+        fresh = convergence_study(self.FIELD, ["uno", "dos", "mt"], [8, 32], M=512)
+        reused = convergence_study(self.FIELD, ["uno", "dos", "mt"], [8, 32], M=512,
                                    analysis=analysis)
         assert fresh == reused
 
