@@ -34,6 +34,7 @@ from .gaussian import (
     Phi_inv,
     equal_measure_grid,
     iso_profile,
+    midpoint_quantiles,
     phi,
 )
 from .majorize import (

@@ -14,10 +14,11 @@ before the command line, so the command line wins per option and per
 ``--param`` key.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad
-configuration (a non-finite --tol included) or a field that is not
-finite on the grid, 3 runtime failure while checking or a report holding
-a non-finite number.  Report files are written atomically (temp file +
-rename), so a crash never leaves a partial report behind.
+configuration (a negative or non-finite --tol, a NaN interval bound or
+norm exponent included) or a field that is not finite on the grid, 3
+runtime failure while checking or a report holding a non-finite number.
+Report files are written atomically (temp file + rename), so a crash
+never leaves a partial report behind.
 """
 
 from __future__ import annotations
@@ -58,13 +59,13 @@ class ConfigError(Exception):
     pass
 
 
-def _finite_float(text: str) -> float:
+def _tolerance(text: str) -> float:
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
     return value
 
 
@@ -95,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="finite union 'a,b[;c,d]...' for the interval check")
     parser.add_argument("--norms", default="",
                         help="comma list of norm specs, e.g. lp:2,lorentz:2")
-    parser.add_argument("--tol", type=_finite_float, help="tolerance override for all checks")
+    parser.add_argument("--tol", type=_tolerance, help="tolerance override for all checks")
     parser.add_argument("--equality", action="store_true",
                         help="two-sided comparison (equality cases)")
     parser.add_argument("--out", help="JSON report path")

@@ -3,7 +3,10 @@ equal-measure grids on R^n.
 
 All probabilistic quantities refer to the standard Gaussian measure: the
 density phi, the distribution function Phi, its inverse Phi_inv, and the
-isoperimetric profile I(t) = phi(Phi_inv(t)).
+isoperimetric profile I(t) = phi(Phi_inv(t)).  Everything is numpy (and
+libm's erfc): the quantile function is Wichura's rational approximation,
+Algorithm AS 241 (PPND16), Applied Statistics 37 (1988) 477-484, accurate
+to about 1e-16 relative without a polishing step.
 
 Convention
 ----------
@@ -14,6 +17,10 @@ Convention
 the minimal Gaussian boundary measure among sets of measure t.  Everything
 downstream (surrogate gradients, inequality checks) uses this convention.
 It satisfies I'' = -1/I and I'(t) = -Phi_inv(t).
+
+Grid axes come from ``midpoint_quantiles``, which computes the lower half
+and mirrors it, so every axis is odd bit for bit and the mirrored cells of
+a symmetric field carry exactly equal values.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import CellBudgetError, DomainError
 
@@ -36,6 +42,37 @@ P_HI = 1.0 - 1e-16
 # Default ceiling on the total cell count of an equal-measure grid.
 DEFAULT_CELL_BUDGET = 2_000_000
 
+# AS 241 (PPND16) coefficients, highest degree first: numerator and
+# denominator of the central region |p - 1/2| <= 0.425 in r = 0.180625 - q^2,
+# and of the two tail regions in r = sqrt(-log(min(p, 1 - p))) - 1.6 (r <= 5)
+# or - 5 (beyond).
+_CENTRAL = (
+    (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
+     4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
+     1.3314166789178437745e2, 3.3871328727963666080e0),
+    (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
+     2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
+     4.2313330701600911252e1, 1.0),
+)
+_NEAR_TAIL = (
+    (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+     1.27045825245236838258e0, 3.64784832476320460504e0, 5.76949722146069140550e0,
+     4.63033784615654529590e0, 1.42343711074968357734e0),
+    (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+     1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e0,
+     2.05319162663775882187e0, 1.0),
+)
+_FAR_TAIL = (
+    (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
+     2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e0,
+     5.46378491116411436990e0, 6.65790464350110377720e0),
+    (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
+     7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
+     5.99832206555887937690e-1, 1.0),
+)
+
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+
 
 def _as_float_array(x):
     arr = np.asarray(x, dtype=float)
@@ -44,6 +81,40 @@ def _as_float_array(x):
 
 def _scalar_or_array(arr, scalar):
     return float(arr) if scalar else arr
+
+
+def _rational(r: np.ndarray, coeffs) -> np.ndarray:
+    """num(r) / den(r) by Horner's rule, in place on two buffers."""
+    num_c, den_c = coeffs
+    num = np.full_like(r, num_c[0])
+    den = np.full_like(r, den_c[0])
+    for a, b in zip(num_c[1:], den_c[1:]):
+        num *= r
+        num += a
+        den *= r
+        den += b
+    num /= den
+    return num
+
+
+def _ppnd16(p: np.ndarray) -> np.ndarray:
+    """AS 241 quantiles of probabilities already inside (0, 1), any shape."""
+    q = p - 0.5
+    out = np.empty_like(p)
+    central = np.abs(q) <= 0.425
+    qc = q[central]
+    out[central] = qc * _rational(0.180625 - qc * qc, _CENTRAL)
+    tail = ~central
+    if np.any(tail):
+        pt = p[tail]
+        # 1 - p is exact for p > 1/2 (Sterbenz), so both tails keep full accuracy
+        r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
+        x = np.empty_like(r)
+        near = r <= 5.0
+        x[near] = _rational(r[near] - 1.6, _NEAR_TAIL)
+        x[~near] = _rational(r[~near] - 5.0, _FAR_TAIL)
+        out[tail] = np.where(pt < 0.5, -x, x)
+    return out
 
 
 def phi(x):
@@ -59,35 +130,28 @@ def phi(x):
 def Phi(x):
     """Standard normal distribution function.
 
-    Strictly increasing, Phi(-x) = 1 - Phi(x).  Evaluated through the
-    complementary error function, accurate to a few ulp in both tails.
+    Strictly increasing, Phi(-x) = 1 - Phi(x).  Evaluated as
+    erfc(-x/sqrt(2))/2 through libm, one element at a time: relative error
+    below 3e-14 on [-8, 8] and 5e-13 down to x = -37, set by the rounding
+    of x/sqrt(2).
     """
     arr, scalar = _as_float_array(x)
-    out = _sp.ndtr(arr)
+    out = 0.5 * np.asarray(_erfc(-arr / math.sqrt(2.0)), dtype=float)
     return _scalar_or_array(out, scalar)
 
 
 def Phi_inv(p):
     """Quantile function of the standard normal.
 
-    Raises DomainError for p <= 0 or p >= 1; interior values are clamped
-    to [1e-300, 1 - 1e-16] before inversion.  The rational initial guess
-    is polished with one Halley step using phi/Phi, so the residual
-    |Phi(Phi_inv(p)) - p| stays at rounding level for p in
-    [1e-10, 1 - 1e-10].
+    Raises DomainError unless 0 < p < 1 (NaN included); interior values are
+    clamped to [1e-300, 1 - 1e-16] before inversion.  AS 241 keeps the
+    relative error near 1e-16, so |Phi(Phi_inv(p)) - p| stays at rounding
+    level for p in [1e-10, 1 - 1e-10].
     """
     arr, scalar = _as_float_array(p)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    if not np.all((arr > 0.0) & (arr < 1.0)):
         raise DomainError("Phi_inv requires probabilities strictly inside (0, 1)")
-    pc = np.clip(arr, P_LO, P_HI)
-    x = _sp.ndtri(pc)
-    # Halley refinement of F(x) = Phi(x) - p:  F' = phi, F'' = -x*phi.
-    f = _sp.ndtr(x) - pc
-    d = np.exp(-0.5 * x * x) / SQRT_2PI
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = (f / d) / (1.0 + x * f / (2.0 * d))
-    step = np.where(np.isfinite(step), step, 0.0)
-    out = x - step
+    out = _ppnd16(np.clip(arr, P_LO, P_HI))
     return _scalar_or_array(out, scalar)
 
 
@@ -102,9 +166,22 @@ def iso_profile(t):
     out = np.zeros_like(tc)
     inner = (tc > 0.0) & (tc < 1.0)
     if np.any(inner):
-        x = _sp.ndtri(np.clip(tc[inner], P_LO, P_HI))
+        x = _ppnd16(np.clip(tc[inner], P_LO, P_HI))
         out[inner] = np.exp(-0.5 * x * x) / SQRT_2PI
     return _scalar_or_array(out, scalar)
+
+
+def midpoint_quantiles(n: int) -> np.ndarray:
+    """Cell-midpoint quantiles Phi_inv((k + 1/2)/n), k = 0..n-1.
+
+    The lower half is computed and mirrored, so the result is odd bit for
+    bit (the middle point of odd n is 0.0).  (k + 1/2)/n is one correctly
+    rounded division, so equal fractions from different n give the same
+    point.
+    """
+    lower = Phi_inv((np.arange(n // 2) + 0.5) / n)
+    middle = [0.0] if n % 2 else []
+    return np.concatenate((lower, middle, -lower[::-1]))
 
 
 @dataclass(frozen=True)
@@ -112,9 +189,9 @@ class GaussianGrid:
     """Equal-measure discretization of R^n under the standard Gaussian.
 
     Per axis the cell boundaries sit at quantiles Phi_inv(k/N) and the
-    representative of cell k at the measure midpoint Phi_inv((k+1/2)/N),
-    so every one of the N^dim product cells carries measure N^(-dim)
-    exactly by construction.
+    representative of cell k at the measure midpoint Phi_inv((k+1/2)/N)
+    (``midpoint_quantiles``, odd bit for bit), so every one of the N^dim
+    product cells carries measure N^(-dim) exactly by construction.
     """
 
     dim: int
@@ -161,7 +238,7 @@ def equal_measure_grid(dim: int, N: int, max_cells: int = DEFAULT_CELL_BUDGET) -
         raise CellBudgetError(
             f"grid would need {total} cells, exceeding the budget of {max_cells}"
         )
-    axis = Phi_inv((np.arange(N) + 0.5) / N)
+    axis = midpoint_quantiles(N)
     if dim == 1:
         reps = axis.reshape(-1, 1)
     else:

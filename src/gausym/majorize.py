@@ -104,17 +104,17 @@ def parse_norm(spec: str) -> RINorm:
         raise InvalidParameterError(f"norm spec {spec!r} needs kind:parameter")
     if kind == "lp":
         p = math.inf if arg == "inf" else float(arg)
-        if p < 1:
+        if not p >= 1:  # NaN fails too
             raise InvalidParameterError(f"lp exponent must be >= 1, got {arg}")
         return RINorm("lp", p)
     if kind == "lorentz":
         p = float(arg)
-        if p < 1:
+        if not p >= 1:
             raise InvalidParameterError(f"lorentz exponent must be >= 1, got {arg}")
         return RINorm("lorentz", p)
     if kind == "marcinkiewicz":
         p = float(arg)
-        if p <= 1:
+        if not p > 1:
             raise InvalidParameterError(f"marcinkiewicz exponent must be > 1, got {arg}")
         return RINorm("marcinkiewicz", p)
     if kind == "orlicz":

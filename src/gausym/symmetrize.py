@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import NonSmoothFieldError
 from .fields import ScalarField, finite_difference_gradient
-from .gaussian import GaussianGrid, Phi, Phi_inv, iso_profile, phi
+from .gaussian import GaussianGrid, Phi, Phi_inv, iso_profile, midpoint_quantiles, phi
 from .rearrange import (
     Profile,
     decreasing_rearrangement,
@@ -62,10 +62,14 @@ def symmetrized_field(
     def f_lin(X, _nodes=nodes, _means=means):
         return np.interp(Phi(X[:, 0]), _nodes, _means)
 
-    def grad_lin(X, _nodes=nodes, _slopes=slopes):
+    # Slopes are looked up among the nodes' x1 images, not by mapping x1
+    # back to s: a grid point on a node is then the same float as the node,
+    # and which slope it takes does not depend on round-off in Phi.
+    x_nodes = midpoint_quantiles(B)
+
+    def grad_lin(X, _x_nodes=x_nodes, _slopes=slopes):
         x1 = X[:, 0]
-        s = Phi(x1)
-        idx = np.searchsorted(_nodes, s, side="right") - 1
+        idx = np.searchsorted(_x_nodes, x1, side="right") - 1
         inside = (idx >= 0) & (idx < len(_slopes))
         g = np.zeros_like(X)
         g[inside, 0] = _slopes[idx[inside]] * phi(x1[inside])

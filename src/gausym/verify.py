@@ -373,11 +373,12 @@ def validate_intervals(intervals) -> np.ndarray:
     arr = np.asarray(intervals, dtype=float).reshape(-1, 2)
     if arr.size == 0:
         raise IntervalError("need at least one interval")
-    if np.any(arr[:, 0] < 0.0) or np.any(arr[:, 1] > 1.0):
+    # each test is written so that a NaN bound fails it
+    if not (np.all(arr[:, 0] >= 0.0) and np.all(arr[:, 1] <= 1.0)):
         raise IntervalError("intervals must lie within [0, 1]")
-    if np.any(arr[:, 0] >= arr[:, 1]):
+    if not np.all(arr[:, 0] < arr[:, 1]):
         raise IntervalError("each interval needs a < b")
-    if np.any(arr[1:, 0] < arr[:-1, 1]):
+    if not np.all(arr[1:, 0] >= arr[:-1, 1]):
         raise IntervalError("intervals must be disjoint and ordered")
     return arr
 

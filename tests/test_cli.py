@@ -158,6 +158,37 @@ class TestExitCodes:
         assert "finite number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--checks", "interval", "--intervals", "0.1,nan"],
+        ["--checks", "norm", "--norms", "lp:nan"],
+        ["--checks", "norm", "--norms", "lorentz:nan"],
+        ["--checks", "norm", "--norms", "marcinkiewicz:nan"],
+        ["--checks", "uno", "--tol", "-1"],
+        ["--checks", "uno", "--tol=-1e-300"],
+        "tol=-1",
+    ], ids=["interval-nan", "lp-nan", "lorentz-nan", "marcinkiewicz-nan",
+            "tol-negative", "tol-tiny-negative", "file-tol-negative"])
+    def test_nan_or_negative_value_is_two(self, tmp_path, capsys, monkeypatch, flags):
+        def refuse(*args, **kwargs):
+            raise AssertionError("analysis built for an invalid configuration")
+
+        monkeypatch.setattr(cli, "analyze", refuse)
+        if isinstance(flags, str):
+            flags = ["--checks", "uno", *config_flags(tmp_path, flags + "\n")]
+        out = tmp_path / "never.json"
+        code = main(["--builtin", "coordinate", "--grid", "32", "--sgrid", "64",
+                     *flags, "--out", str(out)])
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_tolerance_accepted(self, tmp_path):
+        out = tmp_path / "r.json"
+        code = main(["--builtin", "coordinate", "--grid", "32", "--sgrid", "64",
+                     "--checks", "uno", "--tol", "0", "--out", str(out)])
+        assert code in (0, 1)
+        assert read_report(out)["checks"][0]["tolerance"] == 0.0
+
     def test_no_temp_files_left(self, tmp_path):
         out = tmp_path / "r.json"
         main(["--builtin", "coordinate", "--grid", "64", "--checks", "uno", "--out", str(out)])

@@ -4,6 +4,11 @@ Frozen reference values were computed with mpmath at 40 digits
 (0.5*erfc(-x/sqrt(2)) and sqrt(2)*erfinv(2p-1)).
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,8 +22,11 @@ from gausym import (
     Phi_inv,
     equal_measure_grid,
     iso_profile,
+    midpoint_quantiles,
     phi,
 )
+
+from conftest import assert_same_bits
 
 PHI_0 = 0.3989422804014327  # 1/sqrt(2*pi)
 
@@ -74,7 +82,7 @@ class TestQuantile:
         assert Phi_inv(0.8413447460685429) == pytest.approx(1.0, abs=1e-10)
 
     def test_domain_errors(self):
-        for bad in (0.0, 1.0, -0.1, 1.5):
+        for bad in (0.0, 1.0, -0.1, 1.5, np.nan, [0.5, np.nan]):
             with pytest.raises(DomainError):
                 Phi_inv(bad)
 
@@ -157,6 +165,101 @@ class TestReferenceOracle:
             assert Phi(float(x)) == pytest.approx(expected, abs=2e-16, rel=4e-16)
 
 
+def _probabilities(rng, n, lo_exp, hi_exp_complement):
+    """Probabilities over [10^lo_exp, 1 - 10^hi_exp_complement]: both tails
+    log-uniform, the bulk uniform, and the AS 241 region breakpoints."""
+    breakpoints = [0.075, 0.925, np.nextafter(0.075, 0), np.nextafter(0.925, 1),
+                   np.exp(-25.0), 1.0 - np.exp(-25.0), 10.0**lo_exp,
+                   1.0 - 10.0**hi_exp_complement]
+    return np.concatenate([
+        10.0 ** rng.uniform(lo_exp, np.log10(0.5), n),
+        1.0 - 10.0 ** rng.uniform(hi_exp_complement, np.log10(0.5), n),
+        rng.uniform(0.0, 1.0, n),
+        breakpoints,
+    ])
+
+
+class TestAccuracyAgainstMpmath:
+    """Relative errors against a 40-digit mpmath oracle."""
+
+    @pytest.fixture
+    def mp(self):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        return mp
+
+    @staticmethod
+    def exact_quantile(mp, p, x):
+        """Phi_inv(p) to 40 digits: one Newton step in mpmath from the
+        float x, whose error is already near 1e-16; the upper tail is
+        solved in 1 - p, which is exact for p > 1/2."""
+        x = mp.mpf(float(x))
+        if p < 0.5:
+            residual = mp.erfc(-x / mp.sqrt(2)) / 2 - mp.mpf(float(p))
+        else:
+            residual = (1 - mp.mpf(float(p))) - mp.erfc(x / mp.sqrt(2)) / 2
+        return x - residual / (mp.exp(-x * x / 2) / mp.sqrt(2 * mp.pi))
+
+    @staticmethod
+    def max_rel_error(mp, got, exact):
+        return max(float(abs(mp.mpf(float(g)) - e) / abs(e)) for g, e in zip(got, exact))
+
+    def test_quantile(self, mp):
+        p = _probabilities(np.random.default_rng(5), 150, -300, -16)
+        p = p[p != 0.5]
+        x = Phi_inv(p)
+        exact = [self.exact_quantile(mp, pi, xi) for pi, xi in zip(p, x)]
+        assert self.max_rel_error(mp, x, exact) <= 2e-15
+
+    @pytest.mark.parametrize("lo, hi, bound", [(-8.0, 8.0, 3e-14), (-37.0, 8.2, 5e-13)])
+    def test_cdf(self, mp, lo, hi, bound):
+        x = np.concatenate([np.random.default_rng(6).uniform(lo, hi, 400), [lo, hi]])
+        exact = [mp.erfc(-mp.mpf(float(v)) / mp.sqrt(2)) / 2 for v in x]
+        assert self.max_rel_error(mp, Phi(x), exact) <= bound
+
+    @pytest.mark.parametrize("lo_exp, hi_exp, bound", [(-10, -10, 5e-14), (-300, -16, 1e-12)])
+    def test_iso_profile(self, mp, lo_exp, hi_exp, bound):
+        t = _probabilities(np.random.default_rng(7), 150, lo_exp, hi_exp)
+        exact = [mp.exp(-self.exact_quantile(mp, ti, xi) ** 2 / 2) / mp.sqrt(2 * mp.pi)
+                 for ti, xi in zip(t, Phi_inv(t))]
+        assert self.max_rel_error(mp, iso_profile(t), exact) <= bound
+
+
+class TestMidpointQuantiles:
+    def test_odd_bit_for_bit(self):
+        for n in (*range(2, 301), 1 << 20):
+            q = midpoint_quantiles(n)
+            assert q.shape == (n,)
+            # + 0.0 turns the mirrored middle point -0.0 of odd n into 0.0
+            assert_same_bits(q, -q[::-1] + 0.0)
+
+    def test_quantiles_of_cell_midpoints(self):
+        for n in (2, 7, 64, 1001):
+            q = midpoint_quantiles(n)
+            assert np.all(np.diff(q) > 0)
+            assert np.allclose(Phi(q), (np.arange(n) + 0.5) / n, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n, m", [(3, 9), (4, 12), (6, 10), (125, 1125), (1000, 3000), (1023, 3069)])
+    def test_equal_fractions_give_equal_points(self, n, m):
+        # (k + 1/2)/n == (j + 1/2)/m exactly when j + 1/2 = (k + 1/2) * m/n
+        k = np.arange(n)
+        j2 = (2 * k + 1) * m
+        shared = j2 % (2 * n) == n
+        j = (j2[shared] - n) // (2 * n)
+        assert shared.any()
+        assert_same_bits(midpoint_quantiles(n)[k[shared]], midpoint_quantiles(m)[j])
+
+
+def test_cli_import_needs_no_scipy():
+    src = Path(equal_measure_grid.__code__.co_filename).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, gausym.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 class TestEqualMeasureGrid:
     def test_two_cells(self):
         grid = equal_measure_grid(1, 2)
@@ -190,6 +293,12 @@ class TestEqualMeasureGrid:
     def test_representative_quantiles(self):
         grid = equal_measure_grid(1, 8)
         assert np.allclose(Phi(grid.representatives[:, 0]), (np.arange(8) + 0.5) / 8)
+
+    def test_axis_is_odd(self):
+        for n in (8, 9, 512):
+            grid = equal_measure_grid(2, n)
+            assert_same_bits(grid.axis_points, midpoint_quantiles(n))
+            assert np.array_equal(grid.representatives, -grid.representatives[::-1])
 
     def test_deterministic(self):
         a = equal_measure_grid(2, 16)

@@ -292,7 +292,8 @@ class TestParseNorm:
             assert parse_norm(spec).label == spec
 
     def test_invalid_specs(self):
-        for bad in ("lp", "lp:0.5", "lorentz:0", "marcinkiewicz:1", "orlicz:power", "huh:3"):
+        for bad in ("lp", "lp:0.5", "lorentz:0", "marcinkiewicz:1", "orlicz:power", "huh:3",
+                    "lp:nan", "lorentz:nan", "marcinkiewicz:nan"):
             with pytest.raises(InvalidParameterError):
                 parse_norm(bad)
 

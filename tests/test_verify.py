@@ -1,6 +1,7 @@
 """Assembled inequality checks: trivial cases, closed forms, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from gausym import (
     parse_norm,
     symmetrized_field,
 )
+from gausym.verify import validate_intervals
 
 from conftest import assert_same_bits, stable_argsort_profile
 
@@ -116,6 +118,12 @@ class TestIntervalBound:
             check_interval_bound(COORD, GRID_1K, [(0.5, 0.2)])
         with pytest.raises(IntervalError):
             check_interval_bound(COORD, GRID_1K, [(-0.1, 0.5)])
+
+    @pytest.mark.parametrize("bad", [[(0.1, math.nan)], [(math.nan, 0.5)],
+                                     [(0.1, 0.2), (math.nan, 0.7)]])
+    def test_nan_bound_rejected(self, bad):
+        with pytest.raises(IntervalError):
+            validate_intervals(bad)
 
 
 class TestOrliczEquality:
