@@ -15,8 +15,9 @@ before the command line, so the command line wins per option and per
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad
 configuration (a negative or non-finite --tol, a NaN interval bound or
-norm exponent included) or a field that is not finite on the grid, 3
-runtime failure while checking or a report holding a non-finite number.
+norm exponent, lorentz:inf included) or a field whose value or gradient
+is not finite on the grid, 3 runtime failure while checking or a report
+holding a non-finite number.
 Report files are written atomically (temp file + rename), so a crash
 never leaves a partial report behind.
 """

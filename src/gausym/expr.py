@@ -1,9 +1,15 @@
-"""Recursive-descent parser and evaluator for scalar field expressions.
+"""Recursive-descent parser and evaluators for scalar field expressions.
 
 Grammar: real literals, variables x1..x9, binary + - * / ^ with the usual
 precedence (^ binds tightest and is right-associative), unary minus,
 parentheses, and the unary functions exp, abs, tanh, sin, cos, sqrt.
 Every parse error reports the byte offset where the problem was detected.
+
+Each AST node's ``forward`` pass returns its value together with a sparse
+dict {axis: partial} that holds only the axes the subtree depends on.
+Literals stay numpy scalars with no partials, so an operation with a
+constant costs no array.  ``evaluate`` runs the pass without partials;
+``gradient`` runs it with them, giving exact partials in one pass.
 """
 
 from __future__ import annotations
@@ -24,6 +30,32 @@ FUNCTIONS = {
     "sqrt": np.sqrt,
 }
 
+# d name(a) / da from the argument a and the value v = name(a); abs takes
+# sign, which is 0 at the kink (such fields are flagged non-smooth)
+DERIVATIVES = {
+    "exp": lambda a, v: v,
+    "abs": lambda a, v: np.sign(a),
+    "tanh": lambda a, v: 1.0 - v * v,
+    "sin": lambda a, v: np.cos(a),
+    "cos": lambda a, v: -np.sin(a),
+    "sqrt": lambda a, v: 0.5 / v,
+}
+
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+
+_ONE = 1.0  # the partial of a variable by itself: scaling by it is skipped
+
+
+def _combine(da: dict, s, db: dict, t) -> dict:
+    """Partials of s*a + t*b from those of a and b (s or t None means 1)."""
+    out = {}
+    for k in da.keys() | db.keys():
+        terms = [d[k] if w is None else w if d[k] is _ONE else d[k] * w
+                 for d, w in ((da, s), (db, t)) if k in d]
+        out[k] = terms[0] if len(terms) == 1 else terms[0] + terms[1]
+    return out
+
+
 _TOKEN_RE = re.compile(
     r"(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
@@ -36,24 +68,25 @@ _VAR_RE = re.compile(r"x([1-9])\Z")
 class Num:
     value: float
 
-    def eval(self, X):
-        return np.full(X.shape[0], self.value)
+    def forward(self, X, partials):
+        return np.float64(self.value), {}
 
 
 @dataclass(frozen=True)
 class Var:
     index: int  # 1-based axis
 
-    def eval(self, X):
-        return X[:, self.index - 1]
+    def forward(self, X, partials):
+        return X[:, self.index - 1], ({self.index - 1: _ONE} if partials else {})
 
 
 @dataclass(frozen=True)
 class Neg:
     arg: object
 
-    def eval(self, X):
-        return -self.arg.eval(X)
+    def forward(self, X, partials):
+        a, da = self.arg.forward(X, partials)
+        return -a, {k: -d for k, d in da.items()}
 
 
 @dataclass(frozen=True)
@@ -62,18 +95,25 @@ class Bin:
     left: object
     right: object
 
-    def eval(self, X):
-        a = self.left.eval(X)
-        b = self.right.eval(X)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            return a / b
-        return np.power(a, b)
+    def forward(self, X, partials):
+        a, da = self.left.forward(X, partials)
+        b, db = self.right.forward(X, partials)
+        op = self.op
+        v = _BINARY[op](a, b)
+        if not (da or db):
+            return v, {}
+        if op in "+-":
+            return v, _combine(da, None, db, None if op == "+" else -1.0)
+        if op == "*":
+            return v, _combine(da, b, db, a)
+        if op == "/":
+            r = 1.0 / b
+            return v, _combine(da, r, db, -v * r if db else None)
+        if not db:  # constant exponent: power rule, no log; a^0 is constant
+            return v, (_combine(da, b * a ** (b - 1.0), {}, None) if b != 0 else {})
+        # d(a^b) = b a^(b-1) da + a^b log(a) db; the log term is 0 where a^b is
+        w = np.where(v == 0, 0.0, v * np.log(a))
+        return v, _combine(da, b * a ** (b - 1.0) if da else None, db, w)
 
 
 @dataclass(frozen=True)
@@ -81,8 +121,10 @@ class Call:
     name: str
     arg: object
 
-    def eval(self, X):
-        return FUNCTIONS[self.name](self.arg.eval(X))
+    def forward(self, X, partials):
+        a, da = self.arg.forward(X, partials)
+        v = FUNCTIONS[self.name](a)
+        return v, (_combine(da, DERIVATIVES[self.name](a, v), {}, None) if da else {})
 
 
 @dataclass(frozen=True)
@@ -253,5 +295,21 @@ def evaluate(node, X: np.ndarray) -> np.ndarray:
     semantics (inf/nan) instead of raising.
     """
     with np.errstate(all="ignore"):
-        out = node.eval(X)
-    return np.asarray(out, dtype=float)
+        out = node.forward(X, False)[0]
+    return np.full(X.shape[0], out) if np.ndim(out) == 0 else np.asarray(out, dtype=float)
+
+
+def gradient(node, X: np.ndarray) -> np.ndarray:
+    """Exact partials of the AST at points X of shape (m, dim), in one
+    forward-mode pass, as a column-major (m, dim) array.
+
+    Total like ``evaluate``: where a derivative is unbounded (sqrt at 0)
+    the partial is inf or nan instead of raising.
+    """
+    m, dim = X.shape
+    out = np.empty((dim, m))
+    with np.errstate(all="ignore"):
+        partials = node.forward(X, True)[1]
+    for k in range(dim):
+        out[k] = partials.get(k, 0.0)
+    return out.T

@@ -3,7 +3,10 @@
 A ScalarField wraps a vectorized evaluator (m, dim) -> (m,) together with
 an optional analytic gradient.  The builtin corpus is restricted to fields
 that are Lipschitz on the effective support of the Gaussian measure, since
-the inequality checks sample gradients everywhere mass lives.
+the inequality checks sample gradients everywhere mass lives.  Every
+builtin carries a closed-form gradient and every parsed expression the
+exact forward-mode gradient of ``expr.gradient``, so central finite
+differences serve only fields built without one.
 """
 
 from __future__ import annotations
@@ -282,11 +285,14 @@ def describe_field(name: str) -> str:
 
 
 def parse_field(expression: str, dim: int) -> ScalarField:
-    """Parse an expression into a field with finite-difference gradient.
+    """Parse an expression into a field with its exact gradient.
 
-    The label is the canonical serialized form, which re-parses to an
-    evaluator that agrees everywhere.  Fields whose expression uses abs()
-    are flagged non-smooth.
+    The gradient is ``expr.gradient``: one forward-mode pass over the AST,
+    returned column-major.  Where a derivative is unbounded or the chain
+    rule meets inf * 0 (sqrt(abs(x1)) at x1 = 0) it is not finite, and
+    ``verify.analyze`` refuses the field.  The label is the canonical
+    serialized form, which re-parses to an evaluator that agrees
+    everywhere.  Fields whose expression uses abs() are flagged non-smooth.
     """
     ast = _expr.parse_expression(expression, dim)
     label = _expr.serialize(ast)
@@ -294,4 +300,7 @@ def parse_field(expression: str, dim: int) -> ScalarField:
     def f(X, _ast=ast):
         return _expr.evaluate(_ast, X)
 
-    return ScalarField(dim, label, f, gradient=None, smooth=not _expr.uses_abs(ast))
+    def grad(X, _ast=ast):
+        return _expr.gradient(_ast, X)
+
+    return ScalarField(dim, label, f, gradient=grad, smooth=not _expr.uses_abs(ast))

@@ -79,7 +79,7 @@ class YoungFunction:
 class RINorm:
     """Rearrangement-invariant norm specification.
 
-    kinds: lp (p in [1, inf]), lorentz (lambda_p, p >= 1), marcinkiewicz
+    kinds: lp (p in [1, inf]), lorentz (lambda_p, 1 <= p < inf), marcinkiewicz
     (maximal-function form, p > 1), orlicz (Luxemburg norm of a Young
     function).
     """
@@ -109,8 +109,9 @@ def parse_norm(spec: str) -> RINorm:
         return RINorm("lp", p)
     if kind == "lorentz":
         p = float(arg)
-        if not p >= 1:
-            raise InvalidParameterError(f"lorentz exponent must be >= 1, got {arg}")
+        # lorentz:inf would integrate against d(s^0) = 0: a norm of 0 for every profile
+        if not 1 <= p < math.inf:
+            raise InvalidParameterError(f"lorentz exponent must be finite and >= 1, got {arg}")
         return RINorm("lorentz", p)
     if kind == "marcinkiewicz":
         p = float(arg)
@@ -208,10 +209,13 @@ def hlp_equivalence_check(
 ) -> HlpEquivalenceReport:
     """Cross-check the two equivalent domination predicates for g against h:
     hinge integrals ordered for every c, and partial sums ordered for
-    every t.  Disagreement beyond tolerance comes with a witness."""
+    every t.  Disagreement beyond tolerance comes with a witness.
+
+    The default c-grid is the profiles' own values: the hinge gap is
+    piecewise linear in c with kinks there, so its max over c is attained
+    at one of them, however narrow the band of c where it is positive."""
     if c_grid is None:
-        top = max(g.sup, h.sup)
-        c_grid = np.linspace(0.0, top, HINGE_GRID_SIZE)
+        c_grid = np.union1d(g.values, h.values)
     c_grid = np.asarray(c_grid, dtype=float)
     excess = hinge_integrals(g, c_grid) - hinge_integrals(h, c_grid)
     bad = np.nonzero(excess > tol)[0]

@@ -9,7 +9,7 @@ import re
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from gausym import cli, verify
+from gausym import cli, expr, fields, symmetrize, verify
 from gausym.cli import main
 from gausym.fields import builtin_field
 from gausym.gaussian import equal_measure_grid
@@ -124,6 +124,8 @@ class TestExitCodes:
         ["--expr", "sqrt(x1)", "--checks", "norm"],
         # N odd: the middle representative sits exactly at x1 = 0
         ["--expr", "1/x1", "--grid", "125", "--checks", "uno"],
+        # ... and the exact derivative of sqrt(|x1|) is unbounded there
+        ["--expr", "sqrt(abs(x1))", "--grid", "125", "--checks", "uno"],
     ])
     def test_non_finite_field_is_two(self, tmp_path, capsys, argv):
         out = tmp_path / "never.json"
@@ -163,10 +165,11 @@ class TestExitCodes:
         ["--checks", "norm", "--norms", "lp:nan"],
         ["--checks", "norm", "--norms", "lorentz:nan"],
         ["--checks", "norm", "--norms", "marcinkiewicz:nan"],
+        ["--checks", "norm", "--norms", "lorentz:inf"],
         ["--checks", "uno", "--tol", "-1"],
         ["--checks", "uno", "--tol=-1e-300"],
         "tol=-1",
-    ], ids=["interval-nan", "lp-nan", "lorentz-nan", "marcinkiewicz-nan",
+    ], ids=["interval-nan", "lp-nan", "lorentz-nan", "marcinkiewicz-nan", "lorentz-inf",
             "tol-negative", "tol-tiny-negative", "file-tol-negative"])
     def test_nan_or_negative_value_is_two(self, tmp_path, capsys, monkeypatch, flags):
         def refuse(*args, **kwargs):
@@ -303,6 +306,36 @@ class TestSharedAnalysis:
             "--checks", "dos,orlicz,converge", "--out", str(tmp_path / "r.json"),
         ])
         assert sorted(points) == [4, 16, 64]
+
+
+class TestExpressionGradient:
+    def test_one_evaluation_per_analysis(self, tmp_path, monkeypatch):
+        """A parsed field's gradient is one forward-mode pass: the value
+        evaluator runs once per analysis, finite differences never."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("finite differences on the CLI path")
+
+        for module in (fields, symmetrize):
+            monkeypatch.setattr(module, "finite_difference_gradient", refuse)
+        calls, builds = [], []
+        evaluate, init = expr.evaluate, verify.Analysis.__init__
+
+        def counting_evaluate(node, X):
+            calls.append(len(X))
+            return evaluate(node, X)
+
+        def counting_init(self, field, grid, M):
+            builds.append(grid.num_cells)
+            init(self, field, grid, M)
+
+        monkeypatch.setattr(expr, "evaluate", counting_evaluate)
+        monkeypatch.setattr(verify.Analysis, "__init__", counting_init)
+        out = tmp_path / "r.json"
+        code = main(["--expr", "tanh(x1 + 0.5*x2*x3) + 0.3*sin(x2)", "--dim", "3",
+                     "--grid", "16", "--checks", "uno,dos", "--out", str(out)])
+        assert code == 0
+        assert builds == [16**3] and calls == [16**3]
 
 
 class TestConfigFile:

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from gausym import (
     ExpressionError,
     InvalidParameterError,
+    ScalarField,
     UnknownFieldError,
     builtin_field,
     corpus_names,
@@ -16,7 +17,7 @@ from gausym import (
     gradient_norm,
     parse_field,
 )
-from gausym.expr import parse_expression, serialize
+from gausym.expr import DERIVATIVES, FUNCTIONS, Call, Neg, Num, Var, parse_expression, serialize
 from gausym.fields import FD_STEP, finite_difference_gradient
 
 from conftest import expressions, quasi_random_points
@@ -201,6 +202,12 @@ class TestParser:
 class TestGradientAt:
     def test_parsed_square(self):
         f = parse_field("x1^2", 1)
+        assert f.gradient_mode == "analytic"
+        g = gradient_at(f, np.array([[1.5]]))
+        assert g[0, 0] == 3.0
+
+    def test_finite_difference_fallback(self):
+        f = ScalarField(1, "square", lambda X: X[:, 0] ** 2)
         assert f.gradient_mode == "finite-difference"
         g = gradient_at(f, np.array([[1.5]]))
         assert g[0, 0] == pytest.approx(3.0, abs=1e-6)
@@ -237,3 +244,156 @@ class TestFiniteDifferenceGradient:
             ref = _two_copy_gradient(field, pts)
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
             assert np.array_equal(pts, before)  # the input is never shifted in place
+
+
+ALL = (-3.0, 3.0)
+POS = (0.25, 3.0)  # for sqrt, division and non-integer powers
+
+
+def _exp_quadratic(x1, x2, x3):
+    e = np.exp(-x1**2 - x2 * x3)
+    return -2.0 * x1 * e, -x3 * e, -x2 * e
+
+
+def _tanh_sin(x1, x2, x3):
+    s = 1.0 / np.cosh(x1 + 0.5 * x2 * x3) ** 2
+    return s, 0.5 * x3 * s + 0.3 * np.cos(x2), 0.5 * x2 * s
+
+
+def _sin_ratio(x1, x2):
+    q = 1.0 + x1**2
+    return (x2 * np.cos(x1 * x2) / q - 2.0 * x1 * np.sin(x1 * x2) / q**2,
+            x1 * np.cos(x1 * x2) / q)
+
+
+# (expression, dim, domain, exact partials as functions of x1..xdim)
+CLOSED_FORMS = [
+    ("7.5", 1, ALL, lambda x1: (0.0,)),
+    ("x1", 1, ALL, lambda x1: (1.0,)),
+    ("-x1", 1, ALL, lambda x1: (-1.0,)),
+    ("x2", 2, ALL, lambda x1, x2: (0.0, 1.0)),
+    ("x1+x2", 2, ALL, lambda x1, x2: (1.0, 1.0)),
+    ("x1-x2", 2, ALL, lambda x1, x2: (1.0, -1.0)),
+    ("x1*x2", 2, ALL, lambda x1, x2: (x2, x1)),
+    ("x1/x2", 2, POS, lambda x1, x2: (1.0 / x2, -x1 / x2**2)),
+    ("3/x1", 1, POS, lambda x1: (-3.0 / x1**2,)),
+    ("x1/4", 1, ALL, lambda x1: (0.25,)),
+    ("x1^3", 1, ALL, lambda x1: (3.0 * x1**2,)),
+    ("x1^-0.5", 1, POS, lambda x1: (-0.5 * x1**-1.5,)),
+    ("2^x1", 1, ALL, lambda x1: (np.log(2.0) * 2.0**x1,)),
+    ("x1^x2", 2, POS, lambda x1, x2: (x2 * x1 ** (x2 - 1.0), x1**x2 * np.log(x1))),
+    ("exp(x1)", 1, ALL, lambda x1: (np.exp(x1),)),
+    ("tanh(x1)", 1, ALL, lambda x1: (1.0 / np.cosh(x1) ** 2,)),
+    ("sin(x1)", 1, ALL, lambda x1: (np.cos(x1),)),
+    ("cos(x1)", 1, ALL, lambda x1: (-np.sin(x1),)),
+    ("sqrt(x1)", 1, POS, lambda x1: (0.5 / np.sqrt(x1),)),
+    ("abs(x1)", 1, ALL, lambda x1: (np.sign(x1),)),
+    ("exp(-x1^2-x2*x3)", 3, ALL, _exp_quadratic),
+    ("tanh(x1 + 0.5*x2*x3) + 0.3*sin(x2)", 3, ALL, _tanh_sin),
+    ("sin(x1*x2)/(1+x1^2)", 2, ALL, _sin_ratio),
+    ("sqrt(1+x1^2)*cos(x2)", 2, ALL,
+     lambda x1, x2: (x1 / np.sqrt(1.0 + x1**2) * np.cos(x2), -np.sqrt(1.0 + x1**2) * np.sin(x2))),
+    ("-(x1-2*x2)^2", 2, ALL, lambda x1, x2: (-2.0 * (x1 - 2.0 * x2), 4.0 * (x1 - 2.0 * x2))),
+]
+
+EPS = float(np.finfo(float).eps)
+
+
+def _rounding_bound(node, X):
+    """(value, bound on its absolute rounding error) of an AST at X, by
+    linearized running error analysis: each operation carries its
+    operands' errors through its partials and adds 4 ulp of its result."""
+    if isinstance(node, Num):
+        return np.full(len(X), node.value), np.zeros(len(X))
+    if isinstance(node, Var):
+        return X[:, node.index - 1], np.zeros(len(X))
+    if isinstance(node, Neg):
+        a, e = _rounding_bound(node.arg, X)
+        return -a, e
+    if isinstance(node, Call):
+        a, e = _rounding_bound(node.arg, X)
+        v = FUNCTIONS[node.name](a)
+        return v, np.abs(DERIVATIVES[node.name](a, v)) * e + 4 * EPS * np.abs(v)
+    (a, ea), (b, eb) = _rounding_bound(node.left, X), _rounding_bound(node.right, X)
+    if node.op in "+-":
+        v, e = (a + b if node.op == "+" else a - b), ea + eb
+    elif node.op == "*":
+        v, e = a * b, np.abs(b) * ea + np.abs(a) * eb
+    elif node.op == "/":
+        v = a / b
+        e = (ea + np.abs(v) * eb) / np.abs(b)
+    else:
+        v = np.power(a, b)
+        e = np.abs(b * a ** (b - 1.0)) * ea + np.abs(v * np.log(a)) * eb
+    return v, e + 4 * EPS * np.abs(v)
+
+
+class TestForwardGradient:
+    """Exact partials of parsed expressions in one forward-mode pass."""
+
+    @pytest.mark.parametrize("text,dim,domain,exact", CLOSED_FORMS,
+                             ids=[c[0] for c in CLOSED_FORMS])
+    def test_closed_forms(self, text, dim, domain, exact):
+        f = parse_field(text, dim)
+        assert f.gradient_mode == "analytic"
+        pts = quasi_random_points(200, dim, *domain)
+        expected = np.column_stack([np.broadcast_to(c, len(pts)) for c in exact(*pts.T)])
+        np.testing.assert_allclose(gradient_at(f, pts), expected, rtol=1e-12, atol=1e-13)
+
+    def test_column_major_and_norm_bits(self):
+        f = parse_field("tanh(x1 + 0.5*x2*x3) + 0.3*sin(x2)", 3)
+        pts = quasi_random_points(1000, 3)
+        g = f.gradient(pts)
+        assert g.shape == (1000, 3) and g.flags.f_contiguous
+        ref = np.linalg.norm(np.ascontiguousarray(g), axis=1)
+        assert np.array_equal(gradient_norm(f, pts).view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("text,point,expected", [
+        ("x1^0", [0.0, 1.0], [0.0, 0.0]),
+        ("x1^(1-1)", [0.0, 1.0], [0.0, 0.0]),
+        # a^b log(a) contributes 0 where a^b = 0, with a variable b > 0
+        ("x1^x2", [0.0, 1.5], [0.0, 0.0]),
+        ("0^x2", [0.7, 1.5], [0.0, 0.0]),
+        ("abs(x1)^1.5", [0.0, 1.0], [0.0, 0.0]),
+        ("abs(x1)^1.5*x2", [0.0, 2.0], [0.0, 0.0]),
+        ("x1^2", [0.0, 1.0], [0.0, 0.0]),
+    ])
+    def test_derivative_at_zero_is_not_nan(self, text, point, expected):
+        f = parse_field(text, 2)
+        assert gradient_at(f, np.array([point])).tolist() == [expected]
+
+    def test_unbounded_derivative_is_not_finite(self):
+        f = parse_field("sqrt(abs(x1))", 1)
+        g = gradient_at(f, np.array([[0.0], [4.0]]))
+        assert not np.isfinite(g[0, 0]) and g[1, 0] == 0.25
+
+    @given(expressions())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_finite_differences(self, text):
+        """Where both are finite, forward mode and central differences
+        agree within the differences' own error: with h the step of
+        ``finite_difference_gradient`` and E the rounding bound of f at
+        x +- h, |D_h - f'| <= h^2 |f'''| / 6 + (E+ + E-) / (2h) plus the
+        rounding of x +- h.  f''' is the second difference of the exact
+        partial over the same stencil; the bound is taken 10 times."""
+        field = parse_field(text, 2)
+        assume(field.smooth)
+        ast = parse_expression(text, 2)
+        pts = quasi_random_points(64, 2)
+        with np.errstate(all="ignore"):
+            exact = field.gradient(pts)
+            fd = finite_difference_gradient(field, pts)
+            for k in range(2):
+                h = FD_STEP * (1.0 + np.abs(pts[:, k]))
+                g, e = [], []
+                for sign in (1.0, -1.0):
+                    shifted = pts.copy()
+                    shifted[:, k] += sign * h
+                    g.append(field.gradient(shifted)[:, k])
+                    e.append(_rounding_bound(ast, shifted)[1])
+                third = np.abs(g[0] - 2.0 * exact[:, k] + g[1]) / h**2
+                bound = 10.0 * (h**2 * third / 6.0 + (e[0] + e[1]) / (2.0 * h)
+                                + 2.0 * EPS * np.abs(exact[:, k]) / FD_STEP)
+                err = np.abs(exact[:, k] - fd[:, k])
+                ok = np.isfinite(exact[:, k]) & np.isfinite(fd[:, k]) & np.isfinite(bound)
+                assert np.all(err[ok] <= bound[ok]), (text, k, np.max(err[ok] - bound[ok]))

@@ -220,6 +220,14 @@ class TestHlpEquivalence:
         rep2 = hlp_equivalence_check(h, g)
         assert rep2.orlicz_dominated and rep2.majorization_holds and rep2.agree
 
+    def test_narrow_hinge_band_found(self):
+        # h fails to be majorized by g by 3.2e-4 at t = 0.135, but the hinge
+        # gap is positive only on a band of c narrower than a 256-point grid
+        g, h = majorized_pair(np.random.default_rng(71250))
+        rep = hlp_equivalence_check(h, g)
+        assert not rep.majorization_holds and not rep.orlicz_dominated and rep.agree
+        assert rep.max_hinge_excess == pytest.approx(3.19e-4, rel=1e-2)
+
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=40, deadline=None)
     def test_agreement_on_random_pairs(self, seed):
@@ -293,7 +301,8 @@ class TestParseNorm:
 
     def test_invalid_specs(self):
         for bad in ("lp", "lp:0.5", "lorentz:0", "marcinkiewicz:1", "orlicz:power", "huh:3",
-                    "lp:nan", "lorentz:nan", "marcinkiewicz:nan"):
+                    "lp:nan", "lorentz:nan", "marcinkiewicz:nan",
+                    "lorentz:inf", "lorentz:1e400"):
             with pytest.raises(InvalidParameterError):
                 parse_norm(bad)
 
