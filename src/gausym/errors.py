@@ -46,4 +46,5 @@ class IntervalError(GausymError, ValueError):
 
 
 class BracketingError(GausymError, ArithmeticError):
-    """Luxemburg bisection failed to bracket the unit-integral level."""
+    """Luxemburg root-finding failed to bracket or to reach the
+    unit-integral level."""

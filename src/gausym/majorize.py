@@ -22,6 +22,8 @@ from .rearrange import GridCurve, Profile
 
 EXPSQ_DEFAULT_CAP = 20.0
 HINGE_GRID_SIZE = 256
+_TINY = float(np.finfo(float).tiny)  # smallest normal double
+_MAX_PASSES = 100  # Luxemburg refinement; typical profiles take about ten
 
 
 @dataclass(frozen=True)
@@ -37,8 +39,8 @@ class YoungFunction:
     param: float
 
     def __call__(self, t):
-        # one fresh array, then in place: the Luxemburg bisection calls this
-        # on whole profiles dozens of times
+        # one fresh array, then in place: the Luxemburg root-finder calls
+        # this on whole profiles about ten times per norm
         x = np.array(t, dtype=float)
         np.abs(x, out=x)
         if self.kind == "power":
@@ -55,6 +57,14 @@ class YoungFunction:
     @property
     def label(self) -> str:
         return f"{self.kind}({self.param:g})"
+
+    @property
+    def sup(self) -> float:
+        """Supremum of A over [0, inf): finite only for the truncated expsq."""
+        if self.kind != "expsq":
+            return math.inf
+        with np.errstate(over="ignore"):
+            return float(np.expm1(self.param * self.param))
 
     @classmethod
     def power(cls, p: float) -> "YoungFunction":
@@ -231,7 +241,17 @@ def hlp_equivalence_check(
 
 
 def _luxemburg(p: Profile, A: YoungFunction, rel_tol: float = 1e-10) -> float:
-    if p.sup == 0.0:
+    """Luxemburg norm inf{lam > 0 : theta(lam) <= 1}, theta(lam) = integral
+    of A(p / lam), to ``rel_tol`` relative.
+
+    Root of log theta against log lam (exactly linear for power(p)) by
+    Illinois regula falsi (Dowell & Jarratt 1971) on a bracket
+    theta(lo) > 1 >= theta(hi), one pass over the profile per probe.  The
+    search stops when hi - lo <= rel_tol * hi and returns the midpoint.
+    The norm is 0 when theta <= 1 for every lam, which a bounded A allows;
+    norms below the smallest normal double are returned as 0 too.
+    """
+    if p.sup < _TINY or A.sup * p.super_level_measure(0.0) <= 1.0:
         return 0.0
 
     values, widths = p.values, p.widths  # p.widths is recomputed on each access
@@ -240,37 +260,68 @@ def _luxemburg(p: Profile, A: YoungFunction, rel_tol: float = 1e-10) -> float:
     # tripled the time of this loop depending on earlier allocations.
     scaled = np.empty_like(values)
 
-    def theta(lam: float) -> float:
+    def log_theta(lam: float) -> float:
+        np.multiply(values, 1.0 / lam, out=scaled)
         with np.errstate(over="ignore"):
-            terms = A(np.divide(values, lam, out=scaled))
-            terms *= widths
-            return float(np.sum(terms))
+            theta = float(np.dot(A(scaled), widths))
+        return math.log(theta) if theta > 0.0 else -math.inf
 
-    hi = max(p.sup, 1.0)
-    for _ in range(200):
-        if theta(hi) <= 1.0:
-            break
+    lo, hi = 0.0, p.sup
+    y_hi = log_theta(hi)
+    last_lo = False  # whether the last probe became the lower end
+    while y_hi > 0.0:  # at most once: theta(2 sup) <= A(1/2) <= 1/2 for every kind
+        lo, y_lo = hi, y_hi
         hi *= 2.0
-    else:
-        raise BracketingError("Luxemburg bracket expansion failed upward")
-    lo = hi / 2.0
-    for _ in range(1200):
-        if theta(lo) > 1.0:
-            break
-        hi = lo
-        lo /= 2.0
-        if lo < 1e-300:
-            # A vanishes below the hinge threshold for all values: norm 0
+        y_hi = log_theta(hi)
+    above = None  # the upper end before the last one
+    halvings = 0
+    while lo == 0.0:
+        if hi <= _TINY:
             return 0.0
-    else:
-        raise BracketingError("Luxemburg bracket expansion failed downward")
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if theta(mid) <= 1.0:
-            hi = mid
+        lam = 0.5 * hi
+        if halvings >= 2 and y_hi > above[1]:
+            # Profiles whose norm lies far below sup: extrapolate the secant
+            # through the last two upper ends, but not below hi * theta(hi)/2,
+            # where theta > 1 already holds for convex A (t A'(t) >= A(t), so
+            # log theta falls at least as fast as log lam rises).  Near sup
+            # the secant is too shallow for expsq and would overshoot into
+            # the cap, hence two plain halvings first.
+            x_hi, x_above = math.log(hi), math.log(above[0])
+            x = x_hi - y_hi * (x_hi - x_above) / (y_hi - above[1])
+            lam = min(lam, max(math.exp(x), lam * math.exp(y_hi)))
+        lam = max(lam, _TINY)  # keeps 1 / lam finite
+        y = log_theta(lam)
+        if y > 0.0:
+            lo, y_lo, last_lo = lam, y, True
         else:
-            lo = mid
-    return 0.5 * (lo + hi)
+            above, hi, y_hi = (hi, y_hi), lam, y
+            halvings += 1
+
+    for _ in range(_MAX_PASSES):
+        if hi - lo <= rel_tol * hi:
+            return 0.5 * (lo + hi)
+        if math.isfinite(y_lo + y_hi):
+            # y_lo > 0 >= y_hi: the secant root lies in [lo, hi] up to rounding
+            x_lo, x_hi = math.log(lo), math.log(hi)
+            lam = math.exp(x_hi - y_hi * (x_hi - x_lo) / (y_hi - y_lo))
+        else:
+            lam = 0.5 * (lo + hi)
+        # A probe within rel_tol/2 of an end goes rel_tol/2 inside instead:
+        # once a secant lands that close to the root, the next probe falls
+        # just across it and the bracket closes, where a secant pinned to that
+        # end would only creep.
+        delta = 0.5 * rel_tol * hi
+        lam = min(max(lam, lo + delta), hi - delta)
+        y = log_theta(lam)
+        if y > 0.0:
+            if last_lo:
+                y_hi *= 0.5  # Illinois: the same end moved twice running
+            lo, y_lo, last_lo = lam, y, True
+        else:
+            if not last_lo:
+                y_lo *= 0.5
+            hi, y_hi, last_lo = lam, y, False
+    raise BracketingError(f"Luxemburg root-finding did not converge in {_MAX_PASSES} passes")
 
 
 def ri_norm(p: Profile, X: RINorm) -> float:
@@ -281,8 +332,9 @@ def ri_norm(p: Profile, X: RINorm) -> float:
     Marcinkiewicz norm takes the exact sup of t^(1/p-1) * integral over
     (0,t] (attained at knots: on each piece that function is a sum of a
     decreasing and an increasing term), and the Orlicz norm is the
-    Luxemburg functional located by bracketing bisection to 1e-10
-    relative."""
+    Luxemburg functional, located to 1e-10 relative by Illinois regula
+    falsi on log theta against log lambda (about ten passes over the
+    profile)."""
     if X.kind == "lp":
         if math.isinf(X.param):
             return p.sup

@@ -9,7 +9,7 @@ import re
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from gausym import cli, expr, fields, symmetrize, verify
+from gausym import cli, expr, fields, majorize, symmetrize, verify
 from gausym.cli import main
 from gausym.fields import builtin_field
 from gausym.gaussian import equal_measure_grid
@@ -306,6 +306,28 @@ class TestSharedAnalysis:
             "--checks", "dos,orlicz,converge", "--out", str(tmp_path / "r.json"),
         ])
         assert sorted(points) == [4, 16, 64]
+
+    def test_luxemburg_passes_per_norm(self, tmp_path, monkeypatch):
+        """The orlicz:expsq row takes about ten passes over each of its two
+        profiles; bisection took 35 or more."""
+        calls, builds = [], []
+        call, init = majorize.YoungFunction.__call__, verify.Analysis.__init__
+
+        def counting_call(self, t):
+            calls.append(self.label)
+            return call(self, t)
+
+        def counting_init(self, field, grid, M):
+            builds.append(grid.num_cells)
+            init(self, field, grid, M)
+
+        monkeypatch.setattr(majorize.YoungFunction, "__call__", counting_call)
+        monkeypatch.setattr(verify.Analysis, "__init__", counting_init)
+        code = main(["--builtin", "poly_tanh", "--grid", "4096", "--checks", "norm",
+                     "--norms", "orlicz:expsq", "--out", str(tmp_path / "r.json")])
+        assert code == 0
+        assert builds == [4096]
+        assert 2 <= len(calls) <= 24 and set(calls) == {"expsq(20)"}
 
 
 class TestExpressionGradient:

@@ -22,6 +22,9 @@ from gausym import (
     parse_norm,
     ri_norm,
 )
+from gausym.fields import builtin_field, corpus_names
+from gausym.gaussian import equal_measure_grid
+from gausym.verify import analyze
 
 from conftest import averaged_profile, majorized_pair, random_profile
 
@@ -285,6 +288,140 @@ class TestRiNorm:
             assert lam > 0
             val = orlicz_integral(Profile(p.knots, p.values / lam), A)
             assert 1 - 1e-8 <= val <= 1 + 1e-8
+
+
+def bisection_luxemburg(p: Profile, A: YoungFunction, rel_tol: float = 1e-13) -> float:
+    """Reference Luxemburg norm: plain bisection on theta(lam) = integral of
+    A(p / lam), bracketed by doubling and halving from sup p."""
+
+    def theta(lam):
+        with np.errstate(over="ignore"):
+            return float(np.sum(A(p.values / lam) * p.widths))
+
+    if p.sup == 0.0:
+        return 0.0
+    hi = p.sup
+    while theta(hi) > 1.0:
+        hi *= 2.0
+    lo = hi / 2.0
+    while theta(lo) <= 1.0:
+        if lo < np.finfo(float).tiny:
+            return 0.0
+        hi, lo = lo, lo / 2.0
+    while hi - lo > rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        if theta(mid) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def tied_profile(levels, counts) -> Profile:
+    """Equal-width profile, as the CLI builds them: each level repeated
+    ``counts`` times, in decreasing order of level."""
+    values = np.repeat(np.sort(levels)[::-1], counts)
+    return Profile(np.arange(len(values) + 1) / len(values), values)
+
+
+@st.composite
+def tied_profiles(draw):
+    """1 to 8 levels repeated 1 to 12500 times each (ties, a single piece,
+    K up to 1e5), with values up to 1e3 that lie far above the expsq cap
+    times the norm."""
+    levels = draw(st.lists(_VALUES, min_size=1, max_size=8))
+    counts = draw(st.lists(st.integers(1, 12500), min_size=len(levels), max_size=len(levels)))
+    return tied_profile(levels, counts)
+
+
+_LUXEMBURG_PROFILES = st.one_of(
+    tied_profiles(),
+    st.integers(0, 2**31).map(lambda seed: random_profile(np.random.default_rng(seed))),
+)
+
+
+@pytest.fixture
+def young_calls(monkeypatch):
+    """Labels of the YoungFunction calls made while the test runs: one per
+    pass over a profile."""
+    calls = []
+    call = YoungFunction.__call__
+
+    def counting_call(self, t):
+        calls.append(self.label)
+        return call(self, t)
+
+    monkeypatch.setattr(YoungFunction, "__call__", counting_call)
+    return calls
+
+
+def _passes(young_calls, p, A):
+    young_calls.clear()
+    value = ri_norm(p, RINorm("orlicz", young=A))
+    return value, len(young_calls)
+
+
+class TestLuxemburg:
+    @settings(max_examples=30, deadline=None)
+    @given(_LUXEMBURG_PROFILES, st.floats(0.0, 4.0), st.sampled_from([20.0, 2.0]))
+    def test_matches_bisection(self, p, c, T):
+        for A in (YoungFunction.power(1), YoungFunction.power(3), YoungFunction.hinge(c),
+                  YoungFunction.exp_sq_truncated(T)):
+            got = ri_norm(p, RINorm("orlicz", young=A))
+            assert got == pytest.approx(bisection_luxemburg(p, A), rel=1e-10, abs=0.0), A.label
+
+    @settings(max_examples=30, deadline=None)
+    @given(_LUXEMBURG_PROFILES, st.floats(1.0, 8.0))
+    def test_power_is_lp(self, p, q):
+        got = ri_norm(p, RINorm("orlicz", young=YoungFunction.power(q)))
+        assert got == pytest.approx(ri_norm(p, RINorm("lp", q)), rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("A, norm_of_one", [
+        (YoungFunction.exp_sq_truncated(), 1.0 / math.sqrt(math.log(2.0))),
+        (YoungFunction.hinge(0.5), 1.0 / 1.5),
+        (YoungFunction.power(3), 1.0),
+    ], ids=["expsq", "hinge", "power"])
+    def test_constant_profiles_at_every_scale(self, young_calls, A, norm_of_one):
+        # A(c / lam) = 1 at lam = c * norm_of_one; small profiles used to pay
+        # log2(1/c) extra halvings, and c = 1e-305 came out as 0
+        passes = []
+        for c in (1.0, 1e-6, 1e-100, 1e-305, 1e300):
+            value, n = _passes(young_calls, Profile.constant(c), A)
+            assert value == pytest.approx(c * norm_of_one, rel=1e-10, abs=0.0), c
+            passes.append(n)
+        assert max(passes) - min(passes) <= 1, passes
+
+    def test_pass_ceiling(self, young_calls):
+        """At most 12 passes per profile (bisection took 35 or more): also
+        where the first secant lands on the root (log theta is linear in
+        log lam for power(p)) and where the norm lies up to 1e5 below sup."""
+        young = (YoungFunction.exp_sq_truncated(), YoungFunction.hinge(0.5),
+                 YoungFunction.power(1), YoungFunction.power(3))
+        spikes = (tied_profile([1e3, 1e-3], [1, 99999]), tied_profile([7.0, 0.25], [10, 9990]),
+                  tied_profile([1e3, 2.5, 1e-6], [3, 300, 30000]))
+        cases = [(p, A) for p in (*map(Profile.constant, (1.0, 1e-6, 1e-100, 1e-305, 1e300)),
+                                  *spikes)
+                 for A in young]
+        cases += [(random_profile(np.random.default_rng(seed)), YoungFunction.power(q))
+                  for seed in range(20) for q in (1.0, 1.5, 3.0, 8.0)]
+        for dim, N in ((1, 4096), (2, 64)):
+            for name in corpus_names():
+                a = analyze(builtin_field(name, None, dim), equal_measure_grid(dim, N), 4096)
+                cases += [(a.grad_prof, YoungFunction.exp_sq_truncated()),
+                          (a.surr_prof, YoungFunction.exp_sq_truncated())]
+        for p, A in cases:
+            value, n = _passes(young_calls, p, A)
+            assert value > 0.0 and n <= 12, (A.label, p.sup, n)
+
+    def test_bounded_young_function_can_give_zero(self, young_calls):
+        # expsq(2) never exceeds e^4 - 1: on a support of measure 1/64,
+        # theta(lam) < 1 for every lam, so the norm is 0, found without a
+        # pass instead of by halving lam down to the smallest double
+        p = Profile(np.array([0.0, 1.0 / 64.0, 1.0]), np.array([5.0, 0.0]))
+        assert _passes(young_calls, p, YoungFunction.exp_sq_truncated(2.0)) == (0.0, 0)
+        A = YoungFunction.exp_sq_truncated()
+        assert _passes(young_calls, p, A)[0] == pytest.approx(bisection_luxemburg(p, A),
+                                                              rel=1e-10, abs=0.0)
 
 
 class TestParseNorm:
