@@ -193,8 +193,7 @@ def hinge_integrals(p: Profile, c_grid) -> np.ndarray:
     """
     c = np.asarray(c_grid, dtype=float)
     k = np.searchsorted(-p.values, -c, side="left")
-    mass = np.concatenate(([0.0], np.cumsum(p.values * p.widths)))
-    return mass[k] - c * p.knots[k]
+    return p.prefix_mass[k] - c * p.knots[k]
 
 
 @dataclass(frozen=True)
@@ -345,9 +344,7 @@ def ri_norm(p: Profile, X: RINorm) -> float:
         return float(np.sum(p.values * w))
     if X.kind == "marcinkiewicz":
         alpha = 1.0 / X.param - 1.0
-        knots = p.knots[1:]
-        cum = np.cumsum(p.values * p.widths)
-        return float(np.max(knots**alpha * cum))
+        return float(np.max(p.knots[1:] ** alpha * p.prefix_mass[1:]))
     if X.kind == "orlicz":
         return _luxemburg(p, X.young)
     raise InvalidParameterError(f"unknown norm kind {X.kind!r}")

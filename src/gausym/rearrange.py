@@ -10,7 +10,9 @@ rearrangement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,6 +23,23 @@ from .gaussian import GaussianGrid
 _KNOT_SNAP = 1e-12
 
 
+def _frozen(x) -> np.ndarray:
+    """``x`` as a read-only float array: itself when it already is one that
+    owns its data, otherwise a read-only copy."""
+    arr = np.asarray(x, dtype=float)
+    if arr.flags.writeable or not arr.flags.owndata:
+        arr = arr.copy()
+        arr.setflags(write=False)
+    return arr
+
+
+def uniform_knots(n: int) -> np.ndarray:
+    """The knots k/n, k = 0..n, of n pieces of width 1/n, read-only."""
+    knots = np.arange(n + 1) / n
+    knots.setflags(write=False)
+    return knots
+
+
 @dataclass(frozen=True)
 class Profile:
     """Nonincreasing step function on (0, 1].
@@ -29,30 +48,42 @@ class Profile:
     evaluation at 0 returns the right limit values[0].  Construction
     asserts the monotonicity invariant, snapping violations within
     round-off and rejecting anything larger.
+
+    Both arrays are stored read-only.  An array that is already read-only
+    and owns its data is shared, not copied, so profiles on the same knots
+    (the analysis' equal-width ``uniform_knots``) hold one knot array; any
+    other input is copied, so a caller that later writes to its own array
+    does not change the profile.  ``prefix_mass`` is computed once, on
+    first use; ``widths`` is recomputed on each access rather than held
+    as K more floats.
     """
 
     knots: np.ndarray  # length K+1, knots[0] = 0, knots[-1] = 1, increasing
     values: np.ndarray  # length K, nonincreasing
 
     def __post_init__(self):
-        knots = np.asarray(self.knots, dtype=float).copy()
-        values = np.asarray(self.values, dtype=float).copy()
+        knots = _frozen(self.knots)
+        values = _frozen(self.values)
         if knots.ndim != 1 or values.ndim != 1 or len(knots) != len(values) + 1:
             raise DomainError("profile needs K+1 knots for K values")
         if len(values) == 0:
             raise DomainError("profile needs at least one piece")
         if abs(knots[0]) > _KNOT_SNAP or abs(knots[-1] - 1.0) > _KNOT_SNAP:
             raise DomainError("profile knots must start at 0 and end at 1")
-        knots[0] = 0.0
-        knots[-1] = 1.0
-        if np.any(np.diff(knots) <= 0.0):
+        if knots[0] != 0.0 or np.signbit(knots[0]) or knots[-1] != 1.0:
+            knots = knots.copy()
+            knots[0] = 0.0
+            knots[-1] = 1.0
+            knots.setflags(write=False)
+        if np.any(knots[1:] <= knots[:-1]):
             raise DomainError("profile knots must be strictly increasing")
-        scale = 1.0 + float(np.max(np.abs(values)))
-        if np.any(np.diff(values) > _KNOT_SNAP * scale):
-            raise DomainError("profile values must be nonincreasing")
-        values = np.minimum.accumulate(values)
-        knots.setflags(write=False)
-        values.setflags(write=False)
+        # max |value| without a profile-sized temporary; NaN propagates
+        scale = 1.0 + float(np.maximum(abs(values.max()), abs(values.min())))
+        if np.any(values[1:] > values[:-1]) or math.isnan(scale):
+            if np.any(np.diff(values) > _KNOT_SNAP * scale):
+                raise DomainError("profile values must be nonincreasing")
+            values = np.minimum.accumulate(values)
+            values.setflags(write=False)
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
 
@@ -63,6 +94,18 @@ class Profile:
     @property
     def widths(self) -> np.ndarray:
         return np.diff(self.knots)
+
+    @cached_property
+    def prefix_mass(self) -> np.ndarray:
+        """Integral of the step function over (0, knots[k]], k = 0..K."""
+        mass = np.empty(len(self.knots))
+        mass[0] = 0.0
+        tail = mass[1:]
+        np.subtract(self.knots[1:], self.knots[:-1], out=tail)
+        tail *= self.values
+        np.cumsum(tail, out=tail)
+        mass.setflags(write=False)
+        return mass
 
     @property
     def sup(self) -> float:
@@ -78,9 +121,8 @@ class Profile:
     def cumulative(self, t) -> np.ndarray:
         """Exact integral over (0, t] of the step function."""
         t_arr = np.asarray(t, dtype=float)
-        edges = np.concatenate(([0.0], np.cumsum(self.values * self.widths)))
         idx = np.clip(np.searchsorted(self.knots, t_arr, side="left") - 1, 0, self.num_pieces - 1)
-        out = edges[idx] + self.values[idx] * (t_arr - self.knots[idx])
+        out = self.prefix_mass[idx] + self.values[idx] * (t_arr - self.knots[idx])
         return out if t_arr.ndim else float(out)
 
     def total_integral(self) -> float:
@@ -140,10 +182,6 @@ class GridCurve:
         t_arr = np.asarray(t, dtype=float)
         out = np.interp(t_arr, edges, cum)
         return out if t_arr.ndim else float(out)
-
-    def samples(self) -> np.ndarray:
-        """(weight, value) pairs with equal weights 1/M."""
-        return np.column_stack((np.full(self.size, 1.0 / self.size), self.values))
 
 
 def distribution_function(field: ScalarField, grid: GaussianGrid, level: float) -> float:

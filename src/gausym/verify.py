@@ -8,12 +8,16 @@ rearrangement f* of |f|, the rearranged |grad f|, and the surrogate
 checks) and otherwise builds its own.  Building it refuses a field whose
 values or gradients are not finite on the grid (``NonFiniteFieldError``).
 
-Only sorted values enter the profiles, so the rearrangements are value
-sorts.  The cell order by decreasing |f|, which the level-set check
-``mt`` alone reads, is a lazy stable argsort.  The gradient of the
+The field is sampled one block of ``BLOCK_CELLS`` cells at a time, from
+``GaussianGrid.points``: no array of points or partials, and no
+temporary of the field's evaluator, spans the whole grid.  Only sorted
+values enter the profiles, so the rearrangements are value sorts; ``p``
+and ``grad_prof`` share one read-only knot array k/K.  The cell order by
+decreasing |f|, which the level-set check ``mt`` alone reads, is a lazy
+stable argsort.  The gradient of the
 symmetrized field is computed lazily, on first use by ``dos`` or
 ``orlicz``; that field depends on x1 alone, so its gradient is taken on
-the N axis points, not on all N^dim cells.
+the N axis points, not on all N^dim cells, and its profile has N pieces.
 
 Each check compares two curves over a common grid on (0, 1) and reports
 the worst signed violation against a tolerance.  The default tolerance
@@ -39,14 +43,14 @@ import numpy as np
 
 from .errors import DomainError, IntervalError, NonFiniteFieldError, NonSmoothFieldError
 from .fields import ScalarField, gradient_norm
-from .gaussian import GaussianGrid, equal_measure_grid, iso_profile
+from .gaussian import BLOCK_CELLS, GaussianGrid, equal_measure_grid, iso_profile
 from .majorize import DEFAULT_NORM_FAMILY, HINGE_GRID_SIZE, RINorm, hinge_integrals, ri_norm
 from .rearrange import (
     GridCurve,
     Profile,
     derivative_bin_count,
-    lebesgue_rearrangement,
     sort_decreasing,
+    uniform_knots,
 )
 from .symmetrize import symmetrized_field
 
@@ -98,18 +102,23 @@ class Analysis:
         self.field = field
         self.grid = grid
         self.M = M
-        reps = grid.representatives
-        vals = np.abs(field(reps))
-        _require_finite(field, reps, "|f|", vals)
-        self.grad_values = gradient_norm(field, reps)
-        _require_finite(field, reps, "|grad f|", self.grad_values)
         K = grid.num_cells
-        knots = np.concatenate(([0.0], np.arange(1, K + 1) / K))
-        self.p = Profile(knots, sort_decreasing(vals))
+        # one block of cells at a time (BLOCK_CELLS gives the reason for 4096)
+        vals = np.empty(K)
+        self.grad_values = np.empty(K)
+        for start in range(0, K, BLOCK_CELLS):
+            stop = min(start + BLOCK_CELLS, K)
+            points = grid.points(start, stop)
+            vals[start:stop] = field(points)
+            self.grad_values[start:stop] = gradient_norm(field, points)
+        np.abs(vals, out=vals)
+        _require_finite(field, grid, "|f|", vals)
+        _require_finite(field, grid, "|grad f|", self.grad_values)
+        # one knot array for both: Profile keeps read-only arrays uncopied
+        knots = uniform_knots(K)
+        self.p = Profile(knots, _frozen_sort(vals))
         self._levels = vals
-        self.grad_prof = lebesgue_rearrangement(
-            np.column_stack((grid.measures, self.grad_values))
-        )
+        self.grad_prof = Profile(knots, _frozen_sort(self.grad_values))
         self.m_d = derivative_bin_count(self.p, M, min_block=K // grid.cells_per_axis)
         # Jump representation of the surrogate measure (-dp) * I: each jump
         # of the step profile carries I evaluated at the center of the
@@ -120,22 +129,21 @@ class Analysis:
         # keeps the samples inside the range of (-p)' * I even where both
         # factors vary quickly within a bin.
         jumps = self.p.values[:-1] - self.p.values[1:]
-        interior = self.p.knots[1:-1]
         positive = jumps > 0.0
-        self._jump_at = interior[positive]
+        self._jump_at = knots[1:-1][positive]
         self._jump_size = jumps[positive]
         prev = np.concatenate(([0.0], self._jump_at[:-1]))
         shift = 0.5 * np.minimum(self._jump_at - prev, 1.0 / self.m_d)
         self._mass_cum = np.concatenate(
             ([0.0], np.cumsum(self._jump_size * iso_profile(self._jump_at - shift)))
         )
-        edges = np.arange(self.m_d + 1) / self.m_d
+        edges = uniform_knots(self.m_d)
         edge_vals = self.surrogate_cumulative(edges)
         self.surr = GridCurve(
             (np.arange(self.m_d) + 0.5) / self.m_d,
             (edge_vals[1:] - edge_vals[:-1]) * self.m_d,
         )
-        self.surr_prof = lebesgue_rearrangement(self.surr.samples())
+        self.surr_prof = Profile(edges, _frozen_sort(self.surr.values))
         self.t_grid = np.arange(1, M + 1) / M
 
     def surrogate_cumulative(self, t) -> np.ndarray:
@@ -153,17 +161,15 @@ class Analysis:
         """Rearranged |grad| of the linear symmetrized field on the grid.
 
         The field depends on x1 alone, so its gradient is taken on the N
-        axis points and each sorted value covers the N^(dim-1) cells of its
-        x1 slab, on the same equal-measure knots as ``grad_prof``.
+        axis points, and the profile has N pieces of width 1/N: each
+        sorted value stands for the N^(dim-1) cells of its x1 slab.
         """
         grid = self.grid
+        N = grid.cells_per_axis
         fo = symmetrized_field(self.p, dim=grid.dim, interpolation="linear", n_bins=self.m_d)
-        axis = np.zeros((grid.cells_per_axis, grid.dim))
+        axis = np.zeros((N, grid.dim))
         axis[:, 0] = grid.axis_points
-        sym_grad = sort_decreasing(gradient_norm(fo, axis))
-        return Profile(
-            self.grad_prof.knots, np.repeat(sym_grad, grid.num_cells // grid.cells_per_axis)
-        )
+        return Profile(uniform_knots(N), _frozen_sort(gradient_norm(fo, axis)))
 
     def tolerance(self, override: Optional[float]) -> float:
         if override is not None:
@@ -175,13 +181,20 @@ class Analysis:
         return tol if self.field.smooth else 2.0 * tol
 
 
-def _require_finite(field: ScalarField, points: np.ndarray, name: str, arr: np.ndarray):
+def _frozen_sort(values: np.ndarray) -> np.ndarray:
+    """``sort_decreasing(values)``, read-only, so a Profile keeps it uncopied."""
+    out = sort_decreasing(values)
+    out.setflags(write=False)
+    return out
+
+
+def _require_finite(field: ScalarField, grid: GaussianGrid, name: str, arr: np.ndarray):
     """Raise NonFiniteFieldError naming the first grid point where ``arr``
-    (the field's ``name`` sampled on ``points``) is not finite."""
+    (the field's ``name`` sampled on the grid's cells) is not finite."""
     finite = np.isfinite(arr)
     if not finite.all():
         i = int(np.argmin(finite))
-        x = ", ".join(f"{c:.17g}" for c in points[i])
+        x = ", ".join(f"{c:.17g}" for c in grid.points(i, i + 1)[0])
         raise NonFiniteFieldError(
             f"field {field.label!r} is not finite on the grid: {name} = {arr[i]} at x = ({x})"
         )
@@ -309,14 +322,26 @@ def check_norm_inequality(
     return reports
 
 
-def _level_cut_gradient_integral(pipe: Analysis, levels: np.ndarray) -> np.ndarray:
-    """Integral of |grad f| over {|f| > level} for each level, exact on
-    grid data (cells ordered by decreasing |f|)."""
-    counts = np.searchsorted(-pipe.p.values, -levels, side="left")
+def _level_cut_gradient_integrals(pipe: Analysis, *level_arrays: np.ndarray) -> list:
+    """Integral of |grad f| over {|f| > level} for each level of each array,
+    exact on grid data (cells ordered by decreasing |f|).  The K-length
+    prefix sums are built once for all the arrays."""
     gcum = np.concatenate(
         ([0.0], np.cumsum(pipe.grads_by_level * pipe.grid.cell_measure))
     )
-    return gcum[counts]
+    neg_values = -pipe.p.values
+    return [gcum[np.searchsorted(neg_values, -levels, side="left")] for levels in level_arrays]
+
+
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of a nonempty 1-d array, by partition.  The same value
+    bit for bit; np.median itself imports numpy.ma on first use, about
+    10 ms."""
+    k = x.size // 2
+    if x.size % 2:
+        return float(np.partition(x, k)[k])
+    part = np.partition(x, (k - 1, k))
+    return float((part[k - 1] + part[k]) / 2.0)
 
 
 def check_mazya_talenti(
@@ -339,20 +364,18 @@ def check_mazya_talenti(
     pipe = _shared(analysis, field, grid, M)
     t0 = time.perf_counter()
     lhs = pipe.surrogate_cumulative(pipe.t_grid)
-    rhs = _level_cut_gradient_integral(pipe, pipe.p(pipe.t_grid))
-
     K = pipe.p.num_pieces
     bins = max(8, min(M, K // 16))
     edges = np.arange(bins + 1) / bins
     l_edge = pipe.surrogate_cumulative(edges)
-    r_edge = _level_cut_gradient_integral(pipe, pipe.p(edges))
+    rhs, r_edge = _level_cut_gradient_integrals(pipe, pipe.p(pipe.t_grid), pipe.p(edges))
     drops = pipe.p(edges[:-1]) - pipe.p(edges[1:])
     positive = pipe._jump_size
     value_range = float(pipe.p.values[0] - pipe.p.values[-1])
     if positive.size:
         # strictly decreasing at scale, yet still resolved: a bin losing
         # more than 10% of the whole range is not a derivative estimate
-        eligible = (drops > 10.0 * float(np.median(positive))) & (
+        eligible = (drops > 10.0 * _median(positive)) & (
             drops <= 0.1 * value_range
         )
     else:

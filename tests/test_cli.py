@@ -5,6 +5,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -12,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from gausym import cli, expr, fields, majorize, symmetrize, verify
 from gausym.cli import main
 from gausym.fields import builtin_field
-from gausym.gaussian import equal_measure_grid
+from gausym.gaussian import GaussianGrid, equal_measure_grid
 
 from conftest import expressions
 
@@ -333,7 +335,8 @@ class TestSharedAnalysis:
 class TestExpressionGradient:
     def test_one_evaluation_per_analysis(self, tmp_path, monkeypatch):
         """A parsed field's gradient is one forward-mode pass: the value
-        evaluator runs once per analysis, finite differences never."""
+        evaluator sees each cell once (here in one block), finite
+        differences never."""
 
         def refuse(*args, **kwargs):
             raise AssertionError("finite differences on the CLI path")
@@ -358,6 +361,30 @@ class TestExpressionGradient:
                      "--grid", "16", "--checks", "uno,dos", "--out", str(out)])
         assert code == 0
         assert builds == [16**3] and calls == [16**3]
+
+
+class TestGridSampling:
+    def test_cli_never_builds_the_full_point_array(self, tmp_path, monkeypatch):
+        def refuse(grid):
+            raise AssertionError("the (N^dim, dim) point array was built")
+
+        monkeypatch.setattr(GaussianGrid, "representatives", property(refuse))
+        code = main(["--expr", "tanh(x1 + 0.5*x2*x3) + 0.3*sin(x2)", "--dim", "3",
+                     "--grid", "32", "--checks", "uno,dos", "--out", str(tmp_path / "r.json")])
+        assert code == 0
+
+    def test_mt_does_not_import_numpy_ma(self, tmp_path):
+        """np.median imports numpy.ma on first use, about 10 ms per run."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = ("import sys; from gausym.cli import main; "
+                f"main(['--builtin', 'mixture', '--grid', '4096', '--checks', 'mt', "
+                f"'--out', {str(tmp_path / 'r.json')!r}]); "
+                "print('numpy.ma' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.splitlines()[-1] == "False"
+        assert read_report(tmp_path / "r.json")["checks"][0]["name"] == "mt"
 
 
 class TestConfigFile:

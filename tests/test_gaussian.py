@@ -26,7 +26,12 @@ from gausym import (
     phi,
 )
 
+from gausym.gaussian import BLOCK_CELLS, _iso_profile_block, _ppnd16, _ppnd16_block
+
 from conftest import assert_same_bits
+
+# (dim, N) whose cell count K is not a multiple of BLOCK_CELLS
+BLOCK_GRIDS = [(1, 4097), (2, 65), (3, 17), (3, 33)]
 
 PHI_0 = 0.3989422804014327  # 1/sqrt(2*pi)
 
@@ -320,3 +325,41 @@ class TestEqualMeasureGrid:
         assert isinstance(grid, GaussianGrid)
         with pytest.raises(ValueError):
             grid.representatives[0, 0] = 99.0
+
+
+class TestBlocks:
+    """Grid points and AS 241 quantiles are computed one block of
+    BLOCK_CELLS elements at a time; the results must not depend on it."""
+
+    @pytest.mark.parametrize("dim,N", BLOCK_GRIDS)
+    def test_points_blocks_match_representatives(self, dim, N):
+        grid = equal_measure_grid(dim, N)
+        K = grid.num_cells
+        blocks = [grid.points(s, min(s + BLOCK_CELLS, K)) for s in range(0, K, BLOCK_CELLS)]
+        assert len(blocks) > 1 and K % BLOCK_CELLS
+        assert_same_bits(np.concatenate(blocks), grid.representatives)
+        # C order: the last coordinate varies fastest
+        mesh = np.meshgrid(*([midpoint_quantiles(N)] * dim), indexing="ij")
+        assert_same_bits(grid.representatives, np.stack([m.ravel() for m in mesh], axis=1))
+
+    def test_grid_stores_only_the_axis(self):
+        grid = equal_measure_grid(3, 125)
+        assert grid.num_cells == 125**3
+        assert "representatives" not in vars(grid)
+        assert_same_bits(grid.points(125**3 - 1, 125**3)[0], np.full(3, grid.axis_points[-1]))
+        with pytest.raises(ValueError):
+            grid.axis_points[0] = 0.0
+
+    @pytest.mark.parametrize("n", [4095, 4096, 4097, 3 * 4096 + 1])
+    def test_quantiles_match_single_shot(self, n):
+        rng = np.random.default_rng(n)
+        # central region and both tails, down to the far tail beyond r = 5
+        p = np.concatenate((rng.random(n - 4), [1e-300, 1e-20, 1.0 - 1e-16, 0.5]))
+        rng.shuffle(p)
+        single_shot = _ppnd16_block(np.clip(p, 1e-300, 1.0 - 1e-16))
+        assert_same_bits(_ppnd16(p), single_shot)
+        assert_same_bits(Phi_inv(p), single_shot)
+        t = np.concatenate((p[:-3], [0.0, 1.0, -0.5]))
+        assert_same_bits(iso_profile(t), _iso_profile_block(t))
+        shaped = p[: 4 * (n // 4)].reshape(4, -1)
+        assert_same_bits(_ppnd16(shaped), single_shot[: shaped.size].reshape(shaped.shape))

@@ -61,6 +61,22 @@ class TestProfile:
         p = Profile(np.array([0.0, 0.5, 1.0]), np.array([1.0, 1.0 + 1e-15]))
         assert np.all(np.diff(p.values) <= 0)
 
+    def test_caller_arrays_copied_unless_read_only(self):
+        knots, values = np.array([0.0, 0.5, 1.0]), np.array([3.0, 1.0])
+        p = Profile(knots, values)
+        knots[1], values[0] = 0.25, 7.0
+        assert_same_bits(p.knots, np.array([0.0, 0.5, 1.0]))
+        assert_same_bits(p.values, np.array([3.0, 1.0]))
+        # a read-only array that owns its data is shared, a read-only view is not
+        knots.setflags(write=False)
+        assert Profile(knots, values).knots is knots
+        assert Profile(knots[:], values).knots is not knots
+        assert not p.knots.flags.writeable and not p.values.flags.writeable
+
+    def test_prefix_mass(self):
+        assert_same_bits(HALVES.prefix_mass, np.array([0.0, 1.5, 2.0]))
+        assert HALVES.prefix_mass is HALVES.prefix_mass
+
     def test_from_function(self):
         p = Profile.from_function(lambda s: 1.0 - s, 64)
         assert p.num_pieces == 64

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,9 +28,11 @@ from gausym import (
     parse_norm,
     symmetrized_field,
 )
-from gausym.verify import validate_intervals
+from gausym.fields import ScalarField, corpus_names
+from gausym.gaussian import BLOCK_CELLS
+from gausym.verify import _median, validate_intervals
 
-from conftest import assert_same_bits, stable_argsort_profile
+from conftest import assert_same_bits
 
 GRID_1K = equal_measure_grid(1, 1024)
 COORD = builtin_field("coordinate")
@@ -84,6 +87,12 @@ class TestMazyaTalenti:
         rep = check_mazya_talenti(builtin_field("gaussian_bump"), equal_measure_grid(1, 4096))
         assert rep.passed
         assert rep.max_violation <= 1e-6
+
+    def test_median_matches_numpy(self):
+        rng = np.random.default_rng(0)
+        for n in range(1, 63):
+            for x in (rng.random(n), rng.exponential(size=n) * 1e-9, np.ceil(rng.random(n) * 3)):
+                assert_same_bits(np.array(_median(x)), np.array(np.median(x)))
 
 
 class TestIntervalBound:
@@ -322,11 +331,73 @@ class TestAnalysisSorts:
         assert_same_bits(a.p.knots, p_ref.knots)
         assert_same_bits(a.grads_by_level, gradient_norm(field, reps)[order])
         fo = symmetrized_field(a.p, dim=dim, interpolation="linear", n_bins=a.m_d)
-        sym_ref = stable_argsort_profile(gradient_norm(fo, reps), grid.measures)
-        assert_same_bits(a.sym_grad_prof.values, sym_ref.values)
-        assert_same_bits(a.sym_grad_prof.knots, sym_ref.knots)
+        sym_vals = gradient_norm(fo, reps)
+        sym_ref = Profile(np.arange(K + 1) / K, sym_vals[np.argsort(-sym_vals, kind="stable")])
+        # N pieces of width 1/N: the same step function as the K-piece reference
+        assert_same_bits(np.repeat(a.sym_grad_prof.values, K // N), sym_ref.values)
+        assert_same_bits(a.sym_grad_prof.knots, sym_ref.knots[:: K // N])
 
     @pytest.mark.parametrize("text,N", [("sqrt(x1)", 64), ("1/x1", 125), ("x1/abs(x1)", 33)])
     def test_non_finite_field_refused(self, text, N):
         with pytest.raises(NonFiniteFieldError, match="at x = "):
             analyze(parse_field(text, 1), equal_measure_grid(1, N), 512)
+
+
+class TestBlockedSampling:
+    """The analysis samples |f| and |grad f| one block of BLOCK_CELLS cells
+    at a time; whole-grid evaluation stays here as the reference."""
+
+    EXPRESSIONS = ("tanh(x1 + 0.5*x2*x3) + 0.3*sin(x2)", "exp(-x1^2)*cos(x2) + 0.1*x1*x3")
+
+    @pytest.mark.parametrize("dim,N", [(1, 4097), (2, 65), (3, 17), (3, 33)])
+    def test_matches_whole_grid_evaluation(self, dim, N):
+        grid = equal_measure_grid(dim, N)
+        assert grid.num_cells > BLOCK_CELLS and grid.num_cells % BLOCK_CELLS
+        reps = grid.representatives
+        fields = [builtin_field(name, dim=dim) for name in corpus_names()]
+        for text in self.EXPRESSIONS:
+            # the parser accepts coordinates up to x<dim> only
+            for k in range(dim + 1, 4):
+                text = text.replace(f"x{k}", f"x{dim}")
+            fields.append(parse_field(text, dim))
+        for field in fields:
+            a = analyze(field, grid, 512)
+            assert_same_bits(a._levels, np.abs(field(reps)))
+            assert_same_bits(a.grad_values, gradient_norm(field, reps))
+
+    def test_profiles_share_the_knots(self):
+        a = analyze(builtin_field("mixture", dim=2), equal_measure_grid(2, 64), 512)
+        assert a.grad_prof.knots is a.p.knots
+        assert not a.p.knots.flags.writeable
+        assert_same_bits(a.p.knots, np.arange(64**2 + 1) / 64**2)
+
+    def test_first_bad_point_named_across_blocks(self):
+        grid = equal_measure_grid(1, 4099)
+        x = grid.axis_points
+        # |f| is bad from cell 4097 on, |grad f| already from cell 4096:
+        # the |f| check comes first, as it did on the whole grid
+        field = ScalarField(
+            1, "edge",
+            lambda X: np.where(X[:, 0] >= x[4097], np.nan, 1.0),
+            gradient=lambda X: np.where(X >= x[4096], np.inf, 0.0),
+        )
+        with pytest.raises(NonFiniteFieldError, match=rf"\|f\| = nan at x = \({x[4097]:.17g}\)"):
+            analyze(field, grid, 512)
+
+    @pytest.mark.parametrize("make,dim,N", [
+        (lambda: parse_field("tanh(x1 + 0.5*x2*x3) + 0.3*sin(x2)", 3), 3, 64),
+        (lambda: builtin_field("mixture", dim=2), 2, 512),
+    ], ids=["expr-3d", "mixture-2d"])
+    def test_peak_memory_per_cell(self, make, dim, N):
+        """Building the analysis and the symmetrized gradient stays within
+        100 bytes of numpy allocations per cell (the whole-grid sampling
+        took 143.6 and 135.6)."""
+        field, grid = make(), equal_measure_grid(dim, N)
+        tracemalloc.start()
+        try:
+            analysis = analyze(field, grid, 4096)
+            analysis.sym_grad_prof
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100 * grid.num_cells
