@@ -52,21 +52,8 @@ from .majorize import (
     parse_norm,
     ri_norm,
 )
-from .rearrange import (
-    GridCurve,
-    Profile,
-    decreasing_rearrangement,
-    distribution_function,
-    equimeasurability_gap,
-    gradient_rearrangement,
-    lebesgue_rearrangement,
-    neg_derivative,
-)
-from .symmetrize import (
-    pointwise_identity_gap,
-    symmetrization_preserves_rearrangement,
-    symmetrized_field,
-)
+from .rearrange import GridCurve, Profile, lebesgue_rearrangement
+from .symmetrize import pointwise_identity_gap, symmetrized_field
 from .verify import (
     Analysis,
     ConvergenceStudy,

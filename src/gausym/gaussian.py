@@ -258,20 +258,6 @@ class GaussianGrid:
         reps.setflags(write=False)
         return reps
 
-    @property
-    def measures(self) -> np.ndarray:
-        return np.full(self.num_cells, self.cell_measure)
-
-    def axis_boundaries(self) -> np.ndarray:
-        """Per-axis cell boundaries Phi_inv(k/N), k = 0..N (+-inf at ends)."""
-        n = self.cells_per_axis
-        inner = Phi_inv(np.arange(1, n) / n) if n > 1 else np.empty(0)
-        return np.concatenate(([-np.inf], np.atleast_1d(inner), [np.inf]))
-
-    def integrate(self, values: np.ndarray) -> float:
-        """Quadrature sum(values * cell_measure) over the grid."""
-        return float(np.sum(np.asarray(values, dtype=float)) * self.cell_measure)
-
 
 def equal_measure_grid(dim: int, N: int, max_cells: int = DEFAULT_CELL_BUDGET) -> GaussianGrid:
     """Build the equal-measure quantile grid with N cells per axis.

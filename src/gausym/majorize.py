@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BracketingError, InvalidParameterError
-from .rearrange import GridCurve, Profile
+from .rearrange import Profile
 
 EXPSQ_DEFAULT_CAP = 20.0
 HINGE_GRID_SIZE = 256
@@ -149,14 +149,9 @@ DEFAULT_NORM_FAMILY: tuple[RINorm, ...] = (
 )
 
 
-def orlicz_integral(p, A) -> float:
-    """Integral of A over a Profile (exact piecewise sum) or GridCurve
-    (uniform-bin mean)."""
-    if isinstance(p, Profile):
-        return float(np.sum(A(p.values) * p.widths))
-    if isinstance(p, GridCurve):
-        return float(np.mean(A(p.values)))
-    raise TypeError(f"expected Profile or GridCurve, got {type(p).__name__}")
+def orlicz_integral(p: Profile, A) -> float:
+    """Integral of A over a Profile, an exact piecewise sum."""
+    return float(np.sum(A(p.values) * p.widths))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
-"""Distribution functions and decreasing rearrangements.
+"""Decreasing step profiles on (0, 1] and the sorts that build them.
 
-Rearrangements are taken of |f| throughout (super-level sets {|f| > t}).
 A Profile is the nonincreasing right-continuous step function on (0, 1]
-produced by sorting sampled values against their measures; a GridCurve
-holds raw samples on a uniform grid (difference quotients, surrogates)
-that need not be monotone and become Profiles only after a Lebesgue
-rearrangement.
+given by sorted values and the knots between their pieces; its
+super-level measures are the distribution function of whatever it
+rearranges.  A GridCurve holds raw samples on a uniform grid (the
+surrogate) that need not be monotone and becomes a Profile only once its
+values are sorted.  Sampling a field and sorting |f| and |grad f| into
+profiles is done once per run, by ``verify.Analysis``; this module knows
+nothing of fields or grids.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, WeightSumError
-from .fields import ScalarField, gradient_norm
-from .gaussian import GaussianGrid
 
 _KNOT_SNAP = 1e-12
 
@@ -142,13 +142,6 @@ class Profile:
     def constant(cls, c: float) -> "Profile":
         return cls(np.array([0.0, 1.0]), np.array([abs(float(c))]))
 
-    @classmethod
-    def from_function(cls, g, K: int) -> "Profile":
-        """Step approximation sampling a nonincreasing g at midpoints."""
-        knots = np.arange(K + 1) / K
-        vals = np.asarray(g((np.arange(K) + 0.5) / K), dtype=float)
-        return cls(knots, vals)
-
 
 @dataclass(frozen=True)
 class GridCurve:
@@ -171,9 +164,6 @@ class GridCurve:
     def size(self) -> int:
         return len(self.s)
 
-    def integral(self) -> float:
-        return float(np.mean(self.values))
-
     def cumulative(self, t) -> np.ndarray:
         """Integral over (0, t] of the bin-constant extension of the samples."""
         m = self.size
@@ -182,12 +172,6 @@ class GridCurve:
         t_arr = np.asarray(t, dtype=float)
         out = np.interp(t_arr, edges, cum)
         return out if t_arr.ndim else float(out)
-
-
-def distribution_function(field: ScalarField, grid: GaussianGrid, level: float) -> float:
-    """Gaussian measure of {|f| > level}, sampled on grid representatives."""
-    vals = np.abs(field(grid.representatives))
-    return float(np.count_nonzero(vals > level) * grid.cell_measure)
 
 
 def sort_decreasing(values: np.ndarray) -> np.ndarray:
@@ -212,29 +196,6 @@ def sort_decreasing(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _profile_from_weighted(values: np.ndarray, weights: np.ndarray) -> Profile:
-    if np.all(weights == weights[0]):
-        # equal weights: the knots do not depend on the order
-        sorted_vals = sort_decreasing(values)
-        knots = np.concatenate(([0.0], np.cumsum(weights)))
-    else:
-        order = np.argsort(-values, kind="stable")  # ties keep cell order
-        sorted_vals = values[order]
-        knots = np.concatenate(([0.0], np.cumsum(weights[order])))
-    knots[-1] = 1.0
-    return Profile(knots, sorted_vals)
-
-
-def decreasing_rearrangement(field: ScalarField, grid: GaussianGrid) -> Profile:
-    """Decreasing rearrangement of |f| with respect to the Gaussian measure.
-
-    Sorts the values of |f| over the equal-measure cells, so the result is
-    equimeasurable with the sampled |f| by construction.
-    """
-    vals = np.abs(field(grid.representatives))
-    return _profile_from_weighted(vals, grid.measures)
-
-
 def lebesgue_rearrangement(samples) -> Profile:
     """Decreasing rearrangement of weighted samples on (0, 1).
 
@@ -251,7 +212,10 @@ def lebesgue_rearrangement(samples) -> Profile:
     total = float(np.sum(weights))
     if not abs(total - 1.0) <= 1e-12:
         raise WeightSumError(f"weights sum to {total!r}, expected 1 within 1e-12")
-    return _profile_from_weighted(values, weights)
+    order = np.argsort(-values, kind="stable")  # ties keep input order
+    knots = np.concatenate(([0.0], np.cumsum(weights[order])))
+    knots[-1] = 1.0
+    return Profile(knots, values[order])
 
 
 def derivative_bin_count(p: Profile, M: int, min_block: int = 1) -> int:
@@ -273,38 +237,3 @@ def derivative_bin_count(p: Profile, M: int, min_block: int = 1) -> int:
     block = max(K / distinct, float(min_block))
     divisor = 1 if block < 1.5 else int(np.ceil(2.0 * block))
     return max(8, min(M, K // divisor))
-
-
-def neg_derivative(p: Profile, M: int) -> GridCurve:
-    """Difference-quotient samples of (-p)' on the uniform M-grid.
-
-    Uses symmetric quotients across bin edges j/M, so the samples at
-    midpoints (j+1/2)/M integrate exactly to the total decrease of p.
-    Nonincreasing input makes them nonnegative; round-off is clamped to 0.
-    Flat stretches give 0.
-    """
-    if M < 8:
-        raise DomainError(f"derivative grid needs M >= 8, got {M}")
-    edges = np.arange(M + 1) / M
-    pv = p(edges)
-    quotients = np.maximum((pv[:-1] - pv[1:]) * M, 0.0)
-    return GridCurve((np.arange(M) + 0.5) / M, quotients)
-
-
-def equimeasurability_gap(field: ScalarField, grid: GaussianGrid, A) -> float:
-    """|integral of A(|f|) over the grid - integral of A(f*) over (0,1)|.
-
-    Both sides sum the same multiset of values, so the gap is pure
-    round-off.  ``A`` is any callable Young function.
-    """
-    vals = np.abs(field(grid.representatives))
-    lhs = float(np.sum(A(vals)) * grid.cell_measure)
-    p = decreasing_rearrangement(field, grid)
-    rhs = float(np.sum(A(p.values) * p.widths))
-    return abs(lhs - rhs)
-
-
-def gradient_rearrangement(field: ScalarField, grid: GaussianGrid) -> Profile:
-    """Decreasing rearrangement of |grad f| under the Gaussian measure."""
-    vals = gradient_norm(field, grid.representatives)
-    return _profile_from_weighted(vals, grid.measures)

@@ -1,24 +1,26 @@
 """First-coordinate Gaussian symmetrization of a rearranged field.
 
 The symmetrization of f is the field depending on x1 only that shares the
-decreasing rearrangement of f: evaluate the rearrangement profile at
-Phi(x1).  Its gradient norm is (-p)'(s) * I(s) at s = Phi(x1), the
-identity tested numerically by ``pointwise_identity_gap``.
+decreasing rearrangement of f: the profile p evaluated at Phi(x1).  It is
+built from bin averages of p, interpolated linearly in s = Phi(x1), so
+its gradient norm is the interpolant's slope times phi(x1): a discrete
+(-p)'(s) * I(s), the identity tested numerically by
+``pointwise_identity_gap``.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NonSmoothFieldError
 from .fields import ScalarField, finite_difference_gradient
-from .gaussian import GaussianGrid, Phi, Phi_inv, iso_profile, midpoint_quantiles, phi
-from .rearrange import (
-    Profile,
-    decreasing_rearrangement,
-    derivative_bin_count,
-    neg_derivative,
-)
+from .gaussian import Phi, Phi_inv, midpoint_quantiles, phi
+from .rearrange import Profile
+
+if TYPE_CHECKING:
+    from .verify import Analysis
 
 
 def _bin_means(p: Profile, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
@@ -30,30 +32,13 @@ def _bin_means(p: Profile, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, means
 
 
-def symmetrized_field(
-    p: Profile,
-    dim: int = 1,
-    interpolation: str = "step",
-    n_bins: int | None = None,
-) -> ScalarField:
+def symmetrized_field(p: Profile, dim: int = 1, n_bins: int | None = None) -> ScalarField:
     """Field x -> p(Phi(x1)), nonincreasing in x1, constant in x2..xn.
 
-    ``step`` evaluates the profile directly and matches the discrete
-    rearrangement exactly; its a.e. derivative is 0, so gradient checks
-    use ``linear``, which interpolates bin averages of p between the
-    midpoints of ``n_bins`` uniform bins (default: min(4096, pieces))
-    and carries the analytic slope-times-density gradient.
+    The averages of p over ``n_bins`` uniform bins (default: min(4096,
+    pieces)) are interpolated linearly between the bin midpoints, so the
+    field carries the analytic slope-times-density gradient.
     """
-    if interpolation == "step":
-
-        def f_step(X, _p=p):
-            return _p(Phi(X[:, 0]))
-
-        return ScalarField(dim, "symmetrized[step]", f_step, gradient=None, smooth=False)
-
-    if interpolation != "linear":
-        raise ValueError(f"interpolation must be 'step' or 'linear', got {interpolation!r}")
-
     B = n_bins if n_bins is not None else min(4096, max(8, p.num_pieces))
     nodes, means = _bin_means(p, B)
     # nonincreasing bin means: round-off on the cumulative is clamped
@@ -78,43 +63,25 @@ def symmetrized_field(
     return ScalarField(dim, "symmetrized[linear]", f_lin, gradient=grad_lin, smooth=True)
 
 
-def pointwise_identity_gap(field: ScalarField, grid: GaussianGrid, M: int) -> float:
+def pointwise_identity_gap(analysis: Analysis) -> float:
     """Max interior discrepancy between the two gradient routes of the
     symmetrized field.
 
-    Route one samples (-p)'(s) * I(s) with difference quotients on the
-    uniform grid; route two measures |grad| of the linear-interpolated
-    symmetrized field by central finite differences at x1 = Phi_inv(s).
-    Compared on s in [0.05, 0.95] only: toward the endpoints I vanishes
-    and Phi_inv blows up, amplifying finite-difference noise.  Shrinks
-    under refinement for smooth fields.
+    Route one is the analysis' surrogate: bin averages of (-p)' * I on the
+    derivative grid of ``m_d`` bins.  Route two measures |grad| of the
+    symmetrized field on the same bins by central finite differences at
+    x1 = Phi_inv(s).  Compared on s in [0.05, 0.95] only: toward the
+    endpoints I vanishes and Phi_inv blows up, amplifying
+    finite-difference noise.  Shrinks under refinement for smooth fields.
     """
+    field, dim, surr = analysis.field, analysis.grid.dim, analysis.surr
     if not field.smooth:
         raise NonSmoothFieldError(
             f"pointwise identity check needs a smooth field, got {field.label!r}"
         )
-    p = decreasing_rearrangement(field, grid)
-    m_d = derivative_bin_count(p, M, min_block=grid.num_cells // grid.cells_per_axis)
-    d = neg_derivative(p, m_d)
-    surrogate = d.values * iso_profile(d.s)
-
-    fo = symmetrized_field(p, dim=grid.dim, interpolation="linear", n_bins=m_d)
-    mask = (d.s >= 0.05) & (d.s <= 0.95)
-    pts = np.zeros((int(np.count_nonzero(mask)), grid.dim))
-    pts[:, 0] = Phi_inv(d.s[mask])
+    fo = symmetrized_field(analysis.p, dim=dim, n_bins=analysis.m_d)
+    mask = (surr.s >= 0.05) & (surr.s <= 0.95)
+    pts = np.zeros((int(np.count_nonzero(mask)), dim))
+    pts[:, 0] = Phi_inv(surr.s[mask])
     fd_norm = np.linalg.norm(finite_difference_gradient(fo, pts), axis=1)
-    return float(np.max(np.abs(surrogate[mask] - fd_norm)))
-
-
-def symmetrization_preserves_rearrangement(field: ScalarField, grid: GaussianGrid) -> float:
-    """Sup distance between the rearrangement of the symmetrized field and
-    the original rearrangement, sampled at cell midpoints.
-
-    The step-mode symmetrization re-samples the profile through the grid,
-    so the gap is bounded by the profile's variation across one cell row.
-    """
-    p = decreasing_rearrangement(field, grid)
-    fo = symmetrized_field(p, dim=grid.dim, interpolation="step")
-    p2 = decreasing_rearrangement(fo, grid)
-    mid = (np.arange(p.num_pieces) + 0.5) / p.num_pieces
-    return float(np.max(np.abs(p2(mid) - p(mid))))
+    return float(np.max(np.abs(surr.values[mask] - fd_norm)))

@@ -166,7 +166,7 @@ class Analysis:
         """
         grid = self.grid
         N = grid.cells_per_axis
-        fo = symmetrized_field(self.p, dim=grid.dim, interpolation="linear", n_bins=self.m_d)
+        fo = symmetrized_field(self.p, dim=grid.dim, n_bins=self.m_d)
         axis = np.zeros((N, grid.dim))
         axis[:, 0] = grid.axis_points
         return Profile(uniform_knots(N), _frozen_sort(gradient_norm(fo, axis)))

@@ -1,10 +1,10 @@
-"""Shared test helpers: quasi-random point sets, random profile pairs and
-random field expressions."""
+"""Shared test helpers: quasi-random point sets, the analysis'
+rearrangement, random profile pairs and random field expressions."""
 
 import numpy as np
 from hypothesis import strategies as st
 
-from gausym import Profile
+from gausym import Profile, analyze
 from gausym.expr import FUNCTIONS
 
 
@@ -21,13 +21,9 @@ def quasi_random_points(n: int, dim: int, low: float = -3.0, high: float = 3.0) 
     return low + (high - low) * u
 
 
-def stable_argsort_profile(values: np.ndarray, weights: np.ndarray) -> Profile:
-    """Reference rearrangement: stable argsort of -values (ties keep input
-    order) with knots at the cumulative sorted weights."""
-    order = np.argsort(-values, kind="stable")
-    knots = np.concatenate(([0.0], np.cumsum(weights[order])))
-    knots[-1] = 1.0
-    return Profile(knots, values[order])
+def rearrangement(field, grid) -> Profile:
+    """The decreasing rearrangement of |f| on ``grid``, as the analysis builds it."""
+    return analyze(field, grid, grid.num_cells).p
 
 
 def assert_same_bits(a: np.ndarray, b: np.ndarray):

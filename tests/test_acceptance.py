@@ -9,24 +9,21 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from gausym import (
     Phi,
     Phi_inv,
     YoungFunction,
+    analyze,
     builtin_field,
     calderon_check,
     check_interval_bound,
     check_polya_szego,
     check_reformulated,
     convergence_study,
-    decreasing_rearrangement,
     equal_measure_grid,
-    equimeasurability_gap,
     hlp_equivalence_check,
     iso_profile,
-    neg_derivative,
     phi,
 )
 from gausym.cli import main as cli_main
@@ -76,14 +73,20 @@ def test_criterion_1_special_functions():
 def test_criterion_2_equimeasurability():
     start = time.perf_counter()
     grid = equal_measure_grid(1, 4096)
+    points = grid.points(0, grid.num_cells)
     youngs = (YoungFunction.power(1), YoungFunction.power(2), YoungFunction.hinge(0.5))
     names = ("coordinate", "halfspace_indicator_smooth", "gaussian_bump",
              "mixture", "poly_tanh", "monotone1d")
-    worst = max(
-        equimeasurability_gap(builtin_field(name), grid, A)
-        for name in names
-        for A in youngs
-    )
+    worst = 0.0
+    for name in names:
+        field = builtin_field(name)
+        vals = np.abs(field(points))
+        p = analyze(field, grid, 4096).p
+        for A in youngs:
+            # integral of A(|f|) over the grid against that of A(f*) over (0, 1)
+            gap = abs(float(np.sum(A(vals)) * grid.cell_measure)
+                      - float(np.sum(A(p.values) * p.widths)))
+            worst = max(worst, gap)
     elapsed = time.perf_counter() - start
     report(2, "equimeasurability", elapsed, [
         (f"worst gap over corpus x Young family = {worst:.2e} <= 1e-12", worst <= 1e-12),
@@ -128,8 +131,7 @@ def test_criterion_4_coordinate_closed_forms():
     # against a step profile is meaningless), plus the vertical gap on a
     # conservative interior window.
     for N in (1024, 4096):
-        grid = equal_measure_grid(1, N)
-        p = decreasing_rearrangement(coord, grid)
+        p = analyze(coord, equal_measure_grid(1, N), 4096).p
         mid = (np.arange(N) + 0.5) / N
         horizontal = float(np.max(np.abs(2.0 * (1.0 - Phi(p(mid))) - mid)))
         s = np.linspace(0.25, 0.9, 1500)
@@ -143,20 +145,19 @@ def test_criterion_4_coordinate_closed_forms():
             vertical <= 3.0 / N,
         ))
 
-    # (b) surrogate against I(s) / (2 phi(Phi_inv(1 - s/2))) at M=4096;
-    # the grid is taken fine enough that each derivative bin averages
-    # several of the paired |x| values.
-    grid = equal_measure_grid(1, 65536)
-    p = decreasing_rearrangement(coord, grid)
-    d = neg_derivative(p, 4096)
-    surrogate = d.values * iso_profile(d.s)
-    closed = iso_profile(d.s) / (2.0 * phi(Phi_inv(1.0 - d.s / 2.0)))
-    mask = (d.s >= 0.1) & (d.s <= 0.9)
-    rel = float(np.max(np.abs(surrogate[mask] - closed[mask]) / closed[mask]))
+    # (b) surrogate against I(s) / (2 phi(Phi_inv(1 - s/2))) on m_d = 4096
+    # derivative bins; the grid is taken fine enough that each bin
+    # averages several of the paired |x| values.
+    a = analyze(coord, equal_measure_grid(1, 65536), 4096)
+    surr = a.surr
+    closed = iso_profile(surr.s) / (2.0 * phi(Phi_inv(1.0 - surr.s / 2.0)))
+    mask = (surr.s >= 0.1) & (surr.s <= 0.9)
+    rel = float(np.max(np.abs(surr.values[mask] - closed[mask]) / closed[mask]))
+    checks.append((f"m_d = {a.m_d} derivative bins", a.m_d == 4096))
     checks.append((f"surrogate relative error on [0.1,0.9] {rel:.2e} <= 5%", rel <= 0.05))
 
     # (c) level-set bound, pointwise value at s = 1/2
-    at_half = float(surrogate[np.argmin(np.abs(d.s - 0.5))])
+    at_half = float(surr.values[np.argmin(np.abs(surr.s - 0.5))])
     checks.append((
         f"pointwise level-set value at s=1/2: {at_half:.4f} = 0.6276 +- 0.01",
         abs(at_half - 0.6276) <= 0.01,

@@ -1,4 +1,5 @@
-"""Profiles, distribution functions, rearrangements, and derivatives."""
+"""Profiles, distribution functions and rearrangements: the weighted
+sort, the value sort, and the profiles an analysis builds."""
 
 import numpy as np
 import pytest
@@ -12,18 +13,16 @@ from gausym import (
     Profile,
     WeightSumError,
     YoungFunction,
+    analyze,
     builtin_field,
-    decreasing_rearrangement,
-    distribution_function,
     equal_measure_grid,
-    equimeasurability_gap,
+    gradient_norm,
     lebesgue_rearrangement,
-    neg_derivative,
     parse_field,
 )
-from gausym.rearrange import derivative_bin_count
+from gausym.rearrange import derivative_bin_count, sort_decreasing
 
-from conftest import assert_same_bits, stable_argsort_profile
+from conftest import assert_same_bits, rearrangement
 
 HALVES = Profile(np.array([0.0, 0.5, 1.0]), np.array([3.0, 1.0]))
 
@@ -77,23 +76,21 @@ class TestProfile:
         assert_same_bits(HALVES.prefix_mass, np.array([0.0, 1.5, 2.0]))
         assert HALVES.prefix_mass is HALVES.prefix_mass
 
-    def test_from_function(self):
-        p = Profile.from_function(lambda s: 1.0 - s, 64)
-        assert p.num_pieces == 64
-        assert p(0.25) == pytest.approx(0.75, abs=1.0 / 64)
-
 
 class TestDistributionFunction:
+    """The Gaussian measure of {|f| > level} is the super-level measure of
+    the decreasing rearrangement."""
+
     def test_full_mass(self):
         grid = equal_measure_grid(1, 512)
         coord = builtin_field("coordinate")
-        assert distribution_function(coord, grid, 0.0) == 1.0
+        assert rearrangement(coord, grid).super_level_measure(0.0) == 1.0
 
     def test_coordinate_level_one(self):
         grid = equal_measure_grid(1, 4096)
         coord = builtin_field("coordinate")
         # mpmath: 2*(1 - Phi(1)) = 0.31731050786291410283
-        assert distribution_function(coord, grid, 1.0) == pytest.approx(
+        assert rearrangement(coord, grid).super_level_measure(1.0) == pytest.approx(
             0.3173105078629141, abs=3.0 / 4096
         )
 
@@ -101,36 +98,38 @@ class TestDistributionFunction:
         grid = equal_measure_grid(1, 128)
         coord = builtin_field("coordinate")
         top = np.abs(coord(grid.representatives)).max()
-        assert distribution_function(coord, grid, top + 1.0) == 0.0
+        assert rearrangement(coord, grid).super_level_measure(top + 1.0) == 0.0
 
     def test_nonincreasing_in_level(self):
         grid = equal_measure_grid(1, 256)
-        field = builtin_field("mixture")
+        p = rearrangement(builtin_field("mixture"), grid)
         levels = np.linspace(0.0, 2.0, 40)
-        vals = [distribution_function(field, grid, lam) for lam in levels]
+        vals = [p.super_level_measure(lam) for lam in levels]
         assert np.all(np.diff(vals) <= 0)
 
     def test_matches_profile_super_level(self):
-        # distribution_function(lam) equals the Lebesgue measure of the
-        # profile's super-level set, exactly on grid data
+        # the cell count of {|f| > lam} on the grid equals the Lebesgue
+        # measure of the profile's super-level set, exactly on grid data
         grid = equal_measure_grid(1, 256)
         field = builtin_field("poly_tanh")
-        p = decreasing_rearrangement(field, grid)
+        vals = np.abs(field(grid.representatives))
+        p = rearrangement(field, grid)
         for lam in (0.0, 0.1, 0.4, 0.73, 2.0):
-            assert distribution_function(field, grid, lam) == p.super_level_measure(lam)
+            counted = np.count_nonzero(vals > lam) * grid.cell_measure
+            assert counted == p.super_level_measure(lam)
 
 
 class TestDecreasingRearrangement:
     def test_constant_field(self):
         grid = equal_measure_grid(1, 64)
         const = parse_field("2.5", 1)
-        p = decreasing_rearrangement(const, grid)
+        p = rearrangement(const, grid)
         assert np.all(p.values == 2.5)
 
     def test_indicator_like(self):
         grid = equal_measure_grid(1, 2048)
         f = builtin_field("halfspace_indicator_smooth", {"a": 0.3, "width": 0.01})
-        p = decreasing_rearrangement(f, grid)
+        p = rearrangement(f, grid)
         split = Phi(0.3)
         assert p(split - 0.05) > 0.99
         assert p(split + 0.05) < 0.01
@@ -138,7 +137,7 @@ class TestDecreasingRearrangement:
     def test_coordinate_closed_form(self):
         for n in (1024, 4096):
             grid = equal_measure_grid(1, n)
-            p = decreasing_rearrangement(builtin_field("coordinate"), grid)
+            p = rearrangement(builtin_field("coordinate"), grid)
             s = np.linspace(0.25, 0.9, 500)
             assert np.max(np.abs(p(s) - Phi_inv(1 - s / 2))) <= 3.0 / n
 
@@ -146,11 +145,12 @@ class TestDecreasingRearrangement:
         # measure-preserving relabeling of cells leaves the profile unchanged
         grid = equal_measure_grid(1, 256)
         field = builtin_field("gaussian_bump")
-        p = decreasing_rearrangement(field, grid)
+        p = rearrangement(field, grid)
         vals = np.abs(field(grid.representatives))
         rng = np.random.default_rng(3)
         shuffled = vals[rng.permutation(len(vals))]
-        q = lebesgue_rearrangement(np.column_stack((grid.measures, shuffled)))
+        weights = np.full(len(vals), grid.cell_measure)
+        q = lebesgue_rearrangement(np.column_stack((weights, shuffled)))
         assert np.array_equal(p.values, q.values)
         assert np.array_equal(p.knots, q.knots)
 
@@ -204,8 +204,8 @@ class TestLebesgueRearrangement:
 
 
 class TestEqualWeightSort:
-    """Equal weights take a value sort; it must give the stable-argsort
-    Profile bit for bit."""
+    """The analysis sorts equal-measure cells by value; the sort must give
+    the stable argsort's order bit for bit."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -220,65 +220,30 @@ class TestEqualWeightSort:
     )
     def test_matches_stable_argsort(self, vals):
         values = np.array(vals)
-        weights = np.full(len(values), 1.0 / len(values))
-        got = lebesgue_rearrangement(np.column_stack((weights, values)))
-        ref = stable_argsort_profile(values, weights)
-        assert_same_bits(got.values, ref.values)
-        assert_same_bits(got.knots, ref.knots)
+        ref = values[np.argsort(-values, kind="stable")]
+        assert_same_bits(sort_decreasing(values), ref)
 
     def test_signed_zeros_keep_input_order(self):
         values = np.array([-0.0, 0.0, 1.0] * 400 + [0.0, -0.0])
-        weights = np.full(len(values), 1.0 / len(values))
-        got = lebesgue_rearrangement(np.column_stack((weights, values)))
-        assert_same_bits(got.values, stable_argsort_profile(values, weights).values)
-
-
-class TestNegDerivative:
-    def test_constant_profile(self):
-        d = neg_derivative(Profile.constant(4.2), 64)
-        assert np.all(d.values == 0.0)
-
-    def test_closed_form_profile(self):
-        p = Profile.from_function(lambda s: Phi_inv(1 - s / 2), 65536)
-        d = neg_derivative(p, 4096)
-        expected = 1.0 / (2.0 * np.exp(-0.5 * Phi_inv(1 - d.s / 2) ** 2) / np.sqrt(2 * np.pi))
-        mask = (d.s >= 0.05) & (d.s <= 0.95)
-        rel = np.abs(d.values - expected)[mask] / expected[mask]
-        assert np.max(rel) <= 0.05
-
-    def test_indicator_profile(self):
-        p = Profile(np.array([0.0, 0.5, 1.0]), np.array([1.0, 0.0]))
-        d = neg_derivative(p, 64)
-        hot = np.abs(d.s - 0.5) <= 1.0 / 64
-        assert np.all(d.values[~hot] == 0.0)
-        assert d.integral() == pytest.approx(1.0, abs=1e-12)
-
-    def test_minimum_grid(self):
-        with pytest.raises(DomainError):
-            neg_derivative(HALVES, 4)
-
-    def test_nonnegative(self):
-        grid = equal_measure_grid(1, 512)
-        p = decreasing_rearrangement(builtin_field("mixture"), grid)
-        d = neg_derivative(p, 256)
-        assert np.all(d.values >= 0.0)
+        ref = values[np.argsort(-values, kind="stable")]
+        assert_same_bits(sort_decreasing(values), ref)
 
 
 class TestDerivativeBinCount:
     def test_distinct_values_keep_resolution(self):
         grid = equal_measure_grid(1, 1024)
-        p = decreasing_rearrangement(builtin_field("monotone1d"), grid)
+        p = rearrangement(builtin_field("monotone1d"), grid)
         assert derivative_bin_count(p, 1024) == 1024
 
     def test_paired_values_coarsen(self):
         grid = equal_measure_grid(1, 1024)
-        p = decreasing_rearrangement(builtin_field("coordinate"), grid)
+        p = rearrangement(builtin_field("coordinate"), grid)
         assert derivative_bin_count(p, 1024) == 256  # pairs -> 4-cell bins
 
     def test_column_ties_coarsen(self):
         # 32 columns pair up into 16 distinct |x1| levels of 64 cells each
         grid = equal_measure_grid(2, 32)
-        p = decreasing_rearrangement(builtin_field("coordinate", dim=2), grid)
+        p = rearrangement(builtin_field("coordinate", dim=2), grid)
         assert derivative_bin_count(p, 4096) == 8
 
     def test_constant_floor(self):
@@ -287,20 +252,25 @@ class TestDerivativeBinCount:
 
 class TestGradientRearrangement:
     def test_coordinate_is_constant_one(self):
-        from gausym import gradient_rearrangement
-
         grid = equal_measure_grid(1, 128)
-        p = gradient_rearrangement(builtin_field("coordinate"), grid)
+        p = analyze(builtin_field("coordinate"), grid, 128).grad_prof
         assert np.allclose(p.values, 1.0)
 
     def test_matches_manual_sort(self):
-        from gausym import gradient_norm, gradient_rearrangement
-
         grid = equal_measure_grid(1, 256)
         field = builtin_field("gaussian_bump")
-        p = gradient_rearrangement(field, grid)
+        p = analyze(field, grid, 256).grad_prof
         manual = np.sort(gradient_norm(field, grid.representatives))[::-1]
         assert np.array_equal(p.values, manual)
+
+
+def equimeasurability_gap(field, grid, A) -> float:
+    """|integral of A(|f|) over the grid - integral of A(f*) over (0,1)|:
+    both sides sum the same multiset of values, so the gap is round-off."""
+    vals = np.abs(field(grid.representatives))
+    lhs = float(np.sum(A(vals)) * grid.cell_measure)
+    p = rearrangement(field, grid)
+    return abs(lhs - float(np.sum(A(p.values) * p.widths)))
 
 
 class TestEquimeasurability:

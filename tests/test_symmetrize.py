@@ -8,15 +8,16 @@ from gausym import (
     Phi,
     Phi_inv,
     Profile,
+    analyze,
     builtin_field,
     check_orlicz_equality,
-    decreasing_rearrangement,
     equal_measure_grid,
     parse_field,
     pointwise_identity_gap,
-    symmetrization_preserves_rearrangement,
     symmetrized_field,
 )
+
+from conftest import rearrangement
 
 
 class TestSymmetrizedField:
@@ -26,101 +27,110 @@ class TestSymmetrizedField:
         assert np.all(fo(pts) == 2.0)
 
     def test_monotone_fixed_point(self):
-        # a nonnegative strictly decreasing function of x1 is unchanged
+        # a nonnegative strictly decreasing function of x1 is unchanged at
+        # the grid points when every cell is a bin of its own
         grid = equal_measure_grid(1, 512)
         f = builtin_field("monotone1d", {"a": 1.0})
-        p = decreasing_rearrangement(f, grid)
-        fo = symmetrized_field(p, dim=1, interpolation="step")
+        p = rearrangement(f, grid)
+        fo = symmetrized_field(p, dim=1, n_bins=grid.num_cells)
         reps = grid.representatives
         assert np.allclose(fo(reps), f(reps), rtol=0, atol=1e-12)
 
     def test_coordinate_closed_form(self):
         grid = equal_measure_grid(1, 4096)
-        p = decreasing_rearrangement(builtin_field("coordinate"), grid)
-        fo = symmetrized_field(p, dim=1, interpolation="step")
+        p = rearrangement(builtin_field("coordinate"), grid)
+        fo = symmetrized_field(p, dim=1)
         x = np.linspace(-1.5, 1.5, 41).reshape(-1, 1)
         expected = Phi_inv(1.0 - Phi(x[:, 0]) / 2.0)
         assert np.max(np.abs(fo(x) - expected)) <= 5e-3
 
     def test_depends_on_first_coordinate_only(self):
         grid = equal_measure_grid(2, 32)
-        p = decreasing_rearrangement(builtin_field("gaussian_bump", dim=2), grid)
-        for mode in ("step", "linear"):
-            fo = symmetrized_field(p, dim=2, interpolation=mode)
-            x1 = np.array([-0.7, 0.0, 1.3])
-            a = fo(np.column_stack((x1, np.full(3, -5.0))))
-            b = fo(np.column_stack((x1, np.full(3, 9.0))))
-            assert np.array_equal(a, b)
+        p = rearrangement(builtin_field("gaussian_bump", dim=2), grid)
+        fo = symmetrized_field(p, dim=2)
+        x1 = np.array([-0.7, 0.0, 1.3])
+        a = fo(np.column_stack((x1, np.full(3, -5.0))))
+        b = fo(np.column_stack((x1, np.full(3, 9.0))))
+        assert np.array_equal(a, b)
 
     def test_nonincreasing_in_x1(self):
         grid = equal_measure_grid(1, 256)
-        p = decreasing_rearrangement(builtin_field("mixture"), grid)
+        p = rearrangement(builtin_field("mixture"), grid)
         x = np.sort(np.linspace(-4, 4, 200)).reshape(-1, 1)
-        for mode in ("step", "linear"):
-            fo = symmetrized_field(p, dim=1, interpolation=mode)
-            assert np.all(np.diff(fo(x)) <= 1e-12)
+        fo = symmetrized_field(p, dim=1)
+        assert np.all(np.diff(fo(x)) <= 1e-12)
 
     def test_linear_gradient_sign(self):
         grid = equal_measure_grid(1, 256)
-        p = decreasing_rearrangement(builtin_field("gaussian_bump"), grid)
-        fo = symmetrized_field(p, dim=1, interpolation="linear")
+        p = rearrangement(builtin_field("gaussian_bump"), grid)
+        fo = symmetrized_field(p, dim=1)
         g = fo.gradient(np.linspace(-2, 2, 21).reshape(-1, 1))
         assert np.all(g[:, 0] <= 0.0)
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            symmetrized_field(Profile.constant(1.0), interpolation="cubic")
 
 
 class TestPointwiseIdentity:
     def test_constant_field(self):
         grid = equal_measure_grid(1, 256)
         const = parse_field("3.0", 1)
-        assert pointwise_identity_gap(const, grid, 256) == 0.0
+        assert pointwise_identity_gap(analyze(const, grid, 256)) == 0.0
 
     def test_monotone_exponential(self):
         # both gradient routes agree and tighten under refinement
         f = builtin_field("monotone1d", {"a": 1.0})
         gaps = {}
         for n in (1024, 4096):
-            grid = equal_measure_grid(1, n)
-            gaps[n] = pointwise_identity_gap(f, grid, n)
+            gaps[n] = pointwise_identity_gap(analyze(f, equal_measure_grid(1, n), n))
         assert gaps[4096] <= 0.05
         assert gaps[4096] < gaps[1024]
 
     def test_coordinate(self):
         grid = equal_measure_grid(1, 4096)
-        gap = pointwise_identity_gap(builtin_field("coordinate"), grid, 4096)
+        gap = pointwise_identity_gap(analyze(builtin_field("coordinate"), grid, 4096))
         assert gap <= 0.01
 
     def test_rejects_non_smooth(self):
         grid = equal_measure_grid(1, 64)
         with pytest.raises(NonSmoothFieldError):
-            pointwise_identity_gap(parse_field("abs(x1)", 1), grid, 64)
+            pointwise_identity_gap(analyze(parse_field("abs(x1)", 1), grid, 64))
+
+
+def rearrangement_gap(field, grid) -> float:
+    """Sup distance, at cell midpoints, between the rearrangement of the
+    symmetrized field and the original rearrangement.
+
+    With one bin per x1 slab the symmetrized field takes on each slab the
+    average of the profile over the slab's measure, so the gap is bounded
+    by the profile's variation across one cell row.
+    """
+    p = rearrangement(field, grid)
+    fo = symmetrized_field(p, dim=grid.dim, n_bins=grid.cells_per_axis)
+    p2 = rearrangement(fo, grid)
+    mid = (np.arange(p.num_pieces) + 0.5) / p.num_pieces
+    return float(np.max(np.abs(p2(mid) - p(mid))))
 
 
 class TestPreservesRearrangement:
     def test_constant(self):
         grid = equal_measure_grid(1, 64)
-        assert symmetrization_preserves_rearrangement(parse_field("1.0", 1), grid) == 0.0
+        assert rearrangement_gap(parse_field("1.0", 1), grid) == 0.0
 
     def test_indicator_like(self):
         # in 1-d the resampling through the grid is exact even across the
         # steep transition
         grid = equal_measure_grid(1, 1024)
         f = builtin_field("halfspace_indicator_smooth", {"a": 0.0, "width": 0.02})
-        assert symmetrization_preserves_rearrangement(f, grid) <= 1e-12
+        assert rearrangement_gap(f, grid) <= 1e-12
 
     def test_bump_two_dims(self):
         grid = equal_measure_grid(2, 64)
         f = builtin_field("gaussian_bump", dim=2)
-        assert symmetrization_preserves_rearrangement(f, grid) <= 2.0 / 64
+        assert rearrangement_gap(f, grid) <= 2.0 / 64
 
     def test_exact_in_one_dim(self):
         # in 1-d the symmetrized field resamples every cell value exactly
         grid = equal_measure_grid(1, 512)
         f = builtin_field("poly_tanh")
-        assert symmetrization_preserves_rearrangement(f, grid) <= 1e-12
+        assert rearrangement_gap(f, grid) <= 1e-12
 
 
 class TestEqualityChain:

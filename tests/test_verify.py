@@ -153,7 +153,7 @@ class TestOrliczEquality:
         field = builtin_field("mixture", dim=2)
         rep = check_orlicz_equality(field, grid, M=512)
         pipe = analyze(field, grid, 512)
-        fo = symmetrized_field(pipe.p, dim=2, interpolation="linear", n_bins=pipe.m_d)
+        fo = symmetrized_field(pipe.p, dim=2, n_bins=pipe.m_d)
         sym_grad = gradient_norm(fo, grid.representatives)
         c = rep.s_grid[:, None]
         lhs = np.mean(np.maximum(pipe.surr.values[None, :] - c, 0.0), axis=1)
@@ -330,7 +330,7 @@ class TestAnalysisSorts:
         assert_same_bits(a.p.values, p_ref.values)
         assert_same_bits(a.p.knots, p_ref.knots)
         assert_same_bits(a.grads_by_level, gradient_norm(field, reps)[order])
-        fo = symmetrized_field(a.p, dim=dim, interpolation="linear", n_bins=a.m_d)
+        fo = symmetrized_field(a.p, dim=dim, n_bins=a.m_d)
         sym_vals = gradient_norm(fo, reps)
         sym_ref = Profile(np.arange(K + 1) / K, sym_vals[np.argsort(-sym_vals, kind="stable")])
         # N pieces of width 1/N: the same step function as the K-piece reference
