@@ -66,6 +66,7 @@ from .verify import (
     check_polya_szego,
     check_reformulated,
     convergence_study,
+    run_checks,
 )
 
 __version__ = "0.1.0"

@@ -32,26 +32,13 @@ import sys
 import tempfile
 from typing import Optional
 
-import numpy as np
-
 from .errors import GausymError, NonFiniteFieldError
 from .fields import builtin_field, corpus_names, describe_field, parse_field
 from .gaussian import equal_measure_grid
 from .majorize import DEFAULT_NORM_FAMILY, parse_norm
-from .verify import (
-    IneqReport,
-    analyze,
-    check_interval_bound,
-    check_mazya_talenti,
-    check_norm_inequality,
-    check_orlicz_equality,
-    check_polya_szego,
-    check_reformulated,
-    convergence_study,
-    validate_intervals,
-)
+from .verify import CHECKS, IneqReport, analyze, run_checks, validate_intervals
 
-CHECK_TOKENS = ("uno", "dos", "norm", "mt", "interval", "orlicz", "converge")
+CHECK_TOKENS = tuple(CHECKS)
 
 EQUALITY_WORDS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
@@ -196,61 +183,6 @@ def _build_field(cfg: dict):
     return builtin_field(cfg["builtin"], dict(cfg["param"]) or None, dim=cfg["dim"])
 
 
-def _converge_rows(cfg: dict, field, M: int, tol, analysis) -> list[IneqReport]:
-    # Default refinement ladder derived from --grid: N/16, N/4, N.
-    N = cfg["grid"]
-    Ns = sorted({max(2, N // 16), max(2, N // 4), N})
-    inner = [t for t in cfg["check_tokens"] if t in ("uno", "dos", "mt")] or ["uno"]
-    rows = []
-    for study in convergence_study(field, inner, Ns, M=M, analysis=analysis):
-        # Rows share the study verdict; the recorded tolerance is the worst
-        # violation in the ladder so the schema stays numeric.
-        row_tol = tol if tol is not None else max(max(study.violations), 1e-12)
-        for n_cells, violation in zip(study.Ns, study.violations):
-            rows.append(
-                IneqReport(
-                    check_name=f"converge:{study.check_name}[N={n_cells}]",
-                    field_label=field.label,
-                    dim=cfg["dim"],
-                    N=n_cells,
-                    M=M,
-                    s_grid=np.array([1.0]),
-                    lhs_curve=np.array([violation]),
-                    rhs_curve=np.array([0.0]),
-                    max_violation=violation,
-                    tolerance=row_tol,
-                    passed=study.passed,
-                    runtime_ms=0,
-                    extra={"empirical_order": study.empirical_order},
-                )
-            )
-    return rows
-
-
-def _run_checks(cfg: dict, field, grid) -> list[IneqReport]:
-    M = cfg["sgrid"]
-    tol = cfg["tol"]
-    eq = cfg["equality"]
-    shared = {"M": M, "tol": tol, "analysis": analyze(field, grid, M)}
-    reports: list[IneqReport] = []
-    for token in cfg["check_tokens"]:
-        if token == "uno":
-            reports.append(check_reformulated(field, grid, equality=eq, **shared))
-        elif token == "dos":
-            reports.append(check_polya_szego(field, grid, equality=eq, **shared))
-        elif token == "norm":
-            reports.extend(check_norm_inequality(field, grid, cfg["norm_list"], **shared))
-        elif token == "mt":
-            reports.append(check_mazya_talenti(field, grid, **shared))
-        elif token == "interval":
-            reports.append(check_interval_bound(field, grid, cfg["interval_list"], **shared))
-        elif token == "orlicz":
-            reports.append(check_orlicz_equality(field, grid, **shared))
-        elif token == "converge":
-            reports.extend(_converge_rows(cfg, field, M, tol, shared["analysis"]))
-    return reports
-
-
 def _atomic_write(path: str, payload: str):
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gausym-", suffix=".tmp")
@@ -327,7 +259,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        reports = _run_checks(cfg, field, grid)
+        reports = run_checks(
+            analyze(field, grid, cfg["sgrid"]), cfg["check_tokens"], tol=cfg["tol"],
+            equality=cfg["equality"], norms=cfg["norm_list"], intervals=cfg["interval_list"],
+        )
     except NonFiniteFieldError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

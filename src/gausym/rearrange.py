@@ -79,7 +79,9 @@ class Profile:
             raise DomainError("profile knots must be strictly increasing")
         # max |value| without a profile-sized temporary; NaN propagates
         scale = 1.0 + float(np.maximum(abs(values.max()), abs(values.min())))
-        if np.any(values[1:] > values[:-1]) or math.isnan(scale):
+        if math.isnan(scale):
+            raise DomainError("profile values must not be NaN")
+        if np.any(values[1:] > values[:-1]):
             if np.any(np.diff(values) > _KNOT_SNAP * scale):
                 raise DomainError("profile values must be nonincreasing")
             values = np.minimum.accumulate(values)
@@ -182,15 +184,19 @@ def sort_decreasing(values: np.ndarray) -> np.ndarray:
     gather.  Tied values are interchangeable except for +0.0 against -0.0
     (equal, yet distinct bits) and NaNs (the sort returns them canonical);
     each kind sits in one block of the sorted array, and is copied back in
-    input order, as the stable sort keeps it.
+    input order, as the stable sort keeps it.  The one negated copy is
+    sorted and negated back in place, so no second array of that size
+    is held.
     """
-    ascending = np.sort(-values)
-    out = -ascending
-    lo = np.searchsorted(ascending, 0.0, side="left")
-    hi = np.searchsorted(ascending, 0.0, side="right")
+    out = -values
+    out.sort()
+    # block bounds in the ascending order, before negating back
+    lo = np.searchsorted(out, 0.0, side="left")
+    hi = np.searchsorted(out, 0.0, side="right")
+    first_nan = np.searchsorted(out, np.nan)
+    np.negative(out, out=out)
     if hi > lo:
         out[lo:hi] = values[values == 0.0]
-    first_nan = np.searchsorted(ascending, np.nan)
     if first_nan < len(out):
         out[first_nan:] = values[np.isnan(values)]
     return out

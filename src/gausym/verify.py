@@ -3,10 +3,11 @@
 Every check compares curves built from the same objects: the decreasing
 rearrangement f* of |f|, the rearranged |grad f|, and the surrogate
 (-f*)' * I.  ``analyze(field, grid, M)`` builds them once into an
-``Analysis``; each ``check_*`` takes a prebuilt one through its
-``analysis`` keyword (the CLI builds one per run and shares it across all
-checks) and otherwise builds its own.  Building it refuses a field whose
-values or gradients are not finite on the grid (``NonFiniteFieldError``).
+``Analysis``, which refuses a field whose values or gradients are not
+finite on the grid (``NonFiniteFieldError``).  Each ``check_*`` takes an
+analysis plus its own options and reads the field, grid and M from it.
+``CHECKS`` maps each check token to the report rows it yields, and
+``run_checks`` runs a list of tokens on one analysis.
 
 The field is sampled one block of ``BLOCK_CELLS`` cells at a time, from
 ``GaussianGrid.points``: no array of points or partials, and no
@@ -205,28 +206,9 @@ def analyze(field: ScalarField, grid: GaussianGrid, M: int) -> Analysis:
     return Analysis(field, grid, M)
 
 
-def _matches(analysis: Analysis, field: ScalarField, dim: int, N: int, M: int) -> bool:
-    grid = analysis.grid
-    return (
-        analysis.field is field and grid.dim == dim and grid.cells_per_axis == N
-        and analysis.M == M
-    )
-
-
-def _shared(
-    analysis: Optional[Analysis], field: ScalarField, grid: GaussianGrid, M: int
-) -> Analysis:
-    """The prebuilt analysis if given (it must fit the arguments), else a new one."""
-    if analysis is None:
-        return analyze(field, grid, M)
-    if not _matches(analysis, field, grid.dim, grid.cells_per_axis, M):
-        raise DomainError("prebuilt analysis was built for another field, grid or M")
-    return analysis
-
-
 def _finish(
     name: str,
-    pipe: Analysis,
+    analysis: Analysis,
     s_grid: np.ndarray,
     lhs: np.ndarray,
     rhs: np.ndarray,
@@ -242,9 +224,9 @@ def _finish(
         violation = max(violation, fold_violation)
     return IneqReport(
         check_name=name,
-        field_label=pipe.field.label,
-        dim=pipe.grid.dim,
-        N=pipe.grid.cells_per_axis,
+        field_label=analysis.field.label,
+        dim=analysis.grid.dim,
+        N=analysis.grid.cells_per_axis,
         M=len(s_grid),
         s_grid=s_grid,
         lhs_curve=lhs,
@@ -258,78 +240,61 @@ def _finish(
 
 
 def check_polya_szego(
-    field: ScalarField,
-    grid: GaussianGrid,
-    M: int = 4096,
-    tol: Optional[float] = None,
-    equality: bool = False,
-    *,
-    analysis: Optional[Analysis] = None,
+    analysis: Analysis, equality: bool = False, tol: Optional[float] = None
 ) -> IneqReport:
     """Cumulative gradient rearrangement of the symmetrized field against
     that of the field itself: LHS(t) <= RHS(t) on the t-grid.
 
     Equality mode (for fields already decreasing in x1) bounds |LHS-RHS|.
     """
-    if not field.smooth:
-        raise NonSmoothFieldError(f"check needs a smooth field, got {field.label!r}")
-    pipe = _shared(analysis, field, grid, M)
+    if not analysis.field.smooth:
+        raise NonSmoothFieldError(f"check needs a smooth field, got {analysis.field.label!r}")
     t0 = time.perf_counter()
-    lhs = pipe.sym_grad_prof.cumulative(pipe.t_grid)
-    rhs = pipe.grad_prof.cumulative(pipe.t_grid)
-    return _finish("dos", pipe, pipe.t_grid, lhs, rhs, pipe.tolerance(tol), equality, t0)
+    t = analysis.t_grid
+    lhs = analysis.sym_grad_prof.cumulative(t)
+    rhs = analysis.grad_prof.cumulative(t)
+    return _finish("dos", analysis, t, lhs, rhs, analysis.tolerance(tol), equality, t0)
 
 
 def check_reformulated(
-    field: ScalarField,
-    grid: GaussianGrid,
-    M: int = 4096,
-    tol: Optional[float] = None,
-    equality: bool = False,
-    *,
-    analysis: Optional[Analysis] = None,
+    analysis: Analysis, equality: bool = False, tol: Optional[float] = None
 ) -> IneqReport:
     """Cumulative comparison of the rearranged surrogate (-f*)' * I against
     the rearranged gradient: LHS(t) <= RHS(t) on the t-grid."""
-    pipe = _shared(analysis, field, grid, M)
     t0 = time.perf_counter()
-    lhs = pipe.surr_prof.cumulative(pipe.t_grid)
-    rhs = pipe.grad_prof.cumulative(pipe.t_grid)
-    return _finish("uno", pipe, pipe.t_grid, lhs, rhs, pipe.tolerance(tol), equality, t0)
+    t = analysis.t_grid
+    lhs = analysis.surr_prof.cumulative(t)
+    rhs = analysis.grad_prof.cumulative(t)
+    return _finish("uno", analysis, t, lhs, rhs, analysis.tolerance(tol), equality, t0)
 
 
 def check_norm_inequality(
-    field: ScalarField,
-    grid: GaussianGrid,
+    analysis: Analysis,
     norms: Sequence[RINorm] = DEFAULT_NORM_FAMILY,
-    M: int = 4096,
     tol: Optional[float] = None,
-    *,
-    analysis: Optional[Analysis] = None,
 ) -> list[IneqReport]:
     """Norm-by-norm domination of the rearranged surrogate by the
     rearranged gradient across the implemented r.i. family."""
-    pipe = _shared(analysis, field, grid, M)
-    tol_value = pipe.tolerance(tol)
+    tol_value = analysis.tolerance(tol)
     reports = []
     for X in norms:
         t_norm = time.perf_counter()
-        lhs = np.array([ri_norm(pipe.surr_prof, X)])
-        rhs = np.array([ri_norm(pipe.grad_prof, X)])
-        reports.append(
-            _finish(f"norm:{X.label}", pipe, np.array([1.0]), lhs, rhs, tol_value, False, t_norm)
-        )
+        lhs = np.array([ri_norm(analysis.surr_prof, X)])
+        rhs = np.array([ri_norm(analysis.grad_prof, X)])
+        reports.append(_finish(
+            f"norm:{X.label}", analysis, np.array([1.0]), lhs, rhs, tol_value, False, t_norm
+        ))
     return reports
 
 
-def _level_cut_gradient_integrals(pipe: Analysis, *level_arrays: np.ndarray) -> list:
+def _level_cut_gradient_integrals(analysis: Analysis, *level_arrays: np.ndarray) -> list:
     """Integral of |grad f| over {|f| > level} for each level of each array,
     exact on grid data (cells ordered by decreasing |f|).  The K-length
     prefix sums are built once for all the arrays."""
     gcum = np.concatenate(
-        ([0.0], np.cumsum(pipe.grads_by_level * pipe.grid.cell_measure))
+        ([0.0], np.cumsum(analysis.grads_by_level * analysis.grid.cell_measure))
     )
-    neg_values = -pipe.p.values
+    neg_values = -analysis.p.values
     return [gcum[np.searchsorted(neg_values, -levels, side="left")] for levels in level_arrays]
 
 
@@ -344,14 +309,7 @@ def _median(x: np.ndarray) -> float:
     return float((part[k - 1] + part[k]) / 2.0)
 
 
-def check_mazya_talenti(
-    field: ScalarField,
-    grid: GaussianGrid,
-    M: int = 4096,
-    tol: Optional[float] = None,
-    *,
-    analysis: Optional[Analysis] = None,
-) -> IneqReport:
+def check_mazya_talenti(analysis: Analysis, tol: Optional[float] = None) -> IneqReport:
     """Level-set gradient bound in cumulative form: for every grid t, the
     integral of (-f*)' * I over (0, t] must stay below the integral of
     |grad f| over the super-level set {|f| > f*(t)}.
@@ -361,17 +319,16 @@ def check_mazya_talenti(
     profile drops by more than 10x the median single-cell drop; its worst
     violation is folded into the verdict.
     """
-    pipe = _shared(analysis, field, grid, M)
     t0 = time.perf_counter()
-    lhs = pipe.surrogate_cumulative(pipe.t_grid)
-    K = pipe.p.num_pieces
-    bins = max(8, min(M, K // 16))
+    p, t = analysis.p, analysis.t_grid
+    lhs = analysis.surrogate_cumulative(t)
+    bins = max(8, min(analysis.M, p.num_pieces // 16))
     edges = np.arange(bins + 1) / bins
-    l_edge = pipe.surrogate_cumulative(edges)
-    rhs, r_edge = _level_cut_gradient_integrals(pipe, pipe.p(pipe.t_grid), pipe.p(edges))
-    drops = pipe.p(edges[:-1]) - pipe.p(edges[1:])
-    positive = pipe._jump_size
-    value_range = float(pipe.p.values[0] - pipe.p.values[-1])
+    l_edge = analysis.surrogate_cumulative(edges)
+    rhs, r_edge = _level_cut_gradient_integrals(analysis, p(t), p(edges))
+    drops = p(edges[:-1]) - p(edges[1:])
+    positive = analysis._jump_size
+    value_range = float(p.values[0] - p.values[-1])
     if positive.size:
         # strictly decreasing at scale, yet still resolved: a bin losing
         # more than 10% of the whole range is not a derivative estimate
@@ -387,9 +344,7 @@ def check_mazya_talenti(
         rhs_slope = (r_edge[1:] - r_edge[:-1])[eligible] * bins
         fold = float(np.max(lhs_slope - rhs_slope))
         extra["pointwise_violation"] = fold
-    return _finish(
-        "mt", pipe, pipe.t_grid, lhs, rhs, pipe.tolerance(tol), False, t0, extra, fold
-    )
+    return _finish("mt", analysis, t, lhs, rhs, analysis.tolerance(tol), False, t0, extra, fold)
 
 
 def validate_intervals(intervals) -> np.ndarray:
@@ -407,13 +362,7 @@ def validate_intervals(intervals) -> np.ndarray:
 
 
 def check_interval_bound(
-    field: ScalarField,
-    grid: GaussianGrid,
-    intervals,
-    M: int = 4096,
-    tol: Optional[float] = None,
-    *,
-    analysis: Optional[Analysis] = None,
+    analysis: Analysis, intervals, tol: Optional[float] = None
 ) -> IneqReport:
     """Surrogate mass on a finite union E of disjoint intervals against the
     gradient rearrangement integrated over (0, |E|).
@@ -423,28 +372,22 @@ def check_interval_bound(
     with t = 1 giving the bound for E itself.
     """
     arr = validate_intervals(intervals)
-    pipe = _shared(analysis, field, grid, M)
     t0 = time.perf_counter()
     a, b = arr[:, 0], arr[:, 1]
-    t = pipe.t_grid
+    t = analysis.t_grid
+    surr = analysis.surr
     clamped = np.clip(t[None, :], a[:, None], b[:, None])
-    lhs = np.sum(pipe.surr.cumulative(clamped) - pipe.surr.cumulative(a)[:, None], axis=0)
+    lhs = np.sum(surr.cumulative(clamped) - surr.cumulative(a)[:, None], axis=0)
     cut = np.sum(np.maximum(np.minimum(t[None, :], b[:, None]) - a[:, None], 0.0), axis=0)
-    rhs = pipe.grad_prof.cumulative(cut)
+    rhs = analysis.grad_prof.cumulative(cut)
     extra = {"intervals": arr.tolist(), "total_length": float(np.sum(b - a))}
     return _finish(
-        "interval", pipe, pipe.t_grid, lhs, rhs, pipe.tolerance(tol), False, t0, extra
+        "interval", analysis, t, lhs, rhs, analysis.tolerance(tol), False, t0, extra
     )
 
 
 def check_orlicz_equality(
-    field: ScalarField,
-    grid: GaussianGrid,
-    c_grid: Optional[np.ndarray] = None,
-    M: int = 4096,
-    tol: Optional[float] = None,
-    *,
-    analysis: Optional[Analysis] = None,
+    analysis: Analysis, c_grid: Optional[np.ndarray] = None, tol: Optional[float] = None
 ) -> IneqReport:
     """Change-of-variables identity tested as an equality over the hinge
     family: for each threshold c, the uniform-grid integral of
@@ -453,26 +396,22 @@ def check_orlicz_equality(
 
     Both sides are hinge integrals of rearranged (already sorted)
     profiles, evaluated by prefix sums."""
-    if not field.smooth:
-        raise NonSmoothFieldError(f"check needs a smooth field, got {field.label!r}")
-    pipe = _shared(analysis, field, grid, M)
+    if not analysis.field.smooth:
+        raise NonSmoothFieldError(f"check needs a smooth field, got {analysis.field.label!r}")
     t0 = time.perf_counter()
     if c_grid is None:
-        c_grid = np.linspace(0.0, float(np.max(pipe.surr.values)), HINGE_GRID_SIZE)
+        c_grid = np.linspace(0.0, float(np.max(analysis.surr.values)), HINGE_GRID_SIZE)
     c_grid = np.asarray(c_grid, dtype=float)
-    lhs = hinge_integrals(pipe.surr_prof, c_grid)
-    rhs = hinge_integrals(pipe.sym_grad_prof, c_grid)
+    lhs = hinge_integrals(analysis.surr_prof, c_grid)
+    rhs = hinge_integrals(analysis.sym_grad_prof, c_grid)
     return _finish(
-        "orlicz", pipe, c_grid, lhs, rhs, pipe.tolerance(tol), True, t0,
+        "orlicz", analysis, c_grid, lhs, rhs, analysis.tolerance(tol), True, t0,
         {"c_max": float(c_grid[-1])},
     )
 
 
-_CONVERGENT_CHECKS = {
-    "uno": check_reformulated,
-    "dos": check_polya_szego,
-    "mt": check_mazya_talenti,
-}
+# checks whose violation a refinement study follows across grid sizes
+CONVERGENT_TOKENS = ("uno", "dos", "mt")
 
 
 @dataclass(frozen=True)
@@ -489,43 +428,36 @@ class ConvergenceStudy:
 
 
 def convergence_study(
-    field: ScalarField,
-    checks: Sequence[str],
-    Ns: Sequence[int],
-    M: int = 4096,
-    *,
-    analysis: Optional[Analysis] = None,
+    analysis: Analysis, checks: Sequence[str], coarser_Ns: Sequence[int]
 ) -> list[ConvergenceStudy]:
     """Refinement study: rerun checks over increasing per-axis cell counts
     and fit the empirical decay order of the positive violations.
 
-    The rungs are grids of ``field.dim`` dimensions.  One analysis per
-    rung serves every check; a prebuilt ``analysis`` (which must fit the
-    finest rung) is reused there.
+    ``analysis`` is the finest rung.  Each count of ``coarser_Ns`` adds a
+    rung below it: a grid of the same dimension, analysed with the same
+    field and M, one analysis per rung for every check.
 
     Violations must not increase along refinement beyond a factor-1.5
     slack; violations at or below the round-off floor count as converged,
     and fewer than two positive entries give order +inf.
     """
-    Ns = tuple(int(n) for n in Ns)
+    grid = analysis.grid
+    Ns = tuple(int(n) for n in coarser_Ns) + (grid.cells_per_axis,)
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
-        raise DomainError("refinement cell counts must be strictly increasing")
-    unknown = [c for c in checks if c not in _CONVERGENT_CHECKS]
-    if unknown:
         raise DomainError(
-            f"convergence study supports {sorted(_CONVERGENT_CHECKS)}, got {unknown}"
+            "refinement cell counts must be strictly increasing and below the "
+            f"analysis's N = {grid.cells_per_axis}"
         )
-    if analysis is not None and not (Ns and _matches(analysis, field, field.dim, Ns[-1], M)):
-        raise DomainError("prebuilt analysis does not fit the finest refinement rung")
+    unknown = [c for c in checks if c not in CONVERGENT_TOKENS]
+    if unknown:
+        raise DomainError(f"convergence study supports {sorted(CONVERGENT_TOKENS)}, got {unknown}")
     rungs = [
-        analysis if analysis is not None and n == Ns[-1]
-        else analyze(field, equal_measure_grid(field.dim, n), M)
-        for n in Ns
-    ]
+        analyze(analysis.field, equal_measure_grid(grid.dim, n), analysis.M) for n in Ns[:-1]
+    ] + [analysis]
     studies = []
     for name in checks:
-        run = _CONVERGENT_CHECKS[name]
-        violations = tuple(run(field, a.grid, M=M, analysis=a).max_violation for a in rungs)
+        run = CHECKS[name]
+        violations = tuple(run(a, tol=None, equality=False)[0].max_violation for a in rungs)
         positive = [max(v, 0.0) for v in violations]
         nonincreasing = all(
             later <= max(1.5 * earlier, VIOLATION_FLOOR)
@@ -541,3 +473,67 @@ def convergence_study(
             order = -float(np.polyfit(xs, ys, 1)[0])
         studies.append(ConvergenceStudy(name, Ns, violations, order, nonincreasing))
     return studies
+
+
+def _converge_rows(
+    analysis: Analysis, tokens: Sequence[str], tol: Optional[float]
+) -> list[IneqReport]:
+    """One row per rung and study on the ladder N/16, N/4, N of the
+    analysis's N, for the requested convergent checks (``uno`` if none)."""
+    N = analysis.grid.cells_per_axis
+    coarser = sorted({max(2, N // 16), max(2, N // 4)} - {N})
+    inner = [t for t in tokens if t in CONVERGENT_TOKENS] or ["uno"]
+    rows = []
+    for study in convergence_study(analysis, inner, coarser):
+        # Rows share the study verdict; the recorded tolerance is the worst
+        # violation in the ladder so the schema stays numeric.
+        row_tol = tol if tol is not None else max(max(study.violations), VIOLATION_FLOOR)
+        rows += [
+            IneqReport(
+                check_name=f"converge:{study.check_name}[N={n_cells}]",
+                field_label=analysis.field.label,
+                dim=analysis.grid.dim,
+                N=n_cells,
+                M=analysis.M,
+                s_grid=np.array([1.0]),
+                lhs_curve=np.array([violation]),
+                rhs_curve=np.array([0.0]),
+                max_violation=violation,
+                tolerance=row_tol,
+                passed=study.passed,
+                runtime_ms=0,
+                extra={"empirical_order": study.empirical_order},
+            )
+            for n_cells, violation in zip(study.Ns, study.violations)
+        ]
+    return rows
+
+
+# check token -> the report rows it yields from one analysis; each entry
+# names the options of ``run_checks`` that it reads
+CHECKS = {
+    "uno": lambda a, tol, equality, **_: [check_reformulated(a, equality, tol)],
+    "dos": lambda a, tol, equality, **_: [check_polya_szego(a, equality, tol)],
+    "norm": lambda a, tol, norms, **_: check_norm_inequality(a, norms, tol),
+    "mt": lambda a, tol, **_: [check_mazya_talenti(a, tol)],
+    "interval": lambda a, tol, intervals, **_: [check_interval_bound(a, intervals, tol)],
+    "orlicz": lambda a, tol, **_: [check_orlicz_equality(a, tol=tol)],
+    "converge": lambda a, tol, tokens, **_: _converge_rows(a, tokens, tol),
+}
+
+
+def run_checks(
+    analysis: Analysis,
+    tokens: Sequence[str],
+    *,
+    tol: Optional[float] = None,
+    equality: bool = False,
+    norms: Sequence[RINorm] = DEFAULT_NORM_FAMILY,
+    intervals=None,
+) -> list[IneqReport]:
+    """The report rows of the checks ``tokens`` name, in order, all read
+    from one analysis.  ``tol`` overrides every check's tolerance,
+    ``equality`` makes uno and dos two-sided, ``norms`` is the family the
+    norm check runs, and ``intervals`` the union the interval check needs."""
+    options = dict(tol=tol, equality=equality, norms=norms, intervals=intervals, tokens=tokens)
+    return [row for token in tokens for row in CHECKS[token](analysis, **options)]

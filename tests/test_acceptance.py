@@ -102,7 +102,7 @@ def test_criterion_3_gradient_rearrangement_bounds():
         for name in ("coordinate", "gaussian_bump", "poly_tanh", "mixture"):
             field = builtin_field(name, dim=dim)
             for run in (check_reformulated, check_polya_szego):
-                rep = run(field, grid, M=M)
+                rep = run(analyze(field, grid, M))
                 checks.append((
                     f"{rep.check_name} {name} n={dim} N={N}: "
                     f"{rep.max_violation:+.2e} <= tol {rep.tolerance:.2e}",
@@ -110,7 +110,7 @@ def test_criterion_3_gradient_rearrangement_bounds():
                 ))
         mono = builtin_field("monotone1d", dim=dim)
         for run in (check_reformulated, check_polya_szego):
-            rep = run(mono, grid, M=M, equality=True)
+            rep = run(analyze(mono, grid, M), equality=True)
             checks.append((
                 f"{rep.check_name} monotone1d n={dim} N={N} two-sided: "
                 f"{rep.max_violation:.2e} <= tol {rep.tolerance:.2e}",
@@ -194,21 +194,22 @@ def test_criterion_6_interval_bound():
     rng = np.random.default_rng(ACCEPTANCE_SEED)
     grid = equal_measure_grid(1, 4096)
     fields = [builtin_field("coordinate"), builtin_field("gaussian_bump")]
+    analyses = {field.label: analyze(field, grid, 4096) for field in fields}
     all_pass = True
     for _ in range(20):
         m = int(rng.integers(1, 5))
         pts = np.sort(rng.uniform(0.02, 0.98, size=2 * m))
         intervals = pts.reshape(-1, 2)
         for field in fields:
-            rep = check_interval_bound(field, grid, intervals, M=4096)
+            rep = check_interval_bound(analyses[field.label], intervals)
             all_pass &= rep.passed
 
     coord = fields[0]
-    uno = check_reformulated(coord, grid, M=4096)
+    uno = check_reformulated(analyses[coord.label])
     worst_rhs_gap = 0.0
     lhs_dominated = True
     for t_star in (0.125, 0.375, 0.625, 0.875):
-        rep = check_interval_bound(coord, grid, [(0.0, t_star)], M=4096)
+        rep = check_interval_bound(analyses[coord.label], [(0.0, t_star)])
         i = int(np.argmin(np.abs(uno.s_grid - t_star)))
         worst_rhs_gap = max(worst_rhs_gap, abs(rep.rhs_curve[-1] - uno.rhs_curve[i]))
         lhs_dominated &= bool(rep.lhs_curve[-1] <= uno.lhs_curve[i] + 1e-12)
@@ -224,7 +225,8 @@ def test_criterion_6_interval_bound():
 def test_criterion_7_convergence():
     start = time.perf_counter()
     field = builtin_field("gaussian_bump")
-    study = convergence_study(field, ["uno"], [512, 2048, 8192], M=4096)[0]
+    finest = analyze(field, equal_measure_grid(1, 8192), 4096)
+    study = convergence_study(finest, ["uno"], [512, 2048])[0]
     positive = [max(v, 0.0) for v in study.violations]
     slack_ok = all(b <= max(1.5 * a, 1e-12) for a, b in zip(positive, positive[1:]))
     order_ok = study.empirical_order >= 0.5  # +inf when already at floor

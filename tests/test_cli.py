@@ -137,9 +137,9 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_non_finite_report_is_three(self, tmp_path, capsys, monkeypatch):
-        reformulated = cli.check_reformulated
-        monkeypatch.setattr(cli, "check_reformulated", lambda *args, **kwargs: (
-            dataclasses.replace(reformulated(*args, **kwargs), max_violation=math.nan)))
+        uno = verify.CHECKS["uno"]
+        monkeypatch.setitem(verify.CHECKS, "uno", lambda *args, **kwargs: [
+            dataclasses.replace(row, max_violation=math.nan) for row in uno(*args, **kwargs)])
         out = tmp_path / "never.json"
         code = main(["--builtin", "coordinate", "--grid", "64", "--checks", "uno",
                      "--out", str(out)])
@@ -249,16 +249,17 @@ class TestSharedAnalysis:
     rungs add one each.  Rows match standalone check calls."""
 
     def _standalone(self, field, grid, M):
+        a = verify.analyze(field, grid, M)
         rows = [
-            verify.check_reformulated(field, grid, M=M),
-            verify.check_polya_szego(field, grid, M=M),
-            *verify.check_norm_inequality(field, grid, M=M),
-            verify.check_mazya_talenti(field, grid, M=M),
-            verify.check_interval_bound(field, grid, [(0.1, 0.2), (0.6, 0.7)], M=M),
-            verify.check_orlicz_equality(field, grid, M=M),
+            verify.check_reformulated(a),
+            verify.check_polya_szego(a),
+            *verify.check_norm_inequality(a),
+            verify.check_mazya_talenti(a),
+            verify.check_interval_bound(a, [(0.1, 0.2), (0.6, 0.7)]),
+            verify.check_orlicz_equality(a),
         ]
         expected = [(r.check_name, r.passed, r.max_violation, r.tolerance) for r in rows]
-        for study in verify.convergence_study(field, ["uno", "dos", "mt"], [4, 16, 64], M=M):
+        for study in verify.convergence_study(a, ["uno", "dos", "mt"], [4, 16]):
             row_tol = max(max(study.violations), 1e-12)
             expected += [
                 (f"converge:{study.check_name}[N={n}]", study.passed, v, row_tol)

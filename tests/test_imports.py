@@ -1,6 +1,7 @@
-"""Static checks on imports, with the standard library's ``ast`` only: a
-deletion must not leave behind an import that nothing uses, and the
-profile module must stay free of fields and grids."""
+"""Static checks on imports, with the standard library's ``ast``: a
+deletion must not leave behind an import that nothing uses, the profile
+module must stay free of fields and grids, and the CLI must run checks
+only through verify's token table."""
 
 import ast
 from pathlib import Path
@@ -85,3 +86,14 @@ def test_only_the_analysis_samples_grid_cells():
             if isinstance(node, ast.Attribute) and node.attr in ("representatives", "points"):
                 readers.add(path.name)
     assert readers <= {"gaussian.py", "verify.py"}
+
+
+def test_cli_dispatches_through_the_check_table():
+    # the CLI runs checks only through verify's token table: it imports no
+    # check function and no convergence study, and its tokens are the table's
+    from gausym import cli, verify
+
+    names = _imported(_tree(PACKAGE / "cli.py"))
+    assert not [n for n in names if n.startswith("check_") or n == "convergence_study"]
+    assert cli.CHECK_TOKENS == tuple(verify.CHECKS)
+    assert list(verify.CHECKS) == ["uno", "dos", "norm", "mt", "interval", "orlicz", "converge"]

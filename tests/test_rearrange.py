@@ -1,6 +1,9 @@
 """Profiles, distribution functions and rearrangements: the weighted
 sort, the value sort, and the profiles an analysis builds."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +52,17 @@ class TestProfile:
     def test_monotonicity_enforced(self):
         with pytest.raises(DomainError, match="nonincreasing"):
             Profile(np.array([0.0, 0.5, 1.0]), np.array([1.0, 3.0]))
+
+    @pytest.mark.parametrize("make", [
+        lambda: Profile(np.array([0.0, 0.5, 1.0]), np.array([np.nan, 1.0])),
+        lambda: lebesgue_rearrangement([(0.5, np.nan), (0.5, 1.0)]),
+        lambda: Profile(np.linspace(0.0, 1.0, 4), np.array([np.nan, np.inf, np.inf])),
+    ], ids=["nan-first", "rearranged-nan", "nan-then-inf"])
+    def test_nan_values_refused(self, make):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="NaN"):
+                make()
 
     def test_knot_validation(self):
         with pytest.raises(DomainError):
@@ -227,6 +241,16 @@ class TestEqualWeightSort:
         values = np.array([-0.0, 0.0, 1.0] * 400 + [0.0, -0.0])
         ref = values[np.argsort(-values, kind="stable")]
         assert_same_bits(sort_decreasing(values), ref)
+
+    def test_holds_one_array_of_the_output_size(self):
+        values = np.random.default_rng(5).random(2**20)
+        tracemalloc.start()
+        try:
+            out = sort_decreasing(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * out.nbytes
 
 
 class TestDerivativeBinCount:

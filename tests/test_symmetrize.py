@@ -138,8 +138,8 @@ class TestEqualityChain:
         # hinge integrals of the surrogate match the Gaussian integrals of
         # the symmetrized gradient up to round-off
         f = builtin_field("monotone1d")
-        rep1 = check_orlicz_equality(f, equal_measure_grid(1, 1024), M=1024)
-        rep4 = check_orlicz_equality(f, equal_measure_grid(1, 4096), M=4096)
+        rep1 = check_orlicz_equality(analyze(f, equal_measure_grid(1, 1024), 1024))
+        rep4 = check_orlicz_equality(analyze(f, equal_measure_grid(1, 4096), 4096))
         assert rep4.max_violation <= 0.02
         assert max(rep1.max_violation, rep4.max_violation) <= 1e-10
 
@@ -148,5 +148,5 @@ class TestEqualityChain:
         # with M = N every axis point is a slope node of the symmetrized
         # gradient; the slope it takes must not depend on round-off
         f = builtin_field("monotone1d")
-        rep = check_orlicz_equality(f, equal_measure_grid(1, n), M=n)
+        rep = check_orlicz_equality(analyze(f, equal_measure_grid(1, n), n))
         assert rep.max_violation <= 1e-10

@@ -26,11 +26,12 @@ from gausym import (
     gradient_norm,
     parse_field,
     parse_norm,
+    run_checks,
     symmetrized_field,
 )
 from gausym.fields import ScalarField, corpus_names
 from gausym.gaussian import BLOCK_CELLS
-from gausym.verify import _median, validate_intervals
+from gausym.verify import CHECKS, _median, validate_intervals
 
 from conftest import assert_same_bits
 
@@ -41,12 +42,13 @@ CONST = parse_field("2.0", 1)
 
 class TestTrivialCases:
     def test_constant_field_all_checks(self):
+        a = analyze(CONST, GRID_1K, 512)
         reports = [
-            check_reformulated(CONST, GRID_1K, M=512),
-            check_polya_szego(CONST, GRID_1K, M=512),
-            check_mazya_talenti(CONST, GRID_1K, M=512),
-            check_interval_bound(CONST, GRID_1K, [(0.2, 0.4)], M=512),
-            check_orlicz_equality(CONST, GRID_1K, M=512),
+            check_reformulated(a),
+            check_polya_szego(a),
+            check_mazya_talenti(a),
+            check_interval_bound(a, [(0.2, 0.4)]),
+            check_orlicz_equality(a),
         ]
         for rep in reports:
             assert rep.passed
@@ -55,7 +57,7 @@ class TestTrivialCases:
 
     def test_coordinate_rhs_curve_is_t(self):
         # |grad f| is identically 1, so the cumulative rearrangement is t
-        rep = check_reformulated(COORD, GRID_1K, M=512)
+        rep = check_reformulated(analyze(COORD, GRID_1K, 512))
         assert np.allclose(rep.rhs_curve, rep.s_grid, atol=1e-12)
         assert np.all(rep.lhs_curve <= rep.s_grid + rep.tolerance)
 
@@ -63,28 +65,29 @@ class TestTrivialCases:
 class TestEqualityCases:
     @pytest.mark.parametrize("name", ["monotone1d", "halfspace_indicator_smooth"])
     def test_two_sided_for_fixed_points(self, name):
-        field = builtin_field(name)
-        grid = equal_measure_grid(1, 2048)
+        a = analyze(builtin_field(name), equal_measure_grid(1, 2048), 2048)
         for check in (check_reformulated, check_polya_szego):
-            rep = check(field, grid, M=2048, equality=True)
+            rep = check(a, equality=True)
             assert rep.passed, (name, rep.check_name, rep.max_violation, rep.tolerance)
 
     def test_equality_flag_two_sided(self):
-        field = builtin_field("monotone1d")
-        one = check_reformulated(field, GRID_1K, M=1024)
-        two = check_reformulated(field, GRID_1K, M=1024, equality=True)
+        a = analyze(builtin_field("monotone1d"), GRID_1K, 1024)
+        one = check_reformulated(a)
+        two = check_reformulated(a, equality=True)
         assert two.max_violation >= one.max_violation
 
 
 class TestMazyaTalenti:
     def test_coordinate(self):
-        rep = check_mazya_talenti(COORD, equal_measure_grid(1, 4096), M=4096)
+        rep = check_mazya_talenti(analyze(COORD, equal_measure_grid(1, 4096), 4096))
         assert rep.passed
         assert rep.extra["pointwise_eligible_bins"] > 0
         assert rep.extra["pointwise_violation"] <= rep.tolerance
 
     def test_bump_cumulative(self):
-        rep = check_mazya_talenti(builtin_field("gaussian_bump"), equal_measure_grid(1, 4096))
+        rep = check_mazya_talenti(
+            analyze(builtin_field("gaussian_bump"), equal_measure_grid(1, 4096), 4096)
+        )
         assert rep.passed
         assert rep.max_violation <= 1e-6
 
@@ -96,11 +99,12 @@ class TestMazyaTalenti:
 
 
 class TestIntervalBound:
+    COORD_2K = analyze(COORD, equal_measure_grid(1, 2048), 2048)
+
     def test_prefix_reduces_to_cumulative(self):
-        grid = equal_measure_grid(1, 2048)
         t_star = 0.375
-        unit = check_interval_bound(COORD, grid, [(0.0, t_star)], M=2048)
-        uno = check_reformulated(COORD, grid, M=2048)
+        unit = check_interval_bound(self.COORD_2K, [(0.0, t_star)])
+        uno = check_reformulated(self.COORD_2K)
         i = int(np.argmin(np.abs(uno.s_grid - t_star)))
         # shared quadrature path for the gradient side
         assert abs(unit.rhs_curve[-1] - uno.rhs_curve[i]) <= 1e-12
@@ -108,25 +112,25 @@ class TestIntervalBound:
         assert unit.lhs_curve[-1] <= uno.lhs_curve[i] + 1e-12
 
     def test_full_interval_total_comparison(self):
-        grid = equal_measure_grid(1, 2048)
-        rep = check_interval_bound(COORD, grid, [(0.0, 1.0)], M=2048)
-        uno = check_reformulated(COORD, grid, M=2048)
+        rep = check_interval_bound(self.COORD_2K, [(0.0, 1.0)])
+        uno = check_reformulated(self.COORD_2K)
         # rearrangement preserves the total integral
         assert rep.lhs_curve[-1] == pytest.approx(uno.lhs_curve[-1], abs=1e-12)
         assert rep.passed
 
     def test_two_intervals(self):
-        rep = check_interval_bound(COORD, GRID_1K, [(0.1, 0.2), (0.6, 0.7)], M=1024)
+        rep = check_interval_bound(analyze(COORD, GRID_1K, 1024), [(0.1, 0.2), (0.6, 0.7)])
         assert rep.passed
         assert rep.extra["total_length"] == pytest.approx(0.2)
 
     def test_overlap_rejected(self):
+        a = analyze(COORD, GRID_1K, 4096)
         with pytest.raises(IntervalError):
-            check_interval_bound(COORD, GRID_1K, [(0.1, 0.5), (0.4, 0.7)])
+            check_interval_bound(a, [(0.1, 0.5), (0.4, 0.7)])
         with pytest.raises(IntervalError):
-            check_interval_bound(COORD, GRID_1K, [(0.5, 0.2)])
+            check_interval_bound(a, [(0.5, 0.2)])
         with pytest.raises(IntervalError):
-            check_interval_bound(COORD, GRID_1K, [(-0.1, 0.5)])
+            check_interval_bound(a, [(-0.1, 0.5)])
 
     @pytest.mark.parametrize("bad", [[(0.1, math.nan)], [(math.nan, 0.5)],
                                      [(0.1, 0.2), (math.nan, 0.7)]])
@@ -137,22 +141,20 @@ class TestIntervalBound:
 
 class TestOrliczEquality:
     def test_hinge_beyond_sup_vanishes(self):
-        grid = equal_measure_grid(1, 1024)
-        field = builtin_field("gaussian_bump")
-        rep = check_orlicz_equality(field, grid, c_grid=np.array([50.0, 80.0]), M=1024)
+        a = analyze(builtin_field("gaussian_bump"), equal_measure_grid(1, 1024), 1024)
+        rep = check_orlicz_equality(a, c_grid=np.array([50.0, 80.0]))
         assert np.allclose(rep.lhs_curve, 0.0)
         assert np.allclose(rep.rhs_curve, 0.0)
 
     def test_rejects_non_smooth(self):
         with pytest.raises(NonSmoothFieldError):
-            check_orlicz_equality(parse_field("abs(x1)", 1), GRID_1K)
+            check_orlicz_equality(analyze(parse_field("abs(x1)", 1), GRID_1K, 4096))
 
     def test_matches_dense_hinge_reference(self):
         # the former thresholds-by-cells computation of both sides
         grid = equal_measure_grid(2, 32)
-        field = builtin_field("mixture", dim=2)
-        rep = check_orlicz_equality(field, grid, M=512)
-        pipe = analyze(field, grid, 512)
+        pipe = analyze(builtin_field("mixture", dim=2), grid, 512)
+        rep = check_orlicz_equality(pipe)
         fo = symmetrized_field(pipe.p, dim=2, n_bins=pipe.m_d)
         sym_grad = gradient_norm(fo, grid.representatives)
         c = rep.s_grid[:, None]
@@ -167,17 +169,17 @@ class TestNormInequality:
         grid = equal_measure_grid(1, 2048)
         for name in ("coordinate", "gaussian_bump", "mixture",
                      "poly_tanh", "monotone1d", "halfspace_indicator_smooth"):
-            reports = check_norm_inequality(builtin_field(name), grid, M=2048)
+            reports = check_norm_inequality(analyze(builtin_field(name), grid, 2048))
             assert all(r.passed for r in reports), name
 
     def test_custom_family(self):
         norms = [parse_norm("lp:2"), parse_norm("lorentz:2")]
-        reports = check_norm_inequality(COORD, GRID_1K, norms, M=512)
+        reports = check_norm_inequality(analyze(COORD, GRID_1K, 512), norms)
         assert [r.check_name for r in reports] == ["norm:lp:2", "norm:lorentz:2"]
 
     def test_sup_norm_coordinate(self):
         # the surrogate's sup stays below sup |grad f| = 1 plus tolerance
-        reports = check_norm_inequality(COORD, equal_measure_grid(1, 8192), M=4096)
+        reports = check_norm_inequality(analyze(COORD, equal_measure_grid(1, 8192), 4096))
         sup_report = next(r for r in reports if r.check_name == "norm:lp:inf")
         assert sup_report.rhs_curve[0] == pytest.approx(1.0, abs=1e-12)
         assert sup_report.lhs_curve[0] <= 1.0 + sup_report.tolerance
@@ -185,13 +187,13 @@ class TestNormInequality:
 
 class TestReportContract:
     def test_invariants(self):
-        rep = check_reformulated(COORD, GRID_1K, M=777)
+        rep = check_reformulated(analyze(COORD, GRID_1K, 777))
         assert rep.passed == (rep.max_violation <= rep.tolerance)
         assert len(rep.lhs_curve) == len(rep.rhs_curve) == rep.M == 777
         assert rep.runtime_ms >= 0
 
     def test_entry_schema_and_json(self):
-        rep = check_polya_szego(COORD, GRID_1K, M=512)
+        rep = check_polya_szego(analyze(COORD, GRID_1K, 512))
         entry = rep.entry()
         assert set(entry) == {
             "name", "field", "dim", "N", "M",
@@ -200,8 +202,8 @@ class TestReportContract:
         assert json.loads(json.dumps(entry)) == entry
 
     def test_deterministic(self):
-        a = check_reformulated(builtin_field("mixture"), GRID_1K, M=640)
-        b = check_reformulated(builtin_field("mixture"), GRID_1K, M=640)
+        a = check_reformulated(analyze(builtin_field("mixture"), GRID_1K, 640))
+        b = check_reformulated(analyze(builtin_field("mixture"), GRID_1K, 640))
         assert a.max_violation == b.max_violation
         assert np.array_equal(a.lhs_curve, b.lhs_curve)
         assert np.array_equal(a.rhs_curve, b.rhs_curve)
@@ -209,13 +211,13 @@ class TestReportContract:
     def test_tolerance_doubles_for_non_smooth(self):
         # |x1| has the same rearrangement and gradient magnitudes as x1,
         # so the only difference is the non-smooth doubling
-        smooth = check_reformulated(COORD, GRID_1K, M=512)
-        kinked = check_reformulated(parse_field("abs(x1)", 1), GRID_1K, M=512)
+        smooth = check_reformulated(analyze(COORD, GRID_1K, 512))
+        kinked = check_reformulated(analyze(parse_field("abs(x1)", 1), GRID_1K, 512))
         assert kinked.tolerance == pytest.approx(2.0 * smooth.tolerance, rel=1e-6)
 
     def test_smoothness_required(self):
         with pytest.raises(NonSmoothFieldError):
-            check_polya_szego(parse_field("abs(x1)", 1), GRID_1K)
+            check_polya_szego(analyze(parse_field("abs(x1)", 1), GRID_1K, 4096))
 
 
 class TestCorpusIntegration:
@@ -225,14 +227,14 @@ class TestCorpusIntegration:
         names = ("coordinate", "halfspace_indicator_smooth", "gaussian_bump",
                  "mixture", "poly_tanh", "monotone1d")
         for name in names:
-            field = builtin_field(name, dim=dim)
+            a = analyze(builtin_field(name, dim=dim), grid, M)
             reports = [
-                check_reformulated(field, grid, M=M),
-                check_polya_szego(field, grid, M=M),
-                check_mazya_talenti(field, grid, M=M),
-                check_interval_bound(field, grid, [(0.1, 0.3), (0.5, 0.8)], M=M),
-                check_orlicz_equality(field, grid, M=M),
-                *check_norm_inequality(field, grid, M=M),
+                check_reformulated(a),
+                check_polya_szego(a),
+                check_mazya_talenti(a),
+                check_interval_bound(a, [(0.1, 0.3), (0.5, 0.8)]),
+                check_orlicz_equality(a),
+                *check_norm_inequality(a),
             ]
             for rep in reports:
                 assert rep.passed, (
@@ -242,77 +244,78 @@ class TestCorpusIntegration:
 
 class TestConvergenceStudy:
     def test_constant_field(self):
-        studies = convergence_study(CONST, ["uno"], [64, 256, 1024], M=512)
+        studies = convergence_study(analyze(CONST, GRID_1K, 512), ["uno"], [64, 256])
+        assert studies[0].Ns == (64, 256, 1024)
         assert studies[0].violations == (0.0, 0.0, 0.0)
         assert studies[0].nonincreasing
         assert studies[0].empirical_order == np.inf
 
     def test_coordinate_nonincreasing(self):
-        studies = convergence_study(COORD, ["uno"], [256, 1024, 4096], M=4096)
-        st = studies[0]
+        finest = analyze(COORD, equal_measure_grid(1, 4096), 4096)
+        st = convergence_study(finest, ["uno"], [256, 1024])[0]
         positive = [max(v, 0.0) for v in st.violations]
         assert st.nonincreasing
         assert all(b <= max(1.5 * a, 1e-12) for a, b in zip(positive, positive[1:]))
 
     def test_validation(self):
+        finest = analyze(COORD, equal_measure_grid(1, 512), 256)
         with pytest.raises(DomainError):
-            convergence_study(COORD, ["uno"], [512, 512], M=256)
+            convergence_study(finest, ["uno"], [512])
         with pytest.raises(DomainError):
-            convergence_study(COORD, ["norm"], [64, 128], M=256)
+            convergence_study(finest, ["uno"], [128, 64])
+        with pytest.raises(DomainError):
+            convergence_study(analyze(COORD, equal_measure_grid(1, 128), 256), ["norm"], [64])
 
     def test_rungs_take_the_field_dimension(self):
         field = builtin_field("mixture", dim=2)
-        study = convergence_study(field, ["uno"], [8, 16], M=256)[0]
+        study = convergence_study(analyze(field, equal_measure_grid(2, 16), 256), ["uno"], [8])[0]
         expected = tuple(
-            check_reformulated(field, equal_measure_grid(2, n), M=256).max_violation
+            check_reformulated(analyze(field, equal_measure_grid(2, n), 256)).max_violation
             for n in (8, 16)
         )
         assert study.violations == expected
 
-
-class TestSharedAnalysis:
-    FIELD = builtin_field("mixture", dim=2)
-    GRID = equal_measure_grid(2, 32)
-
-    def _pairs(self, analysis):
-        f, g, M = self.FIELD, self.GRID, 512
-        shared = {"M": M, "analysis": analysis}
-        return [
-            (check_reformulated(f, g, M=M), check_reformulated(f, g, **shared)),
-            (check_polya_szego(f, g, M=M), check_polya_szego(f, g, **shared)),
-            (check_mazya_talenti(f, g, M=M), check_mazya_talenti(f, g, **shared)),
-            (check_interval_bound(f, g, [(0.1, 0.4)], M=M),
-             check_interval_bound(f, g, [(0.1, 0.4)], **shared)),
-            (check_orlicz_equality(f, g, M=M), check_orlicz_equality(f, g, **shared)),
-            *zip(check_norm_inequality(f, g, M=M), check_norm_inequality(f, g, **shared)),
+    def test_finest_rung_is_the_analysis(self):
+        finest = analyze(builtin_field("mixture", dim=2), equal_measure_grid(2, 32), 512)
+        studies = convergence_study(finest, ["uno", "dos", "mt"], [8])
+        assert [s.violations[-1] for s in studies] == [
+            check(finest).max_violation
+            for check in (check_reformulated, check_polya_szego, check_mazya_talenti)
         ]
 
-    def test_prebuilt_analysis_gives_identical_reports(self):
-        for alone, shared in self._pairs(analyze(self.FIELD, self.GRID, 512)):
-            assert shared.check_name == alone.check_name
-            assert shared.max_violation == alone.max_violation
-            assert shared.tolerance == alone.tolerance
-            assert np.array_equal(shared.lhs_curve, alone.lhs_curve)
-            assert np.array_equal(shared.rhs_curve, alone.rhs_curve)
 
-    def test_mismatched_analysis_rejected(self):
-        analysis = analyze(self.FIELD, self.GRID, 512)
-        with pytest.raises(DomainError):
-            check_reformulated(self.FIELD, self.GRID, M=256, analysis=analysis)
-        with pytest.raises(DomainError):
-            check_reformulated(self.FIELD, equal_measure_grid(2, 16), M=512, analysis=analysis)
-        with pytest.raises(DomainError):
-            check_reformulated(builtin_field("mixture", dim=2), self.GRID, M=512,
-                               analysis=analysis)
-        with pytest.raises(DomainError):
-            convergence_study(self.FIELD, ["uno"], [8, 16], M=512, analysis=analysis)
+class TestCheckTable:
+    def test_rows_match_direct_calls(self):
+        a = analyze(builtin_field("mixture", dim=2), equal_measure_grid(2, 32), 512)
+        norms = [parse_norm("lp:2"), parse_norm("orlicz:expsq")]
+        rows = run_checks(a, list(CHECKS), tol=0.25, equality=True, norms=norms,
+                          intervals=[(0.1, 0.4)])
+        direct = [
+            check_reformulated(a, equality=True, tol=0.25),
+            check_polya_szego(a, equality=True, tol=0.25),
+            *check_norm_inequality(a, norms, tol=0.25),
+            check_mazya_talenti(a, tol=0.25),
+            check_interval_bound(a, [(0.1, 0.4)], tol=0.25),
+            check_orlicz_equality(a, tol=0.25),
+        ]
+        assert [r.check_name for r in rows[:len(direct)]] == [r.check_name for r in direct]
+        for row, rep in zip(rows, direct):
+            assert (row.max_violation, row.tolerance) == (rep.max_violation, rep.tolerance)
+            assert_same_bits(row.lhs_curve, rep.lhs_curve)
+            assert_same_bits(row.rhs_curve, rep.rhs_curve)
+        # converge runs uno, dos and mt one-sided on the ladder 2, 8, 32
+        converge = rows[len(direct):]
+        assert [r.check_name for r in converge] == [
+            f"converge:{c}[N={n}]" for c in ("uno", "dos", "mt") for n in (2, 8, 32)
+        ]
+        assert all(r.tolerance == 0.25 for r in converge)
+        assert converge[2].max_violation == check_reformulated(a).max_violation
 
-    def test_convergence_study_same_with_prebuilt_analysis(self):
-        analysis = analyze(self.FIELD, self.GRID, 512)
-        fresh = convergence_study(self.FIELD, ["uno", "dos", "mt"], [8, 32], M=512)
-        reused = convergence_study(self.FIELD, ["uno", "dos", "mt"], [8, 32], M=512,
-                                   analysis=analysis)
-        assert fresh == reused
+    def test_converge_alone_studies_uno(self):
+        a = analyze(COORD, GRID_1K, 512)
+        rows = run_checks(a, ["converge"])
+        assert [r.check_name for r in rows] == [f"converge:uno[N={n}]" for n in (64, 256, 1024)]
+        assert rows[0].tolerance == max(max(r.max_violation for r in rows), 1e-12)
 
 
 class TestAnalysisSorts:
