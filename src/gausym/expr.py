@@ -9,7 +9,8 @@ Each AST node's ``forward`` pass returns its value together with a sparse
 dict {axis: partial} that holds only the axes the subtree depends on.
 Literals stay numpy scalars with no partials, so an operation with a
 constant costs no array.  ``evaluate`` runs the pass without partials;
-``gradient`` runs it with them, giving exact partials in one pass.
+``jet`` runs it with them, giving the values and exact partials in one
+pass.
 """
 
 from __future__ import annotations
@@ -288,6 +289,11 @@ def _ser(node, parent_prec: int) -> str:
     return f"({text})" if parent_prec > prec else text
 
 
+def _values(out, m: int) -> np.ndarray:
+    """A node's value as an (m,) float array (a constant is broadcast)."""
+    return np.full(m, out) if np.ndim(out) == 0 else np.asarray(out, dtype=float)
+
+
 def evaluate(node, X: np.ndarray) -> np.ndarray:
     """Evaluate the AST on points X of shape (m, dim).
 
@@ -296,12 +302,13 @@ def evaluate(node, X: np.ndarray) -> np.ndarray:
     """
     with np.errstate(all="ignore"):
         out = node.forward(X, False)[0]
-    return np.full(X.shape[0], out) if np.ndim(out) == 0 else np.asarray(out, dtype=float)
+    return _values(out, X.shape[0])
 
 
-def gradient(node, X: np.ndarray) -> np.ndarray:
-    """Exact partials of the AST at points X of shape (m, dim), in one
-    forward-mode pass, as a column-major (m, dim) array.
+def jet(node, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values and exact partials of the AST at points X of shape (m, dim),
+    from one forward-mode pass: the values equal ``evaluate``'s bit for
+    bit, and the partials form a column-major (m, dim) array.
 
     Total like ``evaluate``: where a derivative is unbounded (sqrt at 0)
     the partial is inf or nan instead of raising.
@@ -309,7 +316,7 @@ def gradient(node, X: np.ndarray) -> np.ndarray:
     m, dim = X.shape
     out = np.empty((dim, m))
     with np.errstate(all="ignore"):
-        partials = node.forward(X, True)[1]
+        value, partials = node.forward(X, True)
     for k in range(dim):
         out[k] = partials.get(k, 0.0)
-    return out.T
+    return _values(value, m), out.T

@@ -1,12 +1,11 @@
 """Scalar test fields on R^n: builtin corpus, parsed expressions, gradients.
 
 A ScalarField wraps a vectorized evaluator (m, dim) -> (m,) together with
-an optional analytic gradient.  The builtin corpus is restricted to fields
-that are Lipschitz on the effective support of the Gaussian measure, since
-the inequality checks sample gradients everywhere mass lives.  Every
-builtin carries a closed-form gradient and every parsed expression the
-exact forward-mode gradient of ``expr.gradient``, so central finite
-differences serve only fields built without one.
+its jet, which returns the values and the exact gradient from one pass.
+The builtin corpus is restricted to fields that are Lipschitz on the
+effective support of the Gaussian measure, since the inequality checks
+sample gradients everywhere mass lives.  Every builtin's jet is closed
+form and every parsed expression's is the forward-mode ``expr.jet``.
 """
 
 from __future__ import annotations
@@ -18,10 +17,6 @@ import numpy as np
 
 from . import expr as _expr
 from .errors import InvalidParameterError, UnknownFieldError
-
-# Central-difference step: cube root of machine epsilon balances truncation
-# against round-off for second-order stencils.
-FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 
 def as_points(x, dim: int) -> np.ndarray:
@@ -38,24 +33,20 @@ def as_points(x, dim: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Evaluable scalar field with gradient access.
+    """Evaluable scalar field with its exact gradient.
 
-    ``evaluator`` and ``gradient`` act on batches of shape (m, dim);
-    ``gradient`` may be None, in which case central finite differences
-    are used.  ``smooth`` is False for fields with gradient jump sets
-    (e.g. expressions using abs); checks either reject those or double
-    their tolerances.
+    ``evaluator`` maps a batch of shape (m, dim) to the m values; ``jet``
+    maps it to the values, equal to the evaluator's bit for bit, and the
+    (m, dim) partials, from one pass.  ``smooth`` is False for fields with
+    gradient jump sets (e.g. expressions using abs); checks either reject
+    those or double their tolerances.
     """
 
     dim: int
     label: str
     evaluator: Callable[[np.ndarray], np.ndarray]
-    gradient: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     smooth: bool = True
-
-    @property
-    def gradient_mode(self) -> str:
-        return "analytic" if self.gradient is not None else "finite-difference"
 
     def __call__(self, points) -> np.ndarray:
         pts = as_points(points, self.dim)
@@ -66,30 +57,8 @@ class ScalarField:
 
 
 def gradient_at(field: ScalarField, x) -> np.ndarray:
-    """Gradient rows for each point: analytic when available, otherwise
-    central differences with per-axis step h = eps^(1/3) * (1 + |x_i|)."""
-    pts = as_points(x, field.dim)
-    if field.gradient is not None:
-        return np.asarray(field.gradient(pts), dtype=float)
-    return finite_difference_gradient(field, pts)
-
-
-def finite_difference_gradient(field: ScalarField, pts: np.ndarray) -> np.ndarray:
-    out = np.empty_like(pts)
-    # one working copy, column-major so each shifted axis is contiguous;
-    # per axis it holds x+h, then x-h, then x again
-    work = np.array(pts, order="F")
-    for axis in range(field.dim):
-        x = pts[:, axis]
-        h = FD_STEP * (1.0 + np.abs(x))
-        col = work[:, axis]
-        np.add(x, h, out=col)
-        # an evaluator may return a view of its input (e.g. the field x1)
-        hi = np.array(field.evaluator(work))
-        np.subtract(x, h, out=col)
-        out[:, axis] = (hi - field.evaluator(work)) / (2.0 * h)
-        col[:] = x
-    return out
+    """Gradient rows for each point."""
+    return np.asarray(field.jet(as_points(x, field.dim))[1], dtype=float)
 
 
 def gradient_norm(field: ScalarField, x) -> np.ndarray:
@@ -121,12 +90,12 @@ def _coordinate(p: dict, dim: int) -> ScalarField:
     if not 1 <= axis <= dim:
         raise InvalidParameterError(f"axis {axis} out of range for dim {dim}")
 
-    def grad(X):
+    def jet(X):
         g = np.zeros_like(X)
         g[:, axis - 1] = 1.0
-        return g
+        return X[:, axis - 1].copy(), g
 
-    return ScalarField(dim, f"coordinate(axis={axis})", lambda X: X[:, axis - 1].copy(), grad)
+    return ScalarField(dim, f"coordinate(axis={axis})", lambda X: X[:, axis - 1].copy(), jet)
 
 
 def _halfspace(p: dict, dim: int) -> ScalarField:
@@ -137,13 +106,13 @@ def _halfspace(p: dict, dim: int) -> ScalarField:
     def f(X):
         return 0.5 * (1.0 - np.tanh((X[:, 0] - a) / width))
 
-    def grad(X):
+    def jet(X):
         g = np.zeros_like(X)
         u = np.tanh((X[:, 0] - a) / width)
         g[:, 0] = -0.5 * (1.0 - u * u) / width
-        return g
+        return 0.5 * (1.0 - u), g
 
-    return ScalarField(dim, f"halfspace_indicator_smooth(a={a},width={width})", f, grad)
+    return ScalarField(dim, f"halfspace_indicator_smooth(a={a},width={width})", f, jet)
 
 
 def _gaussian_bump(p: dict, dim: int) -> ScalarField:
@@ -154,10 +123,11 @@ def _gaussian_bump(p: dict, dim: int) -> ScalarField:
     def f(X):
         return np.exp(-c * np.sum(X * X, axis=1))
 
-    def grad(X):
-        return -2.0 * c * X * f(X)[:, None]
+    def jet(X):
+        v = f(X)
+        return v, -2.0 * c * X * v[:, None]
 
-    return ScalarField(dim, f"gaussian_bump(c={c})", f, grad)
+    return ScalarField(dim, f"gaussian_bump(c={c})", f, jet)
 
 
 def _mixture(p: dict, dim: int) -> ScalarField:
@@ -178,11 +148,12 @@ def _mixture(p: dict, dim: int) -> ScalarField:
         _, _, g1, g2 = parts(X)
         return w1 * g1 + w2 * g2
 
-    def grad(X):
+    def jet(X):
         d1, d2, g1, g2 = parts(X)
-        return -2.0 * c1 * w1 * d1 * g1[:, None] - 2.0 * c2 * w2 * d2 * g2[:, None]
+        grad = -2.0 * c1 * w1 * d1 * g1[:, None] - 2.0 * c2 * w2 * d2 * g2[:, None]
+        return w1 * g1 + w2 * g2, grad
 
-    return ScalarField(dim, f"mixture(w1={w1},w2={w2},c1={c1},c2={c2},m={m})", f, grad)
+    return ScalarField(dim, f"mixture(w1={w1},w2={w2},c1={c1},c2={c2},m={m})", f, jet)
 
 
 def _poly_tanh(p: dict, dim: int) -> ScalarField:
@@ -193,12 +164,12 @@ def _poly_tanh(p: dict, dim: int) -> ScalarField:
         u = X @ w
         return np.tanh(a * u + b * u**3)
 
-    def grad(X):
+    def jet(X):
         u = X @ w
         t = np.tanh(a * u + b * u**3)
-        return ((1.0 - t * t) * (a + 3.0 * b * u * u))[:, None] * w[None, :]
+        return t, ((1.0 - t * t) * (a + 3.0 * b * u * u))[:, None] * w[None, :]
 
-    return ScalarField(dim, f"poly_tanh(a={a},b={b})", f, grad)
+    return ScalarField(dim, f"poly_tanh(a={a},b={b})", f, jet)
 
 
 def _monotone1d(p: dict, dim: int) -> ScalarField:
@@ -209,12 +180,13 @@ def _monotone1d(p: dict, dim: int) -> ScalarField:
     def f(X):
         return np.exp(-a * X[:, 0])
 
-    def grad(X):
+    def jet(X):
+        v = f(X)
         g = np.zeros_like(X)
-        g[:, 0] = -a * np.exp(-a * X[:, 0])
-        return g
+        g[:, 0] = -a * v
+        return v, g
 
-    return ScalarField(dim, f"monotone1d(a={a})", f, grad)
+    return ScalarField(dim, f"monotone1d(a={a})", f, jet)
 
 
 _BUILTINS = {
@@ -287,8 +259,8 @@ def describe_field(name: str) -> str:
 def parse_field(expression: str, dim: int) -> ScalarField:
     """Parse an expression into a field with its exact gradient.
 
-    The gradient is ``expr.gradient``: one forward-mode pass over the AST,
-    returned column-major.  Where a derivative is unbounded or the chain
+    The jet is ``expr.jet``: one forward-mode pass over the AST, giving
+    the values and the column-major partials.  Where a derivative is unbounded or the chain
     rule meets inf * 0 (sqrt(abs(x1)) at x1 = 0) it is not finite, and
     ``verify.analyze`` refuses the field.  The label is the canonical
     serialized form, which re-parses to an evaluator that agrees
@@ -300,7 +272,7 @@ def parse_field(expression: str, dim: int) -> ScalarField:
     def f(X, _ast=ast):
         return _expr.evaluate(_ast, X)
 
-    def grad(X, _ast=ast):
-        return _expr.gradient(_ast, X)
+    def jet(X, _ast=ast):
+        return _expr.jet(_ast, X)
 
-    return ScalarField(dim, label, f, gradient=grad, smooth=not _expr.uses_abs(ast))
+    return ScalarField(dim, label, f, jet, smooth=not _expr.uses_abs(ast))

@@ -10,8 +10,9 @@ analysis plus its own options and reads the field, grid and M from it.
 ``run_checks`` runs a list of tokens on one analysis.
 
 The field is sampled one block of ``BLOCK_CELLS`` cells at a time, from
-``GaussianGrid.points``: no array of points or partials, and no
-temporary of the field's evaluator, spans the whole grid.  Only sorted
+``GaussianGrid.points``, by one call of the field's ``jet``, which gives
+the values and partials together: no array of points or partials, and
+no temporary of the field's jet, spans the whole grid.  Only sorted
 values enter the profiles, so the rearrangements are value sorts; ``p``
 and ``grad_prof`` share one read-only knot array k/K.  The cell order by
 decreasing |f|, which the level-set check ``mt`` alone reads, is a lazy
@@ -109,9 +110,9 @@ class Analysis:
         self.grad_values = np.empty(K)
         for start in range(0, K, BLOCK_CELLS):
             stop = min(start + BLOCK_CELLS, K)
-            points = grid.points(start, stop)
-            vals[start:stop] = field(points)
-            self.grad_values[start:stop] = gradient_norm(field, points)
+            values, partials = field.jet(grid.points(start, stop))
+            vals[start:stop] = values
+            self.grad_values[start:stop] = np.linalg.norm(partials, axis=1)
         np.abs(vals, out=vals)
         _require_finite(field, grid, "|f|", vals)
         _require_finite(field, grid, "|grad f|", self.grad_values)
@@ -348,7 +349,10 @@ def check_mazya_talenti(analysis: Analysis, tol: Optional[float] = None) -> Ineq
 
 
 def validate_intervals(intervals) -> np.ndarray:
-    arr = np.asarray(intervals, dtype=float).reshape(-1, 2)
+    try:
+        arr = np.asarray(intervals, dtype=float).reshape(-1, 2)
+    except (TypeError, ValueError):
+        raise IntervalError(f"intervals must be pairs (a, b), got {intervals!r}") from None
     if arr.size == 0:
         raise IntervalError("need at least one interval")
     # each test is written so that a NaN bound fails it
@@ -535,5 +539,8 @@ def run_checks(
     from one analysis.  ``tol`` overrides every check's tolerance,
     ``equality`` makes uno and dos two-sided, ``norms`` is the family the
     norm check runs, and ``intervals`` the union the interval check needs."""
+    unknown = [t for t in tokens if t not in CHECKS]
+    if unknown:
+        raise DomainError(f"unknown checks {unknown}; choose from {','.join(CHECKS)}")
     options = dict(tol=tol, equality=equality, norms=norms, intervals=intervals, tokens=tokens)
     return [row for token in tokens for row in CHECKS[token](analysis, **options)]

@@ -1,5 +1,6 @@
 """Shared test helpers: quasi-random point sets, the analysis'
-rearrangement, random profile pairs and random field expressions."""
+rearrangement, a central-difference gradient reference, random profile
+pairs and random field expressions."""
 
 import numpy as np
 from hypothesis import strategies as st
@@ -19,6 +20,25 @@ def quasi_random_points(n: int, dim: int, low: float = -3.0, high: float = 3.0) 
     k = np.arange(1, n + 1)[:, None]
     u = (0.5 + k * alphas[None, :]) % 1.0
     return low + (high - low) * u
+
+
+# Central-difference step: cube root of machine epsilon balances truncation
+# against round-off for second-order stencils.
+FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
+
+
+def central_differences(field, pts: np.ndarray) -> np.ndarray:
+    """Reference gradient of ``field`` at ``pts`` by central differences,
+    with per-axis step h = FD_STEP * (1 + |x_i|)."""
+    out = np.empty_like(pts)
+    for axis in range(field.dim):
+        h = FD_STEP * (1.0 + np.abs(pts[:, axis]))
+        hi = pts.copy()
+        lo = pts.copy()
+        hi[:, axis] += h
+        lo[:, axis] -= h
+        out[:, axis] = (field(hi) - field(lo)) / (2.0 * h)
+    return out
 
 
 def rearrangement(field, grid) -> Profile:

@@ -11,7 +11,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from gausym import cli, expr, fields, majorize, symmetrize, verify
+from gausym import cli, expr, majorize, verify
 from gausym.cli import main
 from gausym.fields import builtin_field
 from gausym.gaussian import GaussianGrid, equal_measure_grid
@@ -335,33 +335,32 @@ class TestSharedAnalysis:
 
 class TestExpressionGradient:
     def test_one_evaluation_per_analysis(self, tmp_path, monkeypatch):
-        """A parsed field's gradient is one forward-mode pass: the value
-        evaluator sees each cell once (here in one block), finite
-        differences never."""
+        """A parsed field's values and gradient come from one forward-mode
+        pass per block of cells: ``expr.jet`` runs once per block, and
+        ``expr.evaluate`` never runs on the CLI path."""
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("finite differences on the CLI path")
+        def refuse(node, X):
+            raise AssertionError("a separate value pass on the CLI path")
 
-        for module in (fields, symmetrize):
-            monkeypatch.setattr(module, "finite_difference_gradient", refuse)
         calls, builds = [], []
-        evaluate, init = expr.evaluate, verify.Analysis.__init__
+        jet, init = expr.jet, verify.Analysis.__init__
 
-        def counting_evaluate(node, X):
+        def counting_jet(node, X):
             calls.append(len(X))
-            return evaluate(node, X)
+            return jet(node, X)
 
         def counting_init(self, field, grid, M):
             builds.append(grid.num_cells)
             init(self, field, grid, M)
 
-        monkeypatch.setattr(expr, "evaluate", counting_evaluate)
+        monkeypatch.setattr(expr, "evaluate", refuse)
+        monkeypatch.setattr(expr, "jet", counting_jet)
         monkeypatch.setattr(verify.Analysis, "__init__", counting_init)
         out = tmp_path / "r.json"
         code = main(["--expr", "tanh(x1 + 0.5*x2*x3) + 0.3*sin(x2)", "--dim", "3",
-                     "--grid", "16", "--checks", "uno,dos", "--out", str(out)])
+                     "--grid", "17", "--checks", "uno,dos", "--out", str(out)])
         assert code == 0
-        assert builds == [16**3] and calls == [16**3]
+        assert builds == [17**3] and calls == [4096, 17**3 - 4096]
 
 
 class TestGridSampling:

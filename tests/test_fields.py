@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gausym import (
     ExpressionError,
@@ -12,15 +13,19 @@ from gausym import (
     builtin_field,
     corpus_names,
     describe_field,
-    equal_measure_grid,
     gradient_at,
     gradient_norm,
     parse_field,
 )
 from gausym.expr import DERIVATIVES, FUNCTIONS, Call, Neg, Num, Var, parse_expression, serialize
-from gausym.fields import FD_STEP, finite_difference_gradient
 
-from conftest import expressions, quasi_random_points
+from conftest import (
+    FD_STEP,
+    assert_same_bits,
+    central_differences,
+    expressions,
+    quasi_random_points,
+)
 
 
 class TestBuiltins:
@@ -86,18 +91,9 @@ class TestBuiltins:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_analytic_gradient_matches_differences(self, name, dim):
         field = builtin_field(name, dim=dim)
-        assert field.gradient_mode == "analytic"
         pts = quasi_random_points(100, dim)
-        analytic = field.gradient(pts)
-        fd = np.empty_like(pts)
-        h0 = np.finfo(float).eps ** (1 / 3)
-        for axis in range(dim):
-            h = h0 * (1 + np.abs(pts[:, axis]))
-            hi, lo = pts.copy(), pts.copy()
-            hi[:, axis] += h
-            lo[:, axis] -= h
-            fd[:, axis] = (field(hi) - field(lo)) / (2 * h)
-        err = np.abs(analytic - fd)
+        analytic = field.jet(pts)[1]
+        err = np.abs(analytic - central_differences(field, pts))
         assert np.all(err <= 1e-5 * (1.0 + np.abs(analytic)))
 
 
@@ -202,48 +198,17 @@ class TestParser:
 class TestGradientAt:
     def test_parsed_square(self):
         f = parse_field("x1^2", 1)
-        assert f.gradient_mode == "analytic"
         g = gradient_at(f, np.array([[1.5]]))
         assert g[0, 0] == 3.0
 
-    def test_finite_difference_fallback(self):
-        f = ScalarField(1, "square", lambda X: X[:, 0] ** 2)
-        assert f.gradient_mode == "finite-difference"
-        g = gradient_at(f, np.array([[1.5]]))
-        assert g[0, 0] == pytest.approx(3.0, abs=1e-6)
+    def test_jet_is_required(self):
+        with pytest.raises(TypeError, match="jet"):
+            ScalarField(1, "square", lambda X: X[:, 0] ** 2)
 
     def test_batch_shape(self):
         f = parse_field("x1*x2", 2)
         g = gradient_at(f, quasi_random_points(10, 2))
         assert g.shape == (10, 2)
-
-
-def _two_copy_gradient(field, pts):
-    """Reference central differences: fresh shifted copies per axis."""
-    out = np.empty_like(pts)
-    for axis in range(field.dim):
-        h = FD_STEP * (1.0 + np.abs(pts[:, axis]))
-        hi = pts.copy()
-        lo = pts.copy()
-        hi[:, axis] += h
-        lo[:, axis] -= h
-        out[:, axis] = (field.evaluator(hi) - field.evaluator(lo)) / (2.0 * h)
-    return out
-
-
-class TestFiniteDifferenceGradient:
-    @pytest.mark.parametrize("text,dim", [
-        ("x1", 1), ("x1", 2), ("-x2", 2), ("exp(-x1^2)", 1),
-        ("cos(x1*x2) + sqrt(abs(x2))", 2), ("tanh(x1 + 0.5*x2*x3) + 0.3*sin(x2)", 3),
-    ])
-    def test_one_buffer_matches_two_copies(self, text, dim):
-        field = parse_field(text, dim)
-        for pts in (equal_measure_grid(dim, 17).representatives, quasi_random_points(101, dim)):
-            before = pts.copy()
-            got = finite_difference_gradient(field, pts)
-            ref = _two_copy_gradient(field, pts)
-            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
-            assert np.array_equal(pts, before)  # the input is never shifted in place
 
 
 ALL = (-3.0, 3.0)
@@ -335,7 +300,6 @@ class TestForwardGradient:
                              ids=[c[0] for c in CLOSED_FORMS])
     def test_closed_forms(self, text, dim, domain, exact):
         f = parse_field(text, dim)
-        assert f.gradient_mode == "analytic"
         pts = quasi_random_points(200, dim, *domain)
         expected = np.column_stack([np.broadcast_to(c, len(pts)) for c in exact(*pts.T)])
         np.testing.assert_allclose(gradient_at(f, pts), expected, rtol=1e-12, atol=1e-13)
@@ -343,7 +307,7 @@ class TestForwardGradient:
     def test_column_major_and_norm_bits(self):
         f = parse_field("tanh(x1 + 0.5*x2*x3) + 0.3*sin(x2)", 3)
         pts = quasi_random_points(1000, 3)
-        g = f.gradient(pts)
+        g = f.jet(pts)[1]
         assert g.shape == (1000, 3) and g.flags.f_contiguous
         ref = np.linalg.norm(np.ascontiguousarray(g), axis=1)
         assert np.array_equal(gradient_norm(f, pts).view(np.uint64), ref.view(np.uint64))
@@ -372,7 +336,7 @@ class TestForwardGradient:
     def test_matches_finite_differences(self, text):
         """Where both are finite, forward mode and central differences
         agree within the differences' own error: with h the step of
-        ``finite_difference_gradient`` and E the rounding bound of f at
+        ``conftest.central_differences`` and E the rounding bound of f at
         x +- h, |D_h - f'| <= h^2 |f'''| / 6 + (E+ + E-) / (2h) plus the
         rounding of x +- h.  f''' is the second difference of the exact
         partial over the same stencil; the bound is taken 10 times."""
@@ -381,15 +345,15 @@ class TestForwardGradient:
         ast = parse_expression(text, 2)
         pts = quasi_random_points(64, 2)
         with np.errstate(all="ignore"):
-            exact = field.gradient(pts)
-            fd = finite_difference_gradient(field, pts)
+            exact = field.jet(pts)[1]
+            fd = central_differences(field, pts)
             for k in range(2):
                 h = FD_STEP * (1.0 + np.abs(pts[:, k]))
                 g, e = [], []
                 for sign in (1.0, -1.0):
                     shifted = pts.copy()
                     shifted[:, k] += sign * h
-                    g.append(field.gradient(shifted)[:, k])
+                    g.append(field.jet(shifted)[1][:, k])
                     e.append(_rounding_bound(ast, shifted)[1])
                 third = np.abs(g[0] - 2.0 * exact[:, k] + g[1]) / h**2
                 bound = 10.0 * (h**2 * third / 6.0 + (e[0] + e[1]) / (2.0 * h)
@@ -397,3 +361,35 @@ class TestForwardGradient:
                 err = np.abs(exact[:, k] - fd[:, k])
                 ok = np.isfinite(exact[:, k]) & np.isfinite(fd[:, k]) & np.isfinite(bound)
                 assert np.all(err[ok] <= bound[ok]), (text, k, np.max(err[ok] - bound[ok]))
+
+
+# coordinates where a fused pass could drift from the evaluator in the bits
+SPECIAL = [0.0, -0.0, 1.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 5e-324]
+
+
+def _with_special(coords, dim: int) -> np.ndarray:
+    """Rows that repeat one coordinate, then the coordinates row by row."""
+    c = np.array(SPECIAL + list(coords))
+    return np.vstack([np.repeat(c[:, None], dim, axis=1), np.resize(c, (c.size, dim))])
+
+
+class TestJetValues:
+    """A field's jet returns the evaluator's values bit for bit, NaN and
+    inf included: the analysis reads |f| from the jet alone."""
+
+    @given(expressions())
+    @settings(max_examples=100, deadline=None)
+    def test_parsed(self, text):
+        field = parse_field(text, 2)
+        pts = np.vstack([quasi_random_points(64, 2), _with_special([], 2)])
+        with np.errstate(all="ignore"):
+            assert_same_bits(field.jet(pts)[0], field(pts))
+
+    @pytest.mark.parametrize("name", corpus_names())
+    @given(dim=st.integers(1, 3), coords=st.lists(st.floats(), max_size=24))
+    @settings(max_examples=25, deadline=None)
+    def test_builtins(self, name, dim, coords):
+        field = builtin_field(name, dim=dim)
+        pts = _with_special(coords, dim)
+        with np.errstate(all="ignore"):
+            assert_same_bits(field.jet(pts)[0], field(pts))

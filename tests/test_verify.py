@@ -311,6 +311,18 @@ class TestCheckTable:
         assert all(r.tolerance == 0.25 for r in converge)
         assert converge[2].max_violation == check_reformulated(a).max_violation
 
+    @pytest.mark.parametrize("intervals", [None, [0.1, 0.2, 0.3], [(0.1, 0.2), (0.3,)]],
+                             ids=["missing", "odd-bounds", "ragged"])
+    def test_bad_intervals_raise_interval_error(self, intervals):
+        a = analyze(COORD, equal_measure_grid(1, 64), 64)
+        with pytest.raises(IntervalError, match="pairs"):
+            run_checks(a, ["interval"], intervals=intervals)
+
+    def test_unknown_token_names_the_valid_ones(self):
+        a = analyze(COORD, equal_measure_grid(1, 64), 64)
+        with pytest.raises(DomainError, match="'bogus'.*uno,dos,norm,mt,interval,orlicz,converge"):
+            run_checks(a, ["uno", "bogus"])
+
     def test_converge_alone_studies_uno(self):
         a = analyze(COORD, GRID_1K, 512)
         rows = run_checks(a, ["converge"])
@@ -379,10 +391,9 @@ class TestBlockedSampling:
         x = grid.axis_points
         # |f| is bad from cell 4097 on, |grad f| already from cell 4096:
         # the |f| check comes first, as it did on the whole grid
+        f = lambda X: np.where(X[:, 0] >= x[4097], np.nan, 1.0)  # noqa: E731
         field = ScalarField(
-            1, "edge",
-            lambda X: np.where(X[:, 0] >= x[4097], np.nan, 1.0),
-            gradient=lambda X: np.where(X >= x[4096], np.inf, 0.0),
+            1, "edge", f, lambda X: (f(X), np.where(X >= x[4096], np.inf, 0.0))
         )
         with pytest.raises(NonFiniteFieldError, match=rf"\|f\| = nan at x = \({x[4097]:.17g}\)"):
             analyze(field, grid, 512)
