@@ -53,7 +53,7 @@ from .majorize import (
     ri_norm,
 )
 from .rearrange import GridCurve, Profile, lebesgue_rearrangement
-from .symmetrize import pointwise_identity_gap, symmetrized_field
+from .symmetrize import pointwise_identity_gap, symmetrized_derivative, symmetrized_field
 from .verify import (
     Analysis,
     ConvergenceStudy,

@@ -40,7 +40,7 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 P_LO = 1e-300
 P_HI = 1.0 - 1e-16
 
-# Default ceiling on the total cell count of an equal-measure grid.
+# Ceiling on the total cell count of an equal-measure grid.
 DEFAULT_CELL_BUDGET = 2_000_000
 
 # Elements per block when a grid-sized computation is done piecewise
@@ -259,10 +259,10 @@ class GaussianGrid:
         return reps
 
 
-def equal_measure_grid(dim: int, N: int, max_cells: int = DEFAULT_CELL_BUDGET) -> GaussianGrid:
+def equal_measure_grid(dim: int, N: int) -> GaussianGrid:
     """Build the equal-measure quantile grid with N cells per axis.
 
-    dim must be 1, 2 or 3 and N >= 2; N^dim may not exceed max_cells.
+    dim must be 1, 2 or 3 and N >= 2; N^dim may not exceed DEFAULT_CELL_BUDGET.
     Deterministic for fixed (dim, N).
     """
     if dim not in (1, 2, 3):
@@ -270,9 +270,9 @@ def equal_measure_grid(dim: int, N: int, max_cells: int = DEFAULT_CELL_BUDGET) -
     if N < 2:
         raise DomainError(f"cells per axis must be >= 2, got {N}")
     total = N**dim
-    if total > max_cells:
+    if total > DEFAULT_CELL_BUDGET:
         raise CellBudgetError(
-            f"grid would need {total} cells, exceeding the budget of {max_cells}"
+            f"grid would need {total} cells, exceeding the budget of {DEFAULT_CELL_BUDGET}"
         )
     axis = midpoint_quantiles(N)
     axis.setflags(write=False)

@@ -24,6 +24,7 @@ EXPSQ_DEFAULT_CAP = 20.0
 HINGE_GRID_SIZE = 256
 _TINY = float(np.finfo(float).tiny)  # smallest normal double
 _MAX_PASSES = 100  # Luxemburg refinement; typical profiles take about ten
+_REL_TOL = 1e-10  # relative width at which the Luxemburg bracket stops
 
 
 @dataclass(frozen=True)
@@ -234,14 +235,14 @@ def hlp_equivalence_check(
     )
 
 
-def _luxemburg(p: Profile, A: YoungFunction, rel_tol: float = 1e-10) -> float:
+def _luxemburg(p: Profile, A: YoungFunction) -> float:
     """Luxemburg norm inf{lam > 0 : theta(lam) <= 1}, theta(lam) = integral
-    of A(p / lam), to ``rel_tol`` relative.
+    of A(p / lam), to ``_REL_TOL`` relative.
 
     Root of log theta against log lam (exactly linear for power(p)) by
     Illinois regula falsi (Dowell & Jarratt 1971) on a bracket
     theta(lo) > 1 >= theta(hi), one pass over the profile per probe.  The
-    search stops when hi - lo <= rel_tol * hi and returns the midpoint.
+    search stops when hi - lo <= _REL_TOL * hi and returns the midpoint.
     The norm is 0 when theta <= 1 for every lam, which a bounded A allows;
     norms below the smallest normal double are returned as 0 too.
     """
@@ -292,7 +293,7 @@ def _luxemburg(p: Profile, A: YoungFunction, rel_tol: float = 1e-10) -> float:
             halvings += 1
 
     for _ in range(_MAX_PASSES):
-        if hi - lo <= rel_tol * hi:
+        if hi - lo <= _REL_TOL * hi:
             return 0.5 * (lo + hi)
         if math.isfinite(y_lo + y_hi):
             # y_lo > 0 >= y_hi: the secant root lies in [lo, hi] up to rounding
@@ -300,11 +301,11 @@ def _luxemburg(p: Profile, A: YoungFunction, rel_tol: float = 1e-10) -> float:
             lam = math.exp(x_hi - y_hi * (x_hi - x_lo) / (y_hi - y_lo))
         else:
             lam = 0.5 * (lo + hi)
-        # A probe within rel_tol/2 of an end goes rel_tol/2 inside instead:
+        # A probe within _REL_TOL/2 of an end goes _REL_TOL/2 inside instead:
         # once a secant lands that close to the root, the next probe falls
         # just across it and the bracket closes, where a secant pinned to that
         # end would only creep.
-        delta = 0.5 * rel_tol * hi
+        delta = 0.5 * _REL_TOL * hi
         lam = min(max(lam, lo + delta), hi - delta)
         y = log_theta(lam)
         if y > 0.0:

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import NonSmoothFieldError
-from .fields import ScalarField, gradient_norm
+from .fields import ScalarField
 from .gaussian import Phi, Phi_inv, midpoint_quantiles, phi
 from .rearrange import Profile
 
@@ -32,32 +32,38 @@ def _bin_means(p: Profile, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, means
 
 
-def symmetrized_field(p: Profile, dim: int = 1, n_bins: int | None = None) -> ScalarField:
+def symmetrized_derivative(p: Profile, x1, n_bins: int) -> np.ndarray:
+    """d/dx1 of ``symmetrized_field(p, dim, n_bins=n_bins)`` at each x1 of
+    a 1-d array, which is also minus its gradient norm: the interpolant's
+    slope times phi(x1), 0 outside the outermost slope nodes."""
+    _, means = _bin_means(p, n_bins)
+    # nonincreasing bin means: round-off on the cumulative is clamped
+    slopes = np.minimum((means[1:] - means[:-1]) * n_bins, 0.0)
+    # Slopes are looked up among the nodes' x1 images, not by mapping x1
+    # back to s: a point on a node is then the same float as the node,
+    # and which slope it takes does not depend on round-off in Phi.
+    idx = np.searchsorted(midpoint_quantiles(n_bins), x1, side="right") - 1
+    inside = (idx >= 0) & (idx < len(slopes))
+    out = np.zeros_like(x1)
+    out[inside] = slopes[idx[inside]] * phi(x1[inside])
+    return out
+
+
+def symmetrized_field(p: Profile, dim: int = 1, *, n_bins: int) -> ScalarField:
     """Field x -> p(Phi(x1)), nonincreasing in x1, constant in x2..xn.
 
-    The averages of p over ``n_bins`` uniform bins (default: min(4096,
-    pieces)) are interpolated linearly between the bin midpoints, so the
-    field carries the analytic slope-times-density gradient.
+    The averages of p over ``n_bins`` uniform bins (the analysis passes
+    its derivative-bin count ``m_d``) are interpolated linearly between
+    the bin midpoints; the gradient is ``symmetrized_derivative``'s.
     """
-    B = n_bins if n_bins is not None else min(4096, max(8, p.num_pieces))
-    nodes, means = _bin_means(p, B)
-    # nonincreasing bin means: round-off on the cumulative is clamped
-    slopes = np.minimum((means[1:] - means[:-1]) * B, 0.0)
+    nodes, means = _bin_means(p, n_bins)
 
     def f_lin(X, _nodes=nodes, _means=means):
         return np.interp(Phi(X[:, 0]), _nodes, _means)
 
-    # Slopes are looked up among the nodes' x1 images, not by mapping x1
-    # back to s: a grid point on a node is then the same float as the node,
-    # and which slope it takes does not depend on round-off in Phi.
-    x_nodes = midpoint_quantiles(B)
-
-    def jet_lin(X, _x_nodes=x_nodes, _slopes=slopes):
-        x1 = X[:, 0]
-        idx = np.searchsorted(_x_nodes, x1, side="right") - 1
-        inside = (idx >= 0) & (idx < len(_slopes))
+    def jet_lin(X):
         g = np.zeros_like(X)
-        g[inside, 0] = _slopes[idx[inside]] * phi(x1[inside])
+        g[:, 0] = symmetrized_derivative(p, X[:, 0], n_bins)
         return f_lin(X), g
 
     return ScalarField(dim, "symmetrized[linear]", f_lin, jet_lin, smooth=True)
@@ -75,16 +81,14 @@ def pointwise_identity_gap(analysis: Analysis) -> float:
     toward the endpoints I vanishes and Phi_inv blows up.  Shrinks under
     refinement for smooth fields.
     """
-    field, dim, surr = analysis.field, analysis.grid.dim, analysis.surr
+    field, surr = analysis.field, analysis.surr
     if not field.smooth:
         raise NonSmoothFieldError(
             f"pointwise identity check needs a smooth field, got {field.label!r}"
         )
-    fo = symmetrized_field(analysis.p, dim=dim, n_bins=analysis.m_d)
     mask = (surr.s >= 0.05) & (surr.s <= 0.95)
     x1 = Phi_inv(surr.s[mask])
     # the slope right of each node, then the one left of it
-    pts = np.zeros((2 * x1.size, dim))
-    pts[:, 0] = np.concatenate((x1, np.nextafter(x1, -np.inf)))
-    right, left = np.split(gradient_norm(fo, pts), 2)
+    x1 = np.concatenate((x1, np.nextafter(x1, -np.inf)))
+    right, left = np.split(np.abs(symmetrized_derivative(analysis.p, x1, analysis.m_d)), 2)
     return float(np.max(np.abs(surr.values[mask] - 0.5 * (right + left))))

@@ -14,12 +14,12 @@ The field is sampled one block of ``BLOCK_CELLS`` cells at a time, from
 the values and partials together: no array of points or partials, and
 no temporary of the field's jet, spans the whole grid.  Only sorted
 values enter the profiles, so the rearrangements are value sorts; ``p``
-and ``grad_prof`` share one read-only knot array k/K.  The cell order by
-decreasing |f|, which the level-set check ``mt`` alone reads, is a lazy
-stable argsort.  The gradient of the
-symmetrized field is computed lazily, on first use by ``dos`` or
-``orlicz``; that field depends on x1 alone, so its gradient is taken on
-the N axis points, not on all N^dim cells, and its profile has N pieces.
+and ``grad_prof`` share one read-only knot array k/K.  Only ``mt`` reads
+the cells in level order (decreasing |f|, ties by cell index), through a
+lazy prefix sum of |grad f| in that order: the gradient integral over the
+super-level set of each measure k/K.  The symmetrized field's gradient is
+taken lazily, on first use by ``dos`` or ``orlicz``, on the N axis points
+alone (the field depends on x1 only), so its profile has N pieces.
 
 Each check compares two curves over a common grid on (0, 1) and reports
 the worst signed violation against a tolerance.  The default tolerance
@@ -44,7 +44,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, IntervalError, NonFiniteFieldError, NonSmoothFieldError
-from .fields import ScalarField, gradient_norm
+from .fields import ScalarField
 from .gaussian import BLOCK_CELLS, GaussianGrid, equal_measure_grid, iso_profile
 from .majorize import DEFAULT_NORM_FAMILY, HINGE_GRID_SIZE, RINorm, hinge_integrals, ri_norm
 from .rearrange import (
@@ -54,7 +54,7 @@ from .rearrange import (
     sort_decreasing,
     uniform_knots,
 )
-from .symmetrize import symmetrized_field
+from .symmetrize import symmetrized_derivative
 
 VIOLATION_FLOOR = 1e-12
 
@@ -154,9 +154,18 @@ class Analysis:
         return self._mass_cum[idx]
 
     @cached_property
-    def grads_by_level(self) -> np.ndarray:
-        """|grad f| in the cell order of ``p``: decreasing |f|, ties by cell index."""
-        return self.grad_values[np.argsort(-self._levels, kind="stable")]
+    def level_grad_prefix(self) -> np.ndarray:
+        """Integral of |grad f| over the super-level set of measure k/K,
+        k = 0..K: the first k cells in the level order of ``p`` (decreasing
+        |f|, ties by cell index)."""
+        # peak 16 bytes a cell: mode="raise" would buffer take's whole output
+        order = np.argsort(-self._levels, kind="stable")
+        prefix = np.zeros(order.size + 1)
+        np.take(self.grad_values, order, out=prefix[1:], mode="clip")
+        prefix[1:] *= self.grid.cell_measure
+        np.cumsum(prefix[1:], out=prefix[1:])
+        prefix.setflags(write=False)
+        return prefix
 
     @cached_property
     def sym_grad_prof(self) -> Profile:
@@ -166,12 +175,8 @@ class Analysis:
         axis points, and the profile has N pieces of width 1/N: each
         sorted value stands for the N^(dim-1) cells of its x1 slab.
         """
-        grid = self.grid
-        N = grid.cells_per_axis
-        fo = symmetrized_field(self.p, dim=grid.dim, n_bins=self.m_d)
-        axis = np.zeros((N, grid.dim))
-        axis[:, 0] = grid.axis_points
-        return Profile(uniform_knots(N), _frozen_sort(gradient_norm(fo, axis)))
+        grads = np.abs(symmetrized_derivative(self.p, self.grid.axis_points, self.m_d))
+        return Profile(uniform_knots(self.grid.cells_per_axis), _frozen_sort(grads))
 
     def tolerance(self, override: Optional[float]) -> float:
         if override is not None:
@@ -288,17 +293,6 @@ def check_norm_inequality(
     return reports
 
 
-def _level_cut_gradient_integrals(analysis: Analysis, *level_arrays: np.ndarray) -> list:
-    """Integral of |grad f| over {|f| > level} for each level of each array,
-    exact on grid data (cells ordered by decreasing |f|).  The K-length
-    prefix sums are built once for all the arrays."""
-    gcum = np.concatenate(
-        ([0.0], np.cumsum(analysis.grads_by_level * analysis.grid.cell_measure))
-    )
-    neg_values = -analysis.p.values
-    return [gcum[np.searchsorted(neg_values, -levels, side="left")] for levels in level_arrays]
-
-
 def _median(x: np.ndarray) -> float:
     """``np.median`` of a nonempty 1-d array, by partition.  The same value
     bit for bit; np.median itself imports numpy.ma on first use, about
@@ -311,31 +305,31 @@ def _median(x: np.ndarray) -> float:
 
 
 def check_mazya_talenti(analysis: Analysis, tol: Optional[float] = None) -> IneqReport:
-    """Level-set gradient bound in cumulative form: for every grid t, the
+    """Maz'ya-Talenti bound in cumulative form: for every grid t, the
     integral of (-f*)' * I over (0, t] must stay below the integral of
-    |grad f| over the super-level set {|f| > f*(t)}.
+    |grad f| over the super-level set of measure t: the first round(tK)
+    cells in level order.  In the continuum it differs from {|f| > f*(t)}
+    only within a level set, where grad f = 0 almost everywhere.
 
     The pointwise (differentiated) form is noise-dominated on discrete
-    data, so it is additionally checked only on coarse bins where the
-    profile drops by more than 10x the median single-cell drop; its worst
-    violation is folded into the verdict.
+    data, so it is additionally checked only on coarse bins (at most
+    ``m_d``) where the profile drops by more than 10x the median
+    single-cell drop; its worst violation is folded into the verdict.
     """
     t0 = time.perf_counter()
-    p, t = analysis.p, analysis.t_grid
-    lhs = analysis.surrogate_cumulative(t)
-    bins = max(8, min(analysis.M, p.num_pieces // 16))
+    p, t, K = analysis.p, analysis.t_grid, analysis.p.num_pieces
+    prefix = analysis.level_grad_prefix
+    bins = max(8, min(analysis.m_d, K // 16))
     edges = np.arange(bins + 1) / bins
-    l_edge = analysis.surrogate_cumulative(edges)
-    rhs, r_edge = _level_cut_gradient_integrals(analysis, p(t), p(edges))
+    lhs, l_edge = analysis.surrogate_cumulative(t), analysis.surrogate_cumulative(edges)
+    rhs, r_edge = (prefix[np.rint(s * K).astype(np.intp)] for s in (t, edges))
     drops = p(edges[:-1]) - p(edges[1:])
     positive = analysis._jump_size
     value_range = float(p.values[0] - p.values[-1])
     if positive.size:
         # strictly decreasing at scale, yet still resolved: a bin losing
         # more than 10% of the whole range is not a derivative estimate
-        eligible = (drops > 10.0 * _median(positive)) & (
-            drops <= 0.1 * value_range
-        )
+        eligible = (drops > 10.0 * _median(positive)) & (drops <= 0.1 * value_range)
     else:
         eligible = np.zeros(bins, bool)
     extra = {"pointwise_eligible_bins": int(np.count_nonzero(eligible))}

@@ -295,15 +295,13 @@ class TestSharedAnalysis:
 
     def test_symmetrized_gradient_on_axis_points(self, tmp_path, monkeypatch):
         points = []
-        original = verify.gradient_norm
+        original = verify.symmetrized_derivative
 
-        def counting_gradient_norm(field, x):
-            norms = original(field, x)
-            if field.label.startswith("symmetrized["):
-                points.append(len(norms))
-            return norms
+        def counting_derivative(p, x1, n_bins):
+            points.append(len(x1))
+            return original(p, x1, n_bins)
 
-        monkeypatch.setattr(verify, "gradient_norm", counting_gradient_norm)
+        monkeypatch.setattr(verify, "symmetrized_derivative", counting_derivative)
         main([
             "--builtin", "mixture", "--dim", "2", "--grid", "64",
             "--checks", "dos,orlicz,converge", "--out", str(tmp_path / "r.json"),

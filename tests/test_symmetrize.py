@@ -22,7 +22,7 @@ from conftest import rearrangement
 
 class TestSymmetrizedField:
     def test_constant_profile(self):
-        fo = symmetrized_field(Profile.constant(2.0), dim=2)
+        fo = symmetrized_field(Profile.constant(2.0), dim=2, n_bins=8)
         pts = np.array([[0.0, 0.0], [1.5, -2.0], [-3.0, 0.7]])
         assert np.all(fo(pts) == 2.0)
 
@@ -39,7 +39,7 @@ class TestSymmetrizedField:
     def test_coordinate_closed_form(self):
         grid = equal_measure_grid(1, 4096)
         p = rearrangement(builtin_field("coordinate"), grid)
-        fo = symmetrized_field(p, dim=1)
+        fo = symmetrized_field(p, dim=1, n_bins=4096)
         x = np.linspace(-1.5, 1.5, 41).reshape(-1, 1)
         expected = Phi_inv(1.0 - Phi(x[:, 0]) / 2.0)
         assert np.max(np.abs(fo(x) - expected)) <= 5e-3
@@ -47,7 +47,7 @@ class TestSymmetrizedField:
     def test_depends_on_first_coordinate_only(self):
         grid = equal_measure_grid(2, 32)
         p = rearrangement(builtin_field("gaussian_bump", dim=2), grid)
-        fo = symmetrized_field(p, dim=2)
+        fo = symmetrized_field(p, dim=2, n_bins=1024)
         x1 = np.array([-0.7, 0.0, 1.3])
         a = fo(np.column_stack((x1, np.full(3, -5.0))))
         b = fo(np.column_stack((x1, np.full(3, 9.0))))
@@ -57,13 +57,17 @@ class TestSymmetrizedField:
         grid = equal_measure_grid(1, 256)
         p = rearrangement(builtin_field("mixture"), grid)
         x = np.sort(np.linspace(-4, 4, 200)).reshape(-1, 1)
-        fo = symmetrized_field(p, dim=1)
+        fo = symmetrized_field(p, dim=1, n_bins=256)
         assert np.all(np.diff(fo(x)) <= 1e-12)
+
+    def test_bin_count_is_required(self):
+        with pytest.raises(TypeError):
+            symmetrized_field(Profile.constant(2.0), dim=1)
 
     def test_linear_gradient_sign(self):
         grid = equal_measure_grid(1, 256)
         p = rearrangement(builtin_field("gaussian_bump"), grid)
-        fo = symmetrized_field(p, dim=1)
+        fo = symmetrized_field(p, dim=1, n_bins=256)
         g = fo.jet(np.linspace(-2, 2, 21).reshape(-1, 1))[1]
         assert np.all(g[:, 0] <= 0.0)
 
