@@ -116,6 +116,24 @@ class TestMazyaTalenti:
         study = convergence_study(finest, ["mt"], [N // 16, N // 4])[0]
         assert study.passed, study.violations
 
+    # Fold bins four derivative bins wide: on bins one wide, the lattice
+    # error of the edge levels made the fold positive in the nearly
+    # isoperimetric tail of these fields (N = 128 or 512 rung) while the
+    # N / 16 rung read 0, so the ladder failed.
+    @pytest.mark.parametrize("name,params", [
+        ("mixture", {"m": 1.259, "c1": 1.064, "c2": 1.994}),
+        ("mixture", {"m": 1.21, "c1": 0.969, "c2": 2.138}),
+        ("mixture", {"m": 1.129, "c1": 0.938, "c2": 2.136}),
+        ("gaussian_bump", {}),
+    ])
+    def test_ladder_steady_in_the_tail(self, name, params):
+        N = 512 if params else 256
+        field = builtin_field(name, params, dim=2)
+        finest = analyze(field, equal_measure_grid(2, N), 4096)
+        study = convergence_study(finest, ["mt"], [N // 16, N // 4])[0]
+        assert study.passed, study.violations
+        assert max(study.violations) <= 0.0, study.violations
+
     def test_median_matches_numpy(self):
         rng = np.random.default_rng(0)
         for n in range(1, 63):
