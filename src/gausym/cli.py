@@ -259,8 +259,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
+        tokens = cfg["check_tokens"]
         reports = run_checks(
-            analyze(field, grid, cfg["sgrid"]), cfg["check_tokens"], tol=cfg["tol"],
+            analyze(field, grid, cfg["sgrid"], tokens), tokens, tol=cfg["tol"],
             equality=cfg["equality"], norms=cfg["norm_list"], intervals=cfg["interval_list"],
         )
     except NonFiniteFieldError as exc:

@@ -249,7 +249,7 @@ def _luxemburg(p: Profile, A: YoungFunction) -> float:
     if p.sup < _TINY or A.sup * p.super_level_measure(0.0) <= 1.0:
         return 0.0
 
-    values, widths = p.values, p.widths  # p.widths is recomputed on each access
+    values, widths = p.values, p.widths
     # Each pass allocates one profile-sized array (inside A).  Several per
     # pass let the C allocator trim and regrow its heap on every pass, which
     # tripled the time of this loop depending on earlier allocations.
@@ -333,14 +333,18 @@ def ri_norm(p: Profile, X: RINorm) -> float:
     if X.kind == "lp":
         if math.isinf(X.param):
             return p.sup
-        q = X.param
-        return float(np.sum(p.values**q * p.widths) ** (1.0 / q))
+        # products in place: one profile-sized temporary per norm
+        terms = p.values ** X.param
+        terms *= p.widths
+        return float(np.sum(terms) ** (1.0 / X.param))
     if X.kind == "lorentz":
-        w = np.diff(p.knots ** (1.0 / X.param))
-        return float(np.sum(p.values * w))
+        terms = np.diff(p.knots ** (1.0 / X.param))
+        terms *= p.values
+        return float(np.sum(terms))
     if X.kind == "marcinkiewicz":
-        alpha = 1.0 / X.param - 1.0
-        return float(np.max(p.knots[1:] ** alpha * p.prefix_mass[1:]))
+        terms = p.knots[1:] ** (1.0 / X.param - 1.0)
+        terms *= p.prefix_mass[1:]
+        return float(np.max(terms))
     if X.kind == "orlicz":
         return _luxemburg(p, X.young)
     raise InvalidParameterError(f"unknown norm kind {X.kind!r}")

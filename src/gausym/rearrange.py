@@ -53,9 +53,9 @@ class Profile:
     and owns its data is shared, not copied, so profiles on the same knots
     (the analysis' equal-width ``uniform_knots``) hold one knot array; any
     other input is copied, so a caller that later writes to its own array
-    does not change the profile.  ``prefix_mass`` is computed once, on
-    first use; ``widths`` is recomputed on each access rather than held
-    as K more floats.
+    does not change the profile.  ``prefix_mass`` and ``widths`` are
+    computed once, on first use, so the r.i. norms, which read the widths
+    on every call, do not each allocate and fault in a fresh array.
     """
 
     knots: np.ndarray  # length K+1, knots[0] = 0, knots[-1] = 1, increasing
@@ -93,9 +93,11 @@ class Profile:
     def num_pieces(self) -> int:
         return len(self.values)
 
-    @property
+    @cached_property
     def widths(self) -> np.ndarray:
-        return np.diff(self.knots)
+        widths = np.diff(self.knots)
+        widths.setflags(write=False)
+        return widths
 
     @cached_property
     def prefix_mass(self) -> np.ndarray:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NonSmoothFieldError
 from .fields import ScalarField
-from .gaussian import Phi, Phi_inv, midpoint_quantiles, phi
+from .gaussian import PASS_BLOCK, Phi, Phi_inv, midpoint_quantiles, phi
 from .rearrange import Profile
 
 if TYPE_CHECKING:
@@ -24,9 +24,29 @@ if TYPE_CHECKING:
 
 
 def _bin_means(p: Profile, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cell averages of p over n_bins uniform bins, placed at bin midpoints."""
+    """Cell averages of p over n_bins uniform bins, placed at bin midpoints.
+
+    The bin edges' cumulative values equal ``p.cumulative(edges)`` bit for
+    bit.  They are read off one running sum over p, taken ``PASS_BLOCK``
+    pieces at a time, so p's whole ``prefix_mass`` is neither built nor
+    cached.
+    """
     edges = np.arange(n_bins + 1) / n_bins
-    cum = p.cumulative(edges)
+    knots, values = p.knots, p.values
+    idx = np.clip(np.searchsorted(knots, edges, side="left") - 1, 0, p.num_pieces - 1)
+    mass = np.zeros(idx.size)  # p.prefix_mass[idx]; idx is nondecreasing
+    total = -0.0  # x + -0.0 is x for every x, -0.0 included
+    last = int(idx[-1])
+    for start in range(0, last, PASS_BLOCK):
+        stop = min(start + PASS_BLOCK, last)
+        run = knots[start + 1:stop + 1] - knots[start:stop]
+        run *= values[start:stop]
+        run[0] += total
+        np.cumsum(run, out=run)  # run[i] = p.prefix_mass[start + 1 + i]
+        lo, hi = np.searchsorted(idx, (start, stop), side="right")
+        mass[lo:hi] = run[idx[lo:hi] - start - 1]
+        total = run[-1]
+    cum = mass + values[idx] * (edges - knots[idx])
     means = (cum[1:] - cum[:-1]) * n_bins
     nodes = (np.arange(n_bins) + 0.5) / n_bins
     return nodes, means

@@ -2,24 +2,34 @@
 
 Every check compares curves built from the same objects: the decreasing
 rearrangement f* of |f|, the rearranged |grad f|, and the surrogate
-(-f*)' * I.  ``analyze(field, grid, M)`` builds them once into an
-``Analysis``, which refuses a field whose values or gradients are not
-finite on the grid (``NonFiniteFieldError``).  Each ``check_*`` takes an
-analysis plus its own options and reads the field, grid and M from it.
-``CHECKS`` maps each check token to the report rows it yields, and
-``run_checks`` runs a list of tokens on one analysis.
+(-f*)' * I.  ``analyze(field, grid, M, checks)`` builds them once into an
+``Analysis`` for the check tokens ``checks`` (every token by default),
+and refuses a field whose values or gradients are not finite on the grid
+(``NonFiniteFieldError``).  Each ``check_*`` takes an analysis plus its
+own options and reads the field, grid and M from it.  ``CHECKS`` maps
+each check token to the report rows it yields, and ``run_checks`` runs a
+list of tokens on one analysis.
 
 The field is sampled one block of ``BLOCK_CELLS`` cells at a time, from
 ``GaussianGrid.points``, by one call of the field's ``jet``, which gives
 the values and partials together: no array of points or partials, and
-no temporary of the field's jet, spans the whole grid.  Only sorted
-values enter the profiles, so the rearrangements are value sorts; ``p``
-and ``grad_prof`` share one read-only knot array k/K.  Only ``mt`` reads
-the cells in level order (decreasing |f|, ties by cell index), through a
-lazy prefix sum of |grad f| in that order: the gradient integral over the
-super-level set of each measure k/K.  The symmetrized field's gradient is
-taken lazily, on first use by ``dos`` or ``orlicz``, on the N axis points
-alone (the field depends on x1 only), so its profile has N pieces.
+no temporary of the field's jet, spans the whole grid.  Three things
+keep the analysis at a few grid-sized arrays:
+
+- Level order is built only when ``mt`` is among the checks.  Only
+  ``mt`` reads the cells in level order (decreasing |f|, ties by cell
+  index), through a prefix sum of |grad f| in that order: the gradient
+  integral over the super-level set of each measure k/K.  It is built
+  from the sampled arrays while they are still in cell order.
+- The sampled |f| and |grad f| are then sorted in place and become the
+  profiles ``p`` and ``grad_prof``, which share one read-only knot array
+  k/K.  Only max |grad f| is kept of the unsorted gradient.
+- The surrogate is one read-only cumulative indexed by knot, built in
+  blocks of ``PASS_BLOCK`` knots.
+
+The symmetrized field's gradient is taken lazily, on first use by
+``dos`` or ``orlicz``, on the N axis points alone (the field depends on
+x1 only), so its profile has N pieces.
 
 Each check compares two curves over a common grid on (0, 1) and reports
 the worst signed violation against a tolerance.  The default tolerance
@@ -45,7 +55,7 @@ import numpy as np
 
 from .errors import DomainError, IntervalError, NonFiniteFieldError, NonSmoothFieldError
 from .fields import ScalarField
-from .gaussian import BLOCK_CELLS, GaussianGrid, equal_measure_grid, iso_profile
+from .gaussian import BLOCK_CELLS, PASS_BLOCK, GaussianGrid, equal_measure_grid, iso_profile
 from .majorize import DEFAULT_NORM_FAMILY, HINGE_GRID_SIZE, RINorm, hinge_integrals, ri_norm
 from .rearrange import (
     GridCurve,
@@ -96,49 +106,46 @@ class Analysis:
     """Shared per-(field, grid, M) data: rearrangements and surrogate.
 
     Build it with ``analyze``; every check reads it and none modifies it.
+    ``checks`` names the check tokens it serves (every token by default):
+    the level order that only ``mt`` reads is built only when it is among
+    them, and ``level_grad_prefix`` is None otherwise.
     """
 
-    def __init__(self, field: ScalarField, grid: GaussianGrid, M: int):
+    def __init__(
+        self, field: ScalarField, grid: GaussianGrid, M: int,
+        checks: Optional[Sequence[str]] = None,
+    ):
         if M < 8:
             raise DomainError(f"s-grid needs M >= 8, got {M}")
+        checks = tuple(CHECKS) if checks is None else tuple(checks)
+        _require_known(checks)
         self.field = field
         self.grid = grid
         self.M = M
         K = grid.num_cells
         # one block of cells at a time (BLOCK_CELLS gives the reason for 4096)
-        vals = np.empty(K)
-        self.grad_values = np.empty(K)
+        vals, grads = np.empty(K), np.empty(K)
         for start in range(0, K, BLOCK_CELLS):
             stop = min(start + BLOCK_CELLS, K)
             values, partials = field.jet(grid.points(start, stop))
             vals[start:stop] = values
-            self.grad_values[start:stop] = np.linalg.norm(partials, axis=1)
+            grads[start:stop] = np.linalg.norm(partials, axis=1)
         np.abs(vals, out=vals)
         _require_finite(field, grid, "|f|", vals)
-        _require_finite(field, grid, "|grad f|", self.grad_values)
+        _require_finite(field, grid, "|grad f|", grads)
+        self.grad_max = float(np.max(grads))
+        # -|f| ascending is |f| decreasing, and its stable order the level order
+        np.negative(vals, out=vals)
+        self.level_grad_prefix = (
+            _level_grad_prefix(vals, grads, grid.cell_measure) if "mt" in checks else None
+        )
+        np.negative(grads, out=grads)
         # one knot array for both: Profile keeps read-only arrays uncopied
         knots = uniform_knots(K)
-        self.p = Profile(knots, _frozen_sort(vals))
-        self._levels = vals
-        self.grad_prof = Profile(knots, _frozen_sort(self.grad_values))
+        self.p = Profile(knots, _sort_negated(vals))
+        self.grad_prof = Profile(knots, _sort_negated(grads))
         self.m_d = derivative_bin_count(self.p, M, min_block=K // grid.cells_per_axis)
-        # Jump representation of the surrogate measure (-dp) * I: each jump
-        # of the step profile carries I evaluated at the center of the
-        # stretch it stands for (capped at the derivative-bin width), so a
-        # genuine isolated drop after a flat keeps its own location while
-        # dense jumps get the unbiased midpoint.  Surrogate samples are
-        # bin averages of this measure: averaging the product directly
-        # keeps the samples inside the range of (-p)' * I even where both
-        # factors vary quickly within a bin.
-        jumps = self.p.values[:-1] - self.p.values[1:]
-        positive = jumps > 0.0
-        self._jump_at = knots[1:-1][positive]
-        self._jump_size = jumps[positive]
-        prev = np.concatenate(([0.0], self._jump_at[:-1]))
-        shift = 0.5 * np.minimum(self._jump_at - prev, 1.0 / self.m_d)
-        self._mass_cum = np.concatenate(
-            ([0.0], np.cumsum(self._jump_size * iso_profile(self._jump_at - shift)))
-        )
+        self._surrogate_at_knots = _surrogate_at_knots(self.p, self.m_d)
         edges = uniform_knots(self.m_d)
         edge_vals = self.surrogate_cumulative(edges)
         self.surr = GridCurve(
@@ -150,22 +157,8 @@ class Analysis:
 
     def surrogate_cumulative(self, t) -> np.ndarray:
         """Exact integral over (0, t] of the jump-weighted surrogate."""
-        idx = np.searchsorted(self._jump_at, np.asarray(t, dtype=float), side="right")
-        return self._mass_cum[idx]
-
-    @cached_property
-    def level_grad_prefix(self) -> np.ndarray:
-        """Integral of |grad f| over the super-level set of measure k/K,
-        k = 0..K: the first k cells in the level order of ``p`` (decreasing
-        |f|, ties by cell index)."""
-        # peak 16 bytes a cell: mode="raise" would buffer take's whole output
-        order = np.argsort(-self._levels, kind="stable")
-        prefix = np.zeros(order.size + 1)
-        np.take(self.grad_values, order, out=prefix[1:], mode="clip")
-        prefix[1:] *= self.grid.cell_measure
-        np.cumsum(prefix[1:], out=prefix[1:])
-        prefix.setflags(write=False)
-        return prefix
+        idx = np.searchsorted(self.p.knots, np.asarray(t, dtype=float), side="right") - 1
+        return self._surrogate_at_knots[np.maximum(idx, 0)]
 
     @cached_property
     def sym_grad_prof(self) -> Profile:
@@ -181,11 +174,71 @@ class Analysis:
     def tolerance(self, override: Optional[float]) -> float:
         if override is not None:
             return float(override)
-        c1 = 5.0 * float(np.max(self.grad_values))
+        c1 = 5.0 * self.grad_max
         interior = self.surr.values[(self.surr.s >= 0.05) & (self.surr.s <= 0.95)]
         c2 = 10.0 * (float(np.max(interior)) if interior.size else 0.0)
         tol = c1 / math.sqrt(self.grid.cells_per_axis) + c2 / self.M
         return tol if self.field.smooth else 2.0 * tol
+
+
+def _level_grad_prefix(neg_levels: np.ndarray, grads: np.ndarray, cell_measure: float):
+    """Integral of |grad f| over the super-level set of measure k/K,
+    k = 0..K, read-only: the first k cells in level order (decreasing |f|,
+    ties by cell index), from -|f| and |grad f| in cell order."""
+    # peak 16 bytes a cell: mode="raise" would buffer take's whole output
+    order = np.argsort(neg_levels, kind="stable")
+    prefix = np.zeros(order.size + 1)
+    np.take(grads, order, out=prefix[1:], mode="clip")
+    prefix[1:] *= cell_measure
+    np.cumsum(prefix[1:], out=prefix[1:])
+    prefix.setflags(write=False)
+    return prefix
+
+
+def _sort_negated(neg: np.ndarray) -> np.ndarray:
+    """Minus nonnegative values, NaN-free, sorted in place and negated
+    back: the values in nonincreasing order, read-only, so a Profile keeps
+    them uncopied.  Every zero comes back +0.0, so this equals
+    ``sort_decreasing`` of the values bit for bit."""
+    neg.sort()
+    np.negative(neg, out=neg)
+    neg.setflags(write=False)
+    return neg
+
+
+def _surrogate_at_knots(p: Profile, m_d: int) -> np.ndarray:
+    """Integral of the surrogate measure over (0, knots[k]], k = 0..K,
+    read-only.
+
+    The measure (-dp) * I puts at each drop of the step profile its size
+    times I at the center of the stretch it stands for, capped at the
+    derivative-bin width 1/m_d: a genuine isolated drop after a flat keeps
+    its own location, while dense drops get the unbiased midpoint.
+    Surrogate samples are bin averages of this measure, so they stay inside
+    the range of (-p)' * I even where both factors vary quickly within a
+    bin.  Built in blocks of ``PASS_BLOCK`` knots as one running sum, to
+    which a knot without a drop adds an exact 0.
+    """
+    values, knots = p.values, p.knots
+    K = values.size
+    cum = np.empty(K + 1)
+    cum[0] = total = last_at = 0.0
+    for start in range(1, K, PASS_BLOCK):
+        stop = min(start + PASS_BLOCK, K)
+        mass = values[start - 1:stop - 1] - values[start:stop]  # drops at knots[start:stop]
+        idx = np.flatnonzero(mass > 0.0)
+        if idx.size:
+            at = knots[start:stop][idx]
+            prev = np.concatenate(([last_at], at[:-1]))
+            shift = 0.5 * np.minimum(at - prev, 1.0 / m_d)
+            mass[idx] *= iso_profile(at - shift)
+            last_at = at[-1]
+        mass[0] += total
+        np.cumsum(mass, out=cum[start:stop])
+        total = cum[stop - 1]
+    cum[K] = total
+    cum.setflags(write=False)
+    return cum
 
 
 def _frozen_sort(values: np.ndarray) -> np.ndarray:
@@ -207,9 +260,12 @@ def _require_finite(field: ScalarField, grid: GaussianGrid, name: str, arr: np.n
         )
 
 
-def analyze(field: ScalarField, grid: GaussianGrid, M: int) -> Analysis:
-    """Build the shared analysis of ``field`` on ``grid`` with an M-point t-grid."""
-    return Analysis(field, grid, M)
+def analyze(
+    field: ScalarField, grid: GaussianGrid, M: int, checks: Optional[Sequence[str]] = None
+) -> Analysis:
+    """Build the shared analysis of ``field`` on ``grid`` with an M-point
+    t-grid, for the check tokens ``checks`` (every token by default)."""
+    return Analysis(field, grid, M, checks)
 
 
 def _finish(
@@ -316,15 +372,19 @@ def check_mazya_talenti(analysis: Analysis, tol: Optional[float] = None) -> Ineq
     of nearly isoperimetric tails) whose profile drop exceeds 10x the
     median single-cell drop.
     """
+    prefix = analysis.level_grad_prefix
+    if prefix is None:
+        raise DomainError("check 'mt' needs an analysis built with 'mt' among its checks")
     t0 = time.perf_counter()
     p, t, K = analysis.p, analysis.t_grid, analysis.p.num_pieces
-    prefix = analysis.level_grad_prefix
     bins = max(8, min(analysis.m_d, K // 16) // 4)
     edges = np.arange(bins + 1) / bins
     lhs, l_edge = analysis.surrogate_cumulative(t), analysis.surrogate_cumulative(edges)
     rhs, r_edge = (prefix[np.rint(s * K).astype(np.intp)] for s in (t, edges))
     drops = p(edges[:-1]) - p(edges[1:])
-    positive = analysis._jump_size
+    single = p.values[:-1] - p.values[1:]
+    positive = single[single > 0.0]
+    del single
     value_range = float(p.values[0] - p.values[-1])
     if positive.size:
         # strictly decreasing at scale, yet still resolved: a bin losing
@@ -450,7 +510,8 @@ def convergence_study(
     if unknown:
         raise DomainError(f"convergence study supports {sorted(CONVERGENT_TOKENS)}, got {unknown}")
     rungs = [
-        analyze(analysis.field, equal_measure_grid(grid.dim, n), analysis.M) for n in Ns[:-1]
+        analyze(analysis.field, equal_measure_grid(grid.dim, n), analysis.M, checks)
+        for n in Ns[:-1]
     ] + [analysis]
     studies = []
     for name in checks:
@@ -520,6 +581,12 @@ CHECKS = {
 }
 
 
+def _require_known(tokens: Sequence[str]):
+    unknown = [t for t in tokens if t not in CHECKS]
+    if unknown:
+        raise DomainError(f"unknown checks {unknown}; choose from {','.join(CHECKS)}")
+
+
 def run_checks(
     analysis: Analysis,
     tokens: Sequence[str],
@@ -533,8 +600,6 @@ def run_checks(
     from one analysis.  ``tol`` overrides every check's tolerance,
     ``equality`` makes uno and dos two-sided, ``norms`` is the family the
     norm check runs, and ``intervals`` the union the interval check needs."""
-    unknown = [t for t in tokens if t not in CHECKS]
-    if unknown:
-        raise DomainError(f"unknown checks {unknown}; choose from {','.join(CHECKS)}")
+    _require_known(tokens)
     options = dict(tol=tol, equality=equality, norms=norms, intervals=intervals, tokens=tokens)
     return [row for token in tokens for row in CHECKS[token](analysis, **options)]

@@ -271,9 +271,9 @@ class TestSharedAnalysis:
         builds = []
         init = verify.Analysis.__init__
 
-        def counting_init(self, field, grid, M):
+        def counting_init(self, field, grid, M, checks):
             builds.append(grid.cells_per_axis)
-            init(self, field, grid, M)
+            init(self, field, grid, M, checks)
 
         monkeypatch.setattr(verify.Analysis, "__init__", counting_init)
         out = tmp_path / "r.json"
@@ -318,9 +318,9 @@ class TestSharedAnalysis:
             calls.append(self.label)
             return call(self, t)
 
-        def counting_init(self, field, grid, M):
+        def counting_init(self, field, grid, M, checks):
             builds.append(grid.num_cells)
-            init(self, field, grid, M)
+            init(self, field, grid, M, checks)
 
         monkeypatch.setattr(majorize.YoungFunction, "__call__", counting_call)
         monkeypatch.setattr(verify.Analysis, "__init__", counting_init)
@@ -347,9 +347,9 @@ class TestExpressionGradient:
             calls.append(len(X))
             return jet(node, X)
 
-        def counting_init(self, field, grid, M):
+        def counting_init(self, field, grid, M, checks):
             builds.append(grid.num_cells)
-            init(self, field, grid, M)
+            init(self, field, grid, M, checks)
 
         monkeypatch.setattr(expr, "evaluate", refuse)
         monkeypatch.setattr(expr, "jet", counting_jet)

@@ -90,6 +90,11 @@ class TestProfile:
         assert_same_bits(HALVES.prefix_mass, np.array([0.0, 1.5, 2.0]))
         assert HALVES.prefix_mass is HALVES.prefix_mass
 
+    def test_widths_built_once(self):
+        assert_same_bits(HALVES.widths, np.array([0.5, 0.5]))
+        assert HALVES.widths is HALVES.widths
+        assert not HALVES.widths.flags.writeable
+
 
 class TestDistributionFunction:
     """The Gaussian measure of {|f| > level} is the super-level measure of

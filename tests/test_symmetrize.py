@@ -17,7 +17,12 @@ from gausym import (
     symmetrized_field,
 )
 
-from conftest import rearrangement
+from gausym import symmetrize
+from gausym.gaussian import PASS_BLOCK
+from gausym.rearrange import uniform_knots
+from gausym.symmetrize import _bin_means
+
+from conftest import assert_same_bits, rearrangement
 
 
 class TestSymmetrizedField:
@@ -154,3 +159,39 @@ class TestEqualityChain:
         f = builtin_field("monotone1d")
         rep = check_orlicz_equality(analyze(f, equal_measure_grid(1, n), n))
         assert rep.max_violation <= 1e-10
+
+
+class TestBinMeans:
+    """``_bin_means`` reads the bin edges' cumulative values off one running
+    sum over p, ``PASS_BLOCK`` pieces at a time; ``p.cumulative``, through
+    p's whole ``prefix_mass``, stays here as the reference."""
+
+    @staticmethod
+    def _reference(p, n_bins):
+        cum = p.cumulative(np.arange(n_bins + 1) / n_bins)
+        return (cum[1:] - cum[:-1]) * n_bins
+
+    @pytest.mark.parametrize("K,n_bins", [
+        (2 * PASS_BLOCK + 5, 64),
+        (2 * PASS_BLOCK + 5, 4099),
+        # edges on the block ends, then on every knot
+        (4 * PASS_BLOCK, 4),
+        (4 * PASS_BLOCK, 4 * PASS_BLOCK),
+    ])
+    def test_matches_prefix_mass_means(self, K, n_bins):
+        rng = np.random.default_rng(K + n_bins)
+        # pairs of tied values, as mirrored cells give
+        values = np.repeat(np.sort(rng.exponential(size=K // 2 + 1))[::-1], 2)[:K]
+        p = Profile(uniform_knots(K), values)
+        _, means = _bin_means(p, n_bins)
+        assert "prefix_mass" not in p.__dict__
+        assert_same_bits(means, self._reference(p, n_bins))
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 8])
+    def test_any_block_on_unequal_pieces(self, block, monkeypatch):
+        monkeypatch.setattr(symmetrize, "PASS_BLOCK", block)
+        rng = np.random.default_rng(block)
+        knots = np.concatenate(([0.0], np.cumsum(rng.dirichlet(np.ones(40)))))
+        p = Profile(knots, np.sort(rng.normal(size=40))[::-1])
+        for n_bins in range(1, 90):
+            assert_same_bits(_bin_means(p, n_bins)[1], self._reference(p, n_bins))
