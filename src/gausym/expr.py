@@ -5,10 +5,13 @@ precedence (^ binds tightest and is right-associative), unary minus,
 parentheses, and the unary functions exp, abs, tanh, sin, cos, sqrt.
 Every parse error reports the byte offset where the problem was detected.
 
-Each AST node's ``forward`` pass returns its value together with a sparse
-dict {axis: partial} that holds only the axes the subtree depends on.
-Literals stay numpy scalars with no partials, so an operation with a
-constant costs no array.  ``evaluate`` runs the pass without partials;
+Each AST node's ``forward`` pass takes one coordinate array per axis,
+broadcasting together, and returns its value together with a sparse dict
+{axis: partial} that holds only the axes the subtree depends on.  Values
+and partials keep the broadcast shape of the axes they depend on, so on a
+grid's row coordinates a subtree of the leading axes alone runs once per
+row.  Literals stay numpy scalars with no partials, so an operation with
+a constant costs no array.  ``evaluate`` runs the pass without partials;
 ``jet`` runs it with them, giving the values and exact partials in one
 pass.
 """
@@ -47,13 +50,18 @@ _BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^":
 _ONE = 1.0  # the partial of a variable by itself: scaling by it is skipped
 
 
+def _scaled(d, w):
+    """The partial d scaled by w (None means 1)."""
+    return d if w is None else w if d is _ONE else d * w
+
+
 def _combine(da: dict, s, db: dict, t) -> dict:
-    """Partials of s*a + t*b from those of a and b (s or t None means 1)."""
-    out = {}
-    for k in da.keys() | db.keys():
-        terms = [d[k] if w is None else w if d[k] is _ONE else d[k] * w
-                 for d, w in ((da, s), (db, t)) if k in d]
-        out[k] = terms[0] if len(terms) == 1 else terms[0] + terms[1]
+    """Partials of s*a + t*b from those of a and b (s or t None means 1);
+    where both have an axis, a's term comes first in the sum."""
+    out = {k: _scaled(d, s) for k, d in da.items()}
+    for k, d in db.items():
+        d = _scaled(d, t)
+        out[k] = out[k] + d if k in out else d
     return out
 
 
@@ -69,7 +77,7 @@ _VAR_RE = re.compile(r"x([1-9])\Z")
 class Num:
     value: float
 
-    def forward(self, X, partials):
+    def forward(self, xs, partials):
         return np.float64(self.value), {}
 
 
@@ -77,16 +85,16 @@ class Num:
 class Var:
     index: int  # 1-based axis
 
-    def forward(self, X, partials):
-        return X[:, self.index - 1], ({self.index - 1: _ONE} if partials else {})
+    def forward(self, xs, partials):
+        return xs[self.index - 1], ({self.index - 1: _ONE} if partials else {})
 
 
 @dataclass(frozen=True)
 class Neg:
     arg: object
 
-    def forward(self, X, partials):
-        a, da = self.arg.forward(X, partials)
+    def forward(self, xs, partials):
+        a, da = self.arg.forward(xs, partials)
         return -a, {k: -d for k, d in da.items()}
 
 
@@ -96,9 +104,9 @@ class Bin:
     left: object
     right: object
 
-    def forward(self, X, partials):
-        a, da = self.left.forward(X, partials)
-        b, db = self.right.forward(X, partials)
+    def forward(self, xs, partials):
+        a, da = self.left.forward(xs, partials)
+        b, db = self.right.forward(xs, partials)
         op = self.op
         v = _BINARY[op](a, b)
         if not (da or db):
@@ -122,8 +130,8 @@ class Call:
     name: str
     arg: object
 
-    def forward(self, X, partials):
-        a, da = self.arg.forward(X, partials)
+    def forward(self, xs, partials):
+        a, da = self.arg.forward(xs, partials)
         v = FUNCTIONS[self.name](a)
         return v, (_combine(da, DERIVATIVES[self.name](a, v), {}, None) if da else {})
 
@@ -289,34 +297,28 @@ def _ser(node, parent_prec: int) -> str:
     return f"({text})" if parent_prec > prec else text
 
 
-def _values(out, m: int) -> np.ndarray:
-    """A node's value as an (m,) float array (a constant is broadcast)."""
-    return np.full(m, out) if np.ndim(out) == 0 else np.asarray(out, dtype=float)
-
-
-def evaluate(node, X: np.ndarray) -> np.ndarray:
-    """Evaluate the AST on points X of shape (m, dim).
+def evaluate(node, xs):
+    """Evaluate the AST on coordinates ``xs``, one array per axis that
+    broadcast together; the values broadcast to their common shape (a
+    constant expression gives a numpy scalar).
 
     Total on the reals: division by zero and domain escapes follow IEEE
     semantics (inf/nan) instead of raising.
     """
     with np.errstate(all="ignore"):
-        out = node.forward(X, False)[0]
-    return _values(out, X.shape[0])
+        return node.forward(xs, False)[0]
 
 
-def jet(node, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values and exact partials of the AST at points X of shape (m, dim),
-    from one forward-mode pass: the values equal ``evaluate``'s bit for
-    bit, and the partials form a column-major (m, dim) array.
+def jet(node, xs) -> tuple:
+    """Values and exact partials of the AST at coordinates ``xs``, from
+    one forward-mode pass: the values equal ``evaluate``'s bit for bit,
+    and the partials are a tuple with one entry per axis, each
+    broadcastable to the values' shape, 0.0 for an axis the expression
+    does not contain.
 
     Total like ``evaluate``: where a derivative is unbounded (sqrt at 0)
     the partial is inf or nan instead of raising.
     """
-    m, dim = X.shape
-    out = np.empty((dim, m))
     with np.errstate(all="ignore"):
-        value, partials = node.forward(X, True)
-    for k in range(dim):
-        out[k] = partials.get(k, 0.0)
-    return _values(value, m), out.T
+        value, partials = node.forward(xs, True)
+    return value, tuple(partials.get(k, 0.0) for k in range(len(xs)))

@@ -1,11 +1,14 @@
 """Scalar test fields on R^n: builtin corpus, parsed expressions, gradients.
 
-A ScalarField wraps a vectorized evaluator (m, dim) -> (m,) together with
-its jet, which returns the values and the exact gradient from one pass.
-The builtin corpus is restricted to fields that are Lipschitz on the
-effective support of the Gaussian measure, since the inequality checks
-sample gradients everywhere mass lives.  Every builtin's jet is closed
-form and every parsed expression's is the forward-mode ``expr.jet``.
+A ScalarField wraps a vectorized evaluator together with its jet, which
+returns the values and the exact gradient from one pass.  Both take the
+coordinates as one array per axis, broadcasting together: the columns of
+a batch of points, or a grid's row coordinates, on which a term that
+depends on the leading axes alone is evaluated once per row.  The builtin
+corpus is restricted to fields that are Lipschitz on the effective
+support of the Gaussian measure, since the inequality checks sample
+gradients everywhere mass lives.  Every builtin's jet is closed form and
+every parsed expression's is the forward-mode ``expr.jet``.
 """
 
 from __future__ import annotations
@@ -17,6 +20,9 @@ import numpy as np
 
 from . import expr as _expr
 from .errors import InvalidParameterError, UnknownFieldError
+
+# per-axis coordinate arrays that broadcast together
+Coords = tuple[np.ndarray, ...]
 
 
 def as_points(x, dim: int) -> np.ndarray:
@@ -35,35 +41,58 @@ def as_points(x, dim: int) -> np.ndarray:
 class ScalarField:
     """Evaluable scalar field with its exact gradient.
 
-    ``evaluator`` maps a batch of shape (m, dim) to the m values; ``jet``
-    maps it to the values, equal to the evaluator's bit for bit, and the
-    (m, dim) partials, from one pass.  ``smooth`` is False for fields with
-    gradient jump sets (e.g. expressions using abs); checks either reject
-    those or double their tolerances.
+    ``evaluator`` maps ``dim`` per-axis coordinate arrays that broadcast
+    together to the values, broadcastable to their common shape.  ``jet``
+    maps them to the same values bit for bit and a tuple of the ``dim``
+    partials, each broadcastable to that shape, from one pass; an axis
+    the field ignores gets a scalar 0.0.  Calling the field, and
+    ``gradient_at``/``gradient_norm``, take an (m, dim) batch and pass its
+    columns.  ``smooth`` is False for fields with gradient jump sets (e.g.
+    expressions using abs); checks either reject those or double their
+    tolerances.
     """
 
     dim: int
     label: str
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    jet: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    evaluator: Callable[[Coords], np.ndarray]
+    jet: Callable[[Coords], tuple[np.ndarray, Coords]]
     smooth: bool = True
 
     def __call__(self, points) -> np.ndarray:
         pts = as_points(points, self.dim)
-        return np.asarray(self.evaluator(pts), dtype=float)
+        out = np.empty(len(pts))
+        out[...] = self.evaluator(tuple(pts.T))
+        return out
 
     def value(self, point) -> float:
         return float(self(point)[0])
 
 
+def partials_norm(partials: Coords, out: np.ndarray) -> np.ndarray:
+    """Euclidean norm of broadcastable partials, written into ``out`` of
+    their common shape: the squares summed in axis order, then the square
+    root, the bits of ``np.linalg.norm`` over the stacked partials.  A
+    scalar 0.0 partial adds an exact 0 and is skipped."""
+    first, *rest = [d for d in partials if np.ndim(d) or d != 0.0] or [0.0]
+    np.multiply(first, first, out=out)
+    for d in rest:
+        out += d * d
+    return np.sqrt(out, out=out)
+
+
 def gradient_at(field: ScalarField, x) -> np.ndarray:
     """Gradient rows for each point."""
-    return np.asarray(field.jet(as_points(x, field.dim))[1], dtype=float)
+    pts = as_points(x, field.dim)
+    out = np.empty((field.dim, len(pts)))
+    for row, d in zip(out, field.jet(tuple(pts.T))[1]):
+        row[...] = d
+    return out.T
 
 
 def gradient_norm(field: ScalarField, x) -> np.ndarray:
     """Euclidean norm of the gradient at each point."""
-    return np.linalg.norm(gradient_at(field, x), axis=1)
+    pts = as_points(x, field.dim)
+    return partials_norm(field.jet(tuple(pts.T))[1], np.empty(len(pts)))
 
 
 # ---------------------------------------------------------------------------
@@ -85,17 +114,23 @@ def _merge_params(name: str, defaults: dict, params: Optional[dict]) -> dict:
     return merged
 
 
+def _axis_sum(terms) -> np.ndarray:
+    """The terms added in axis order, broadcasting."""
+    return sum(terms[1:], terms[0])
+
+
 def _coordinate(p: dict, dim: int) -> ScalarField:
     axis = int(p["axis"])
     if not 1 <= axis <= dim:
         raise InvalidParameterError(f"axis {axis} out of range for dim {dim}")
 
-    def jet(X):
-        g = np.zeros_like(X)
-        g[:, axis - 1] = 1.0
-        return X[:, axis - 1].copy(), g
+    def f(xs):
+        return xs[axis - 1]
 
-    return ScalarField(dim, f"coordinate(axis={axis})", lambda X: X[:, axis - 1].copy(), jet)
+    def jet(xs):
+        return f(xs), tuple(1.0 if k == axis - 1 else 0.0 for k in range(dim))
+
+    return ScalarField(dim, f"coordinate(axis={axis})", f, jet)
 
 
 def _halfspace(p: dict, dim: int) -> ScalarField:
@@ -103,14 +138,12 @@ def _halfspace(p: dict, dim: int) -> ScalarField:
     if width <= 0:
         raise InvalidParameterError("width must be positive")
 
-    def f(X):
-        return 0.5 * (1.0 - np.tanh((X[:, 0] - a) / width))
+    def f(xs):
+        return 0.5 * (1.0 - np.tanh((xs[0] - a) / width))
 
-    def jet(X):
-        g = np.zeros_like(X)
-        u = np.tanh((X[:, 0] - a) / width)
-        g[:, 0] = -0.5 * (1.0 - u * u) / width
-        return 0.5 * (1.0 - u), g
+    def jet(xs):
+        u = np.tanh((xs[0] - a) / width)
+        return 0.5 * (1.0 - u), (-0.5 * (1.0 - u * u) / width,) + (0.0,) * (dim - 1)
 
     return ScalarField(dim, f"halfspace_indicator_smooth(a={a},width={width})", f, jet)
 
@@ -120,12 +153,12 @@ def _gaussian_bump(p: dict, dim: int) -> ScalarField:
     if c <= 0:
         raise InvalidParameterError("c must be positive")
 
-    def f(X):
-        return np.exp(-c * np.sum(X * X, axis=1))
+    def f(xs):
+        return np.exp(-c * _axis_sum([x * x for x in xs]))
 
-    def jet(X):
-        v = f(X)
-        return v, -2.0 * c * X * v[:, None]
+    def jet(xs):
+        v = f(xs)
+        return v, tuple(-2.0 * c * x * v for x in xs)
 
     return ScalarField(dim, f"gaussian_bump(c={c})", f, jet)
 
@@ -135,22 +168,21 @@ def _mixture(p: dict, dim: int) -> ScalarField:
     if c1 <= 0 or c2 <= 0:
         raise InvalidParameterError("bump widths c1, c2 must be positive")
 
-    def parts(X):
-        d1 = X.copy()
-        d1[:, 0] -= m
-        d2 = X.copy()
-        d2[:, 0] += m
-        g1 = np.exp(-c1 * np.sum(d1 * d1, axis=1))
-        g2 = np.exp(-c2 * np.sum(d2 * d2, axis=1))
+    def parts(xs):
+        # offsets from the two centers: they differ on the first axis only
+        d1 = (xs[0] - m, *xs[1:])
+        d2 = (xs[0] + m, *xs[1:])
+        g1 = np.exp(-c1 * _axis_sum([d * d for d in d1]))
+        g2 = np.exp(-c2 * _axis_sum([d * d for d in d2]))
         return d1, d2, g1, g2
 
-    def f(X):
-        _, _, g1, g2 = parts(X)
+    def f(xs):
+        _, _, g1, g2 = parts(xs)
         return w1 * g1 + w2 * g2
 
-    def jet(X):
-        d1, d2, g1, g2 = parts(X)
-        grad = -2.0 * c1 * w1 * d1 * g1[:, None] - 2.0 * c2 * w2 * d2 * g2[:, None]
+    def jet(xs):
+        d1, d2, g1, g2 = parts(xs)
+        grad = tuple(-2.0 * c1 * w1 * a * g1 - 2.0 * c2 * w2 * b * g2 for a, b in zip(d1, d2))
         return w1 * g1 + w2 * g2, grad
 
     return ScalarField(dim, f"mixture(w1={w1},w2={w2},c1={c1},c2={c2},m={m})", f, jet)
@@ -160,14 +192,19 @@ def _poly_tanh(p: dict, dim: int) -> ScalarField:
     a, b = p["a"], p["b"]
     w = 0.5 ** np.arange(dim)
 
-    def f(X):
-        u = X @ w
+    def u_of(xs):
+        # w[0] = 1: the first axis enters unscaled
+        return _axis_sum([xs[0]] + [wk * x for wk, x in zip(w[1:], xs[1:])])
+
+    def f(xs):
+        u = u_of(xs)
         return np.tanh(a * u + b * u**3)
 
-    def jet(X):
-        u = X @ w
+    def jet(xs):
+        u = u_of(xs)
         t = np.tanh(a * u + b * u**3)
-        return t, ((1.0 - t * t) * (a + 3.0 * b * u * u))[:, None] * w[None, :]
+        g = (1.0 - t * t) * (a + 3.0 * b * u * u)
+        return t, (g, *(g * wk for wk in w[1:]))
 
     return ScalarField(dim, f"poly_tanh(a={a},b={b})", f, jet)
 
@@ -177,14 +214,12 @@ def _monotone1d(p: dict, dim: int) -> ScalarField:
     if a <= 0:
         raise InvalidParameterError("a must be positive")
 
-    def f(X):
-        return np.exp(-a * X[:, 0])
+    def f(xs):
+        return np.exp(-a * xs[0])
 
-    def jet(X):
-        v = f(X)
-        g = np.zeros_like(X)
-        g[:, 0] = -a * v
-        return v, g
+    def jet(xs):
+        v = f(xs)
+        return v, (-a * v,) + (0.0,) * (dim - 1)
 
     return ScalarField(dim, f"monotone1d(a={a})", f, jet)
 
@@ -260,19 +295,19 @@ def parse_field(expression: str, dim: int) -> ScalarField:
     """Parse an expression into a field with its exact gradient.
 
     The jet is ``expr.jet``: one forward-mode pass over the AST, giving
-    the values and the column-major partials.  Where a derivative is unbounded or the chain
-    rule meets inf * 0 (sqrt(abs(x1)) at x1 = 0) it is not finite, and
-    ``verify.analyze`` refuses the field.  The label is the canonical
+    the values and the partials.  Where a derivative is unbounded or the
+    chain rule meets inf * 0 (sqrt(abs(x1)) at x1 = 0) it is not finite,
+    and ``verify.analyze`` refuses the field.  The label is the canonical
     serialized form, which re-parses to an evaluator that agrees
     everywhere.  Fields whose expression uses abs() are flagged non-smooth.
     """
     ast = _expr.parse_expression(expression, dim)
     label = _expr.serialize(ast)
 
-    def f(X, _ast=ast):
-        return _expr.evaluate(_ast, X)
+    def f(xs, _ast=ast):
+        return _expr.evaluate(_ast, xs)
 
-    def jet(X, _ast=ast):
-        return _expr.jet(_ast, X)
+    def jet(xs, _ast=ast):
+        return _expr.jet(_ast, xs)
 
     return ScalarField(dim, label, f, jet, smooth=not _expr.uses_abs(ast))

@@ -43,14 +43,15 @@ P_HI = 1.0 - 1e-16
 # Ceiling on the total cell count of an equal-measure grid.
 DEFAULT_CELL_BUDGET = 2_000_000
 
-# Elements per block when a grid-sized computation is done piecewise
-# (sampling a field in ``verify.Analysis``, AS 241 quantiles here).  Each
-# float64 temporary of a block is then 32 KB, below glibc's default 128 KB
-# mmap threshold, so it is reused from the heap instead of being mapped
-# and faulted in afresh: a CLI run of `uno,dos` on a parsed 3-d field at
-# 125^3 cells (x86-64 Linux, numpy 2.4) took about 13k minor page faults
-# with 4096-cell blocks, against 59k with 16384, 68k with 65536 and 28k
-# sampling the whole grid at once.
+# Elements per block when a grid-sized computation is done piecewise: AS
+# 241 quantiles here, and the sampling of a field in ``verify.Analysis``,
+# which takes max(1, BLOCK_CELLS // row_cells) whole grid rows at a time,
+# at most this many cells.  Each float64 temporary of a block is then at
+# most 32 KB, below glibc's default 128 KB mmap threshold, so it is reused
+# from the heap instead of being mapped and faulted in afresh: a CLI run of
+# `uno,dos` on a parsed 3-d field at 125^3 cells (x86-64 Linux, numpy 2.4)
+# took about 13k minor page faults with 4096-cell blocks, against 59k with
+# 16384, 68k with 65536 and 28k sampling the whole grid at once.
 BLOCK_CELLS = 4096
 
 # Elements per block of a running sum over a sorted grid-sized array (the
@@ -233,10 +234,15 @@ class GaussianGrid:
     product cells carries measure N^(-dim) exactly by construction.
 
     The grid stores only the N axis points.  Cells are numbered in C order
-    (the last coordinate varies fastest); ``points(start, stop)`` gives the
-    representatives of a range of cells, so a caller can sample the grid
-    one block at a time, and ``representatives`` is the whole (N^dim, dim)
-    array, built by the same method on first access.
+    (the last coordinate varies fastest) and grouped into rows of
+    ``row_cells`` cells: from dim 2 on, a row is the N cells along the
+    last axis with the leading indices fixed; in dim 1 a row is one cell.
+    ``rows(start, stop)`` gives the coordinates of a range of rows as one
+    array per axis, which broadcast together to the cells in C order, so a
+    caller can sample the grid one block of rows at a time and evaluate
+    what depends on the leading axes once per row.  ``representatives`` is
+    the whole (N^dim, dim) array, built from the same coordinates on first
+    access.
     """
 
     dim: int
@@ -248,20 +254,36 @@ class GaussianGrid:
     def num_cells(self) -> int:
         return self.cells_per_axis**self.dim
 
-    def points(self, start: int, stop: int) -> np.ndarray:
-        """Representatives of cells start..stop-1, shape (stop - start, dim)."""
-        n = self.cells_per_axis
-        index = np.arange(start, stop)
-        out = np.empty((len(index), self.dim))
-        for axis in range(self.dim - 1, -1, -1):
-            index, digit = np.divmod(index, n)
-            out[:, axis] = self.axis_points[digit]
-        return out
+    @property
+    def row_cells(self) -> int:
+        """Cells per row: N from dim 2 on, 1 in dim 1."""
+        return self.cells_per_axis if self.dim > 1 else 1
+
+    @property
+    def num_rows(self) -> int:
+        return self.num_cells // self.row_cells
+
+    def rows(self, start: int, stop: int) -> tuple[np.ndarray, ...]:
+        """Coordinates of rows start..stop-1, one array per axis.
+
+        In dim 1 this is the slice of the axis points.  From dim 2 on, the
+        leading axes come shaped (r, 1), read off one divmod of the r row
+        indices, and the last axis is the (1, N) axis points; together they
+        broadcast to the (r, N) cells in C order.
+        """
+        if self.dim == 1:
+            return (self.axis_points[start:stop],)
+        # row index -> digits of the leading axes, most significant first
+        digits = [np.arange(start, stop)]
+        for _ in range(self.dim - 2):
+            digits[:1] = np.divmod(digits[0], self.cells_per_axis)
+        return (*(self.axis_points[d][:, None] for d in digits), self.axis_points[None, :])
 
     @cached_property
     def representatives(self) -> np.ndarray:
         """All N^dim representatives, shape (num_cells, dim), read-only."""
-        reps = self.points(0, self.num_cells)
+        coords = np.broadcast_arrays(*self.rows(0, self.num_rows))
+        reps = np.stack([c.ravel() for c in coords], axis=1)
         reps.setflags(write=False)
         return reps
 

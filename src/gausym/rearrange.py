@@ -35,7 +35,8 @@ def _frozen(x) -> np.ndarray:
 
 def uniform_knots(n: int) -> np.ndarray:
     """The knots k/n, k = 0..n, of n pieces of width 1/n, read-only."""
-    knots = np.arange(n + 1) / n
+    knots = np.arange(n + 1, dtype=float)
+    knots /= n
     knots.setflags(write=False)
     return knots
 

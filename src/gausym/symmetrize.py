@@ -54,7 +54,7 @@ def _bin_means(p: Profile, n_bins: int) -> tuple[np.ndarray, np.ndarray]:
 
 def symmetrized_derivative(p: Profile, x1, n_bins: int) -> np.ndarray:
     """d/dx1 of ``symmetrized_field(p, dim, n_bins=n_bins)`` at each x1 of
-    a 1-d array, which is also minus its gradient norm: the interpolant's
+    an array, which is also minus its gradient norm: the interpolant's
     slope times phi(x1), 0 outside the outermost slope nodes."""
     _, means = _bin_means(p, n_bins)
     # nonincreasing bin means: round-off on the cumulative is clamped
@@ -75,16 +75,16 @@ def symmetrized_field(p: Profile, dim: int = 1, *, n_bins: int) -> ScalarField:
     The averages of p over ``n_bins`` uniform bins (the analysis passes
     its derivative-bin count ``m_d``) are interpolated linearly between
     the bin midpoints; the gradient is ``symmetrized_derivative``'s.
+    Both read the x1 coordinates alone.
     """
     nodes, means = _bin_means(p, n_bins)
 
-    def f_lin(X, _nodes=nodes, _means=means):
-        return np.interp(Phi(X[:, 0]), _nodes, _means)
+    def f_lin(xs, _nodes=nodes, _means=means):
+        return np.interp(Phi(xs[0]), _nodes, _means)
 
-    def jet_lin(X):
-        g = np.zeros_like(X)
-        g[:, 0] = symmetrized_derivative(p, X[:, 0], n_bins)
-        return f_lin(X), g
+    def jet_lin(xs):
+        slope = symmetrized_derivative(p, xs[0], n_bins)
+        return f_lin(xs), (slope,) + (0.0,) * (dim - 1)
 
     return ScalarField(dim, "symmetrized[linear]", f_lin, jet_lin, smooth=True)
 

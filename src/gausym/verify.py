@@ -10,11 +10,13 @@ own options and reads the field, grid and M from it.  ``CHECKS`` maps
 each check token to the report rows it yields, and ``run_checks`` runs a
 list of tokens on one analysis.
 
-The field is sampled one block of ``BLOCK_CELLS`` cells at a time, from
-``GaussianGrid.points``, by one call of the field's ``jet``, which gives
-the values and partials together: no array of points or partials, and
-no temporary of the field's jet, spans the whole grid.  Three things
-keep the analysis at a few grid-sized arrays:
+The field is sampled one block of whole grid rows at a time, about
+``BLOCK_CELLS`` cells, by one call of the field's ``jet`` on the rows'
+per-axis coordinates from ``GaussianGrid.rows``.  The jet gives the values
+and partials together, each broadcast only over the axes it depends on,
+and both are broadcast into cell order as they are stored: no array of
+points or partials, and no temporary of the field's jet, spans the whole
+grid.  Three things keep the analysis at a few grid-sized arrays:
 
 - Level order is built only when ``mt`` is among the checks.  Only
   ``mt`` reads the cells in level order (decreasing |f|, ties by cell
@@ -54,7 +56,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, IntervalError, NonFiniteFieldError, NonSmoothFieldError
-from .fields import ScalarField
+from .fields import ScalarField, partials_norm
 from .gaussian import BLOCK_CELLS, PASS_BLOCK, GaussianGrid, equal_measure_grid, iso_profile
 from .majorize import DEFAULT_NORM_FAMILY, HINGE_GRID_SIZE, RINorm, hinge_integrals, ri_norm
 from .rearrange import (
@@ -122,18 +124,20 @@ class Analysis:
         self.field = field
         self.grid = grid
         self.M = M
-        K = grid.num_cells
-        # one block of cells at a time (BLOCK_CELLS gives the reason for 4096)
+        K, row = grid.num_cells, grid.row_cells
+        # whole rows, about BLOCK_CELLS cells a block (it gives the reason)
         vals, grads = np.empty(K), np.empty(K)
-        for start in range(0, K, BLOCK_CELLS):
-            stop = min(start + BLOCK_CELLS, K)
-            values, partials = field.jet(grid.points(start, stop))
-            vals[start:stop] = values
-            grads[start:stop] = np.linalg.norm(partials, axis=1)
-        np.abs(vals, out=vals)
-        _require_finite(field, grid, "|f|", vals)
-        _require_finite(field, grid, "|grad f|", grads)
+        step = max(1, BLOCK_CELLS // row)
+        for start in range(0, grid.num_rows, step):
+            stop = min(start + step, grid.num_rows)
+            xs = grid.rows(start, stop)
+            shape = np.broadcast(*xs).shape
+            values, partials = field.jet(xs)
+            np.abs(values, out=vals[start * row:stop * row].reshape(shape))
+            partials_norm(partials, grads[start * row:stop * row].reshape(shape))
+        _require_finite(field, grid, "|f|", vals, np.max(vals))
         self.grad_max = float(np.max(grads))
+        _require_finite(field, grid, "|grad f|", grads, self.grad_max)
         # -|f| ascending is |f| decreasing, and its stable order the level order
         np.negative(vals, out=vals)
         self.level_grad_prefix = (
@@ -248,16 +252,21 @@ def _frozen_sort(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _require_finite(field: ScalarField, grid: GaussianGrid, name: str, arr: np.ndarray):
+def _require_finite(
+    field: ScalarField, grid: GaussianGrid, name: str, arr: np.ndarray, peak: float
+):
     """Raise NonFiniteFieldError naming the first grid point where ``arr``
-    (the field's ``name`` sampled on the grid's cells) is not finite."""
-    finite = np.isfinite(arr)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        x = ", ".join(f"{c:.17g}" for c in grid.points(i, i + 1)[0])
-        raise NonFiniteFieldError(
-            f"field {field.label!r} is not finite on the grid: {name} = {arr[i]} at x = ({x})"
-        )
+    (the field's ``name`` sampled on the grid's cells) is not finite.
+    ``peak`` is ``np.max(arr)``, which propagates NaN, so the array is
+    scanned only when it is not finite."""
+    if math.isfinite(peak):
+        return
+    i = int(np.argmin(np.isfinite(arr)))
+    digits = np.unravel_index(i, (grid.cells_per_axis,) * grid.dim)
+    x = ", ".join(f"{c:.17g}" for c in grid.axis_points[list(digits)])
+    raise NonFiniteFieldError(
+        f"field {field.label!r} is not finite on the grid: {name} = {arr[i]} at x = ({x})"
+    )
 
 
 def analyze(

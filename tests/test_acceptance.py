@@ -73,7 +73,7 @@ def test_criterion_1_special_functions():
 def test_criterion_2_equimeasurability():
     start = time.perf_counter()
     grid = equal_measure_grid(1, 4096)
-    points = grid.points(0, grid.num_cells)
+    points = grid.representatives
     youngs = (YoungFunction.power(1), YoungFunction.power(2), YoungFunction.hinge(0.5))
     names = ("coordinate", "halfspace_indicator_smooth", "gaussian_bump",
              "mixture", "poly_tanh", "monotone1d")

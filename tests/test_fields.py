@@ -10,12 +10,15 @@ from gausym import (
     InvalidParameterError,
     ScalarField,
     UnknownFieldError,
+    analyze,
     builtin_field,
     corpus_names,
     describe_field,
+    equal_measure_grid,
     gradient_at,
     gradient_norm,
     parse_field,
+    symmetrized_field,
 )
 from gausym.expr import DERIVATIVES, FUNCTIONS, Call, Neg, Num, Var, parse_expression, serialize
 
@@ -92,7 +95,7 @@ class TestBuiltins:
     def test_analytic_gradient_matches_differences(self, name, dim):
         field = builtin_field(name, dim=dim)
         pts = quasi_random_points(100, dim)
-        analytic = field.jet(pts)[1]
+        analytic = gradient_at(field, pts)
         err = np.abs(analytic - central_differences(field, pts))
         assert np.all(err <= 1e-5 * (1.0 + np.abs(analytic)))
 
@@ -307,7 +310,9 @@ class TestForwardGradient:
     def test_column_major_and_norm_bits(self):
         f = parse_field("tanh(x1 + 0.5*x2*x3) + 0.3*sin(x2)", 3)
         pts = quasi_random_points(1000, 3)
-        g = f.jet(pts)[1]
+        partials = f.jet(tuple(pts.T))[1]
+        assert [np.shape(d) for d in partials] == [(1000,)] * 3
+        g = gradient_at(f, pts)
         assert g.shape == (1000, 3) and g.flags.f_contiguous
         ref = np.linalg.norm(np.ascontiguousarray(g), axis=1)
         assert np.array_equal(gradient_norm(f, pts).view(np.uint64), ref.view(np.uint64))
@@ -345,7 +350,7 @@ class TestForwardGradient:
         ast = parse_expression(text, 2)
         pts = quasi_random_points(64, 2)
         with np.errstate(all="ignore"):
-            exact = field.jet(pts)[1]
+            exact = gradient_at(field, pts)
             fd = central_differences(field, pts)
             for k in range(2):
                 h = FD_STEP * (1.0 + np.abs(pts[:, k]))
@@ -353,7 +358,7 @@ class TestForwardGradient:
                 for sign in (1.0, -1.0):
                     shifted = pts.copy()
                     shifted[:, k] += sign * h
-                    g.append(field.jet(shifted)[1][:, k])
+                    g.append(gradient_at(field, shifted)[:, k])
                     e.append(_rounding_bound(ast, shifted)[1])
                 third = np.abs(g[0] - 2.0 * exact[:, k] + g[1]) / h**2
                 bound = 10.0 * (h**2 * third / 6.0 + (e[0] + e[1]) / (2.0 * h)
@@ -373,6 +378,11 @@ def _with_special(coords, dim: int) -> np.ndarray:
     return np.vstack([np.repeat(c[:, None], dim, axis=1), np.resize(c, (c.size, dim))])
 
 
+def _jet_values(field, pts: np.ndarray) -> np.ndarray:
+    """The jet's values on the columns of ``pts``, one per point."""
+    return np.broadcast_to(field.jet(tuple(pts.T))[0], len(pts))
+
+
 class TestJetValues:
     """A field's jet returns the evaluator's values bit for bit, NaN and
     inf included: the analysis reads |f| from the jet alone."""
@@ -383,7 +393,7 @@ class TestJetValues:
         field = parse_field(text, 2)
         pts = np.vstack([quasi_random_points(64, 2), _with_special([], 2)])
         with np.errstate(all="ignore"):
-            assert_same_bits(field.jet(pts)[0], field(pts))
+            assert_same_bits(_jet_values(field, pts), field(pts))
 
     @pytest.mark.parametrize("name", corpus_names())
     @given(dim=st.integers(1, 3), coords=st.lists(st.floats(), max_size=24))
@@ -392,4 +402,36 @@ class TestJetValues:
         field = builtin_field(name, dim=dim)
         pts = _with_special(coords, dim)
         with np.errstate(all="ignore"):
-            assert_same_bits(field.jet(pts)[0], field(pts))
+            assert_same_bits(_jet_values(field, pts), field(pts))
+
+
+class TestRowCoordinates:
+    """A jet on a grid's broadcast row coordinates gives, cell by cell, the
+    bits of the same jet on the (m, dim) columns of the cells: the analysis
+    samples the first way, ``gradient_at`` and calling a field the second."""
+
+    @staticmethod
+    def _field(name: str, grid):
+        if name == "symmetrized":
+            p = analyze(builtin_field("mixture", dim=grid.dim), grid, 64).p
+            return symmetrized_field(p, grid.dim, n_bins=16)
+        return builtin_field(name, dim=grid.dim)
+
+    @pytest.mark.parametrize("name", corpus_names() + ["symmetrized"])
+    @pytest.mark.parametrize("dim,N", [(1, 37), (2, 37), (3, 13)])
+    def test_rows_match_columns(self, name, dim, N):
+        grid = equal_measure_grid(dim, N)
+        field = self._field(name, grid)
+        xs = grid.rows(0, grid.num_rows)
+        shape = np.broadcast_shapes(*(x.shape for x in xs))
+        values, partials = field.jet(xs)
+        col_values, col_partials = field.jet(tuple(grid.representatives.T))
+        K = grid.num_cells
+        assert len(partials) == len(col_partials) == dim
+
+        def cells(a, s):
+            return np.broadcast_to(a, s).ravel()
+
+        assert_same_bits(cells(values, shape), cells(col_values, (K,)))
+        for d, col in zip(partials, col_partials):
+            assert_same_bits(cells(d, shape), cells(col, (K,)))

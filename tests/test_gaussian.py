@@ -323,15 +323,25 @@ class TestEqualMeasureGrid:
 
 
 class TestBlocks:
-    """Grid points and AS 241 quantiles are computed one block of
-    BLOCK_CELLS elements at a time; the results must not depend on it."""
+    """Grid coordinates come one block of rows at a time, and AS 241
+    quantiles one block of BLOCK_CELLS elements at a time; the results
+    must not depend on it."""
 
     @pytest.mark.parametrize("dim,N", BLOCK_GRIDS)
     def test_points_blocks_match_representatives(self, dim, N):
         grid = equal_measure_grid(dim, N)
-        K = grid.num_cells
-        blocks = [grid.points(s, min(s + BLOCK_CELLS, K)) for s in range(0, K, BLOCK_CELLS)]
-        assert len(blocks) > 1 and K % BLOCK_CELLS
+        rows, step = grid.num_rows, max(1, BLOCK_CELLS // grid.row_cells)
+        assert grid.row_cells == (N if dim > 1 else 1) and rows * grid.row_cells == grid.num_cells
+        blocks = []
+        for start in range(0, rows, step):
+            stop = min(start + step, rows)
+            xs = grid.rows(start, stop)
+            r = stop - start
+            lead, last = ((r, 1),) * (dim - 1), (1, N) if dim > 1 else (r,)
+            assert [x.shape for x in xs] == [*lead, last]
+            cells = np.broadcast_arrays(*xs)
+            blocks.append(np.stack([c.ravel() for c in cells], axis=1))
+        assert len(blocks) > 1 and rows % step
         assert_same_bits(np.concatenate(blocks), grid.representatives)
         # C order: the last coordinate varies fastest
         mesh = np.meshgrid(*([midpoint_quantiles(N)] * dim), indexing="ij")
@@ -341,7 +351,8 @@ class TestBlocks:
         grid = equal_measure_grid(3, 125)
         assert grid.num_cells == 125**3
         assert "representatives" not in vars(grid)
-        assert_same_bits(grid.points(125**3 - 1, 125**3)[0], np.full(3, grid.axis_points[-1]))
+        last_row = np.broadcast_arrays(*grid.rows(125**2 - 1, 125**2))
+        assert_same_bits(np.array([c[0, -1] for c in last_row]), np.full(3, grid.axis_points[-1]))
         with pytest.raises(ValueError):
             grid.axis_points[0] = 0.0
 

@@ -83,7 +83,7 @@ def test_only_the_analysis_samples_grid_cells():
     readers = set()
     for path in MODULES:
         for node in ast.walk(_tree(path)):
-            if isinstance(node, ast.Attribute) and node.attr in ("representatives", "points"):
+            if isinstance(node, ast.Attribute) and node.attr in ("representatives", "rows"):
                 readers.add(path.name)
     assert readers <= {"gaussian.py", "verify.py"}
 

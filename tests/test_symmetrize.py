@@ -73,8 +73,8 @@ class TestSymmetrizedField:
         grid = equal_measure_grid(1, 256)
         p = rearrangement(builtin_field("gaussian_bump"), grid)
         fo = symmetrized_field(p, dim=1, n_bins=256)
-        g = fo.jet(np.linspace(-2, 2, 21).reshape(-1, 1))[1]
-        assert np.all(g[:, 0] <= 0.0)
+        g = fo.jet((np.linspace(-2, 2, 21),))[1]
+        assert len(g) == 1 and np.all(g[0] <= 0.0)
 
 
 class TestPointwiseIdentity:

@@ -29,7 +29,7 @@ from gausym import (
     run_checks,
     symmetrized_field,
 )
-from gausym import verify
+from gausym import expr, verify
 from gausym.fields import ScalarField, corpus_names
 from gausym.gaussian import BLOCK_CELLS, PASS_BLOCK, iso_profile
 from gausym.rearrange import sort_decreasing
@@ -443,12 +443,14 @@ class TestAnalysisSorts:
 
 
 class TestBlockedSampling:
-    """The analysis samples |f| and |grad f| one block of BLOCK_CELLS cells
-    at a time; whole-grid evaluation stays here as the reference."""
+    """The analysis samples |f| and |grad f| one block of whole grid rows,
+    about BLOCK_CELLS cells, at a time; whole-grid evaluation stays here as
+    the reference."""
 
     EXPRESSIONS = ("tanh(x1 + 0.5*x2*x3) + 0.3*sin(x2)", "exp(-x1^2)*cos(x2) + 0.1*x1*x3")
 
-    @pytest.mark.parametrize("dim,N", [(1, 4097), (2, 65), (3, 17), (3, 33)])
+    # 129 rows of 129 cells: 31 rows a block, 129 not a multiple of 31
+    @pytest.mark.parametrize("dim,N", [(1, 4097), (2, 65), (2, 129), (3, 17), (3, 33)])
     def test_matches_whole_grid_evaluation(self, dim, N):
         grid = equal_measure_grid(dim, N)
         assert grid.num_cells > BLOCK_CELLS and grid.num_cells % BLOCK_CELLS
@@ -466,6 +468,25 @@ class TestBlockedSampling:
             assert_same_bits(a.grad_prof.values, sort_decreasing(grads))
             assert a.grad_max == float(np.max(grads))
 
+    def test_axis_terms_run_once_per_row(self, monkeypatch):
+        # sin(x2) and its derivative depend on a leading axis alone: on the
+        # row coordinates they see one value per row, 17^2, not 17^3 cells
+        seen = {"sin": 0, "d sin": 0}
+        sin, dsin = expr.FUNCTIONS["sin"], expr.DERIVATIVES["sin"]
+
+        def counting_sin(a):
+            seen["sin"] += np.size(a)
+            return sin(a)
+
+        def counting_dsin(a, v):
+            seen["d sin"] += np.size(a)
+            return dsin(a, v)
+
+        monkeypatch.setitem(expr.FUNCTIONS, "sin", counting_sin)
+        monkeypatch.setitem(expr.DERIVATIVES, "sin", counting_dsin)
+        analyze(parse_field(self.EXPRESSIONS[0], 3), equal_measure_grid(3, 17), 512)
+        assert seen == {"sin": 17**2, "d sin": 17**2}
+
     def test_profiles_share_the_knots(self):
         a = analyze(builtin_field("mixture", dim=2), equal_measure_grid(2, 64), 512)
         assert a.grad_prof.knots is a.p.knots
@@ -477,11 +498,23 @@ class TestBlockedSampling:
         x = grid.axis_points
         # |f| is bad from cell 4097 on, |grad f| already from cell 4096:
         # the |f| check comes first, as it did on the whole grid
-        f = lambda X: np.where(X[:, 0] >= x[4097], np.nan, 1.0)  # noqa: E731
+        f = lambda xs: np.where(xs[0] >= x[4097], np.nan, 1.0)  # noqa: E731
         field = ScalarField(
-            1, "edge", f, lambda X: (f(X), np.where(X >= x[4096], np.inf, 0.0))
+            1, "edge", f, lambda xs: (f(xs), (np.where(xs[0] >= x[4096], np.inf, 0.0),))
         )
         with pytest.raises(NonFiniteFieldError, match=rf"\|f\| = nan at x = \({x[4097]:.17g}\)"):
+            analyze(field, grid, 512)
+
+    def test_first_bad_point_named_in_row_blocks(self):
+        # 17^2 rows, 240 a block: the first bad cell, (15, 0, 3) in C order,
+        # sits in row 255, in the second block, where the field broadcasts
+        # a (r, 1) and a (1, N) axis
+        grid = equal_measure_grid(3, 17)
+        x = grid.axis_points
+        f = lambda xs: np.where((xs[0] == x[15]) & (xs[2] == x[3]), np.inf, xs[1])  # noqa: E731
+        field = ScalarField(3, "spot", f, lambda xs: (f(xs), (0.0, 1.0, 0.0)))
+        named = ", ".join(f"{c:.17g}" for c in (x[15], x[0], x[3]))
+        with pytest.raises(NonFiniteFieldError, match=rf"\|f\| = inf at x = \({named}\)"):
             analyze(field, grid, 512)
 
     ALL = ("uno", "dos", "norm", "mt", "interval", "orlicz", "converge")
