@@ -50,6 +50,31 @@ _BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^":
 _ONE = 1.0  # the partial of a variable by itself: scaling by it is skipped
 
 
+_SMALL_EXPONENTS = frozenset(range(3, 9))
+
+
+def _small_exponent(node):
+    """The exponent as an int when ``node`` is an integer literal from 3
+    to 8, else None.
+
+    Such powers are taken by repeated multiplication: np.power may take a
+    slow element-wise path for negative bases, whose results need not
+    mirror those for positive ones bit for bit.  A square already has the
+    bits of a * a in np.power and keeps it.
+    """
+    if isinstance(node, Num) and node.value in _SMALL_EXPONENTS:
+        return int(node.value)
+    return None
+
+
+def _repeated_product(a, n: int):
+    """a^n for an integer n >= 1, multiplied out from the left."""
+    v = a
+    for _ in range(n - 1):
+        v = v * a
+    return v
+
+
 def _scaled(d, w):
     """The partial d scaled by w (None means 1)."""
     return d if w is None else w if d is _ONE else d * w
@@ -108,7 +133,8 @@ class Bin:
         a, da = self.left.forward(xs, partials)
         b, db = self.right.forward(xs, partials)
         op = self.op
-        v = _BINARY[op](a, b)
+        n = _small_exponent(self.right) if op == "^" else None
+        v = _BINARY[op](a, b) if n is None else _repeated_product(a, n)
         if not (da or db):
             return v, {}
         if op in "+-":
@@ -118,6 +144,8 @@ class Bin:
         if op == "/":
             r = 1.0 / b
             return v, _combine(da, r, db, -v * r if db else None)
+        if n is not None:
+            return v, _combine(da, b * _repeated_product(a, n - 1), {}, None)
         if not db:  # constant exponent: power rule, no log; a^0 is constant
             return v, (_combine(da, b * a ** (b - 1.0), {}, None) if b != 0 else {})
         # d(a^b) = b a^(b-1) da + a^b log(a) db; the log term is 0 where a^b is

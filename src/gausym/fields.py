@@ -196,13 +196,18 @@ def _poly_tanh(p: dict, dim: int) -> ScalarField:
         # w[0] = 1: the first axis enters unscaled
         return _axis_sum([xs[0]] + [wk * x for wk, x in zip(w[1:], xs[1:])])
 
+    def arg(u):
+        # u*u*u, not u**3: np.power may take a slow element-wise path for
+        # negative bases, whose results need not mirror those for positive
+        # ones bit for bit
+        return a * u + b * (u * u * u)
+
     def f(xs):
-        u = u_of(xs)
-        return np.tanh(a * u + b * u**3)
+        return np.tanh(arg(u_of(xs)))
 
     def jet(xs):
         u = u_of(xs)
-        t = np.tanh(a * u + b * u**3)
+        t = np.tanh(arg(u))
         g = (1.0 - t * t) * (a + 3.0 * b * u * u)
         return t, (g, *(g * wk for wk in w[1:]))
 

@@ -435,3 +435,31 @@ class TestRowCoordinates:
         assert_same_bits(cells(values, shape), cells(col_values, (K,)))
         for d, col in zip(partials, col_partials):
             assert_same_bits(cells(d, shape), cells(col, (K,)))
+
+
+class TestMirrorSymmetry:
+    """On an odd 1-d grid the axis is odd bit for bit, so an odd field's
+    values and an even field's gradient must be too: mirrored cells carry
+    the same |f| and |grad f|.  Cubes and other small integer powers of
+    negative bases must not take a different path from positive ones."""
+
+    @pytest.mark.parametrize("N", [4097, 65537])
+    @pytest.mark.parametrize("source, odd", [
+        ("poly_tanh", True),
+        ("x1^3", True),
+        ("x1^5 - x1", True),
+        ("coordinate", True),
+        ("gaussian_bump", False),
+    ])
+    def test_odd_and_even_fields(self, source, odd, N):
+        if source in corpus_names():
+            field = builtin_field(source)
+        else:
+            field = parse_field(source, 1)
+        xs = equal_measure_grid(1, N).axis_points
+        values, (grad,) = field.jet((xs,))
+        values, grad = np.broadcast_to(values, xs.shape), np.broadcast_to(grad, xs.shape)
+        # + 0.0 turns -0.0, the mirror of 0.0, into 0.0
+        sign = -1.0 if odd else 1.0
+        assert_same_bits(values + 0.0, sign * values[::-1] + 0.0)
+        assert_same_bits(grad + 0.0, -sign * grad[::-1] + 0.0)

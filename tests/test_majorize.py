@@ -342,13 +342,14 @@ _LUXEMBURG_PROFILES = st.one_of(
 
 @pytest.fixture
 def young_calls(monkeypatch):
-    """Labels of the YoungFunction calls made while the test runs: one per
-    pass over a profile."""
+    """Number of elements of each YoungFunction call made while the test
+    runs: a whole pass over a profile, or a pass over a smaller coarse
+    profile built from it."""
     calls = []
     call = YoungFunction.__call__
 
     def counting_call(self, t):
-        calls.append(self.label)
+        calls.append(np.size(t))
         return call(self, t)
 
     monkeypatch.setattr(YoungFunction, "__call__", counting_call)
@@ -356,9 +357,11 @@ def young_calls(monkeypatch):
 
 
 def _passes(young_calls, p, A):
+    """The norm and the work it took in whole passes over ``p``: the
+    elements passed to A, divided by the pieces of ``p``."""
     young_calls.clear()
     value = ri_norm(p, RINorm("orlicz", young=A))
-    return value, len(young_calls)
+    return value, sum(young_calls) / p.num_pieces
 
 
 class TestLuxemburg:
@@ -412,6 +415,27 @@ class TestLuxemburg:
         for p, A in cases:
             value, n = _passes(young_calls, p, A)
             assert value > 0.0 and n <= 12, (A.label, p.sup, n)
+
+    def test_dense_gradient_profile(self, young_calls):
+        """The 2^20-piece gradient profile of poly_tanh takes at most six
+        whole passes (the walk from sup took ten), matching bisection."""
+        grid = equal_measure_grid(1, 2**20)
+        p = analyze(builtin_field("poly_tanh"), grid, 4096, ["norm"]).grad_prof
+        A = YoungFunction.exp_sq_truncated()
+        value, n = _passes(young_calls, p, A)
+        assert n <= 6, n
+        assert value == pytest.approx(bisection_luxemburg(p, A), rel=1e-10, abs=0.0)
+
+    def test_coarse_bracket_falls_back_to_the_walk(self):
+        """A coarse profile of group minima can lose the support that makes
+        the norm positive: 1250 of 65536 pieces at 5 give expsq(2) a
+        positive norm, but the 1216 pieces of whole groups of 64 do not
+        (theta stays below (e^4 - 1) * 1216 / 65536 < 1)."""
+        p = tied_profile([5.0, 0.0], [1250, 65536 - 1250])
+        A = YoungFunction.exp_sq_truncated(2.0)
+        got = ri_norm(p, RINorm("orlicz", young=A))
+        assert got > 0.0
+        assert got == pytest.approx(bisection_luxemburg(p, A), rel=1e-10, abs=0.0)
 
     def test_bounded_young_function_can_give_zero(self, young_calls):
         # expsq(2) never exceeds e^4 - 1: on a support of measure 1/64,
