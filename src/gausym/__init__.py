@@ -24,8 +24,6 @@ from .fields import (
     builtin_field,
     corpus_names,
     describe_field,
-    gradient_at,
-    gradient_norm,
     parse_field,
 )
 from .gaussian import (
@@ -53,7 +51,7 @@ from .majorize import (
     ri_norm,
 )
 from .rearrange import GridCurve, Profile, lebesgue_rearrangement
-from .symmetrize import pointwise_identity_gap, symmetrized_derivative, symmetrized_field
+from .symmetrize import symmetrized_derivative
 from .verify import (
     Analysis,
     ConvergenceStudy,

@@ -1,4 +1,4 @@
-"""Recursive-descent parser and evaluators for scalar field expressions.
+"""Recursive-descent parser and forward-mode jet for scalar field expressions.
 
 Grammar: real literals, variables x1..x9, binary + - * / ^ with the usual
 precedence (^ binds tightest and is right-associative), unary minus,
@@ -11,9 +11,8 @@ broadcasting together, and returns its value together with a sparse dict
 and partials keep the broadcast shape of the axes they depend on, so on a
 grid's row coordinates a subtree of the leading axes alone runs once per
 row.  Literals stay numpy scalars with no partials, so an operation with
-a constant costs no array.  ``evaluate`` runs the pass without partials;
-``jet`` runs it with them, giving the values and exact partials in one
-pass.
+a constant costs no array.  ``jet`` runs the pass, giving the values and
+exact partials in one pass; ``evaluate`` is its values.
 """
 
 from __future__ import annotations
@@ -102,7 +101,7 @@ _VAR_RE = re.compile(r"x([1-9])\Z")
 class Num:
     value: float
 
-    def forward(self, xs, partials):
+    def forward(self, xs):
         return np.float64(self.value), {}
 
 
@@ -110,16 +109,16 @@ class Num:
 class Var:
     index: int  # 1-based axis
 
-    def forward(self, xs, partials):
-        return xs[self.index - 1], ({self.index - 1: _ONE} if partials else {})
+    def forward(self, xs):
+        return xs[self.index - 1], {self.index - 1: _ONE}
 
 
 @dataclass(frozen=True)
 class Neg:
     arg: object
 
-    def forward(self, xs, partials):
-        a, da = self.arg.forward(xs, partials)
+    def forward(self, xs):
+        a, da = self.arg.forward(xs)
         return -a, {k: -d for k, d in da.items()}
 
 
@@ -129,9 +128,9 @@ class Bin:
     left: object
     right: object
 
-    def forward(self, xs, partials):
-        a, da = self.left.forward(xs, partials)
-        b, db = self.right.forward(xs, partials)
+    def forward(self, xs):
+        a, da = self.left.forward(xs)
+        b, db = self.right.forward(xs)
         op = self.op
         n = _small_exponent(self.right) if op == "^" else None
         v = _BINARY[op](a, b) if n is None else _repeated_product(a, n)
@@ -158,8 +157,8 @@ class Call:
     name: str
     arg: object
 
-    def forward(self, xs, partials):
-        a, da = self.arg.forward(xs, partials)
+    def forward(self, xs):
+        a, da = self.arg.forward(xs)
         v = FUNCTIONS[self.name](a)
         return v, (_combine(da, DERIVATIVES[self.name](a, v), {}, None) if da else {})
 
@@ -303,7 +302,7 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
 
 
 def serialize(node) -> str:
-    """Canonical textual form; re-parsing yields an equivalent evaluator."""
+    """Canonical textual form; re-parsing yields an equivalent AST."""
     return _ser(node, 0)
 
 
@@ -325,28 +324,24 @@ def _ser(node, parent_prec: int) -> str:
     return f"({text})" if parent_prec > prec else text
 
 
-def evaluate(node, xs):
-    """Evaluate the AST on coordinates ``xs``, one array per axis that
-    broadcast together; the values broadcast to their common shape (a
-    constant expression gives a numpy scalar).
-
-    Total on the reals: division by zero and domain escapes follow IEEE
-    semantics (inf/nan) instead of raising.
-    """
-    with np.errstate(all="ignore"):
-        return node.forward(xs, False)[0]
-
-
 def jet(node, xs) -> tuple:
-    """Values and exact partials of the AST at coordinates ``xs``, from
-    one forward-mode pass: the values equal ``evaluate``'s bit for bit,
-    and the partials are a tuple with one entry per axis, each
-    broadcastable to the values' shape, 0.0 for an axis the expression
-    does not contain.
+    """Values and exact partials of the AST at coordinates ``xs``, one
+    array per axis that broadcast together, from one forward-mode pass.
+    The values broadcast to the coordinates' common shape (a constant
+    expression gives a numpy scalar), and the partials are a tuple with
+    one entry per axis, each broadcastable to the values' shape, 0.0 for
+    an axis the expression does not contain.
 
-    Total like ``evaluate``: where a derivative is unbounded (sqrt at 0)
-    the partial is inf or nan instead of raising.
+    Total on the reals: division by zero, domain escapes and unbounded
+    derivatives (sqrt at 0) follow IEEE semantics (inf/nan) instead of
+    raising.
     """
     with np.errstate(all="ignore"):
-        value, partials = node.forward(xs, True)
+        value, partials = node.forward(xs)
     return value, tuple(partials.get(k, 0.0) for k in range(len(xs)))
+
+
+def evaluate(node, xs):
+    """The values of ``jet``.  Nothing in the package calls it: it is kept
+    for perfbench/tracing.py, which rebinds it."""
+    return jet(node, xs)[0]

@@ -1,14 +1,14 @@
-"""Scalar test fields on R^n: builtin corpus, parsed expressions, gradients.
+"""Scalar test fields on R^n: builtin corpus and parsed expressions.
 
-A ScalarField wraps a vectorized evaluator together with its jet, which
-returns the values and the exact gradient from one pass.  Both take the
-coordinates as one array per axis, broadcasting together: the columns of
-a batch of points, or a grid's row coordinates, on which a term that
-depends on the leading axes alone is evaluated once per row.  The builtin
-corpus is restricted to fields that are Lipschitz on the effective
-support of the Gaussian measure, since the inequality checks sample
-gradients everywhere mass lives.  Every builtin's jet is closed form and
-every parsed expression's is the forward-mode ``expr.jet``.
+A ScalarField is its jet: one pass that returns the values and the exact
+gradient.  It takes the coordinates as one array per axis, broadcasting
+together: the columns of a batch of points, or a grid's row coordinates,
+on which a term that depends on the leading axes alone is evaluated once
+per row.  The builtin corpus is restricted to fields that are Lipschitz
+on the effective support of the Gaussian measure, since the inequality
+checks sample gradients everywhere mass lives.  Every builtin's jet is
+closed form and every parsed expression's is the forward-mode
+``expr.jet``.
 """
 
 from __future__ import annotations
@@ -25,47 +25,30 @@ from .errors import InvalidParameterError, UnknownFieldError
 Coords = tuple[np.ndarray, ...]
 
 
-def as_points(x, dim: int) -> np.ndarray:
-    """Coerce a point or batch of points to shape (m, dim)."""
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1) if dim > 1 else arr.reshape(-1, 1)
-    if arr.ndim != 2 or arr.shape[1] != dim:
-        raise InvalidParameterError(
-            f"points must have shape (m, {dim}), got {np.shape(x)}"
-        )
-    return arr
-
-
 @dataclass(frozen=True)
 class ScalarField:
-    """Evaluable scalar field with its exact gradient.
+    """Scalar field given by its jet.
 
-    ``evaluator`` maps ``dim`` per-axis coordinate arrays that broadcast
-    together to the values, broadcastable to their common shape.  ``jet``
-    maps them to the same values bit for bit and a tuple of the ``dim``
-    partials, each broadcastable to that shape, from one pass; an axis
-    the field ignores gets a scalar 0.0.  Calling the field, and
-    ``gradient_at``/``gradient_norm``, take an (m, dim) batch and pass its
-    columns.  ``smooth`` is False for fields with gradient jump sets (e.g.
-    expressions using abs); checks either reject those or double their
-    tolerances.
+    ``jet`` maps ``dim`` per-axis coordinate arrays that broadcast
+    together to the values, broadcastable to their common shape, and a
+    tuple of the ``dim`` partials, each broadcastable to that shape, from
+    one pass; an axis the field ignores gets a scalar 0.0.  ``smooth`` is
+    False for fields with gradient jump sets (e.g. expressions using abs);
+    checks either reject those or double their tolerances.
     """
 
     dim: int
     label: str
-    evaluator: Callable[[Coords], np.ndarray]
     jet: Callable[[Coords], tuple[np.ndarray, Coords]]
     smooth: bool = True
+    # the jet's values; nothing in the package calls it: it is kept for
+    # perfbench/tracing.py, which wraps it through dataclasses.replace
+    evaluator: Optional[Callable[[Coords], np.ndarray]] = None
 
-    def __call__(self, points) -> np.ndarray:
-        pts = as_points(points, self.dim)
-        out = np.empty(len(pts))
-        out[...] = self.evaluator(tuple(pts.T))
-        return out
-
-    def value(self, point) -> float:
-        return float(self(point)[0])
+    def __post_init__(self):
+        if self.evaluator is None:
+            jet = self.jet
+            object.__setattr__(self, "evaluator", lambda xs: jet(xs)[0])
 
 
 def partials_norm(partials: Coords, out: np.ndarray) -> np.ndarray:
@@ -78,21 +61,6 @@ def partials_norm(partials: Coords, out: np.ndarray) -> np.ndarray:
     for d in rest:
         out += d * d
     return np.sqrt(out, out=out)
-
-
-def gradient_at(field: ScalarField, x) -> np.ndarray:
-    """Gradient rows for each point."""
-    pts = as_points(x, field.dim)
-    out = np.empty((field.dim, len(pts)))
-    for row, d in zip(out, field.jet(tuple(pts.T))[1]):
-        row[...] = d
-    return out.T
-
-
-def gradient_norm(field: ScalarField, x) -> np.ndarray:
-    """Euclidean norm of the gradient at each point."""
-    pts = as_points(x, field.dim)
-    return partials_norm(field.jet(tuple(pts.T))[1], np.empty(len(pts)))
 
 
 # ---------------------------------------------------------------------------
@@ -124,13 +92,10 @@ def _coordinate(p: dict, dim: int) -> ScalarField:
     if not 1 <= axis <= dim:
         raise InvalidParameterError(f"axis {axis} out of range for dim {dim}")
 
-    def f(xs):
-        return xs[axis - 1]
-
     def jet(xs):
-        return f(xs), tuple(1.0 if k == axis - 1 else 0.0 for k in range(dim))
+        return xs[axis - 1], tuple(1.0 if k == axis - 1 else 0.0 for k in range(dim))
 
-    return ScalarField(dim, f"coordinate(axis={axis})", f, jet)
+    return ScalarField(dim, f"coordinate(axis={axis})", jet)
 
 
 def _halfspace(p: dict, dim: int) -> ScalarField:
@@ -138,14 +103,11 @@ def _halfspace(p: dict, dim: int) -> ScalarField:
     if width <= 0:
         raise InvalidParameterError("width must be positive")
 
-    def f(xs):
-        return 0.5 * (1.0 - np.tanh((xs[0] - a) / width))
-
     def jet(xs):
         u = np.tanh((xs[0] - a) / width)
         return 0.5 * (1.0 - u), (-0.5 * (1.0 - u * u) / width,) + (0.0,) * (dim - 1)
 
-    return ScalarField(dim, f"halfspace_indicator_smooth(a={a},width={width})", f, jet)
+    return ScalarField(dim, f"halfspace_indicator_smooth(a={a},width={width})", jet)
 
 
 def _gaussian_bump(p: dict, dim: int) -> ScalarField:
@@ -153,14 +115,11 @@ def _gaussian_bump(p: dict, dim: int) -> ScalarField:
     if c <= 0:
         raise InvalidParameterError("c must be positive")
 
-    def f(xs):
-        return np.exp(-c * _axis_sum([x * x for x in xs]))
-
     def jet(xs):
-        v = f(xs)
+        v = np.exp(-c * _axis_sum([x * x for x in xs]))
         return v, tuple(-2.0 * c * x * v for x in xs)
 
-    return ScalarField(dim, f"gaussian_bump(c={c})", f, jet)
+    return ScalarField(dim, f"gaussian_bump(c={c})", jet)
 
 
 def _mixture(p: dict, dim: int) -> ScalarField:
@@ -168,50 +127,33 @@ def _mixture(p: dict, dim: int) -> ScalarField:
     if c1 <= 0 or c2 <= 0:
         raise InvalidParameterError("bump widths c1, c2 must be positive")
 
-    def parts(xs):
+    def jet(xs):
         # offsets from the two centers: they differ on the first axis only
         d1 = (xs[0] - m, *xs[1:])
         d2 = (xs[0] + m, *xs[1:])
         g1 = np.exp(-c1 * _axis_sum([d * d for d in d1]))
         g2 = np.exp(-c2 * _axis_sum([d * d for d in d2]))
-        return d1, d2, g1, g2
-
-    def f(xs):
-        _, _, g1, g2 = parts(xs)
-        return w1 * g1 + w2 * g2
-
-    def jet(xs):
-        d1, d2, g1, g2 = parts(xs)
         grad = tuple(-2.0 * c1 * w1 * a * g1 - 2.0 * c2 * w2 * b * g2 for a, b in zip(d1, d2))
         return w1 * g1 + w2 * g2, grad
 
-    return ScalarField(dim, f"mixture(w1={w1},w2={w2},c1={c1},c2={c2},m={m})", f, jet)
+    return ScalarField(dim, f"mixture(w1={w1},w2={w2},c1={c1},c2={c2},m={m})", jet)
 
 
 def _poly_tanh(p: dict, dim: int) -> ScalarField:
     a, b = p["a"], p["b"]
     w = 0.5 ** np.arange(dim)
 
-    def u_of(xs):
+    def jet(xs):
         # w[0] = 1: the first axis enters unscaled
-        return _axis_sum([xs[0]] + [wk * x for wk, x in zip(w[1:], xs[1:])])
-
-    def arg(u):
+        u = _axis_sum([xs[0]] + [wk * x for wk, x in zip(w[1:], xs[1:])])
         # u*u*u, not u**3: np.power may take a slow element-wise path for
         # negative bases, whose results need not mirror those for positive
         # ones bit for bit
-        return a * u + b * (u * u * u)
-
-    def f(xs):
-        return np.tanh(arg(u_of(xs)))
-
-    def jet(xs):
-        u = u_of(xs)
-        t = np.tanh(arg(u))
+        t = np.tanh(a * u + b * (u * u * u))
         g = (1.0 - t * t) * (a + 3.0 * b * u * u)
         return t, (g, *(g * wk for wk in w[1:]))
 
-    return ScalarField(dim, f"poly_tanh(a={a},b={b})", f, jet)
+    return ScalarField(dim, f"poly_tanh(a={a},b={b})", jet)
 
 
 def _monotone1d(p: dict, dim: int) -> ScalarField:
@@ -219,14 +161,11 @@ def _monotone1d(p: dict, dim: int) -> ScalarField:
     if a <= 0:
         raise InvalidParameterError("a must be positive")
 
-    def f(xs):
-        return np.exp(-a * xs[0])
-
     def jet(xs):
-        v = f(xs)
+        v = np.exp(-a * xs[0])
         return v, (-a * v,) + (0.0,) * (dim - 1)
 
-    return ScalarField(dim, f"monotone1d(a={a})", f, jet)
+    return ScalarField(dim, f"monotone1d(a={a})", jet)
 
 
 _BUILTINS = {
@@ -272,26 +211,27 @@ def corpus_names() -> list[str]:
     return sorted(_BUILTINS)
 
 
+def _builtin(name: str) -> tuple:
+    """The corpus entry (builder, defaults, description) of ``name``."""
+    if name not in _BUILTINS:
+        raise UnknownFieldError(
+            f"unknown field {name!r}; available: {', '.join(corpus_names())}"
+        )
+    return _BUILTINS[name]
+
+
 def builtin_field(name: str, params: Optional[dict] = None, dim: int = 1) -> ScalarField:
     """Construct a field from the builtin corpus.
 
     Unknown names raise UnknownFieldError; parameters outside the family's
     signature or domain raise InvalidParameterError.
     """
-    if name not in _BUILTINS:
-        raise UnknownFieldError(
-            f"unknown field {name!r}; available: {', '.join(corpus_names())}"
-        )
-    builder, defaults, _ = _BUILTINS[name]
+    builder, defaults, _ = _builtin(name)
     return builder(_merge_params(name, defaults, params), dim)
 
 
 def describe_field(name: str) -> str:
-    if name not in _BUILTINS:
-        raise UnknownFieldError(
-            f"unknown field {name!r}; available: {', '.join(corpus_names())}"
-        )
-    _, defaults, text = _BUILTINS[name]
+    _, defaults, text = _builtin(name)
     params = ", ".join(f"{k}={v:g}" for k, v in sorted(defaults.items()))
     return f"{name}\n  parameters: {params}\n  {text}"
 
@@ -303,16 +243,12 @@ def parse_field(expression: str, dim: int) -> ScalarField:
     the values and the partials.  Where a derivative is unbounded or the
     chain rule meets inf * 0 (sqrt(abs(x1)) at x1 = 0) it is not finite,
     and ``verify.analyze`` refuses the field.  The label is the canonical
-    serialized form, which re-parses to an evaluator that agrees
-    everywhere.  Fields whose expression uses abs() are flagged non-smooth.
+    serialized form, which re-parses to a field that agrees everywhere.
+    Fields whose expression uses abs() are flagged non-smooth.
     """
     ast = _expr.parse_expression(expression, dim)
-    label = _expr.serialize(ast)
 
-    def f(xs, _ast=ast):
-        return _expr.evaluate(_ast, xs)
+    def jet(xs):
+        return _expr.jet(ast, xs)
 
-    def jet(xs, _ast=ast):
-        return _expr.jet(_ast, xs)
-
-    return ScalarField(dim, label, f, jet, smooth=not _expr.uses_abs(ast))
+    return ScalarField(dim, _expr.serialize(ast), jet, smooth=not _expr.uses_abs(ast))

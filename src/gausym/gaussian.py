@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -240,9 +239,7 @@ class GaussianGrid:
     ``rows(start, stop)`` gives the coordinates of a range of rows as one
     array per axis, which broadcast together to the cells in C order, so a
     caller can sample the grid one block of rows at a time and evaluate
-    what depends on the leading axes once per row.  ``representatives`` is
-    the whole (N^dim, dim) array, built from the same coordinates on first
-    access.
+    what depends on the leading axes once per row.
     """
 
     dim: int
@@ -278,14 +275,6 @@ class GaussianGrid:
         for _ in range(self.dim - 2):
             digits[:1] = np.divmod(digits[0], self.cells_per_axis)
         return (*(self.axis_points[d][:, None] for d in digits), self.axis_points[None, :])
-
-    @cached_property
-    def representatives(self) -> np.ndarray:
-        """All N^dim representatives, shape (num_cells, dim), read-only."""
-        coords = np.broadcast_arrays(*self.rows(0, self.num_rows))
-        reps = np.stack([c.ravel() for c in coords], axis=1)
-        reps.setflags(write=False)
-        return reps
 
 
 def equal_measure_grid(dim: int, N: int) -> GaussianGrid:

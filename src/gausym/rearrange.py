@@ -179,32 +179,6 @@ class GridCurve:
         return out if t_arr.ndim else float(out)
 
 
-def sort_decreasing(values: np.ndarray) -> np.ndarray:
-    """``values`` sorted into nonincreasing order, NaNs last, bit for bit
-    equal to ``values[np.argsort(-values, kind="stable")]``.
-
-    A value sort is several times faster than the stable argsort and its
-    gather.  Tied values are interchangeable except for +0.0 against -0.0
-    (equal, yet distinct bits) and NaNs (the sort returns them canonical);
-    each kind sits in one block of the sorted array, and is copied back in
-    input order, as the stable sort keeps it.  The one negated copy is
-    sorted and negated back in place, so no second array of that size
-    is held.
-    """
-    out = -values
-    out.sort()
-    # block bounds in the ascending order, before negating back
-    lo = np.searchsorted(out, 0.0, side="left")
-    hi = np.searchsorted(out, 0.0, side="right")
-    first_nan = np.searchsorted(out, np.nan)
-    np.negative(out, out=out)
-    if hi > lo:
-        out[lo:hi] = values[values == 0.0]
-    if first_nan < len(out):
-        out[first_nan:] = values[np.isnan(values)]
-    return out
-
-
 def lebesgue_rearrangement(samples) -> Profile:
     """Decreasing rearrangement of weighted samples on (0, 1).
 

@@ -59,13 +59,7 @@ from .errors import DomainError, IntervalError, NonFiniteFieldError, NonSmoothFi
 from .fields import ScalarField, partials_norm
 from .gaussian import BLOCK_CELLS, PASS_BLOCK, GaussianGrid, equal_measure_grid, iso_profile
 from .majorize import DEFAULT_NORM_FAMILY, HINGE_GRID_SIZE, RINorm, hinge_integrals, ri_norm
-from .rearrange import (
-    GridCurve,
-    Profile,
-    derivative_bin_count,
-    sort_decreasing,
-    uniform_knots,
-)
+from .rearrange import GridCurve, Profile, derivative_bin_count, uniform_knots
 from .symmetrize import symmetrized_derivative
 
 VIOLATION_FLOOR = 1e-12
@@ -156,7 +150,7 @@ class Analysis:
             (np.arange(self.m_d) + 0.5) / self.m_d,
             (edge_vals[1:] - edge_vals[:-1]) * self.m_d,
         )
-        self.surr_prof = Profile(edges, _frozen_sort(self.surr.values))
+        self.surr_prof = Profile(edges, _sort_negated(-self.surr.values))
         self.t_grid = np.arange(1, M + 1) / M
 
     def surrogate_cumulative(self, t) -> np.ndarray:
@@ -172,8 +166,8 @@ class Analysis:
         axis points, and the profile has N pieces of width 1/N: each
         sorted value stands for the N^(dim-1) cells of its x1 slab.
         """
-        grads = np.abs(symmetrized_derivative(self.p, self.grid.axis_points, self.m_d))
-        return Profile(uniform_knots(self.grid.cells_per_axis), _frozen_sort(grads))
+        neg = -np.abs(symmetrized_derivative(self.p, self.grid.axis_points, self.m_d))
+        return Profile(uniform_knots(self.grid.cells_per_axis), _sort_negated(neg))
 
     def tolerance(self, override: Optional[float]) -> float:
         if override is not None:
@@ -202,8 +196,8 @@ def _level_grad_prefix(neg_levels: np.ndarray, grads: np.ndarray, cell_measure: 
 def _sort_negated(neg: np.ndarray) -> np.ndarray:
     """Minus nonnegative values, NaN-free, sorted in place and negated
     back: the values in nonincreasing order, read-only, so a Profile keeps
-    them uncopied.  Every zero comes back +0.0, so this equals
-    ``sort_decreasing`` of the values bit for bit."""
+    them uncopied.  Every zero comes back +0.0, so this equals the values
+    gathered in their stable decreasing argsort order, bit for bit."""
     neg.sort()
     np.negative(neg, out=neg)
     neg.setflags(write=False)
@@ -243,13 +237,6 @@ def _surrogate_at_knots(p: Profile, m_d: int) -> np.ndarray:
     cum[K] = total
     cum.setflags(write=False)
     return cum
-
-
-def _frozen_sort(values: np.ndarray) -> np.ndarray:
-    """``sort_decreasing(values)``, read-only, so a Profile keeps it uncopied."""
-    out = sort_decreasing(values)
-    out.setflags(write=False)
-    return out
 
 
 def _require_finite(

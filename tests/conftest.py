@@ -1,12 +1,15 @@
-"""Shared test helpers: quasi-random point sets, the analysis'
-rearrangement, a central-difference gradient reference, random profile
-pairs and random field expressions."""
+"""Shared test helpers: quasi-random point sets, a field's values and
+gradients at a batch of points, a grid's cell representatives, the
+analysis' rearrangement, reference implementations (central differences,
+the stable decreasing sort, the symmetrized field and its pointwise
+gradient identity), random profile pairs and random field expressions."""
 
 import numpy as np
 from hypothesis import strategies as st
 
-from gausym import Profile, analyze
+from gausym import NonSmoothFieldError, Phi, Phi_inv, Profile, ScalarField, analyze
 from gausym.expr import FUNCTIONS
+from gausym.symmetrize import _bin_means, symmetrized_derivative
 
 
 def quasi_random_points(n: int, dim: int, low: float = -3.0, high: float = 3.0) -> np.ndarray:
@@ -20,6 +23,27 @@ def quasi_random_points(n: int, dim: int, low: float = -3.0, high: float = 3.0) 
     k = np.arange(1, n + 1)[:, None]
     u = (0.5 + k * alphas[None, :]) % 1.0
     return low + (high - low) * u
+
+
+def jet_at(field, pts) -> tuple[np.ndarray, np.ndarray]:
+    """Values, shape (m,), and gradient rows, shape (m, dim), of ``field``
+    at an (m, dim) batch of points (or one point, 1-d), from one call of
+    its jet on the batch's columns."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, field.dim)
+    values, partials = field.jet(tuple(pts.T))
+    grads = np.empty(pts.shape)
+    for k, d in enumerate(partials):
+        grads[:, k] = d
+    return np.broadcast_to(values, len(pts)).copy(), grads
+
+
+def representatives(grid) -> np.ndarray:
+    """All N^dim cell representatives of ``grid`` in C order, shape
+    (num_cells, dim), read-only: its rows' coordinates broadcast out."""
+    coords = np.broadcast_arrays(*grid.rows(0, grid.num_rows))
+    reps = np.stack([c.ravel() for c in coords], axis=1)
+    reps.setflags(write=False)
+    return reps
 
 
 # Central-difference step: cube root of machine epsilon balances truncation
@@ -37,8 +61,72 @@ def central_differences(field, pts: np.ndarray) -> np.ndarray:
         lo = pts.copy()
         hi[:, axis] += h
         lo[:, axis] -= h
-        out[:, axis] = (field(hi) - field(lo)) / (2.0 * h)
+        out[:, axis] = (jet_at(field, hi)[0] - jet_at(field, lo)[0]) / (2.0 * h)
     return out
+
+
+def sort_decreasing(values: np.ndarray) -> np.ndarray:
+    """``values`` in nonincreasing order, NaNs last, bit for bit equal to
+    ``values[np.argsort(-values, kind="stable")]``, from one value sort.
+
+    Tied values are interchangeable except for +0.0 against -0.0 (equal,
+    yet distinct bits) and NaNs (the sort returns them canonical); each
+    kind sits in one block of the sorted array, and is copied back in
+    input order, as the stable sort keeps it.  The one negated copy is
+    sorted and negated back in place.
+    """
+    out = -values
+    out.sort()
+    # block bounds in the ascending order, before negating back
+    lo = np.searchsorted(out, 0.0, side="left")
+    hi = np.searchsorted(out, 0.0, side="right")
+    first_nan = np.searchsorted(out, np.nan)
+    np.negative(out, out=out)
+    if hi > lo:
+        out[lo:hi] = values[values == 0.0]
+    if first_nan < len(out):
+        out[first_nan:] = values[np.isnan(values)]
+    return out
+
+
+def symmetrized_field(p: Profile, dim: int = 1, *, n_bins: int) -> ScalarField:
+    """Field x -> p(Phi(x1)), nonincreasing in x1, constant in x2..xn: the
+    averages of p over ``n_bins`` uniform bins interpolated linearly
+    between the bin midpoints, with ``symmetrized_derivative`` as its
+    gradient.  Both read the x1 coordinates alone."""
+    nodes = (np.arange(n_bins) + 0.5) / n_bins
+    means = _bin_means(p, n_bins)
+
+    def jet(xs):
+        slope = symmetrized_derivative(p, xs[0], n_bins)
+        return np.interp(Phi(xs[0]), nodes, means), (slope,) + (0.0,) * (dim - 1)
+
+    return ScalarField(dim, "symmetrized[linear]", jet)
+
+
+def pointwise_identity_gap(analysis) -> float:
+    """Max interior discrepancy between the two gradient routes of the
+    symmetrized field.
+
+    Route one is the analysis' surrogate: bin averages of (-p)' * I on the
+    derivative grid of ``m_d`` bins.  Route two is |grad| of the
+    symmetrized field at x1 = Phi_inv(s), the bin midpoints, which are its
+    slope nodes: the mean of its exact one-sided gradients there, the
+    limit of central differences.  Compared on s in [0.05, 0.95] only:
+    toward the endpoints I vanishes and Phi_inv blows up.  Shrinks under
+    refinement for smooth fields.
+    """
+    field, surr = analysis.field, analysis.surr
+    if not field.smooth:
+        raise NonSmoothFieldError(
+            f"pointwise identity check needs a smooth field, got {field.label!r}"
+        )
+    mask = (surr.s >= 0.05) & (surr.s <= 0.95)
+    x1 = Phi_inv(surr.s[mask])
+    # the slope right of each node, then the one left of it
+    x1 = np.concatenate((x1, np.nextafter(x1, -np.inf)))
+    right, left = np.split(np.abs(symmetrized_derivative(analysis.p, x1, analysis.m_d)), 2)
+    return float(np.max(np.abs(surr.values[mask] - 0.5 * (right + left))))
 
 
 def rearrangement(field, grid) -> Profile:

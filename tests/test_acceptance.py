@@ -28,7 +28,7 @@ from gausym import (
 )
 from gausym.cli import main as cli_main
 
-from conftest import majorized_pair
+from conftest import jet_at, majorized_pair, representatives
 
 INV_SQRT_2PI = 0.3989422804014327
 ACCEPTANCE_SEED = 20260811
@@ -73,14 +73,14 @@ def test_criterion_1_special_functions():
 def test_criterion_2_equimeasurability():
     start = time.perf_counter()
     grid = equal_measure_grid(1, 4096)
-    points = grid.representatives
+    points = representatives(grid)
     youngs = (YoungFunction.power(1), YoungFunction.power(2), YoungFunction.hinge(0.5))
     names = ("coordinate", "halfspace_indicator_smooth", "gaussian_bump",
              "mixture", "poly_tanh", "monotone1d")
     worst = 0.0
     for name in names:
         field = builtin_field(name)
-        vals = np.abs(field(points))
+        vals = np.abs(jet_at(field, points)[0])
         p = analyze(field, grid, 4096).p
         for A in youngs:
             # integral of A(|f|) over the grid against that of A(f*) over (0, 1)

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from gausym import cli, expr, majorize, verify
 from gausym.cli import main
 from gausym.fields import builtin_field
-from gausym.gaussian import GaussianGrid, equal_measure_grid
+from gausym.gaussian import equal_measure_grid
 
 from conftest import expressions
 
@@ -373,15 +373,6 @@ class TestExpressionGradient:
 
 
 class TestGridSampling:
-    def test_cli_never_builds_the_full_point_array(self, tmp_path, monkeypatch):
-        def refuse(grid):
-            raise AssertionError("the (N^dim, dim) point array was built")
-
-        monkeypatch.setattr(GaussianGrid, "representatives", property(refuse))
-        code = main(["--expr", "tanh(x1 + 0.5*x2*x3) + 0.3*sin(x2)", "--dim", "3",
-                     "--grid", "32", "--checks", "uno,dos", "--out", str(tmp_path / "r.json")])
-        assert code == 0
-
     def test_mt_does_not_import_numpy_ma(self, tmp_path):
         """np.median imports numpy.ma on first use, about 10 ms per run."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
@@ -394,6 +385,33 @@ class TestGridSampling:
                              text=True, check=True)
         assert out.stdout.splitlines()[-1] == "False"
         assert read_report(tmp_path / "r.json")["checks"][0]["name"] == "mt"
+
+
+class TestTracerHooks:
+    """The benchmark's span tracer, perfbench/tracing.py, runs the CLI
+    in-process after rebinding ``expr.evaluate`` and replacing every
+    field's ``evaluator`` through ``dataclasses.replace``; a traced run
+    must still exit 0 and write its report and spans."""
+
+    TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "perfbench", "tracing.py")
+
+    @pytest.mark.parametrize("field", [
+        ["--expr", "tanh(x1 + 0.5*x2*x3) + 0.3*sin(x2)", "--dim", "3", "--grid", "9"],
+        ["--builtin", "mixture", "--dim", "2", "--grid", "32"],
+    ], ids=["expr", "builtin"])
+    def test_traced_run_writes_its_report(self, field, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        spans, out = tmp_path / "spans.json", tmp_path / "r.json"
+        proc = subprocess.run(
+            [sys.executable, self.TRACER, str(spans), "run-0", "--", *field,
+             "--checks", "uno,dos", "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert [e["name"] for e in read_report(out)["checks"]] == ["uno", "dos"]
+        assert read_report(spans)["spans"]
 
 
 class TestConfigFile:

@@ -1,4 +1,4 @@
-"""Builtin corpus, expression parsing, and gradient access."""
+"""Builtin corpus, expression parsing, and the jets of fields."""
 
 import numpy as np
 import pytest
@@ -15,20 +15,26 @@ from gausym import (
     corpus_names,
     describe_field,
     equal_measure_grid,
-    gradient_at,
-    gradient_norm,
     parse_field,
-    symmetrized_field,
 )
 from gausym.expr import DERIVATIVES, FUNCTIONS, Call, Neg, Num, Var, parse_expression, serialize
+from gausym.fields import partials_norm
 
 from conftest import (
     FD_STEP,
     assert_same_bits,
     central_differences,
     expressions,
+    jet_at,
     quasi_random_points,
+    representatives,
+    symmetrized_field,
 )
+
+
+def value(field, point) -> float:
+    """The field's value at one point."""
+    return float(jet_at(field, point)[0][0])
 
 
 class TestBuiltins:
@@ -40,37 +46,37 @@ class TestBuiltins:
     def test_coordinate_gradient_norm(self):
         f = builtin_field("coordinate", {"axis": 1}, dim=2)
         pts = quasi_random_points(50, 2)
-        assert np.allclose(f(pts), pts[:, 0])
-        assert np.allclose(gradient_norm(f, pts), 1.0)
+        values, grads = jet_at(f, pts)
+        assert np.allclose(values, pts[:, 0])
+        assert np.allclose(np.linalg.norm(grads, axis=1), 1.0)
 
     def test_coordinate_unit_vector(self):
         f = builtin_field("coordinate", dim=3)
-        g = gradient_at(f, np.array([[0.3, -1.0, 2.0]]))
+        g = jet_at(f, np.array([[0.3, -1.0, 2.0]]))[1]
         assert np.allclose(g, [[1.0, 0.0, 0.0]])
 
     def test_gaussian_bump(self):
         f = builtin_field("gaussian_bump", {"c": 1.0}, dim=2)
-        assert f.value([0.0, 0.0]) == 1.0
-        assert np.allclose(gradient_at(f, np.zeros((1, 2))), 0.0)
-        x = np.array([[0.5, -0.25]])
-        assert f(x)[0] == pytest.approx(np.exp(-(0.5**2 + 0.25**2)))
+        assert value(f, [0.0, 0.0]) == 1.0
+        assert np.allclose(jet_at(f, np.zeros((1, 2)))[1], 0.0)
+        assert value(f, [0.5, -0.25]) == pytest.approx(np.exp(-(0.5**2 + 0.25**2)))
 
     def test_monotone1d_decreasing_nonnegative(self):
         f = builtin_field("monotone1d", {"a": 1.5})
         x = np.linspace(-4, 4, 100).reshape(-1, 1)
-        vals = f(x)
+        vals = jet_at(f, x)[0]
         assert np.all(vals > 0)
         assert np.all(np.diff(vals) < 0)
 
     def test_halfspace_range(self):
         f = builtin_field("halfspace_indicator_smooth", {"a": 0.5, "width": 0.1})
         x = np.linspace(-5, 5, 200).reshape(-1, 1)
-        vals = f(x)
+        vals = jet_at(f, x)[0]
         assert np.all((vals >= 0) & (vals <= 1))  # tanh saturates far out
         assert np.all(np.diff(vals) <= 0)
         near = np.linspace(-0.5, 1.5, 100).reshape(-1, 1)
-        assert np.all(np.diff(f(near)) < 0)
-        assert f.value([-4.0]) > 0.99 and f.value([4.0]) < 0.01
+        assert np.all(np.diff(jet_at(f, near)[0]) < 0)
+        assert value(f, [-4.0]) > 0.99 and value(f, [4.0]) < 0.01
 
     def test_unknown_family(self):
         with pytest.raises(UnknownFieldError):
@@ -95,7 +101,7 @@ class TestBuiltins:
     def test_analytic_gradient_matches_differences(self, name, dim):
         field = builtin_field(name, dim=dim)
         pts = quasi_random_points(100, dim)
-        analytic = gradient_at(field, pts)
+        analytic = jet_at(field, pts)[1]
         err = np.abs(analytic - central_differences(field, pts))
         assert np.all(err <= 1e-5 * (1.0 + np.abs(analytic)))
 
@@ -103,12 +109,12 @@ class TestBuiltins:
 class TestParser:
     def test_eval_simple(self):
         f = parse_field("exp(-x1^2)", 1)
-        assert f.value([0.0]) == 1.0
-        assert f.value([1.0]) == pytest.approx(np.exp(-1.0))
+        assert value(f, [0.0]) == 1.0
+        assert value(f, [1.0]) == pytest.approx(np.exp(-1.0))
 
     def test_eval_two_vars(self):
         f = parse_field("abs(x1)+0.5*x2^2", 2)
-        assert f.value([1.0, 2.0]) == 3.0
+        assert value(f, [1.0, 2.0]) == 3.0
 
     def test_syntax_error_offset(self):
         with pytest.raises(ExpressionError) as err:
@@ -146,13 +152,13 @@ class TestParser:
         ]
         for text, expected in cases:
             f = parse_field(text, 1)
-            assert f.value([2.0]) == pytest.approx(expected), text
+            assert value(f, [2.0]) == pytest.approx(expected), text
 
     def test_all_functions(self):
         f = parse_field("exp(x1)+abs(x1)+tanh(x1)+sin(x1)+cos(x1)+sqrt(abs(x1))", 1)
         x = 0.7
         expected = np.exp(x) + abs(x) + np.tanh(x) + np.sin(x) + np.cos(x) + np.sqrt(x)
-        assert f.value([x]) == pytest.approx(expected)
+        assert value(f, [x]) == pytest.approx(expected)
 
     def test_smooth_flag(self):
         assert parse_field("x1^2", 1).smooth
@@ -161,7 +167,7 @@ class TestParser:
 
     def test_division_is_total(self):
         f = parse_field("1/x1", 1)
-        assert np.isinf(f.value([0.0]))
+        assert np.isinf(value(f, [0.0]))
 
     @pytest.mark.parametrize(
         "text",
@@ -181,7 +187,7 @@ class TestParser:
         pts = quasi_random_points(100, dim)
         f1 = parse_field(text, dim)
         f2 = parse_field(serialize(ast), dim)
-        assert np.array_equal(f1(pts), f2(pts))
+        assert np.array_equal(jet_at(f1, pts)[0], jet_at(f2, pts)[0])
         assert serialize(again) == serialize(ast)
 
     @given(expressions())
@@ -192,7 +198,7 @@ class TestParser:
         f1 = parse_field(text, 2)
         f2 = parse_field(serialize(ast), 2)
         with np.errstate(all="ignore"):
-            a, b = f1(pts), f2(pts)
+            a, b = jet_at(f1, pts)[0], jet_at(f2, pts)[0]
         both = np.isfinite(a) & np.isfinite(b)
         assert np.array_equal(a[both], b[both])
         assert np.array_equal(np.isfinite(a), np.isfinite(b))
@@ -201,17 +207,18 @@ class TestParser:
 class TestGradientAt:
     def test_parsed_square(self):
         f = parse_field("x1^2", 1)
-        g = gradient_at(f, np.array([[1.5]]))
+        g = jet_at(f, np.array([[1.5]]))[1]
         assert g[0, 0] == 3.0
 
     def test_jet_is_required(self):
         with pytest.raises(TypeError, match="jet"):
-            ScalarField(1, "square", lambda X: X[:, 0] ** 2)
+            ScalarField(1, "square")
 
     def test_batch_shape(self):
         f = parse_field("x1*x2", 2)
-        g = gradient_at(f, quasi_random_points(10, 2))
-        assert g.shape == (10, 2)
+        values, partials = f.jet(tuple(quasi_random_points(10, 2).T))
+        assert np.shape(values) == (10,)
+        assert [np.shape(d) for d in partials] == [(10,), (10,)]
 
 
 ALL = (-3.0, 3.0)
@@ -305,17 +312,15 @@ class TestForwardGradient:
         f = parse_field(text, dim)
         pts = quasi_random_points(200, dim, *domain)
         expected = np.column_stack([np.broadcast_to(c, len(pts)) for c in exact(*pts.T)])
-        np.testing.assert_allclose(gradient_at(f, pts), expected, rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(jet_at(f, pts)[1], expected, rtol=1e-12, atol=1e-13)
 
     def test_column_major_and_norm_bits(self):
         f = parse_field("tanh(x1 + 0.5*x2*x3) + 0.3*sin(x2)", 3)
         pts = quasi_random_points(1000, 3)
         partials = f.jet(tuple(pts.T))[1]
         assert [np.shape(d) for d in partials] == [(1000,)] * 3
-        g = gradient_at(f, pts)
-        assert g.shape == (1000, 3) and g.flags.f_contiguous
-        ref = np.linalg.norm(np.ascontiguousarray(g), axis=1)
-        assert np.array_equal(gradient_norm(f, pts).view(np.uint64), ref.view(np.uint64))
+        ref = np.linalg.norm(np.column_stack(partials), axis=1)
+        assert_same_bits(partials_norm(partials, np.empty(1000)), ref)
 
     @pytest.mark.parametrize("text,point,expected", [
         ("x1^0", [0.0, 1.0], [0.0, 0.0]),
@@ -329,11 +334,11 @@ class TestForwardGradient:
     ])
     def test_derivative_at_zero_is_not_nan(self, text, point, expected):
         f = parse_field(text, 2)
-        assert gradient_at(f, np.array([point])).tolist() == [expected]
+        assert jet_at(f, np.array([point]))[1].tolist() == [expected]
 
     def test_unbounded_derivative_is_not_finite(self):
         f = parse_field("sqrt(abs(x1))", 1)
-        g = gradient_at(f, np.array([[0.0], [4.0]]))
+        g = jet_at(f, np.array([[0.0], [4.0]]))[1]
         assert not np.isfinite(g[0, 0]) and g[1, 0] == 0.25
 
     @given(expressions())
@@ -350,7 +355,7 @@ class TestForwardGradient:
         ast = parse_expression(text, 2)
         pts = quasi_random_points(64, 2)
         with np.errstate(all="ignore"):
-            exact = gradient_at(field, pts)
+            exact = jet_at(field, pts)[1]
             fd = central_differences(field, pts)
             for k in range(2):
                 h = FD_STEP * (1.0 + np.abs(pts[:, k]))
@@ -358,7 +363,7 @@ class TestForwardGradient:
                 for sign in (1.0, -1.0):
                     shifted = pts.copy()
                     shifted[:, k] += sign * h
-                    g.append(gradient_at(field, shifted)[:, k])
+                    g.append(jet_at(field, shifted)[1][:, k])
                     e.append(_rounding_bound(ast, shifted)[1])
                 third = np.abs(g[0] - 2.0 * exact[:, k] + g[1]) / h**2
                 bound = 10.0 * (h**2 * third / 6.0 + (e[0] + e[1]) / (2.0 * h)
@@ -368,7 +373,7 @@ class TestForwardGradient:
                 assert np.all(err[ok] <= bound[ok]), (text, k, np.max(err[ok] - bound[ok]))
 
 
-# coordinates where a fused pass could drift from the evaluator in the bits
+# coordinates where a batched pass could drift from a one-point pass in the bits
 SPECIAL = [0.0, -0.0, 1.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 5e-324]
 
 
@@ -378,37 +383,41 @@ def _with_special(coords, dim: int) -> np.ndarray:
     return np.vstack([np.repeat(c[:, None], dim, axis=1), np.resize(c, (c.size, dim))])
 
 
-def _jet_values(field, pts: np.ndarray) -> np.ndarray:
-    """The jet's values on the columns of ``pts``, one per point."""
-    return np.broadcast_to(field.jet(tuple(pts.T))[0], len(pts))
+def _assert_pointwise(field, pts: np.ndarray):
+    """The jet on the whole batch gives each point the bits of the jet on
+    that point alone, values and partials; a NaN matches any NaN (its sign
+    bit may depend on the vector width that computed it)."""
+    with np.errstate(all="ignore"):
+        values, grads = jet_at(field, pts)
+        for i, point in enumerate(pts):
+            for batch, one in zip((values[i:i + 1], grads[i:i + 1]), jet_at(field, point)):
+                nan = np.isnan(batch)
+                assert np.array_equal(nan, np.isnan(one))
+                assert_same_bits(batch[~nan], one[~nan])
 
 
 class TestJetValues:
-    """A field's jet returns the evaluator's values bit for bit, NaN and
-    inf included: the analysis reads |f| from the jet alone."""
+    """A jet is pointwise, NaN and inf included: the analysis samples the
+    grid in blocks of rows of varying size, and a cell's |f| and |grad f|
+    must not depend on the block it falls in."""
 
     @given(expressions())
     @settings(max_examples=100, deadline=None)
     def test_parsed(self, text):
-        field = parse_field(text, 2)
         pts = np.vstack([quasi_random_points(64, 2), _with_special([], 2)])
-        with np.errstate(all="ignore"):
-            assert_same_bits(_jet_values(field, pts), field(pts))
+        _assert_pointwise(parse_field(text, 2), pts)
 
     @pytest.mark.parametrize("name", corpus_names())
     @given(dim=st.integers(1, 3), coords=st.lists(st.floats(), max_size=24))
     @settings(max_examples=25, deadline=None)
     def test_builtins(self, name, dim, coords):
-        field = builtin_field(name, dim=dim)
-        pts = _with_special(coords, dim)
-        with np.errstate(all="ignore"):
-            assert_same_bits(_jet_values(field, pts), field(pts))
+        _assert_pointwise(builtin_field(name, dim=dim), _with_special(coords, dim))
 
 
 class TestRowCoordinates:
     """A jet on a grid's broadcast row coordinates gives, cell by cell, the
     bits of the same jet on the (m, dim) columns of the cells: the analysis
-    samples the first way, ``gradient_at`` and calling a field the second."""
+    samples the first way, the tests' ``jet_at`` the second."""
 
     @staticmethod
     def _field(name: str, grid):
@@ -425,7 +434,7 @@ class TestRowCoordinates:
         xs = grid.rows(0, grid.num_rows)
         shape = np.broadcast_shapes(*(x.shape for x in xs))
         values, partials = field.jet(xs)
-        col_values, col_partials = field.jet(tuple(grid.representatives.T))
+        col_values, col_partials = field.jet(tuple(representatives(grid).T))
         K = grid.num_cells
         assert len(partials) == len(col_partials) == dim
 

@@ -4,6 +4,7 @@ Frozen reference values were computed with mpmath at 40 digits
 (0.5*erfc(-x/sqrt(2)) and sqrt(2)*erfinv(2p-1)).
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -28,7 +29,7 @@ from gausym import (
 
 from gausym.gaussian import BLOCK_CELLS, _iso_profile_block, _ppnd16, _ppnd16_block
 
-from conftest import assert_same_bits
+from conftest import assert_same_bits, representatives
 
 # (dim, N) whose cell count K is not a multiple of BLOCK_CELLS
 BLOCK_GRIDS = [(1, 4097), (2, 65), (3, 17), (3, 33)]
@@ -269,7 +270,7 @@ class TestEqualMeasureGrid:
     def test_two_cells(self):
         grid = equal_measure_grid(1, 2)
         expected = [Phi_inv(0.25), Phi_inv(0.75)]
-        assert np.allclose(grid.representatives[:, 0], expected)
+        assert np.allclose(representatives(grid)[:, 0], expected)
         assert grid.cell_measure == 0.5
 
     def test_product_grid(self):
@@ -292,18 +293,19 @@ class TestEqualMeasureGrid:
 
     def test_representative_quantiles(self):
         grid = equal_measure_grid(1, 8)
-        assert np.allclose(Phi(grid.representatives[:, 0]), (np.arange(8) + 0.5) / 8)
+        assert np.allclose(Phi(representatives(grid)[:, 0]), (np.arange(8) + 0.5) / 8)
 
     def test_axis_is_odd(self):
         for n in (8, 9, 512):
             grid = equal_measure_grid(2, n)
             assert_same_bits(grid.axis_points, midpoint_quantiles(n))
-            assert np.array_equal(grid.representatives, -grid.representatives[::-1])
+            reps = representatives(grid)
+            assert np.array_equal(reps, -reps[::-1])
 
     def test_deterministic(self):
         a = equal_measure_grid(2, 16)
         b = equal_measure_grid(2, 16)
-        assert np.array_equal(a.representatives, b.representatives)
+        assert np.array_equal(representatives(a), representatives(b))
 
     def test_budget_error_reports_count(self):
         with pytest.raises(CellBudgetError, match="1000000000"):
@@ -319,7 +321,9 @@ class TestEqualMeasureGrid:
         grid = equal_measure_grid(1, 4)
         assert isinstance(grid, GaussianGrid)
         with pytest.raises(ValueError):
-            grid.representatives[0, 0] = 99.0
+            grid.axis_points[0] = 99.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            grid.cell_measure = 0.5
 
 
 class TestBlocks:
@@ -342,15 +346,15 @@ class TestBlocks:
             cells = np.broadcast_arrays(*xs)
             blocks.append(np.stack([c.ravel() for c in cells], axis=1))
         assert len(blocks) > 1 and rows % step
-        assert_same_bits(np.concatenate(blocks), grid.representatives)
+        assert_same_bits(np.concatenate(blocks), representatives(grid))
         # C order: the last coordinate varies fastest
         mesh = np.meshgrid(*([midpoint_quantiles(N)] * dim), indexing="ij")
-        assert_same_bits(grid.representatives, np.stack([m.ravel() for m in mesh], axis=1))
+        assert_same_bits(representatives(grid), np.stack([m.ravel() for m in mesh], axis=1))
 
     def test_grid_stores_only_the_axis(self):
         grid = equal_measure_grid(3, 125)
         assert grid.num_cells == 125**3
-        assert "representatives" not in vars(grid)
+        assert set(vars(grid)) == {"dim", "cells_per_axis", "axis_points", "cell_measure"}
         last_row = np.broadcast_arrays(*grid.rows(125**2 - 1, 125**2))
         assert_same_bits(np.array([c[0, -1] for c in last_row]), np.full(3, grid.axis_points[-1]))
         with pytest.raises(ValueError):

@@ -19,13 +19,12 @@ from gausym import (
     analyze,
     builtin_field,
     equal_measure_grid,
-    gradient_norm,
     lebesgue_rearrangement,
     parse_field,
 )
-from gausym.rearrange import derivative_bin_count, sort_decreasing
+from gausym.rearrange import derivative_bin_count
 
-from conftest import assert_same_bits, rearrangement
+from conftest import assert_same_bits, jet_at, rearrangement, representatives, sort_decreasing
 
 HALVES = Profile(np.array([0.0, 0.5, 1.0]), np.array([3.0, 1.0]))
 
@@ -116,7 +115,7 @@ class TestDistributionFunction:
     def test_above_max(self):
         grid = equal_measure_grid(1, 128)
         coord = builtin_field("coordinate")
-        top = np.abs(coord(grid.representatives)).max()
+        top = np.abs(jet_at(coord, representatives(grid))[0]).max()
         assert rearrangement(coord, grid).super_level_measure(top + 1.0) == 0.0
 
     def test_nonincreasing_in_level(self):
@@ -131,7 +130,7 @@ class TestDistributionFunction:
         # measure of the profile's super-level set, exactly on grid data
         grid = equal_measure_grid(1, 256)
         field = builtin_field("poly_tanh")
-        vals = np.abs(field(grid.representatives))
+        vals = np.abs(jet_at(field, representatives(grid))[0])
         p = rearrangement(field, grid)
         for lam in (0.0, 0.1, 0.4, 0.73, 2.0):
             counted = np.count_nonzero(vals > lam) * grid.cell_measure
@@ -165,7 +164,7 @@ class TestDecreasingRearrangement:
         grid = equal_measure_grid(1, 256)
         field = builtin_field("gaussian_bump")
         p = rearrangement(field, grid)
-        vals = np.abs(field(grid.representatives))
+        vals = np.abs(jet_at(field, representatives(grid))[0])
         rng = np.random.default_rng(3)
         shuffled = vals[rng.permutation(len(vals))]
         weights = np.full(len(vals), grid.cell_measure)
@@ -289,14 +288,15 @@ class TestGradientRearrangement:
         grid = equal_measure_grid(1, 256)
         field = builtin_field("gaussian_bump")
         p = analyze(field, grid, 256).grad_prof
-        manual = np.sort(gradient_norm(field, grid.representatives))[::-1]
+        grads = jet_at(field, representatives(grid))[1]
+        manual = np.sort(np.linalg.norm(grads, axis=1))[::-1]
         assert np.array_equal(p.values, manual)
 
 
 def equimeasurability_gap(field, grid, A) -> float:
     """|integral of A(|f|) over the grid - integral of A(f*) over (0,1)|:
     both sides sum the same multiset of values, so the gap is round-off."""
-    vals = np.abs(field(grid.representatives))
+    vals = np.abs(jet_at(field, representatives(grid))[0])
     lhs = float(np.sum(A(vals)) * grid.cell_measure)
     p = rearrangement(field, grid)
     return abs(lhs - float(np.sum(A(p.values) * p.widths)))

@@ -23,19 +23,28 @@ from gausym import (
     check_reformulated,
     convergence_study,
     equal_measure_grid,
-    gradient_norm,
     parse_field,
     parse_norm,
     run_checks,
-    symmetrized_field,
 )
 from gausym import expr, verify
 from gausym.fields import ScalarField, corpus_names
 from gausym.gaussian import BLOCK_CELLS, PASS_BLOCK, iso_profile
-from gausym.rearrange import sort_decreasing
 from gausym.verify import CHECKS, _median, validate_intervals
 
-from conftest import assert_same_bits
+from conftest import (
+    assert_same_bits,
+    jet_at,
+    representatives,
+    sort_decreasing,
+    symmetrized_field,
+)
+
+
+def gradient_norms(field, pts) -> np.ndarray:
+    """|grad f| at each point of an (m, dim) batch."""
+    return np.linalg.norm(jet_at(field, pts)[1], axis=1)
+
 
 GRID_1K = equal_measure_grid(1, 1024)
 COORD = builtin_field("coordinate")
@@ -201,7 +210,7 @@ class TestOrliczEquality:
         pipe = analyze(builtin_field("mixture", dim=2), grid, 512)
         rep = check_orlicz_equality(pipe)
         fo = symmetrized_field(pipe.p, dim=2, n_bins=pipe.m_d)
-        sym_grad = gradient_norm(fo, grid.representatives)
+        sym_grad = gradient_norms(fo, representatives(grid))
         c = rep.s_grid[:, None]
         lhs = np.mean(np.maximum(pipe.surr.values[None, :] - c, 0.0), axis=1)
         rhs = np.sum(np.maximum(sym_grad[None, :] - c, 0.0), axis=1) * grid.cell_measure
@@ -398,19 +407,19 @@ class TestAnalysisSorts:
     def test_matches_full_grid_argsort_reference(self, dim, N):
         field, grid = builtin_field("mixture", dim=dim), equal_measure_grid(dim, N)
         a = analyze(field, grid, 512)
-        reps, K = grid.representatives, grid.num_cells
-        vals = np.abs(field(reps))
+        reps, K = representatives(grid), grid.num_cells
+        vals = np.abs(jet_at(field, reps)[0])
         order = np.argsort(-vals, kind="stable")
         p_ref = Profile(np.arange(K + 1) / K, vals[order])
         assert_same_bits(a.p.values, p_ref.values)
         assert_same_bits(a.p.knots, p_ref.knots)
-        grads_by_level = gradient_norm(field, reps)[order]
+        grads_by_level = gradient_norms(field, reps)[order]
         assert_same_bits(
             a.level_grad_prefix,
             np.concatenate(([0.0], np.cumsum(grads_by_level * grid.cell_measure))),
         )
         fo = symmetrized_field(a.p, dim=dim, n_bins=a.m_d)
-        sym_vals = gradient_norm(fo, reps)
+        sym_vals = gradient_norms(fo, reps)
         sym_ref = Profile(np.arange(K + 1) / K, sym_vals[np.argsort(-sym_vals, kind="stable")])
         # N pieces of width 1/N: the same step function as the K-piece reference
         assert_same_bits(np.repeat(a.sym_grad_prof.values, K // N), sym_ref.values)
@@ -454,7 +463,7 @@ class TestBlockedSampling:
     def test_matches_whole_grid_evaluation(self, dim, N):
         grid = equal_measure_grid(dim, N)
         assert grid.num_cells > BLOCK_CELLS and grid.num_cells % BLOCK_CELLS
-        reps = grid.representatives
+        reps = representatives(grid)
         fields = [builtin_field(name, dim=dim) for name in corpus_names()]
         for text in self.EXPRESSIONS:
             # the parser accepts coordinates up to x<dim> only
@@ -463,8 +472,9 @@ class TestBlockedSampling:
             fields.append(parse_field(text, dim))
         for field in fields:
             a = analyze(field, grid, 512)
-            grads = gradient_norm(field, reps)
-            assert_same_bits(a.p.values, sort_decreasing(np.abs(field(reps))))
+            values, grads = jet_at(field, reps)
+            grads = np.linalg.norm(grads, axis=1)
+            assert_same_bits(a.p.values, sort_decreasing(np.abs(values)))
             assert_same_bits(a.grad_prof.values, sort_decreasing(grads))
             assert a.grad_max == float(np.max(grads))
 
@@ -499,9 +509,7 @@ class TestBlockedSampling:
         # |f| is bad from cell 4097 on, |grad f| already from cell 4096:
         # the |f| check comes first, as it did on the whole grid
         f = lambda xs: np.where(xs[0] >= x[4097], np.nan, 1.0)  # noqa: E731
-        field = ScalarField(
-            1, "edge", f, lambda xs: (f(xs), (np.where(xs[0] >= x[4096], np.inf, 0.0),))
-        )
+        field = ScalarField(1, "edge", lambda xs: (f(xs), (np.where(xs[0] >= x[4096], np.inf, 0.0),)))
         with pytest.raises(NonFiniteFieldError, match=rf"\|f\| = nan at x = \({x[4097]:.17g}\)"):
             analyze(field, grid, 512)
 
@@ -512,7 +520,7 @@ class TestBlockedSampling:
         grid = equal_measure_grid(3, 17)
         x = grid.axis_points
         f = lambda xs: np.where((xs[0] == x[15]) & (xs[2] == x[3]), np.inf, xs[1])  # noqa: E731
-        field = ScalarField(3, "spot", f, lambda xs: (f(xs), (0.0, 1.0, 0.0)))
+        field = ScalarField(3, "spot", lambda xs: (f(xs), (0.0, 1.0, 0.0)))
         named = ", ".join(f"{c:.17g}" for c in (x[15], x[0], x[3]))
         with pytest.raises(NonFiniteFieldError, match=rf"\|f\| = inf at x = \({named}\)"):
             analyze(field, grid, 512)
