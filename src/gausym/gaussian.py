@@ -6,7 +6,10 @@ density phi, the distribution function Phi, its inverse Phi_inv, and the
 isoperimetric profile I(t) = phi(Phi_inv(t)).  Everything is numpy (and
 libm's erfc): the quantile function is Wichura's rational approximation,
 Algorithm AS 241 (PPND16), Applied Statistics 37 (1988) 477-484, accurate
-to about 1e-16 relative without a polishing step.
+to about 1e-16 relative without a polishing step.  Both kernels run a
+block at a time; a block wholly inside AS 241's central region
+|t - 1/2| <= 0.425 skips the clamps and region masks and runs the same
+arithmetic on whole buffers, so every result keeps its bits.
 
 Convention
 ----------
@@ -42,22 +45,24 @@ P_HI = 1.0 - 1e-16
 # Ceiling on the total cell count of an equal-measure grid.
 DEFAULT_CELL_BUDGET = 2_000_000
 
-# Elements per block when a grid-sized computation is done piecewise: AS
-# 241 quantiles here, and the sampling of a field in ``verify.Analysis``,
-# which takes max(1, BLOCK_CELLS // row_cells) whole grid rows at a time,
-# at most this many cells.  Each float64 temporary of a block is then at
-# most 32 KB, below glibc's default 128 KB mmap threshold, so it is reused
-# from the heap instead of being mapped and faulted in afresh: a CLI run of
+# Cells per block when ``verify.Analysis`` samples a field: it takes
+# max(1, BLOCK_CELLS // row_cells) whole grid rows at a time, at most this
+# many cells.  Each float64 temporary of a block is then at most 32 KB,
+# below glibc's default 128 KB mmap threshold, so it is reused from the
+# heap instead of being mapped and faulted in afresh: a CLI run of
 # `uno,dos` on a parsed 3-d field at 125^3 cells (x86-64 Linux, numpy 2.4)
 # took about 13k minor page faults with 4096-cell blocks, against 59k with
 # 16384, 68k with 65536 and 28k sampling the whole grid at once.
 BLOCK_CELLS = 4096
 
 # Elements per block of a running sum over a sorted grid-sized array (the
-# surrogate's cumulative in ``verify.Analysis``, the bin means of
-# ``symmetrize``).  Each block costs a few Python-level steps: the surrogate
-# of a 125^3 grid took about 131 ms in blocks of 4096 and 74 ms in blocks of
-# 16384, against 88 ms as one whole-array build (x86-64 Linux, numpy 2.4).
+# analysis' two cumulatives, the bin means of ``symmetrize``) and of the
+# Gaussian kernels behind ``Phi_inv`` and ``iso_profile``.  Each block
+# costs a few Python-level steps: the surrogate of a 125^3 grid took about
+# 131 ms in blocks of 4096 and 74 ms in blocks of 16384, against 88 ms as
+# one whole-array build, and ``iso_profile`` on its 125^3 midpoints, whose
+# blocks mostly take the central fast path, 74-82 ms in blocks of 4096
+# against 49-55 ms in blocks of 16384 or 65536 (x86-64 Linux, numpy 2.4).
 PASS_BLOCK = 4 * BLOCK_CELLS
 
 # AS 241 (PPND16) coefficients, highest degree first: numerator and
@@ -116,30 +121,50 @@ def _rational(r: np.ndarray, coeffs) -> np.ndarray:
 
 
 def _blocked(kernel, arr: np.ndarray) -> np.ndarray:
-    """``kernel`` applied to BLOCK_CELLS-element slices of ``arr`` (in C
+    """``kernel`` applied to PASS_BLOCK-element slices of ``arr`` (in C
     order), gathered into one new array of its shape.  The kernel acts
     elementwise, so the result does not depend on the block size."""
     flat = np.ravel(arr)
     out = np.empty(flat.shape)
-    for start in range(0, flat.size, BLOCK_CELLS):
-        stop = start + BLOCK_CELLS
+    for start in range(0, flat.size, PASS_BLOCK):
+        stop = start + PASS_BLOCK
         out[start:stop] = kernel(flat[start:stop])
     return out.reshape(np.shape(arr))
 
 
 def _ppnd16(p: np.ndarray) -> np.ndarray:
-    """AS 241 quantiles of probabilities inside (0, 1), clamped to
-    [P_LO, P_HI] first; any shape, one block at a time."""
-    return _blocked(lambda block: _ppnd16_block(np.clip(block, P_LO, P_HI)), p)
+    """AS 241 quantiles of probabilities inside (0, 1); any shape, one
+    block at a time."""
+    return _blocked(_ppnd16_block, p)
+
+
+def _all_central(q: np.ndarray) -> bool:
+    """Whether every |q| <= 0.425, the central region of AS 241 in
+    q = p - 1/2; a NaN fails it."""
+    return bool(q.min() >= -0.425 and q.max() <= 0.425)
+
+
+def _central(q: np.ndarray) -> np.ndarray:
+    """AS 241 quantiles from q = p - 1/2 of the central region, the
+    masked path's arithmetic; q is overwritten and returned."""
+    r = q * q
+    np.subtract(0.180625, r, out=r)
+    q *= _rational(r, _CENTRAL)
+    return q
 
 
 def _ppnd16_block(p: np.ndarray) -> np.ndarray:
-    """AS 241 quantiles of probabilities already in [P_LO, P_HI]."""
+    """AS 241 quantiles of probabilities inside (0, 1), clamped to
+    [P_LO, P_HI] first.  A block wholly inside the central region, where
+    the clamp changes nothing, skips the clamp and the masks."""
+    q = p - 0.5
+    if _all_central(q):
+        return _central(q)
+    p = np.clip(p, P_LO, P_HI)
     q = p - 0.5
     out = np.empty_like(p)
     central = np.abs(q) <= 0.425
-    qc = q[central]
-    out[central] = qc * _rational(0.180625 - qc * qc, _CENTRAL)
+    out[central] = _central(q[central])
     tail = ~central
     if np.any(tail):
         pt = p[tail]
@@ -201,11 +226,21 @@ def iso_profile(t):
 
 
 def _iso_profile_block(t: np.ndarray) -> np.ndarray:
+    q = t - 0.5
+    if _all_central(q):
+        # inside (0, 1), where neither clip changes anything: the same
+        # arithmetic as the masked path, on whole buffers
+        x = _central(q)
+        out = x * -0.5
+        out *= x
+        np.exp(out, out=out)
+        out /= SQRT_2PI
+        return out
     tc = np.clip(t, 0.0, 1.0)
     out = np.zeros_like(tc)
     inner = (tc > 0.0) & (tc < 1.0)
     if np.any(inner):
-        x = _ppnd16_block(np.clip(tc[inner], P_LO, P_HI))
+        x = _ppnd16_block(tc[inner])
         out[inner] = np.exp(-0.5 * x * x) / SQRT_2PI
     return out
 

@@ -325,6 +325,7 @@ def _coarse_bracket(p: Profile, A: YoungFunction, log_theta):
     if not lo >= _TINY:
         return None
     hi = _luxemburg(Profile(knots, p.values[first]), A) * (1.0 + _REL_TOL)
+    del first, knots, last  # not held through the two passes over p
     y_hi = log_theta(hi)
     y_lo = log_theta(lo)  # probed last: the bracket starts as if lo had just moved
     if not y_lo > 0.0 >= y_hi:

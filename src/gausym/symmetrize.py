@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gaussian import PASS_BLOCK, midpoint_quantiles, phi
-from .rearrange import Profile
+from .rearrange import Profile, running_sum_at
 
 
 def _bin_means(p: Profile, n_bins: int) -> np.ndarray:
@@ -27,18 +27,13 @@ def _bin_means(p: Profile, n_bins: int) -> np.ndarray:
     edges = np.arange(n_bins + 1) / n_bins
     knots, values = p.knots, p.values
     idx = np.clip(np.searchsorted(knots, edges, side="left") - 1, 0, p.num_pieces - 1)
-    mass = np.zeros(idx.size)  # p.prefix_mass[idx]; idx is nondecreasing
-    total = -0.0  # x + -0.0 is x for every x, -0.0 included
-    last = int(idx[-1])
-    for start in range(0, last, PASS_BLOCK):
-        stop = min(start + PASS_BLOCK, last)
+
+    def masses(start, stop):
         run = knots[start + 1:stop + 1] - knots[start:stop]
         run *= values[start:stop]
-        run[0] += total
-        np.cumsum(run, out=run)  # run[i] = p.prefix_mass[start + 1 + i]
-        lo, hi = np.searchsorted(idx, (start, stop), side="right")
-        mass[lo:hi] = run[idx[lo:hi] - start - 1]
-        total = run[-1]
+        return run
+
+    mass = running_sum_at(masses, idx, PASS_BLOCK)  # p.prefix_mass[idx]
     cum = mass + values[idx] * (edges - knots[idx])
     return (cum[1:] - cum[:-1]) * n_bins
 

@@ -16,18 +16,26 @@ per-axis coordinates from ``GaussianGrid.rows``.  The jet gives the values
 and partials together, each broadcast only over the axes it depends on,
 and both are broadcast into cell order as they are stored: no array of
 points or partials, and no temporary of the field's jet, spans the whole
-grid.  Three things keep the analysis at a few grid-sized arrays:
+grid.  The analysis keeps three grid-sized arrays, the values of ``p``
+and ``grad_prof`` and their shared read-only knots k/K, 24 bytes a cell:
 
 - Level order is built only when ``mt`` is among the checks.  Only
   ``mt`` reads the cells in level order (decreasing |f|, ties by cell
-  index), through a prefix sum of |grad f| in that order: the gradient
-  integral over the super-level set of each measure k/K.  It is built
-  from the sampled arrays while they are still in cell order.
-- The sampled |f| and |grad f| are then sorted in place and become the
-  profiles ``p`` and ``grad_prof``, which share one read-only knot array
-  k/K.  Only max |grad f| is kept of the unsorted gradient.
-- The surrogate is one read-only cumulative indexed by knot, built in
-  blocks of ``PASS_BLOCK`` knots.
+  index), through the integral of |grad f| over the super-level set of
+  measure t: the first round(tK) cells in that order.  One stable
+  argsort of -|f| in cell order gives the order; -|f| gathered through
+  it gives f*, the bits of a sort, so |f| is not sorted again.
+- The sampled |grad f| is sorted in place.  Only max |grad f| is kept of
+  the unsorted gradient.  Both profiles are built without
+  ``Profile``'s validating re-scans (``Profile._trusted``): their arrays
+  were just sorted and checked finite.
+- Both cumulatives, of |grad f| in level order and of the surrogate, are
+  running sums taken ``PASS_BLOCK`` elements at a time
+  (``rearrange.running_sum_at``), kept only at the points the checks
+  read, all known when the analysis is built: the ``m_d`` bin edges,
+  and with ``mt`` the t-grid and ``mt``'s fold edges ``mt_edges``.
+  ``surrogate_cumulative`` and ``level_grad_cumulative`` refuse any
+  other point with ``DomainError``.
 
 The symmetrized field's gradient is taken lazily, on first use by
 ``dos`` or ``orlicz``, on the N axis points alone (the field depends on
@@ -59,7 +67,7 @@ from .errors import DomainError, IntervalError, NonFiniteFieldError, NonSmoothFi
 from .fields import ScalarField, partials_norm
 from .gaussian import BLOCK_CELLS, PASS_BLOCK, GaussianGrid, equal_measure_grid, iso_profile
 from .majorize import DEFAULT_NORM_FAMILY, HINGE_GRID_SIZE, RINorm, hinge_integrals, ri_norm
-from .rearrange import GridCurve, Profile, derivative_bin_count, uniform_knots
+from .rearrange import GridCurve, Profile, derivative_bin_count, running_sum_at, uniform_knots
 from .symmetrize import symmetrized_derivative
 
 VIOLATION_FLOOR = 1e-12
@@ -102,9 +110,14 @@ class Analysis:
     """Shared per-(field, grid, M) data: rearrangements and surrogate.
 
     Build it with ``analyze``; every check reads it and none modifies it.
-    ``checks`` names the check tokens it serves (every token by default):
-    the level order that only ``mt`` reads is built only when it is among
-    them, and ``level_grad_prefix`` is None otherwise.
+    ``checks`` names the check tokens it serves (every token by default).
+    Of the grid-sized arrays it keeps only the values of ``p`` and
+    ``grad_prof`` and their shared knots.  Its two cumulatives, of the
+    surrogate and of |grad f| in level order, are kept only at the points
+    the checks read, all known when it is built: ``surrogate_cumulative``
+    and ``level_grad_cumulative`` refuse any other point.  The level order
+    that only ``mt`` reads is built only when it is among the checks, and
+    ``mt_edges``, its fold edges, is None otherwise.
     """
 
     def __init__(
@@ -134,29 +147,56 @@ class Analysis:
         _require_finite(field, grid, "|grad f|", grads, self.grad_max)
         # -|f| ascending is |f| decreasing, and its stable order the level order
         np.negative(vals, out=vals)
-        self.level_grad_prefix = (
-            _level_grad_prefix(vals, grads, grid.cell_measure) if "mt" in checks else None
-        )
-        np.negative(grads, out=grads)
-        # one knot array for both: Profile keeps read-only arrays uncopied
+        order = np.argsort(vals, kind="stable") if "mt" in checks else None
+        # one read-only knot array for both profiles
         knots = uniform_knots(K)
-        self.p = Profile(knots, _sort_negated(vals))
-        self.grad_prof = Profile(knots, _sort_negated(grads))
+        self.p = Profile._trusted(knots, _sort_negated(vals, order))
+        del vals
         self.m_d = derivative_bin_count(self.p, M, min_block=K // grid.cells_per_axis)
-        self._surrogate_at_knots = _surrogate_at_knots(self.p, self.m_d)
+        self.t_grid = np.arange(1, M + 1) / M
+        self.mt_edges = self._level_grad = None
+        if order is not None:
+            # bins four derivative bins wide (check_mazya_talenti gives the reason)
+            bins = max(8, min(self.m_d, K // 16) // 4)
+            self.mt_edges = np.arange(bins + 1) / bins
+            at = _sorted_distinct(self._level_index(np.concatenate((self.t_grid, self.mt_edges))))
+            self._level_grad = at, _level_grad_at(grads, order, grid.cell_measure, at)
+            del order
+        np.negative(grads, out=grads)
+        self.grad_prof = Profile._trusted(knots, _sort_negated(grads))
         edges = uniform_knots(self.m_d)
+        reads = (edges,) if self.mt_edges is None else (edges, self.t_grid, self.mt_edges)
+        at = _sorted_distinct(self._knot_index(np.concatenate(reads)))
+        self._surrogate = at, _surrogate_at(self.p, self.m_d, at)
         edge_vals = self.surrogate_cumulative(edges)
         self.surr = GridCurve(
             (np.arange(self.m_d) + 0.5) / self.m_d,
             (edge_vals[1:] - edge_vals[:-1]) * self.m_d,
         )
         self.surr_prof = Profile(edges, _sort_negated(-self.surr.values))
-        self.t_grid = np.arange(1, M + 1) / M
+
+    def _knot_index(self, t) -> np.ndarray:
+        # the last knot adds no drop, so the surrogate there is that at K-1
+        idx = np.searchsorted(self.p.knots, np.asarray(t, dtype=float), side="right") - 1
+        return np.clip(idx, 0, self.p.num_pieces - 1)
+
+    def _level_index(self, t) -> np.ndarray:
+        return np.rint(np.asarray(t, dtype=float) * self.p.num_pieces).astype(np.intp)
 
     def surrogate_cumulative(self, t) -> np.ndarray:
-        """Exact integral over (0, t] of the jump-weighted surrogate."""
-        idx = np.searchsorted(self.p.knots, np.asarray(t, dtype=float), side="right") - 1
-        return self._surrogate_at_knots[np.maximum(idx, 0)]
+        """Exact integral over (0, t] of the jump-weighted surrogate, at
+        the points the checks read: the ``m_d`` bin edges, and with ``mt``
+        the t-grid and ``mt_edges``.  Any other t is refused."""
+        return _kept_at(*self._surrogate, self._knot_index(t), "surrogate cumulative")
+
+    def level_grad_cumulative(self, t) -> np.ndarray:
+        """Integral of |grad f| over the super-level set of measure t: the
+        first round(tK) cells in level order (decreasing |f|, ties by cell
+        index), at the t-grid and ``mt_edges``.  Any other t is refused,
+        and every t without ``mt`` among the analysis' checks."""
+        if self._level_grad is None:
+            raise DomainError("check 'mt' needs an analysis built with 'mt' among its checks")
+        return _kept_at(*self._level_grad, self._level_index(t), "level-order cumulative")
 
     @cached_property
     def sym_grad_prof(self) -> Profile:
@@ -179,34 +219,54 @@ class Analysis:
         return tol if self.field.smooth else 2.0 * tol
 
 
-def _level_grad_prefix(neg_levels: np.ndarray, grads: np.ndarray, cell_measure: float):
-    """Integral of |grad f| over the super-level set of measure k/K,
-    k = 0..K, read-only: the first k cells in level order (decreasing |f|,
-    ties by cell index), from -|f| and |grad f| in cell order."""
-    # peak 16 bytes a cell: mode="raise" would buffer take's whole output
-    order = np.argsort(neg_levels, kind="stable")
-    prefix = np.zeros(order.size + 1)
-    np.take(grads, order, out=prefix[1:], mode="clip")
-    prefix[1:] *= cell_measure
-    np.cumsum(prefix[1:], out=prefix[1:])
-    prefix.setflags(write=False)
-    return prefix
+def _kept_at(at: np.ndarray, kept: np.ndarray, idx: np.ndarray, name: str) -> np.ndarray:
+    """``kept[i]`` where ``at[i]`` is ``idx``, elementwise; DomainError if
+    some index was not kept."""
+    pos = np.minimum(np.searchsorted(at, idx), at.size - 1)
+    if not np.all(at[pos] == idx):
+        raise DomainError(f"the analysis keeps its {name} only at the points its checks read")
+    return kept[pos]
 
 
-def _sort_negated(neg: np.ndarray) -> np.ndarray:
+def _sorted_distinct(idx: np.ndarray) -> np.ndarray:
+    """The distinct entries of ``idx``, ascending; np.unique would import
+    numpy.ma on first use, 16-27 ms of a CLI run."""
+    idx.sort()
+    return idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
+
+
+def _level_grad_at(grads: np.ndarray, order: np.ndarray, cell_measure: float, at):
+    """Integral of |grad f| over the first k cells in level order, for
+    each k of the nondecreasing ``at``: |grad f| in cell order gathered
+    through ``order`` a block at a time."""
+
+    def cell_masses(start, stop):
+        run = np.take(grads, order[start:stop])
+        run *= cell_measure
+        return run
+
+    return running_sum_at(cell_masses, at, PASS_BLOCK)
+
+
+def _sort_negated(neg: np.ndarray, order: Optional[np.ndarray] = None) -> np.ndarray:
     """Minus nonnegative values, NaN-free, sorted in place and negated
     back: the values in nonincreasing order, read-only, so a Profile keeps
     them uncopied.  Every zero comes back +0.0, so this equals the values
-    gathered in their stable decreasing argsort order, bit for bit."""
-    neg.sort()
+    gathered in their stable decreasing argsort order, bit for bit: given
+    that order (``np.argsort(neg, kind="stable")``), they are gathered
+    through it into a new array instead of sorted again."""
+    if order is None:
+        neg.sort()
+    else:
+        neg = np.take(neg, order)
     np.negative(neg, out=neg)
     neg.setflags(write=False)
     return neg
 
 
-def _surrogate_at_knots(p: Profile, m_d: int) -> np.ndarray:
-    """Integral of the surrogate measure over (0, knots[k]], k = 0..K,
-    read-only.
+def _surrogate_at(p: Profile, m_d: int, at: np.ndarray) -> np.ndarray:
+    """Integral of the surrogate measure over (0, knots[k]], for each k of
+    the nondecreasing ``at``, each below K.
 
     The measure (-dp) * I puts at each drop of the step profile its size
     times I at the center of the stretch it stands for, capped at the
@@ -218,25 +278,21 @@ def _surrogate_at_knots(p: Profile, m_d: int) -> np.ndarray:
     which a knot without a drop adds an exact 0.
     """
     values, knots = p.values, p.knots
-    K = values.size
-    cum = np.empty(K + 1)
-    cum[0] = total = last_at = 0.0
-    for start in range(1, K, PASS_BLOCK):
-        stop = min(start + PASS_BLOCK, K)
-        mass = values[start - 1:stop - 1] - values[start:stop]  # drops at knots[start:stop]
+    last_at = 0.0
+
+    def drops(start, stop):
+        nonlocal last_at
+        mass = values[start:stop] - values[start + 1:stop + 1]  # at knots[start + 1:stop + 1]
         idx = np.flatnonzero(mass > 0.0)
         if idx.size:
-            at = knots[start:stop][idx]
+            at = knots[start + 1:stop + 1][idx]
             prev = np.concatenate(([last_at], at[:-1]))
             shift = 0.5 * np.minimum(at - prev, 1.0 / m_d)
             mass[idx] *= iso_profile(at - shift)
             last_at = at[-1]
-        mass[0] += total
-        np.cumsum(mass, out=cum[start:stop])
-        total = cum[stop - 1]
-    cum[K] = total
-    cum.setflags(write=False)
-    return cum
+        return mass
+
+    return running_sum_at(drops, at, PASS_BLOCK)
 
 
 def _require_finite(
@@ -368,15 +424,12 @@ def check_mazya_talenti(analysis: Analysis, tol: Optional[float] = None) -> Ineq
     of nearly isoperimetric tails) whose profile drop exceeds 10x the
     median single-cell drop.
     """
-    prefix = analysis.level_grad_prefix
-    if prefix is None:
-        raise DomainError("check 'mt' needs an analysis built with 'mt' among its checks")
     t0 = time.perf_counter()
-    p, t, K = analysis.p, analysis.t_grid, analysis.p.num_pieces
-    bins = max(8, min(analysis.m_d, K // 16) // 4)
-    edges = np.arange(bins + 1) / bins
+    p, t, edges = analysis.p, analysis.t_grid, analysis.mt_edges
+    # refused first, by an analysis built without mt (mt_edges is None)
+    rhs, r_edge = analysis.level_grad_cumulative(t), analysis.level_grad_cumulative(edges)
     lhs, l_edge = analysis.surrogate_cumulative(t), analysis.surrogate_cumulative(edges)
-    rhs, r_edge = (prefix[np.rint(s * K).astype(np.intp)] for s in (t, edges))
+    bins = edges.size - 1
     drops = p(edges[:-1]) - p(edges[1:])
     single = p.values[:-1] - p.values[1:]
     positive = single[single > 0.0]

@@ -386,6 +386,28 @@ class TestGridSampling:
         assert out.stdout.splitlines()[-1] == "False"
         assert read_report(tmp_path / "r.json")["checks"][0]["name"] == "mt"
 
+    def test_workload_configs_do_not_import_numpy_ma(self, tmp_path):
+        """np.unique, np.median and np.isin import numpy.ma on first use,
+        16-27 ms of a CLI run.  Small versions of the benchmark's three
+        workloads, every check among them, run without it."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        runs = [
+            ["--builtin", "mixture", "--dim", "2", "--grid", "32", "--checks",
+             "uno,dos,norm,mt,interval,orlicz,converge", "--curves", str(tmp_path / "curves")],
+            ["--builtin", "poly_tanh", "--grid", "65536", "--checks", "uno,norm,mt,interval"],
+            ["--expr", "tanh(x1 + 0.5*x2*x3) + 0.3*sin(x2)", "--dim", "3", "--grid", "9",
+             "--checks", "uno,dos"],
+        ]
+        outs = [str(tmp_path / f"r{i}.json") for i in range(len(runs))]
+        code = ("import sys; from gausym.cli import main; "
+                f"print([main(args + ['--out', out]) for args, out in zip({runs!r}, {outs!r})]); "
+                "print('numpy.ma' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.splitlines()[-2:] == ["[0, 0, 0]", "False"]
+        assert [len(read_report(o)["checks"]) for o in outs] == [22, 11, 2]
+
 
 class TestTracerHooks:
     """The benchmark's span tracer, perfbench/tracing.py, runs the CLI

@@ -27,7 +27,20 @@ from gausym import (
     phi,
 )
 
-from gausym.gaussian import BLOCK_CELLS, _iso_profile_block, _ppnd16, _ppnd16_block
+from gausym.gaussian import (
+    _CENTRAL,
+    _FAR_TAIL,
+    _NEAR_TAIL,
+    BLOCK_CELLS,
+    P_HI,
+    P_LO,
+    PASS_BLOCK,
+    SQRT_2PI,
+    _iso_profile_block,
+    _ppnd16,
+    _ppnd16_block,
+    _rational,
+)
 
 from conftest import assert_same_bits, representatives
 
@@ -373,3 +386,80 @@ class TestBlocks:
         assert_same_bits(iso_profile(t), _iso_profile_block(t))
         shaped = p[: 4 * (n // 4)].reshape(4, -1)
         assert_same_bits(_ppnd16(shaped), single_shot[: shaped.size].reshape(shaped.shape))
+
+
+def masked_ppnd16(p: np.ndarray) -> np.ndarray:
+    """AS 241 as every block took it before the central fast path: clamp,
+    then the central and tail regions by masks, gathers and scatters."""
+    p = np.clip(p, P_LO, P_HI)
+    q = p - 0.5
+    out = np.empty_like(p)
+    central = np.abs(q) <= 0.425
+    qc = q[central]
+    out[central] = qc * _rational(0.180625 - qc * qc, _CENTRAL)
+    tail = ~central
+    if np.any(tail):
+        pt = p[tail]
+        r = np.sqrt(-np.log(np.minimum(pt, 1.0 - pt)))
+        x = np.empty_like(r)
+        near = r <= 5.0
+        x[near] = _rational(r[near] - 1.6, _NEAR_TAIL)
+        x[~near] = _rational(r[~near] - 5.0, _FAR_TAIL)
+        out[tail] = np.where(pt < 0.5, -x, x)
+    return out
+
+
+def masked_iso_profile(t: np.ndarray) -> np.ndarray:
+    tc = np.clip(t, 0.0, 1.0)
+    out = np.zeros_like(tc)
+    inner = (tc > 0.0) & (tc < 1.0)
+    if np.any(inner):
+        x = masked_ppnd16(tc[inner])
+        out[inner] = np.exp(-0.5 * x * x) / SQRT_2PI
+    return out
+
+
+class TestCentralFastPath:
+    """A block wholly inside |t - 1/2| <= 0.425 skips the clamps and masks;
+    every result keeps the bits of the masked kernels, the references."""
+
+    EDGES = np.array([0.075, 0.925, np.nextafter(0.075, 0.0), np.nextafter(0.925, 1.0),
+                      np.nextafter(0.075, 1.0), np.nextafter(0.925, 0.0), 0.5,
+                      np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 0.3, 0.7])
+
+    @pytest.mark.parametrize("inputs", ["uniform", "random", "central", "edges"])
+    def test_bits_match_the_masked_kernels(self, inputs):
+        rng = np.random.default_rng(7)
+        t = {
+            "uniform": np.linspace(0.0, 1.0, 3 * PASS_BLOCK + 7)[1:-1],
+            "random": rng.random(2 * PASS_BLOCK + 3),
+            "central": rng.uniform(0.075, 0.925, PASS_BLOCK + 1),
+            "edges": np.concatenate((self.EDGES, [1e-300, P_HI, 1e-20, 0.01, 0.99])),
+        }[inputs]
+        assert_same_bits(Phi_inv(t), masked_ppnd16(t))
+        assert_same_bits(iso_profile(t), masked_iso_profile(t))
+        for block in (t[:1], t[:2], self.EDGES[:7], self.EDGES):
+            assert_same_bits(_ppnd16_block(block), masked_ppnd16(block))
+            assert_same_bits(_iso_profile_block(block), masked_iso_profile(block))
+
+    def test_out_of_range_and_nan_take_the_masked_path(self):
+        t = np.array([0.3, 0.5, np.nan, 0.7])
+        assert_same_bits(iso_profile(t), masked_iso_profile(t))
+        assert np.isnan(_ppnd16_block(t)[2])
+        for bad in (0.0, 1.0, -0.5, 1.5, np.inf):
+            t = np.array([0.3, bad, 0.7])
+            assert_same_bits(iso_profile(t), masked_iso_profile(t))
+
+    @pytest.mark.parametrize("n", [2, 3, 125, 1001, 2**20])
+    def test_midpoint_fractions(self, n):
+        lower = (np.arange(n // 2) + 0.5) / n
+        assert_same_bits(Phi_inv(lower), masked_ppnd16(lower))
+        t = (np.arange(n) + 0.5) / n
+        assert_same_bits(iso_profile(t), masked_iso_profile(t))
+
+    @pytest.mark.parametrize("n", [PASS_BLOCK - 1, PASS_BLOCK + 1, 3 * PASS_BLOCK + 5])
+    def test_blocks_match_single_shot(self, n):
+        """Across PASS_BLOCK-element blocks, some central, some not."""
+        t = np.concatenate((np.random.default_rng(n).uniform(0.1, 0.9, n - 2), [1e-9, 0.99]))
+        assert_same_bits(_ppnd16(t), _ppnd16_block(t))
+        assert_same_bits(iso_profile(t), _iso_profile_block(t))

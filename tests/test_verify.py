@@ -379,9 +379,11 @@ class TestCheckTable:
 
     def test_mt_needs_an_analysis_built_for_it(self):
         a = analyze(COORD, equal_measure_grid(1, 64), 64, ["uno", "converge"])
-        assert a.level_grad_prefix is None
+        assert a.mt_edges is None
         with pytest.raises(DomainError, match="'mt'"):
             check_mazya_talenti(a)
+        with pytest.raises(DomainError, match="'mt'"):
+            a.level_grad_cumulative(a.t_grid)
         with pytest.raises(DomainError, match="'mt'"):
             run_checks(a, ["mt"])
         with pytest.raises(DomainError, match="'mt'"):
@@ -414,10 +416,12 @@ class TestAnalysisSorts:
         assert_same_bits(a.p.values, p_ref.values)
         assert_same_bits(a.p.knots, p_ref.knots)
         grads_by_level = gradient_norms(field, reps)[order]
-        assert_same_bits(
-            a.level_grad_prefix,
-            np.concatenate(([0.0], np.cumsum(grads_by_level * grid.cell_measure))),
-        )
+        prefix = np.concatenate(([0.0], np.cumsum(grads_by_level * grid.cell_measure)))
+        # kept only where mt reads it: the t-grid and the fold edges
+        at, kept = a._level_grad
+        assert_same_bits(kept, prefix[at])
+        reads = np.concatenate((a.t_grid, a.mt_edges))
+        assert_same_bits(a.level_grad_cumulative(reads), prefix[np.rint(reads * K).astype(int)])
         fo = symmetrized_field(a.p, dim=dim, n_bins=a.m_d)
         sym_vals = gradient_norms(fo, reps)
         sym_ref = Profile(np.arange(K + 1) / K, sym_vals[np.argsort(-sym_vals, kind="stable")])
@@ -430,20 +434,44 @@ class TestAnalysisSorts:
         (PASS_BLOCK, 2, 183),
     ])
     def test_surrogate_matches_jump_list_reference(self, block, dim, N, monkeypatch):
-        """The knot-indexed cumulative equals, bit for bit at any t, the
-        running sum over the positive drops alone, located by searchsorted."""
+        """The cumulative kept at the points the checks read equals, bit
+        for bit, the running sum over the positive drops alone, located by
+        searchsorted, with and without mt's points."""
         monkeypatch.setattr(verify, "PASS_BLOCK", block)
         grid = equal_measure_grid(dim, N)
         for field in (builtin_field("mixture", dim=dim), parse_field("abs(x1) + 0.5", dim)):
-            a = analyze(field, grid, 512)
-            values, knots = a.p.values, a.p.knots
-            jumps = values[:-1] - values[1:]
-            at, size = knots[1:-1][jumps > 0.0], jumps[jumps > 0.0]
-            prev = np.concatenate(([0.0], at[:-1]))
-            mass = size * iso_profile(at - 0.5 * np.minimum(at - prev, 1.0 / a.m_d))
-            cum = np.concatenate(([0.0], np.cumsum(mass)))
-            t = np.concatenate((knots, np.nextafter(knots, -1.0), np.linspace(-0.1, 1.1, 1001)))
-            assert_same_bits(a.surrogate_cumulative(t), cum[np.searchsorted(at, t, side="right")])
+            for checks in (None, ["uno"]):
+                a = analyze(field, grid, 512, checks)
+                values, knots = a.p.values, a.p.knots
+                jumps = values[:-1] - values[1:]
+                at, size = knots[1:-1][jumps > 0.0], jumps[jumps > 0.0]
+                prev = np.concatenate(([0.0], at[:-1]))
+                mass = size * iso_profile(at - 0.5 * np.minimum(at - prev, 1.0 / a.m_d))
+                cum = np.concatenate(([0.0], np.cumsum(mass)))
+                kept_at, kept = a._surrogate
+                assert_same_bits(kept, cum[np.searchsorted(at, knots[kept_at], side="right")])
+                reads = [np.arange(a.m_d + 1) / a.m_d]
+                if checks is None:
+                    reads += [a.t_grid, a.mt_edges]
+                t = np.concatenate(reads)
+                assert_same_bits(a.surrogate_cumulative(t), cum[np.searchsorted(at, t, side="right")])
+
+    def test_unkept_points_are_refused(self):
+        """Each cumulative is kept only at the points the checks read; a
+        t between them is refused, not answered from a neighbour."""
+        a = analyze(builtin_field("mixture", dim=2), equal_measure_grid(2, 64), 512)
+        K = a.p.num_pieces
+        kept_knots = a.p.knots[a._surrogate[0]]
+        unkept = np.setdiff1d(a.p.knots[:-1], kept_knots)[K // 3]
+        with pytest.raises(DomainError, match="surrogate cumulative"):
+            a.surrogate_cumulative(unkept)
+        with pytest.raises(DomainError, match="surrogate cumulative"):
+            a.surrogate_cumulative(np.append(a.t_grid, unkept))
+        with pytest.raises(DomainError, match="level-order cumulative"):
+            a.level_grad_cumulative(3.5 / K)
+        assert a.level_grad_cumulative(a.t_grid[7]) == a.level_grad_cumulative(a.t_grid)[7]
+        assert a.surrogate_cumulative(0.5) == a.surrogate_cumulative(a.t_grid)[255]
+        assert a.surrogate_cumulative(1.0) == a.surrogate_cumulative(np.nextafter(1.0, 0.0))
 
     @pytest.mark.parametrize("text,N", [("sqrt(x1)", 64), ("1/x1", 125), ("x1/abs(x1)", 33)])
     def test_non_finite_field_refused(self, text, N):
@@ -529,15 +557,19 @@ class TestBlockedSampling:
 
     @pytest.mark.parametrize("make,dim,N,checks,kept_bound,peak_bound", [
         (lambda: parse_field("tanh(x1 + 0.5*x2*x3) + 0.3*sin(x2)", 3), 3, 64,
-         ("uno", "dos"), 44, 48),
-        (lambda: builtin_field("mixture", dim=2), 2, 512, ALL, None, 80),
-    ], ids=["expr-3d", "mixture-2d"])
+         ("uno", "dos"), 34, 48),
+        (lambda: builtin_field("mixture", dim=2), 2, 512, ALL, None, 60),
+        (lambda: builtin_field("poly_tanh"), 1, 2**18, ("uno", "norm", "mt", "interval"),
+         None, 58),
+    ], ids=["expr-3d", "mixture-2d", "poly-tanh-1d"])
     def test_peak_memory_per_cell(self, make, dim, N, checks, kept_bound, peak_bound):
         """The analysis together with its checks stays within these bytes
         of numpy allocations per cell.  Keeping the unsorted |f| and
         |grad f|, sorting copies of them and building the surrogate from
         whole-grid temporaries, it kept 68.2 and peaked at 75.0 on expr-3d,
-        and peaked at 92.8 on mixture-2d."""
+        and peaked at 92.8 on mixture-2d.  Keeping both cumulatives as
+        arrays of K+1 floats, it kept 40.7 on expr-3d and peaked at 74.1
+        on mixture-2d and 73.5 on poly-tanh-1d."""
         field, grid = make(), equal_measure_grid(dim, N)
         tracemalloc.start()
         try:
