@@ -50,7 +50,7 @@ from .majorize import (
     parse_norm,
     ri_norm,
 )
-from .rearrange import GridCurve, Profile, lebesgue_rearrangement
+from .rearrange import Profile, lebesgue_rearrangement
 from .symmetrize import symmetrized_derivative
 from .verify import (
     Analysis,

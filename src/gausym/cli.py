@@ -36,7 +36,7 @@ from .errors import GausymError, NonFiniteFieldError
 from .fields import builtin_field, corpus_names, describe_field, parse_field
 from .gaussian import equal_measure_grid
 from .majorize import DEFAULT_NORM_FAMILY, parse_norm
-from .verify import CHECKS, IneqReport, analyze, run_checks, validate_intervals
+from .verify import CHECKS, IneqReport, analyze, require_known, run_checks, validate_intervals
 
 CHECK_TOKENS = tuple(CHECKS)
 
@@ -157,16 +157,14 @@ def _validate(cfg: dict) -> dict:
     if (cfg["expr"] is None) == (cfg["builtin"] is None):
         raise ConfigError("exactly one of --expr or --builtin is required")
     tokens = [t.strip() for t in str(cfg["checks"]).split(",") if t.strip()]
-    unknown = [t for t in tokens if t not in CHECK_TOKENS]
-    if unknown:
-        raise ConfigError(f"unknown checks {unknown}; choose from {','.join(CHECK_TOKENS)}")
-    if not tokens:
-        raise ConfigError("no checks requested")
-    cfg["check_tokens"] = tokens
-    cfg["interval_list"] = (
-        validate_intervals(_parse_intervals(cfg["intervals"])) if "interval" in tokens else None
-    )
     try:
+        require_known(tokens)
+        if not tokens:
+            raise ConfigError("no checks requested")
+        cfg["check_tokens"] = tokens
+        cfg["interval_list"] = (
+            validate_intervals(_parse_intervals(cfg["intervals"])) if "interval" in tokens else None
+        )
         cfg["norm_list"] = (
             [parse_norm(s) for s in cfg["norms"].split(",") if s.strip()]
             if cfg["norms"]

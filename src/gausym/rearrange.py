@@ -3,9 +3,7 @@
 A Profile is the nonincreasing right-continuous step function on (0, 1]
 given by sorted values and the knots between their pieces; its
 super-level measures are the distribution function of whatever it
-rearranges.  A GridCurve holds raw samples on a uniform grid (the
-surrogate) that need not be monotone and becomes a Profile only once its
-values are sorted.  Sampling a field and sorting |f| and |grad f| into
+rearranges.  Sampling a field and sorting |f| and |grad f| into
 profiles is done once per run, by ``verify.Analysis``; this module knows
 nothing of fields or grids.
 """
@@ -159,47 +157,18 @@ class Profile:
         return cls(np.array([0.0, 1.0]), np.array([abs(float(c))]))
 
 
-@dataclass(frozen=True)
-class GridCurve:
-    """Samples of a function at midpoints (j+1/2)/M of a uniform grid."""
-
-    s: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        s = np.asarray(self.s, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        if s.shape != values.shape or s.ndim != 1:
-            raise DomainError("grid curve needs matching 1-d s and values")
-        s.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def size(self) -> int:
-        return len(self.s)
-
-    def cumulative(self, t) -> np.ndarray:
-        """Integral over (0, t] of the bin-constant extension of the samples."""
-        m = self.size
-        edges = np.arange(m + 1) / m
-        cum = np.concatenate(([0.0], np.cumsum(self.values) / m))
-        t_arr = np.asarray(t, dtype=float)
-        out = np.interp(t_arr, edges, cum)
-        return out if t_arr.ndim else float(out)
-
-
 def running_sum_at(increments, at: np.ndarray, block: int) -> np.ndarray:
     """The running sums S[j] of a sequence, the sum of its elements
-    0..j-1, at the nondecreasing indices ``at``.
+    0..j-1, at the indices ``at``, in any order and with repeats.
 
     ``increments(start, stop)`` returns elements start..stop-1 as a fresh
     array, and is called ``block`` elements at a time, in order, up to
-    the last index read.  Each block's carry is added to its first
+    the largest index read.  Each block's carry is added to its first
     element before its in-place cumsum, so every S[j] has the bits of one
     whole-array cumsum, and no array of the sequence's length is built.
     """
+    order = np.argsort(at, kind="stable")
+    at = at[order]
     out = np.zeros(at.size)
     total = -0.0  # x + -0.0 is x for every x, -0.0 included
     last = int(at[-1])
@@ -209,7 +178,7 @@ def running_sum_at(increments, at: np.ndarray, block: int) -> np.ndarray:
         run[0] += total
         np.cumsum(run, out=run)  # run[i] = S[start + 1 + i]
         lo, hi = np.searchsorted(at, (start, stop), side="right")
-        out[lo:hi] = run[at[lo:hi] - start - 1]
+        out[order[lo:hi]] = run[at[lo:hi] - start - 1]
         total = run[-1]
     return out
 

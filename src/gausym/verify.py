@@ -31,11 +31,12 @@ and ``grad_prof`` and their shared read-only knots k/K, 24 bytes a cell:
   were just sorted and checked finite.
 - Both cumulatives, of |grad f| in level order and of the surrogate, are
   running sums taken ``PASS_BLOCK`` elements at a time
-  (``rearrange.running_sum_at``), kept only at the points the checks
-  read, all known when the analysis is built: the ``m_d`` bin edges,
-  and with ``mt`` the t-grid and ``mt``'s fold edges ``mt_edges``.
-  ``surrogate_cumulative`` and ``level_grad_cumulative`` refuse any
-  other point with ``DomainError``.
+  (``rearrange.running_sum_at``), read only at the points the checks
+  read, all known when the analysis is built.  The analysis keeps the
+  arrays the checks compare: ``surr``, the surrogate's means on the
+  ``m_d`` derivative bins, and with ``mt`` ``mt_surr_cum`` and
+  ``mt_grad_cum``, the two cumulatives at the t-grid and then at
+  ``mt``'s fold edges ``mt_edges``.
 
 The symmetrized field's gradient is taken lazily, on first use by
 ``dos`` or ``orlicz``, on the N axis points alone (the field depends on
@@ -67,7 +68,7 @@ from .errors import DomainError, IntervalError, NonFiniteFieldError, NonSmoothFi
 from .fields import ScalarField, partials_norm
 from .gaussian import BLOCK_CELLS, PASS_BLOCK, GaussianGrid, equal_measure_grid, iso_profile
 from .majorize import DEFAULT_NORM_FAMILY, HINGE_GRID_SIZE, RINorm, hinge_integrals, ri_norm
-from .rearrange import GridCurve, Profile, derivative_bin_count, running_sum_at, uniform_knots
+from .rearrange import Profile, derivative_bin_count, running_sum_at, uniform_knots
 from .symmetrize import symmetrized_derivative
 
 VIOLATION_FLOOR = 1e-12
@@ -112,12 +113,13 @@ class Analysis:
     Build it with ``analyze``; every check reads it and none modifies it.
     ``checks`` names the check tokens it serves (every token by default).
     Of the grid-sized arrays it keeps only the values of ``p`` and
-    ``grad_prof`` and their shared knots.  Its two cumulatives, of the
-    surrogate and of |grad f| in level order, are kept only at the points
-    the checks read, all known when it is built: ``surrogate_cumulative``
-    and ``level_grad_cumulative`` refuse any other point.  The level order
-    that only ``mt`` reads is built only when it is among the checks, and
-    ``mt_edges``, its fold edges, is None otherwise.
+    ``grad_prof`` and their shared knots.  ``surr`` holds the surrogate's
+    means on the ``m_d`` derivative bins, read-only.  The level order that
+    only ``mt`` reads is built only when it is among the checks; then
+    ``mt_surr_cum`` and ``mt_grad_cum`` hold the surrogate cumulative and
+    the integral of |grad f| over the super-level set of measure t, each
+    at the t-grid and then at ``mt_edges``, mt's fold edges.  Without
+    ``mt`` all three are None.
     """
 
     def __init__(
@@ -127,7 +129,7 @@ class Analysis:
         if M < 8:
             raise DomainError(f"s-grid needs M >= 8, got {M}")
         checks = tuple(CHECKS) if checks is None else tuple(checks)
-        _require_known(checks)
+        require_known(checks)
         self.field = field
         self.grid = grid
         self.M = M
@@ -154,49 +156,26 @@ class Analysis:
         del vals
         self.m_d = derivative_bin_count(self.p, M, min_block=K // grid.cells_per_axis)
         self.t_grid = np.arange(1, M + 1) / M
-        self.mt_edges = self._level_grad = None
+        self.mt_edges = self.mt_surr_cum = self.mt_grad_cum = None
         if order is not None:
             # bins four derivative bins wide (check_mazya_talenti gives the reason)
             bins = max(8, min(self.m_d, K // 16) // 4)
             self.mt_edges = np.arange(bins + 1) / bins
-            at = _sorted_distinct(self._level_index(np.concatenate((self.t_grid, self.mt_edges))))
-            self._level_grad = at, _level_grad_at(grads, order, grid.cell_measure, at)
+            mt_reads = np.concatenate((self.t_grid, self.mt_edges))
+            at = np.rint(mt_reads * K).astype(np.intp)
+            self.mt_grad_cum = _read_only(_level_grad_at(grads, order, grid.cell_measure, at))
             del order
         np.negative(grads, out=grads)
         self.grad_prof = Profile._trusted(knots, _sort_negated(grads))
         edges = uniform_knots(self.m_d)
-        reads = (edges,) if self.mt_edges is None else (edges, self.t_grid, self.mt_edges)
-        at = _sorted_distinct(self._knot_index(np.concatenate(reads)))
-        self._surrogate = at, _surrogate_at(self.p, self.m_d, at)
-        edge_vals = self.surrogate_cumulative(edges)
-        self.surr = GridCurve(
-            (np.arange(self.m_d) + 0.5) / self.m_d,
-            (edge_vals[1:] - edge_vals[:-1]) * self.m_d,
-        )
-        self.surr_prof = Profile(edges, _sort_negated(-self.surr.values))
-
-    def _knot_index(self, t) -> np.ndarray:
+        reads = edges if self.mt_edges is None else np.concatenate((edges, mt_reads))
         # the last knot adds no drop, so the surrogate there is that at K-1
-        idx = np.searchsorted(self.p.knots, np.asarray(t, dtype=float), side="right") - 1
-        return np.clip(idx, 0, self.p.num_pieces - 1)
-
-    def _level_index(self, t) -> np.ndarray:
-        return np.rint(np.asarray(t, dtype=float) * self.p.num_pieces).astype(np.intp)
-
-    def surrogate_cumulative(self, t) -> np.ndarray:
-        """Exact integral over (0, t] of the jump-weighted surrogate, at
-        the points the checks read: the ``m_d`` bin edges, and with ``mt``
-        the t-grid and ``mt_edges``.  Any other t is refused."""
-        return _kept_at(*self._surrogate, self._knot_index(t), "surrogate cumulative")
-
-    def level_grad_cumulative(self, t) -> np.ndarray:
-        """Integral of |grad f| over the super-level set of measure t: the
-        first round(tK) cells in level order (decreasing |f|, ties by cell
-        index), at the t-grid and ``mt_edges``.  Any other t is refused,
-        and every t without ``mt`` among the analysis' checks."""
-        if self._level_grad is None:
-            raise DomainError("check 'mt' needs an analysis built with 'mt' among its checks")
-        return _kept_at(*self._level_grad, self._level_index(t), "level-order cumulative")
+        at = np.clip(np.searchsorted(knots, reads, side="right") - 1, 0, K - 1)
+        surr_cum = _surrogate_at(self.p, self.m_d, at)
+        self.surr = _read_only(np.diff(surr_cum[:self.m_d + 1]) * self.m_d)
+        if self.mt_edges is not None:
+            self.mt_surr_cum = _read_only(surr_cum[self.m_d + 1:])
+        self.surr_prof = Profile(edges, _sort_negated(-self.surr))
 
     @cached_property
     def sym_grad_prof(self) -> Profile:
@@ -213,31 +192,21 @@ class Analysis:
         if override is not None:
             return float(override)
         c1 = 5.0 * self.grad_max
-        interior = self.surr.values[(self.surr.s >= 0.05) & (self.surr.s <= 0.95)]
+        s = (np.arange(self.m_d) + 0.5) / self.m_d
+        interior = self.surr[(s >= 0.05) & (s <= 0.95)]
         c2 = 10.0 * (float(np.max(interior)) if interior.size else 0.0)
         tol = c1 / math.sqrt(self.grid.cells_per_axis) + c2 / self.M
         return tol if self.field.smooth else 2.0 * tol
 
 
-def _kept_at(at: np.ndarray, kept: np.ndarray, idx: np.ndarray, name: str) -> np.ndarray:
-    """``kept[i]`` where ``at[i]`` is ``idx``, elementwise; DomainError if
-    some index was not kept."""
-    pos = np.minimum(np.searchsorted(at, idx), at.size - 1)
-    if not np.all(at[pos] == idx):
-        raise DomainError(f"the analysis keeps its {name} only at the points its checks read")
-    return kept[pos]
-
-
-def _sorted_distinct(idx: np.ndarray) -> np.ndarray:
-    """The distinct entries of ``idx``, ascending; np.unique would import
-    numpy.ma on first use, 16-27 ms of a CLI run."""
-    idx.sort()
-    return idx[np.concatenate(([True], idx[1:] != idx[:-1]))]
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.setflags(write=False)
+    return x
 
 
 def _level_grad_at(grads: np.ndarray, order: np.ndarray, cell_measure: float, at):
     """Integral of |grad f| over the first k cells in level order, for
-    each k of the nondecreasing ``at``: |grad f| in cell order gathered
+    each k of ``at``, in any order: |grad f| in cell order gathered
     through ``order`` a block at a time."""
 
     def cell_masses(start, stop):
@@ -266,7 +235,7 @@ def _sort_negated(neg: np.ndarray, order: Optional[np.ndarray] = None) -> np.nda
 
 def _surrogate_at(p: Profile, m_d: int, at: np.ndarray) -> np.ndarray:
     """Integral of the surrogate measure over (0, knots[k]], for each k of
-    the nondecreasing ``at``, each below K.
+    ``at``, in any order, each below K.
 
     The measure (-dp) * I puts at each drop of the step profile its size
     times I at the center of the stretch it stands for, capped at the
@@ -426,9 +395,10 @@ def check_mazya_talenti(analysis: Analysis, tol: Optional[float] = None) -> Ineq
     """
     t0 = time.perf_counter()
     p, t, edges = analysis.p, analysis.t_grid, analysis.mt_edges
-    # refused first, by an analysis built without mt (mt_edges is None)
-    rhs, r_edge = analysis.level_grad_cumulative(t), analysis.level_grad_cumulative(edges)
-    lhs, l_edge = analysis.surrogate_cumulative(t), analysis.surrogate_cumulative(edges)
+    if edges is None:
+        raise DomainError("check 'mt' needs an analysis built with 'mt' among its checks")
+    lhs, l_edge = np.split(analysis.mt_surr_cum, (t.size,))
+    rhs, r_edge = np.split(analysis.mt_grad_cum, (t.size,))
     bins = edges.size - 1
     drops = p(edges[:-1]) - p(edges[1:])
     single = p.values[:-1] - p.values[1:]
@@ -482,9 +452,11 @@ def check_interval_bound(
     t0 = time.perf_counter()
     a, b = arr[:, 0], arr[:, 1]
     t = analysis.t_grid
-    surr = analysis.surr
+    # the integral over (0, t] of the surrogate's bin-constant extension
+    cum = np.concatenate(([0.0], np.cumsum(analysis.surr) / analysis.m_d))
+    edges = uniform_knots(analysis.m_d)
     clamped = np.clip(t[None, :], a[:, None], b[:, None])
-    lhs = np.sum(surr.cumulative(clamped) - surr.cumulative(a)[:, None], axis=0)
+    lhs = np.sum(np.interp(clamped, edges, cum) - np.interp(a, edges, cum)[:, None], axis=0)
     cut = np.sum(np.maximum(np.minimum(t[None, :], b[:, None]) - a[:, None], 0.0), axis=0)
     rhs = analysis.grad_prof.cumulative(cut)
     extra = {"intervals": arr.tolist(), "total_length": float(np.sum(b - a))}
@@ -507,7 +479,7 @@ def check_orlicz_equality(
         raise NonSmoothFieldError(f"check needs a smooth field, got {analysis.field.label!r}")
     t0 = time.perf_counter()
     if c_grid is None:
-        c_grid = np.linspace(0.0, float(np.max(analysis.surr.values)), HINGE_GRID_SIZE)
+        c_grid = np.linspace(0.0, float(np.max(analysis.surr)), HINGE_GRID_SIZE)
     c_grid = np.asarray(c_grid, dtype=float)
     lhs = hinge_integrals(analysis.surr_prof, c_grid)
     rhs = hinge_integrals(analysis.sym_grad_prof, c_grid)
@@ -630,7 +602,9 @@ CHECKS = {
 }
 
 
-def _require_known(tokens: Sequence[str]):
+def require_known(tokens: Sequence[str]):
+    """DomainError naming the valid tokens if some of ``tokens`` is not a
+    check token."""
     unknown = [t for t in tokens if t not in CHECKS]
     if unknown:
         raise DomainError(f"unknown checks {unknown}; choose from {','.join(CHECKS)}")
@@ -649,6 +623,6 @@ def run_checks(
     from one analysis.  ``tol`` overrides every check's tolerance,
     ``equality`` makes uno and dos two-sided, ``norms`` is the family the
     norm check runs, and ``intervals`` the union the interval check needs."""
-    _require_known(tokens)
+    require_known(tokens)
     options = dict(tol=tol, equality=equality, norms=norms, intervals=intervals, tokens=tokens)
     return [row for token in tokens for row in CHECKS[token](analysis, **options)]

@@ -117,16 +117,17 @@ def pointwise_identity_gap(analysis) -> float:
     refinement for smooth fields.
     """
     field, surr = analysis.field, analysis.surr
+    s = (np.arange(analysis.m_d) + 0.5) / analysis.m_d
     if not field.smooth:
         raise NonSmoothFieldError(
             f"pointwise identity check needs a smooth field, got {field.label!r}"
         )
-    mask = (surr.s >= 0.05) & (surr.s <= 0.95)
-    x1 = Phi_inv(surr.s[mask])
+    mask = (s >= 0.05) & (s <= 0.95)
+    x1 = Phi_inv(s[mask])
     # the slope right of each node, then the one left of it
     x1 = np.concatenate((x1, np.nextafter(x1, -np.inf)))
     right, left = np.split(np.abs(symmetrized_derivative(analysis.p, x1, analysis.m_d)), 2)
-    return float(np.max(np.abs(surr.values[mask] - 0.5 * (right + left))))
+    return float(np.max(np.abs(surr[mask] - 0.5 * (right + left))))
 
 
 def rearrangement(field, grid) -> Profile:

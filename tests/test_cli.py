@@ -75,6 +75,14 @@ class TestConfigErrors:
 
     def test_unknown_check(self, capsys):
         assert main(["--expr", "x1", "--checks", "tres"]) == 2
+        assert main(["--builtin", "coordinate", "--checks", "uno,bogus"]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: unknown checks ['bogus']; choose from uno,dos,norm,mt,interval,orlicz,converge"
+        )
+
+    def test_no_checks(self, capsys):
+        assert main(["--builtin", "coordinate", "--checks", ","]) == 2
+        assert capsys.readouterr().err == "error: no checks requested\n"
 
     def test_bad_expression(self, capsys):
         assert main(["--expr", "x1*", "--checks", "uno"]) == 2

@@ -22,7 +22,7 @@ from gausym import (
     lebesgue_rearrangement,
     parse_field,
 )
-from gausym.rearrange import derivative_bin_count
+from gausym.rearrange import derivative_bin_count, running_sum_at
 
 from conftest import assert_same_bits, jet_at, rearrangement, representatives, sort_decreasing
 
@@ -255,6 +255,37 @@ class TestEqualWeightSort:
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * out.nbytes
+
+
+class TestRunningSumAt:
+    """Running sums read at chosen indices, a block at a time, have the
+    bits of a whole-array cumsum, whatever the order of the indices."""
+
+    X = np.concatenate((
+        [-0.0, -0.0, 2.5, -2.5, -0.0], np.random.default_rng(11).standard_normal(45)
+    ))
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    @pytest.mark.parametrize("at", [
+        [0, 50, 7, 7, 3, 49, 0, 1, 50, 25, 2],
+        [50, 0],
+        list(range(51)),
+        [4, 1, 2],
+        [0, 0],
+    ], ids=["unsorted-repeated", "n-then-0", "every-index", "signed-zeros", "zeros"])
+    def test_matches_whole_array_cumsum(self, block, at):
+        x, calls = self.X, []
+
+        def increments(start, stop):
+            calls.append((start, stop))
+            return x[start:stop].copy()
+
+        at = np.array(at, dtype=np.intp)
+        ref = np.concatenate(([0.0], np.cumsum(x)))[at]
+        assert_same_bits(running_sum_at(increments, at, block), ref)
+        # blocks in order, up to the largest index read
+        last = int(at.max())
+        assert calls == [(s, min(s + block, last)) for s in range(0, last, block)]
 
 
 class TestDerivativeBinCount:

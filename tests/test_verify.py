@@ -212,7 +212,7 @@ class TestOrliczEquality:
         fo = symmetrized_field(pipe.p, dim=2, n_bins=pipe.m_d)
         sym_grad = gradient_norms(fo, representatives(grid))
         c = rep.s_grid[:, None]
-        lhs = np.mean(np.maximum(pipe.surr.values[None, :] - c, 0.0), axis=1)
+        lhs = np.mean(np.maximum(pipe.surr[None, :] - c, 0.0), axis=1)
         rhs = np.sum(np.maximum(sym_grad[None, :] - c, 0.0), axis=1) * grid.cell_measure
         assert np.allclose(rep.lhs_curve, lhs, rtol=0.0, atol=1e-12 * lhs[0])
         assert np.allclose(rep.rhs_curve, rhs, rtol=0.0, atol=1e-12 * rhs[0])
@@ -379,11 +379,9 @@ class TestCheckTable:
 
     def test_mt_needs_an_analysis_built_for_it(self):
         a = analyze(COORD, equal_measure_grid(1, 64), 64, ["uno", "converge"])
-        assert a.mt_edges is None
+        assert a.mt_edges is None and a.mt_surr_cum is None and a.mt_grad_cum is None
         with pytest.raises(DomainError, match="'mt'"):
             check_mazya_talenti(a)
-        with pytest.raises(DomainError, match="'mt'"):
-            a.level_grad_cumulative(a.t_grid)
         with pytest.raises(DomainError, match="'mt'"):
             run_checks(a, ["mt"])
         with pytest.raises(DomainError, match="'mt'"):
@@ -417,11 +415,9 @@ class TestAnalysisSorts:
         assert_same_bits(a.p.knots, p_ref.knots)
         grads_by_level = gradient_norms(field, reps)[order]
         prefix = np.concatenate(([0.0], np.cumsum(grads_by_level * grid.cell_measure)))
-        # kept only where mt reads it: the t-grid and the fold edges
-        at, kept = a._level_grad
-        assert_same_bits(kept, prefix[at])
+        # kept only where mt reads it: the t-grid, then the fold edges
         reads = np.concatenate((a.t_grid, a.mt_edges))
-        assert_same_bits(a.level_grad_cumulative(reads), prefix[np.rint(reads * K).astype(int)])
+        assert_same_bits(a.mt_grad_cum, prefix[np.rint(reads * K).astype(int)])
         fo = symmetrized_field(a.p, dim=dim, n_bins=a.m_d)
         sym_vals = gradient_norms(fo, reps)
         sym_ref = Profile(np.arange(K + 1) / K, sym_vals[np.argsort(-sym_vals, kind="stable")])
@@ -434,9 +430,10 @@ class TestAnalysisSorts:
         (PASS_BLOCK, 2, 183),
     ])
     def test_surrogate_matches_jump_list_reference(self, block, dim, N, monkeypatch):
-        """The cumulative kept at the points the checks read equals, bit
-        for bit, the running sum over the positive drops alone, located by
-        searchsorted, with and without mt's points."""
+        """The surrogate's bin means, and with mt its cumulative at the
+        t-grid and the fold edges, equal, bit for bit, those read off the
+        running sum over the positive drops alone, located by
+        searchsorted."""
         monkeypatch.setattr(verify, "PASS_BLOCK", block)
         grid = equal_measure_grid(dim, N)
         for field in (builtin_field("mixture", dim=dim), parse_field("abs(x1) + 0.5", dim)):
@@ -448,30 +445,17 @@ class TestAnalysisSorts:
                 prev = np.concatenate(([0.0], at[:-1]))
                 mass = size * iso_profile(at - 0.5 * np.minimum(at - prev, 1.0 / a.m_d))
                 cum = np.concatenate(([0.0], np.cumsum(mass)))
-                kept_at, kept = a._surrogate
-                assert_same_bits(kept, cum[np.searchsorted(at, knots[kept_at], side="right")])
-                reads = [np.arange(a.m_d + 1) / a.m_d]
-                if checks is None:
-                    reads += [a.t_grid, a.mt_edges]
-                t = np.concatenate(reads)
-                assert_same_bits(a.surrogate_cumulative(t), cum[np.searchsorted(at, t, side="right")])
 
-    def test_unkept_points_are_refused(self):
-        """Each cumulative is kept only at the points the checks read; a
-        t between them is refused, not answered from a neighbour."""
-        a = analyze(builtin_field("mixture", dim=2), equal_measure_grid(2, 64), 512)
-        K = a.p.num_pieces
-        kept_knots = a.p.knots[a._surrogate[0]]
-        unkept = np.setdiff1d(a.p.knots[:-1], kept_knots)[K // 3]
-        with pytest.raises(DomainError, match="surrogate cumulative"):
-            a.surrogate_cumulative(unkept)
-        with pytest.raises(DomainError, match="surrogate cumulative"):
-            a.surrogate_cumulative(np.append(a.t_grid, unkept))
-        with pytest.raises(DomainError, match="level-order cumulative"):
-            a.level_grad_cumulative(3.5 / K)
-        assert a.level_grad_cumulative(a.t_grid[7]) == a.level_grad_cumulative(a.t_grid)[7]
-        assert a.surrogate_cumulative(0.5) == a.surrogate_cumulative(a.t_grid)[255]
-        assert a.surrogate_cumulative(1.0) == a.surrogate_cumulative(np.nextafter(1.0, 0.0))
+                def cum_at(t):
+                    return cum[np.searchsorted(at, t, side="right")]
+
+                edge_cum = cum_at(np.arange(a.m_d + 1) / a.m_d)
+                assert_same_bits(a.surr, (edge_cum[1:] - edge_cum[:-1]) * a.m_d)
+                if checks is None:
+                    reads = np.concatenate((a.t_grid, a.mt_edges))
+                    assert_same_bits(a.mt_surr_cum, cum_at(reads))
+                else:
+                    assert a.mt_surr_cum is None
 
     @pytest.mark.parametrize("text,N", [("sqrt(x1)", 64), ("1/x1", 125), ("x1/abs(x1)", 33)])
     def test_non_finite_field_refused(self, text, N):
