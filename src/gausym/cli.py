@@ -32,6 +32,8 @@ import sys
 import tempfile
 from typing import Optional
 
+import numpy as np
+
 from .errors import GausymError, NonFiniteFieldError
 from .fields import builtin_field, corpus_names, describe_field, parse_field
 from .gaussian import equal_measure_grid
@@ -198,18 +200,30 @@ def _safe_name(text: str) -> str:
     return "".join(ch if ch.isalnum() or ch in "._-" else "_" for ch in text)
 
 
+def curve_csv(s_grid, lhs, rhs) -> str:
+    """CSV text of one curve: the header ``s,lhs,rhs``, then one row per
+    point, each value as ``%.17g`` (round-trips a double).  One ``%`` over
+    the flat values formats the whole curve in C, with the bytes that
+    ``format(x, ".17g")`` gives row by row."""
+    flat = np.stack((s_grid, lhs, rhs), axis=1).ravel().tolist()
+    return "s,lhs,rhs\n" + "%.17g,%.17g,%.17g\n" * len(s_grid) % tuple(flat)
+
+
 def write_report(reports: list[IneqReport], out: Optional[str], curves_dir: Optional[str]):
+    """Write the JSON report to ``out`` (stdout when None) and, with
+    ``curves_dir``, each report's curve to ``<check>__<field>.csv`` there
+    (``curve_csv``; characters other than letters, digits and ``._-``
+    become ``_``), recorded as the entry's ``curves_file``.  Files are
+    written atomically, the curves first."""
+    if curves_dir:
+        os.makedirs(curves_dir, exist_ok=True)
     entries = []
     for report in reports:
         entry = report.entry()
         if curves_dir:
-            os.makedirs(curves_dir, exist_ok=True)
             fname = f"{_safe_name(report.check_name)}__{_safe_name(report.field_label)}.csv"
             fpath = os.path.join(curves_dir, fname)
-            rows = ["s,lhs,rhs"]
-            for s, lhs, rhs in zip(report.s_grid, report.lhs_curve, report.rhs_curve):
-                rows.append(f"{s:.17g},{lhs:.17g},{rhs:.17g}")
-            _atomic_write(fpath, "\n".join(rows) + "\n")
+            _atomic_write(fpath, curve_csv(report.s_grid, report.lhs_curve, report.rhs_curve))
             entry["curves_file"] = fpath
         entries.append(entry)
     payload = {"version": 1, "checks": entries}

@@ -18,7 +18,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import expr as _expr
 from .errors import InvalidParameterError, UnknownFieldError
 
 # per-axis coordinate arrays that broadcast together
@@ -245,7 +244,10 @@ def parse_field(expression: str, dim: int) -> ScalarField:
     and ``verify.analyze`` refuses the field.  The label is the canonical
     serialized form, which re-parses to a field that agrees everywhere.
     Fields whose expression uses abs() are flagged non-smooth.
+    The parser is imported here, so a run on builtin fields never loads it.
     """
+    from . import expr as _expr
+
     ast = _expr.parse_expression(expression, dim)
 
     def jet(xs):

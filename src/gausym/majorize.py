@@ -43,11 +43,14 @@ class YoungFunction:
     kind: str
     param: float
 
-    def __call__(self, t):
-        # one fresh array, then in place: the Luxemburg root-finder calls
-        # this on whole profiles five to ten times per norm
-        x = np.array(t, dtype=float)
-        np.abs(x, out=x)
+    def __call__(self, t, out=None):
+        """A(t) elementwise, into ``out`` when given (a float array shaped
+        like ``t``, or ``t`` itself), else into one fresh array.  In place
+        from there: the Luxemburg root-finder calls this on whole profiles
+        five to ten times per norm."""
+        if out is None:
+            t = out = np.array(t, dtype=float)
+        x = np.abs(t, out=out)
         if self.kind == "power":
             x **= self.param
         elif self.kind == "hinge":
@@ -259,15 +262,16 @@ def _luxemburg(p: Profile, A: YoungFunction) -> float:
         return 0.0
 
     values, widths = p.values, p.widths
-    # Each pass allocates one profile-sized array (inside A).  Several per
-    # pass let the C allocator trim and regrow its heap on every pass, which
-    # tripled the time of this loop depending on earlier allocations.
+    # One profile-sized array for every pass: A runs in place on it.
+    # Fresh arrays per pass let the C allocator trim and regrow its heap on
+    # every pass, which tripled the time of this loop depending on earlier
+    # allocations.
     scaled = np.empty_like(values)
 
     def log_theta(lam: float) -> float:
         np.multiply(values, 1.0 / lam, out=scaled)
         with np.errstate(over="ignore"):
-            theta = float(np.dot(A(scaled), widths))
+            theta = float(np.dot(A(scaled, out=scaled), widths))
         return math.log(theta) if theta > 0.0 else -math.inf
 
     bracket = None
@@ -390,7 +394,9 @@ def ri_norm(p: Profile, X: RINorm) -> float:
         terms *= p.widths
         return float(np.sum(terms) ** (1.0 / X.param))
     if X.kind == "lorentz":
-        terms = np.diff(p.knots ** (1.0 / X.param))
+        # the powered knots differenced in place: one temporary per norm
+        powered = p.knots ** (1.0 / X.param)
+        terms = np.subtract(powered[1:], powered[:-1], out=powered[:-1])
         terms *= p.values
         return float(np.sum(terms))
     if X.kind == "marcinkiewicz":

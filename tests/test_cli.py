@@ -241,6 +241,30 @@ class TestReportEmission:
         s, lhs, rhs = (float(v) for v in lines[-1].split(","))
         assert s == 1.0
 
+    # signed zero, the smallest subnormal and normal, the largest power of
+    # ten, a non-terminating decimal, integral floats, and non-finites
+    CSV_VALUES = [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1, 1.0, -3.0, 2.0**60,
+                  math.inf, -math.inf, math.nan]
+
+    @staticmethod
+    def per_row_csv(s, lhs, rhs):
+        rows = ["s,lhs,rhs"] + [f"{a:.17g},{b:.17g},{c:.17g}" for a, b, c in zip(s, lhs, rhs)]
+        return "\n".join(rows) + "\n"
+
+    @pytest.mark.parametrize("value", CSV_VALUES)
+    def test_one_row_curve_csv_matches_per_row_format(self, value):
+        s, lhs, rhs = np.array([0.5]), np.array([value]), np.array([-value])
+        assert cli.curve_csv(s, lhs, rhs) == self.per_row_csv(s, lhs, rhs)
+
+    def test_long_curve_csv_matches_per_row_format(self):
+        rng = np.random.default_rng(0)
+        curve = rng.normal(size=(3, 4096)) * 10.0 ** rng.integers(-300, 300, size=(3, 4096))
+        for k, value in enumerate(self.CSV_VALUES):
+            curve[:, 100 * k] = np.roll([value, -value, 0.5 * value], k)
+        text = cli.curve_csv(*curve)
+        assert text == self.per_row_csv(*curve)
+        assert text.count("\n") == 1 + 4096
+
     def test_converge_rows(self, tmp_path):
         out = tmp_path / "c.json"
         code = main([
@@ -326,10 +350,10 @@ class TestSharedAnalysis:
         call, init, norm = (majorize.YoungFunction.__call__, verify.Analysis.__init__,
                             verify.ri_norm)
 
-        def counting_call(self, t):
+        def counting_call(self, t, **kwargs):
             labels.add(self.label)
             passes.append(np.size(t) / pieces[-1])
-            return call(self, t)
+            return call(self, t, **kwargs)
 
         def counting_norm(p, X):
             pieces.append(p.num_pieces)
@@ -415,6 +439,24 @@ class TestGridSampling:
                              text=True, check=True)
         assert out.stdout.splitlines()[-2:] == ["[0, 0, 0]", "False"]
         assert [len(read_report(o)["checks"]) for o in outs] == [22, 11, 2]
+
+    def test_builtin_run_does_not_import_the_parser(self, tmp_path):
+        """fields imports the expression parser only to parse an expression:
+        13-17 ms of a builtin run where no bytecode is cached."""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        runs = [["--builtin", "mixture", "--dim", "2", "--grid", "32", "--checks", "uno,dos"],
+                ["--expr", "tanh(x1 + 0.5*x2)", "--dim", "2", "--grid", "32", "--checks", "uno,dos"]]
+        outs = [str(tmp_path / f"r{i}.json") for i in range(len(runs))]
+        code = ("import sys; from gausym.cli import main; "
+                f"codes = [main({runs[0]!r} + ['--out', {outs[0]!r}])]; "
+                "loaded = 'gausym.expr' in sys.modules; "
+                f"codes.append(main({runs[1]!r} + ['--out', {outs[1]!r}])); "
+                "print(codes, loaded)")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.splitlines()[-1] == "[0, 0] False"
+        assert read_report(outs[1])["checks"][0]["field"] == "tanh(x1+0.5*x2)"
 
 
 class TestTracerHooks:

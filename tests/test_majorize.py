@@ -75,6 +75,13 @@ class TestYoungFunction:
         with np.errstate(over="ignore"):
             got, ref = A(t), reference(t)
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        # into a given array, or into the argument itself
+        other, same = np.empty_like(t), t.copy()
+        with np.errstate(over="ignore"):
+            assert A(t, out=other) is other
+            assert A(same, out=same) is same
+        for buf in (other, same):
+            assert np.array_equal(buf.view(np.uint64), ref.view(np.uint64))
         assert type(A(-1.5)) is type(reference(-1.5))
         assert A(-1.5) == reference(-1.5)
 
@@ -255,6 +262,13 @@ class TestRiNorm:
             1.5 * math.sqrt(2.0)
         )
 
+    @pytest.mark.parametrize("q", [1.0, 2.0, 3.5])
+    def test_lorentz_bits_match_differenced_powers(self, q):
+        # the knots are powered, then differenced in place
+        p = random_profile(np.random.default_rng(5))
+        ref = float(np.sum(np.diff(p.knots ** (1.0 / q)) * p.values))
+        assert ri_norm(p, RINorm("lorentz", q)) == ref
+
     def test_orlicz_power2_equals_l2(self):
         X2 = RINorm("orlicz", young=YoungFunction.power(2))
         rng = np.random.default_rng(11)
@@ -348,9 +362,9 @@ def young_calls(monkeypatch):
     calls = []
     call = YoungFunction.__call__
 
-    def counting_call(self, t):
+    def counting_call(self, t, **kwargs):
         calls.append(np.size(t))
-        return call(self, t)
+        return call(self, t, **kwargs)
 
     monkeypatch.setattr(YoungFunction, "__call__", counting_call)
     return calls
