@@ -213,21 +213,23 @@ def write_report(reports: list[IneqReport], out: Optional[str], curves_dir: Opti
     """Write the JSON report to ``out`` (stdout when None) and, with
     ``curves_dir``, each report's curve to ``<check>__<field>.csv`` there
     (``curve_csv``; characters other than letters, digits and ``._-``
-    become ``_``), recorded as the entry's ``curves_file``.  Files are
-    written atomically, the curves first."""
-    if curves_dir:
-        os.makedirs(curves_dir, exist_ok=True)
+    become ``_``), recorded as the entry's ``curves_file``.  The report is
+    encoded before any file is written, so one refused for a non-finite
+    number (``ValueError``) leaves nothing behind; files are written
+    atomically, the curves first."""
     entries = []
     for report in reports:
         entry = report.entry()
         if curves_dir:
             fname = f"{_safe_name(report.check_name)}__{_safe_name(report.field_label)}.csv"
-            fpath = os.path.join(curves_dir, fname)
-            _atomic_write(fpath, curve_csv(report.s_grid, report.lhs_curve, report.rhs_curve))
-            entry["curves_file"] = fpath
+            entry["curves_file"] = os.path.join(curves_dir, fname)
         entries.append(entry)
     payload = {"version": 1, "checks": entries}
     text = json.dumps(payload, indent=2, allow_nan=False)
+    if curves_dir:
+        os.makedirs(curves_dir, exist_ok=True)
+        for entry, r in zip(entries, reports):
+            _atomic_write(entry["curves_file"], curve_csv(r.s_grid, r.lhs_curve, r.rhs_curve))
     if out:
         _atomic_write(out, text + "\n")
     else:

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CellBudgetError, DomainError
+from .rearrange import PASS_BLOCK
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -47,23 +48,19 @@ DEFAULT_CELL_BUDGET = 2_000_000
 
 # Cells per block when ``verify.Analysis`` samples a field: it takes
 # max(1, BLOCK_CELLS // row_cells) whole grid rows at a time, at most this
-# many cells.  Each float64 temporary of a block is then at most 32 KB,
-# below glibc's default 128 KB mmap threshold, so it is reused from the
-# heap instead of being mapped and faulted in afresh: a CLI run of
-# `uno,dos` on a parsed 3-d field at 125^3 cells (x86-64 Linux, numpy 2.4)
-# took about 13k minor page faults with 4096-cell blocks, against 59k with
-# 16384, 68k with 65536 and 28k sampling the whole grid at once.
+# many cells.  Each float64 temporary of a block is then at most 32 KiB,
+# below glibc's default 128 KiB mmap threshold, so it is reused from the
+# heap instead of being mapped and faulted in afresh.  A whole CLI run of
+# `uno,dos` on a parsed 3-d field at 125^3 cells (x86-64 Linux, numpy 2.4,
+# ``ru_minflt`` from ``os.wait4``) took about 7.5k minor page faults with
+# 4096-cell blocks, against 7.8k with 16384, 11.4k with 65536 and 10-11k
+# sampling the whole grid at once.  A float64 temporary of a
+# ``PASS_BLOCK``-element running-sum block is 128 KiB, exactly that
+# threshold, so it too comes from the heap only because freeing a mapped
+# grid-sized array, such as ``derivative_bin_count``'s ``np.diff``, raises
+# the threshold: counting those drops a block at a time instead took the
+# same run from 2.8k to 11.2k-11.7k faults inside ``cli.main``.
 BLOCK_CELLS = 4096
-
-# Elements per block of a running sum over a sorted grid-sized array (the
-# analysis' two cumulatives, the bin means of ``symmetrize``) and of the
-# Gaussian kernels behind ``Phi_inv`` and ``iso_profile``.  Each block
-# costs a few Python-level steps: the surrogate of a 125^3 grid took about
-# 131 ms in blocks of 4096 and 74 ms in blocks of 16384, against 88 ms as
-# one whole-array build, and ``iso_profile`` on its 125^3 midpoints, whose
-# blocks mostly take the central fast path, 74-82 ms in blocks of 4096
-# against 49-55 ms in blocks of 16384 or 65536 (x86-64 Linux, numpy 2.4).
-PASS_BLOCK = 4 * BLOCK_CELLS
 
 # AS 241 (PPND16) coefficients, highest degree first: numerator and
 # denominator of the central region |p - 1/2| <= 0.425 in r = 0.180625 - q^2,

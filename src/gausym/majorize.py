@@ -191,12 +191,12 @@ def hinge_integrals(p: Profile, c_grid) -> np.ndarray:
     """Integral of (p - c)+ over (0, 1) for every threshold c in c_grid.
 
     A profile is nonincreasing, so (p - c)+ lives on its first
-    k = #{values > c} pieces, where it integrates to the prefix mass up to
+    k = #{values > c} pieces, where it integrates to the cumulative up to
     knot k minus c times that knot: O(K + C log K), no C x K temporary.
     """
     c = np.asarray(c_grid, dtype=float)
-    k = np.searchsorted(-p.values, -c, side="left")
-    return p.prefix_mass[k] - c * p.knots[k]
+    knot = p.knots[np.searchsorted(-p.values, -c, side="left")]
+    return p.cumulative(knot) - c * knot
 
 
 @dataclass(frozen=True)
@@ -400,8 +400,10 @@ def ri_norm(p: Profile, X: RINorm) -> float:
         terms *= p.values
         return float(np.sum(terms))
     if X.kind == "marcinkiewicz":
-        terms = p.knots[1:] ** (1.0 / X.param - 1.0)
-        terms *= p.prefix_mass[1:]
+        # every prefix is read: one cumsum, in place
+        terms = p.values * p.widths
+        np.cumsum(terms, out=terms)
+        terms *= p.knots[1:] ** (1.0 / X.param - 1.0)
         return float(np.max(terms))
     if X.kind == "orlicz":
         return _luxemburg(p, X.young)

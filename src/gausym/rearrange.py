@@ -20,6 +20,19 @@ from .errors import DomainError, WeightSumError
 
 _KNOT_SNAP = 1e-12
 
+# Elements per block of a running sum over a sorted grid-sized array (a
+# profile's cumulative, the analysis' cumulatives of |grad f| in level
+# order and of the surrogate) and of the Gaussian kernels behind
+# ``Phi_inv`` and ``iso_profile``.  Each block costs a few Python-level
+# steps: the surrogate of a 125^3 grid took about 131 ms in blocks of
+# 4096 and 74 ms in blocks of 16384, against 88 ms as one whole-array
+# build, and ``iso_profile`` on its 125^3 midpoints, whose blocks mostly
+# take the central fast path, 74-82 ms in blocks of 4096 against 49-55 ms
+# in blocks of 16384 or 65536 (x86-64 Linux, numpy 2.4).  A float64
+# temporary of a block is 128 KiB, glibc's default mmap threshold
+# (``gaussian.BLOCK_CELLS`` gives what that costs).
+PASS_BLOCK = 16384
+
 
 def _frozen(x) -> np.ndarray:
     """``x`` as a read-only float array: itself when it already is one that
@@ -52,9 +65,11 @@ class Profile:
     and owns its data is shared, not copied, so profiles on the same knots
     (the analysis' equal-width ``uniform_knots``) hold one knot array; any
     other input is copied, so a caller that later writes to its own array
-    does not change the profile.  ``prefix_mass`` and ``widths`` are
-    computed once, on first use, so the r.i. norms, which read the widths
-    on every call, do not each allocate and fault in a fresh array.
+    does not change the profile.  ``widths`` are computed once, on first
+    use, so the r.i. norms, which read the widths on every call, do not
+    each allocate and fault in a fresh array.  No prefix of the integral
+    is kept: ``cumulative`` reads it off a running sum taken
+    ``PASS_BLOCK`` pieces at a time.
     """
 
     knots: np.ndarray  # length K+1, knots[0] = 0, knots[-1] = 1, increasing
@@ -109,18 +124,6 @@ class Profile:
         widths.setflags(write=False)
         return widths
 
-    @cached_property
-    def prefix_mass(self) -> np.ndarray:
-        """Integral of the step function over (0, knots[k]], k = 0..K."""
-        mass = np.empty(len(self.knots))
-        mass[0] = 0.0
-        tail = mass[1:]
-        np.subtract(self.knots[1:], self.knots[:-1], out=tail)
-        tail *= self.values
-        np.cumsum(tail, out=tail)
-        mass.setflags(write=False)
-        return mass
-
     @property
     def sup(self) -> float:
         return float(self.values[0])
@@ -133,10 +136,23 @@ class Profile:
         return out if s_arr.ndim else float(out)
 
     def cumulative(self, t) -> np.ndarray:
-        """Exact integral over (0, t] of the step function."""
+        """Exact integral over (0, t] of the step function.
+
+        The integral up to the knot below each t is read off one running
+        sum of the pieces' masses, up to the largest knot read, with the
+        bits of a whole-array cumsum; no array of the profile's size is
+        kept."""
+        knots, values = self.knots, self.values
         t_arr = np.asarray(t, dtype=float)
-        idx = np.clip(np.searchsorted(self.knots, t_arr, side="left") - 1, 0, self.num_pieces - 1)
-        out = self.prefix_mass[idx] + self.values[idx] * (t_arr - self.knots[idx])
+        idx = np.clip(np.searchsorted(knots, t_arr, side="left") - 1, 0, self.num_pieces - 1)
+
+        def masses(start, stop):
+            run = knots[start + 1:stop + 1] - knots[start:stop]
+            run *= values[start:stop]
+            return run
+
+        mass = running_sum_at(masses, idx.ravel(), PASS_BLOCK).reshape(idx.shape)
+        out = mass + values[idx] * (t_arr - knots[idx])
         return out if t_arr.ndim else float(out)
 
     def total_integral(self) -> float:
@@ -171,7 +187,7 @@ def running_sum_at(increments, at: np.ndarray, block: int) -> np.ndarray:
     at = at[order]
     out = np.zeros(at.size)
     total = -0.0  # x + -0.0 is x for every x, -0.0 included
-    last = int(at[-1])
+    last = int(at.max(initial=0))
     for start in range(0, last, block):
         stop = min(start + block, last)
         run = increments(start, stop)

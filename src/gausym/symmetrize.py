@@ -12,29 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gaussian import PASS_BLOCK, midpoint_quantiles, phi
-from .rearrange import Profile, running_sum_at
+from .gaussian import midpoint_quantiles, phi
+from .rearrange import Profile
 
 
 def _bin_means(p: Profile, n_bins: int) -> np.ndarray:
-    """Cell averages of p over n_bins uniform bins.
-
-    The bin edges' cumulative values equal ``p.cumulative(edges)`` bit for
-    bit.  They are read off one running sum over p, taken ``PASS_BLOCK``
-    pieces at a time, so p's whole ``prefix_mass`` is neither built nor
-    cached.
-    """
-    edges = np.arange(n_bins + 1) / n_bins
-    knots, values = p.knots, p.values
-    idx = np.clip(np.searchsorted(knots, edges, side="left") - 1, 0, p.num_pieces - 1)
-
-    def masses(start, stop):
-        run = knots[start + 1:stop + 1] - knots[start:stop]
-        run *= values[start:stop]
-        return run
-
-    mass = running_sum_at(masses, idx, PASS_BLOCK)  # p.prefix_mass[idx]
-    cum = mass + values[idx] * (edges - knots[idx])
+    """Cell averages of p over n_bins uniform bins, differenced off
+    ``p.cumulative`` at the bin edges."""
+    cum = p.cumulative(np.arange(n_bins + 1) / n_bins)
     return (cum[1:] - cum[:-1]) * n_bins
 
 

@@ -66,9 +66,9 @@ import numpy as np
 
 from .errors import DomainError, IntervalError, NonFiniteFieldError, NonSmoothFieldError
 from .fields import ScalarField, partials_norm
-from .gaussian import BLOCK_CELLS, PASS_BLOCK, GaussianGrid, equal_measure_grid, iso_profile
+from .gaussian import BLOCK_CELLS, GaussianGrid, equal_measure_grid, iso_profile
 from .majorize import DEFAULT_NORM_FAMILY, HINGE_GRID_SIZE, RINorm, hinge_integrals, ri_norm
-from .rearrange import Profile, derivative_bin_count, running_sum_at, uniform_knots
+from .rearrange import PASS_BLOCK, Profile, derivative_bin_count, running_sum_at, uniform_knots
 from .symmetrize import symmetrized_derivative
 
 VIOLATION_FLOOR = 1e-12

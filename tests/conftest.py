@@ -1,8 +1,9 @@
 """Shared test helpers: quasi-random point sets, a field's values and
 gradients at a batch of points, a grid's cell representatives, the
 analysis' rearrangement, reference implementations (central differences,
-the stable decreasing sort, the symmetrized field and its pointwise
-gradient identity), random profile pairs and random field expressions."""
+the stable decreasing sort, a profile's cumulative, the symmetrized field
+and its pointwise gradient identity), random profile pairs and random
+field expressions."""
 
 import numpy as np
 from hypothesis import strategies as st
@@ -139,6 +140,15 @@ def assert_same_bits(a: np.ndarray, b: np.ndarray):
     """Bitwise equality of two float arrays (tells -0.0 from 0.0, matches NaNs)."""
     assert a.shape == b.shape
     assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def cumulative_reference(p: Profile, t) -> np.ndarray:
+    """p's integral over (0, t], read off one whole-array cumsum of its
+    pieces' masses: the reference for ``Profile.cumulative``."""
+    prefix = np.concatenate(([0.0], np.cumsum((p.knots[1:] - p.knots[:-1]) * p.values)))
+    t = np.asarray(t, dtype=float)
+    idx = np.clip(np.searchsorted(p.knots, t, side="left") - 1, 0, p.num_pieces - 1)
+    return prefix[idx] + p.values[idx] * (t - p.knots[idx])
 
 
 def random_profile(rng: np.random.Generator, max_pieces: int = 64) -> Profile:

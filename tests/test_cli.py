@@ -156,6 +156,16 @@ class TestExitCodes:
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_refused_report_writes_no_curve(self, tmp_path):
+        """A report refused for a non-finite number is encoded before any
+        curve is written, so it leaves no CSV (and no directory) behind."""
+        a = verify.analyze(builtin_field("coordinate"), equal_measure_grid(1, 64), 64, ["uno"])
+        (row,) = verify.run_checks(a, ["uno"])
+        curves, out = tmp_path / "cv", tmp_path / "r.json"
+        with pytest.raises(ValueError):
+            cli.write_report([dataclasses.replace(row, max_violation=math.nan)], str(out), str(curves))
+        assert not out.exists() and not curves.exists()
+
     @pytest.mark.parametrize("tol", [["--tol", "nan"], ["--tol", "inf"], ["--tol=-inf"], "tol=nan"],
                              ids=["flag-nan", "flag-inf", "flag-minus-inf", "file-nan"])
     def test_non_finite_tolerance_is_two(self, tmp_path, capsys, monkeypatch, tol):

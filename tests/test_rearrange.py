@@ -22,9 +22,18 @@ from gausym import (
     lebesgue_rearrangement,
     parse_field,
 )
-from gausym.rearrange import derivative_bin_count, running_sum_at
+from gausym import rearrange
+from gausym.rearrange import PASS_BLOCK, derivative_bin_count, running_sum_at
 
-from conftest import assert_same_bits, jet_at, rearrangement, representatives, sort_decreasing
+from conftest import (
+    assert_same_bits,
+    cumulative_reference,
+    jet_at,
+    random_profile,
+    rearrangement,
+    representatives,
+    sort_decreasing,
+)
 
 HALVES = Profile(np.array([0.0, 0.5, 1.0]), np.array([3.0, 1.0]))
 
@@ -85,9 +94,27 @@ class TestProfile:
         assert Profile(knots[:], values).knots is not knots
         assert not p.knots.flags.writeable and not p.values.flags.writeable
 
-    def test_prefix_mass(self):
-        assert_same_bits(HALVES.prefix_mass, np.array([0.0, 1.5, 2.0]))
-        assert HALVES.prefix_mass is HALVES.prefix_mass
+    @pytest.mark.parametrize("block", [1, 3, 64, PASS_BLOCK])
+    def test_cumulative_matches_whole_array_cumsum(self, block, monkeypatch):
+        """The cumulative, read off a running sum ``block`` pieces at a
+        time, has the bits of one whole-array cumsum, and the profile
+        caches nothing of it."""
+        monkeypatch.setattr(rearrange, "PASS_BLOCK", block)
+        rng = np.random.default_rng(block)
+        for max_pieces in (8, 64, 300, 300):
+            p = random_profile(rng, max_pieces)
+            knots = p.knots
+            between = 0.5 * (knots[1:] + knots[:-1])
+            unsorted = np.concatenate((between[::-3], knots[::2], [1.0, 0.0, knots[2], 1.0]))
+            for t in (0.0, knots, between, 1.0, unsorted, np.float64(knots[3]),
+                      np.array(between[-2]), np.empty(0), np.tile(between[:2], (3, 1))):
+                got = p.cumulative(t)
+                ref = cumulative_reference(p, t)
+                if np.ndim(t) == 0:
+                    assert isinstance(got, float)
+                    got, ref = np.array(got), np.array(ref)
+                assert_same_bits(got, ref)
+            assert set(vars(p)) == {"knots", "values"}
 
     def test_widths_built_once(self):
         assert_same_bits(HALVES.widths, np.array([0.5, 0.5]))

@@ -15,13 +15,13 @@ from gausym import (
     parse_field,
 )
 
-from gausym import symmetrize
-from gausym.gaussian import PASS_BLOCK
-from gausym.rearrange import uniform_knots
+from gausym import rearrange
+from gausym.rearrange import PASS_BLOCK, uniform_knots
 from gausym.symmetrize import _bin_means
 
 from conftest import (
     assert_same_bits,
+    cumulative_reference,
     jet_at,
     pointwise_identity_gap,
     rearrangement,
@@ -167,13 +167,13 @@ class TestEqualityChain:
 
 
 class TestBinMeans:
-    """``_bin_means`` reads the bin edges' cumulative values off one running
-    sum over p, ``PASS_BLOCK`` pieces at a time; ``p.cumulative``, through
-    p's whole ``prefix_mass``, stays here as the reference."""
+    """``_bin_means`` differences ``p.cumulative``, a running sum over p
+    taken ``PASS_BLOCK`` pieces at a time, at the bin edges; one
+    whole-array cumsum of p's masses stays here as the reference."""
 
     @staticmethod
     def _reference(p, n_bins):
-        cum = p.cumulative(np.arange(n_bins + 1) / n_bins)
+        cum = cumulative_reference(p, np.arange(n_bins + 1) / n_bins)
         return (cum[1:] - cum[:-1]) * n_bins
 
     @pytest.mark.parametrize("K,n_bins", [
@@ -189,12 +189,12 @@ class TestBinMeans:
         values = np.repeat(np.sort(rng.exponential(size=K // 2 + 1))[::-1], 2)[:K]
         p = Profile(uniform_knots(K), values)
         means = _bin_means(p, n_bins)
-        assert "prefix_mass" not in p.__dict__
+        assert set(vars(p)) == {"knots", "values"}
         assert_same_bits(means, self._reference(p, n_bins))
 
     @pytest.mark.parametrize("block", [1, 2, 5, 8])
     def test_any_block_on_unequal_pieces(self, block, monkeypatch):
-        monkeypatch.setattr(symmetrize, "PASS_BLOCK", block)
+        monkeypatch.setattr(rearrange, "PASS_BLOCK", block)
         rng = np.random.default_rng(block)
         knots = np.concatenate(([0.0], np.cumsum(rng.dirichlet(np.ones(40)))))
         p = Profile(knots, np.sort(rng.normal(size=40))[::-1])

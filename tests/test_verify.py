@@ -29,7 +29,8 @@ from gausym import (
 )
 from gausym import expr, verify
 from gausym.fields import ScalarField, corpus_names
-from gausym.gaussian import BLOCK_CELLS, PASS_BLOCK, iso_profile
+from gausym.gaussian import BLOCK_CELLS, iso_profile
+from gausym.rearrange import PASS_BLOCK
 from gausym.verify import CHECKS, _median, validate_intervals
 
 from conftest import (
@@ -541,10 +542,10 @@ class TestBlockedSampling:
 
     @pytest.mark.parametrize("make,dim,N,checks,kept_bound,peak_bound", [
         (lambda: parse_field("tanh(x1 + 0.5*x2*x3) + 0.3*sin(x2)", 3), 3, 64,
-         ("uno", "dos"), 34, 48),
-        (lambda: builtin_field("mixture", dim=2), 2, 512, ALL, None, 60),
+         ("uno", "dos"), 26, 35),
+        (lambda: builtin_field("mixture", dim=2), 2, 512, ALL, 35, 50),
         (lambda: builtin_field("poly_tanh"), 1, 2**18, ("uno", "norm", "mt", "interval"),
-         None, 56),
+         35, 50),
     ], ids=["expr-3d", "mixture-2d", "poly-tanh-1d"])
     def test_peak_memory_per_cell(self, make, dim, N, checks, kept_bound, peak_bound):
         """The analysis together with its checks stays within these bytes
@@ -555,7 +556,9 @@ class TestBlockedSampling:
         arrays of K+1 floats, it kept 40.7 on expr-3d and peaked at 74.1
         on mixture-2d and 73.5 on poly-tanh-1d.  With a fresh A(scaled) per
         Luxemburg pass and an np.diff of the powered Lorentz knots, it
-        peaked at 57.5 on poly-tanh-1d."""
+        peaked at 57.5 on poly-tanh-1d.  Caching each cumulated profile's
+        whole prefix mass, it kept 32.7 on expr-3d, 41.4 on mixture-2d and
+        41.8 on poly-tanh-1d, and peaked at 57.3 and 54.5 on the last two."""
         field, grid = make(), equal_measure_grid(dim, N)
         tracemalloc.start()
         try:
@@ -565,11 +568,18 @@ class TestBlockedSampling:
         finally:
             tracemalloc.stop()
         assert len(rows) >= len(checks)
-        if kept_bound is not None:
-            assert kept <= kept_bound * grid.num_cells
+        assert kept <= kept_bound * grid.num_cells
         assert peak <= peak_bound * grid.num_cells
 
-    def test_dos_and_orlicz_leave_the_prefix_mass_of_f_unbuilt(self):
-        a = analyze(builtin_field("mixture", dim=2), equal_measure_grid(2, 128), 512)
+    def test_dos_and_orlicz_leave_no_grid_sized_cache(self):
+        """No profile of the analysis caches an array of the grid's size
+        (the cumulative reads a running sum, not a kept prefix)."""
+        grid = equal_measure_grid(2, 128)
+        a = analyze(builtin_field("mixture", dim=2), grid, 512)
         run_checks(a, ["dos", "orlicz"])
-        assert "prefix_mass" not in a.p.__dict__
+        for prof in (a.p, a.grad_prof, a.surr_prof, a.sym_grad_prof):
+            cached = {
+                name for name, v in vars(prof).items()
+                if name not in ("knots", "values") and np.size(v) >= grid.num_cells
+            }
+            assert not cached
