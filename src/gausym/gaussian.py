@@ -48,19 +48,26 @@ DEFAULT_CELL_BUDGET = 2_000_000
 
 # Cells per block when ``verify.Analysis`` samples a field: it takes
 # max(1, BLOCK_CELLS // row_cells) whole grid rows at a time, at most this
-# many cells.  Each float64 temporary of a block is then at most 32 KiB,
+# many cells.  Each float64 temporary of a block is then at most 64 KiB,
 # below glibc's default 128 KiB mmap threshold, so it is reused from the
-# heap instead of being mapped and faulted in afresh.  A whole CLI run of
-# `uno,dos` on a parsed 3-d field at 125^3 cells (x86-64 Linux, numpy 2.4,
-# ``ru_minflt`` from ``os.wait4``) took about 7.5k minor page faults with
-# 4096-cell blocks, against 7.8k with 16384, 11.4k with 65536 and 10-11k
-# sampling the whole grid at once.  A float64 temporary of a
+# heap instead of being mapped and faulted in afresh, and each block pays
+# one jet dispatch.  Whole CLI runs of the three benchmark workloads
+# (``perfbench/workloads.py``, seed 0; x86-64 Linux, 2 cores, CPython
+# 3.11, numpy 2.4; medians of 20, ``ru_minflt`` from ``os.wait4``) read,
+# at 4096, 8192 and 16384 cells a block: `expr-3d` 7.57k, 7.65k and 7.90k
+# minor faults and 512, 489 and 481 ms; `dense-1d` 13.5k, 13.5k and 13.7k
+# faults and 457, 470 and 474 ms; `allchecks-2d` 9.32k, 9.26k and 9.90k
+# faults and 386, 390 and 401 ms (walls within about 20 ms of noise).
+# The sampling loop alone of `expr-3d`, in-process, took 57-63, 46-49
+# and 41-54 ms; that of `allchecks-2d` 10.0-10.6, 5.9-6.6 and 8.5-9.1 ms.
+# Earlier, 65536-cell blocks took 11.4k faults on `expr-3d` and sampling
+# the whole grid at once 10-11k.  A float64 temporary of a
 # ``PASS_BLOCK``-element running-sum block is 128 KiB, exactly that
 # threshold, so it too comes from the heap only because freeing a mapped
 # grid-sized array, such as ``derivative_bin_count``'s ``np.diff``, raises
 # the threshold: counting those drops a block at a time instead took the
-# same run from 2.8k to 11.2k-11.7k faults inside ``cli.main``.
-BLOCK_CELLS = 4096
+# `expr-3d` run from 2.8k to 11.2k-11.7k faults inside ``cli.main``.
+BLOCK_CELLS = 8192
 
 # AS 241 (PPND16) coefficients, highest degree first: numerator and
 # denominator of the central region |p - 1/2| <= 0.425 in r = 0.180625 - q^2,

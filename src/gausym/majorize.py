@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BracketingError, InvalidParameterError
-from .rearrange import Profile
+from .rearrange import PASS_BLOCK, Profile
 
 EXPSQ_DEFAULT_CAP = 20.0
 HINGE_GRID_SIZE = 256
@@ -400,10 +400,14 @@ def ri_norm(p: Profile, X: RINorm) -> float:
         terms *= p.values
         return float(np.sum(terms))
     if X.kind == "marcinkiewicz":
-        # every prefix is read: one cumsum, in place
+        # every prefix is read: one cumsum, in place, weighted in place by
+        # the powered knots a block at a time (one temporary per norm)
         terms = p.values * p.widths
         np.cumsum(terms, out=terms)
-        terms *= p.knots[1:] ** (1.0 / X.param - 1.0)
+        knots, power = p.knots, 1.0 / X.param - 1.0
+        for start in range(0, terms.size, PASS_BLOCK):
+            stop = start + PASS_BLOCK
+            terms[start:stop] *= knots[start + 1:stop + 1] ** power
         return float(np.max(terms))
     if X.kind == "orlicz":
         return _luxemburg(p, X.young)

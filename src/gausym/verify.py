@@ -25,18 +25,25 @@ and ``grad_prof`` and their shared read-only knots k/K, 24 bytes a cell:
   measure t: the first round(tK) cells in that order.  One stable
   argsort of -|f| in cell order gives the order; -|f| gathered through
   it gives f*, the bits of a sort, so |f| is not sorted again.
-- The sampled |grad f| is sorted in place.  Only max |grad f| is kept of
-  the unsorted gradient.  Both profiles are built without
+- The sampled |grad f| is sorted in place, on a second thread, once
+  nothing reads it in cell order any more (after ``mt``'s level sums):
+  numpy's sort releases the GIL, so it runs while the surrogate is
+  built, and it is joined however that ends.  Only max |grad f| is kept
+  of the unsorted gradient.  Both profiles are built without
   ``Profile``'s validating re-scans (``Profile._trusted``): their arrays
   were just sorted and checked finite.
-- Both cumulatives, of |grad f| in level order and of the surrogate, are
-  running sums taken ``PASS_BLOCK`` elements at a time
-  (``rearrange.running_sum_at``), read only at the points the checks
-  read, all known when the analysis is built.  The analysis keeps the
-  arrays the checks compare: ``surr``, the surrogate's means on the
-  ``m_d`` derivative bins, and with ``mt`` ``mt_surr_cum`` and
-  ``mt_grad_cum``, the two cumulatives at the t-grid and then at
-  ``mt``'s fold edges ``mt_edges``.
+- Each cumulative, of |grad f| in level order, of the surrogate and of
+  (|grad f|)*, is one running sum taken ``PASS_BLOCK`` elements at a
+  time (``rearrange.running_sum_at``), read only at the points the
+  checks read, all known when the analysis is built.  The analysis
+  keeps the arrays the checks compare: ``surr``, the surrogate's means
+  on the ``m_d`` derivative bins; ``grad_cum``, (|grad f|)*'s
+  cumulative at the t-grid, the rhs of ``uno`` and ``dos``, built with
+  the analysis when one of them runs on it, alone or studied by
+  ``converge``; and
+  with ``mt`` ``mt_surr_cum`` and ``mt_grad_cum``, the other two
+  cumulatives at the t-grid and then at ``mt``'s fold edges
+  ``mt_edges``.
 
 The symmetrized field's gradient is taken lazily, on first use by
 ``dos`` or ``orlicz``, on the N axis points alone (the field depends on
@@ -57,7 +64,9 @@ diverge toward the endpoints).  Tolerances double for non-smooth fields.
 from __future__ import annotations
 
 import math
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from typing import Optional, Sequence
@@ -114,7 +123,8 @@ class Analysis:
     ``checks`` names the check tokens it serves (every token by default).
     Of the grid-sized arrays it keeps only the values of ``p`` and
     ``grad_prof`` and their shared knots.  ``surr`` holds the surrogate's
-    means on the ``m_d`` derivative bins, read-only.  The level order that
+    means on the ``m_d`` derivative bins, and ``grad_cum`` the cumulative
+    of ``grad_prof`` at the t-grid, both read-only.  The level order that
     only ``mt`` reads is built only when it is among the checks; then
     ``mt_surr_cum`` and ``mt_grad_cum`` hold the surrogate cumulative and
     the integral of |grad f| over the super-level set of measure t, each
@@ -165,17 +175,31 @@ class Analysis:
             at = np.rint(mt_reads * K).astype(np.intp)
             self.mt_grad_cum = _read_only(_level_grad_at(grads, order, grid.cell_measure, at))
             del order
-        np.negative(grads, out=grads)
-        self.grad_prof = Profile._trusted(knots, _sort_negated(grads))
         edges = uniform_knots(self.m_d)
         reads = edges if self.mt_edges is None else np.concatenate((edges, mt_reads))
         # the last knot adds no drop, so the surrogate there is that at K-1
         at = np.clip(np.searchsorted(knots, reads, side="right") - 1, 0, K - 1)
-        surr_cum = _surrogate_at(self.p, self.m_d, at)
+        # nothing reads |grad f| in cell order any more: sort it meanwhile
+        np.negative(grads, out=grads)
+        with _meanwhile(lambda: _sort_negated(grads)):  # sorts in place
+            surr_cum = _surrogate_at(self.p, self.m_d, at)
+        self.grad_prof = Profile._trusted(knots, grads)
+        runs = {*checks, *(_studied(checks) if "converge" in checks else ())}
+        if not runs.isdisjoint(("uno", "dos")):
+            _ = self.grad_cum  # their shared rhs, built with the analysis
         self.surr = _read_only(np.diff(surr_cum[:self.m_d + 1]) * self.m_d)
         if self.mt_edges is not None:
             self.mt_surr_cum = _read_only(surr_cum[self.m_d + 1:])
         self.surr_prof = Profile(edges, _sort_negated(-self.surr))
+
+    @cached_property
+    def grad_cum(self) -> np.ndarray:
+        """(|grad f|)*'s cumulative at the t-grid, read-only: the rhs of
+        ``uno`` and ``dos``.  One running sum over the K pieces, taken
+        with the analysis when one of them runs on it (``converge`` runs
+        ``uno`` when no check it studies is among the checks), otherwise
+        on first use."""
+        return _read_only(self.grad_prof.cumulative(self.t_grid))
 
     @cached_property
     def sym_grad_prof(self) -> Profile:
@@ -231,6 +255,31 @@ def _sort_negated(neg: np.ndarray, order: Optional[np.ndarray] = None) -> np.nda
     np.negative(neg, out=neg)
     neg.setflags(write=False)
     return neg
+
+
+@contextmanager
+def _meanwhile(task):
+    """Run ``task()`` on a second thread while the body of the with block
+    runs (numpy's sort releases the GIL).  The thread is joined on leaving
+    the block, however it is left, and what ``task`` raised is raised
+    then.  A bare thread: importing ``concurrent.futures`` would add about
+    6 ms to every run."""
+    raised = []
+
+    def run():
+        try:
+            task()
+        except BaseException as exc:  # re-raised on the calling thread
+            raised.append(exc)
+
+    thread = threading.Thread(target=run, name="gausym-meanwhile")
+    thread.start()
+    try:
+        yield
+    finally:
+        thread.join()
+    if raised:
+        raise raised[0]
 
 
 def _surrogate_at(p: Profile, m_d: int, at: np.ndarray) -> np.ndarray:
@@ -335,7 +384,7 @@ def check_polya_szego(
     t0 = time.perf_counter()
     t = analysis.t_grid
     lhs = analysis.sym_grad_prof.cumulative(t)
-    rhs = analysis.grad_prof.cumulative(t)
+    rhs = analysis.grad_cum
     return _finish("dos", analysis, t, lhs, rhs, analysis.tolerance(tol), equality, t0)
 
 
@@ -347,7 +396,7 @@ def check_reformulated(
     t0 = time.perf_counter()
     t = analysis.t_grid
     lhs = analysis.surr_prof.cumulative(t)
-    rhs = analysis.grad_prof.cumulative(t)
+    rhs = analysis.grad_cum
     return _finish("uno", analysis, t, lhs, rhs, analysis.tolerance(tol), equality, t0)
 
 
@@ -500,6 +549,7 @@ class ConvergenceStudy:
     violations: tuple
     empirical_order: float
     nonincreasing: bool
+    runtimes_ms: tuple  # each rung's check time, as its report measured it
 
     @property
     def passed(self) -> bool:
@@ -537,7 +587,8 @@ def convergence_study(
     studies = []
     for name in checks:
         run = CHECKS[name]
-        violations = tuple(run(a, tol=None, equality=False)[0].max_violation for a in rungs)
+        reports = [run(a, tol=None, equality=False)[0] for a in rungs]
+        violations = tuple(r.max_violation for r in reports)
         positive = [max(v, 0.0) for v in violations]
         nonincreasing = all(
             later <= max(1.5 * earlier, VIOLATION_FLOOR)
@@ -551,8 +602,16 @@ def convergence_study(
         else:
             xs, ys = zip(*fit_pts)
             order = -float(np.polyfit(xs, ys, 1)[0])
-        studies.append(ConvergenceStudy(name, Ns, violations, order, nonincreasing))
+        studies.append(ConvergenceStudy(
+            name, Ns, violations, order, nonincreasing, tuple(r.runtime_ms for r in reports)
+        ))
     return studies
+
+
+def _studied(tokens: Sequence[str]) -> list[str]:
+    """The checks that ``converge`` studies among ``tokens``: the
+    convergent ones, or ``uno`` if none is."""
+    return [t for t in tokens if t in CONVERGENT_TOKENS] or ["uno"]
 
 
 def _converge_rows(
@@ -562,7 +621,7 @@ def _converge_rows(
     analysis's N, for the requested convergent checks (``uno`` if none)."""
     N = analysis.grid.cells_per_axis
     coarser = sorted({max(2, N // 16), max(2, N // 4)} - {N})
-    inner = [t for t in tokens if t in CONVERGENT_TOKENS] or ["uno"]
+    inner = _studied(tokens)
     rows = []
     for study in convergence_study(analysis, inner, coarser):
         # Rows share the study verdict; the recorded tolerance is the worst
@@ -581,10 +640,10 @@ def _converge_rows(
                 max_violation=violation,
                 tolerance=row_tol,
                 passed=study.passed,
-                runtime_ms=0,
+                runtime_ms=ms,
                 extra={"empirical_order": study.empirical_order},
             )
-            for n_cells, violation in zip(study.Ns, study.violations)
+            for n_cells, violation, ms in zip(study.Ns, study.violations, study.runtimes_ms)
         ]
     return rows
 

@@ -2,14 +2,16 @@
 gradients at a batch of points, a grid's cell representatives, the
 analysis' rearrangement, reference implementations (central differences,
 the stable decreasing sort, a profile's cumulative, the symmetrized field
-and its pointwise gradient identity), random profile pairs and random
-field expressions."""
+and its pointwise gradient identity), random profile pairs, random
+field expressions and the grids that span more than one sampling block."""
 
 import numpy as np
+import pytest
 from hypothesis import strategies as st
 
 from gausym import NonSmoothFieldError, Phi, Phi_inv, Profile, ScalarField, analyze
 from gausym.expr import FUNCTIONS
+from gausym.gaussian import BLOCK_CELLS
 from gausym.symmetrize import _bin_means, symmetrized_derivative
 
 
@@ -50,6 +52,25 @@ def representatives(grid) -> np.ndarray:
 # Central-difference step: cube root of machine epsilon balances truncation
 # against round-off for second-order stencils.
 FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
+
+
+def past_a_block(dim: int) -> int:
+    """The smallest per-axis cell count N whose dim-dimensional grid has
+    more than ``BLOCK_CELLS`` cells, so that the analysis samples it in
+    more than one block."""
+    N = 2
+    while N**dim <= BLOCK_CELLS:
+        N += 1
+    return N
+
+
+# (dim, N) of grids sampled in more than one block of whole rows, none a
+# whole number of blocks: the first past a block in each dimension, and
+# 33^3, several blocks of 248 rows of 33 cells at BLOCK_CELLS = 8192
+BLOCK_GRIDS = [
+    *(pytest.param(dim, past_a_block(dim), id=f"{dim}-past-a-block") for dim in (1, 2, 3)),
+    (3, 33),
+]
 
 
 def central_differences(field, pts: np.ndarray) -> np.ndarray:

@@ -15,9 +15,9 @@ from hypothesis import HealthCheck, given, settings
 from gausym import cli, expr, majorize, verify
 from gausym.cli import main
 from gausym.fields import builtin_field
-from gausym.gaussian import equal_measure_grid
+from gausym.gaussian import BLOCK_CELLS, equal_measure_grid
 
-from conftest import expressions
+from conftest import expressions, past_a_block
 
 SCHEMA_KEYS = {"name", "field", "dim", "N", "M", "tolerance", "max_violation", "pass", "runtime_ms"}
 
@@ -387,8 +387,12 @@ class TestExpressionGradient:
     def test_one_evaluation_per_analysis(self, tmp_path, monkeypatch):
         """A parsed field's values and gradient come from one forward-mode
         pass per block of grid rows: ``expr.jet`` runs once per block, on
-        240 rows of 17 cells and then the 49 rows left of 17^2, and
-        ``expr.evaluate`` never runs on the CLI path."""
+        BLOCK_CELLS // N rows of N cells and then the rows left of N^2
+        (390 and 51 at N = 21, BLOCK_CELLS = 8192), and ``expr.evaluate``
+        never runs on the CLI path."""
+        N = past_a_block(3)
+        step = BLOCK_CELLS // N
+        assert step < N * N < 2 * step
 
         def refuse(node, xs):
             raise AssertionError("a separate value pass on the CLI path")
@@ -409,9 +413,9 @@ class TestExpressionGradient:
         monkeypatch.setattr(verify.Analysis, "__init__", counting_init)
         out = tmp_path / "r.json"
         code = main(["--expr", "tanh(x1 + 0.5*x2*x3) + 0.3*sin(x2)", "--dim", "3",
-                     "--grid", "17", "--checks", "uno,dos", "--out", str(out)])
+                     "--grid", str(N), "--checks", "uno,dos", "--out", str(out)])
         assert code == 0
-        assert builds == [17**3] and calls == [(240, 17), (49, 17)]
+        assert builds == [N**3] and calls == [(step, N), (N * N - step, N)]
 
 
 class TestGridSampling:

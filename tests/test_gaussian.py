@@ -42,10 +42,7 @@ from gausym.gaussian import (
     _rational,
 )
 
-from conftest import assert_same_bits, representatives
-
-# (dim, N) whose cell count K is not a multiple of BLOCK_CELLS
-BLOCK_GRIDS = [(1, 4097), (2, 65), (3, 17), (3, 33)]
+from conftest import BLOCK_GRIDS, assert_same_bits, representatives
 
 PHI_0 = 0.3989422804014327  # 1/sqrt(2*pi)
 
@@ -341,7 +338,7 @@ class TestEqualMeasureGrid:
 
 class TestBlocks:
     """Grid coordinates come one block of rows at a time, and AS 241
-    quantiles one block of BLOCK_CELLS elements at a time; the results
+    quantiles one block of PASS_BLOCK elements at a time; the results
     must not depend on it."""
 
     @pytest.mark.parametrize("dim,N", BLOCK_GRIDS)

@@ -22,8 +22,10 @@ from gausym import (
     parse_norm,
     ri_norm,
 )
+from gausym import majorize
 from gausym.fields import builtin_field, corpus_names
 from gausym.gaussian import equal_measure_grid
+from gausym.rearrange import PASS_BLOCK
 from gausym.verify import analyze
 
 from conftest import averaged_profile, majorized_pair, random_profile
@@ -268,6 +270,19 @@ class TestRiNorm:
         p = random_profile(np.random.default_rng(5))
         ref = float(np.sum(np.diff(p.knots ** (1.0 / q)) * p.values))
         assert ri_norm(p, RINorm("lorentz", q)) == ref
+
+    @pytest.mark.parametrize("block", [1, 3, 64, PASS_BLOCK])
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.5])
+    def test_marcinkiewicz_bits_match_whole_array_formula(self, q, block, monkeypatch):
+        # the powered knots multiply the in-place prefix sums a block at a time
+        monkeypatch.setattr(majorize, "PASS_BLOCK", block)
+        rng = np.random.default_rng(int(10 * q) + block)
+        unequal = [random_profile(rng) for _ in range(4)]
+        equal = [Profile(np.arange(k + 1) / k, np.sort(rng.gamma(2.0, 1.0, k))[::-1])
+                 for k in (5, 64, 2 * PASS_BLOCK + 3)]
+        for p in unequal + equal:
+            ref = float(np.max(np.cumsum(p.values * p.widths) * p.knots[1:] ** (1.0 / q - 1.0)))
+            assert ri_norm(p, RINorm("marcinkiewicz", q)) == ref
 
     def test_orlicz_power2_equals_l2(self):
         X2 = RINorm("orlicz", young=YoungFunction.power(2))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -27,15 +28,17 @@ from gausym import (
     parse_norm,
     run_checks,
 )
-from gausym import expr, verify
+from gausym import expr, rearrange, verify
 from gausym.fields import ScalarField, corpus_names
 from gausym.gaussian import BLOCK_CELLS, iso_profile
 from gausym.rearrange import PASS_BLOCK
 from gausym.verify import CHECKS, _median, validate_intervals
 
 from conftest import (
+    BLOCK_GRIDS,
     assert_same_bits,
     jet_at,
+    past_a_block,
     representatives,
     sort_decreasing,
     symmetrized_field,
@@ -330,6 +333,16 @@ class TestConvergenceStudy:
         )
         assert study.violations == expected
 
+    def test_rows_carry_each_rung_check_time(self, monkeypatch):
+        # a clock that moves 4 ms a reading: each check reads it twice
+        clock = iter(np.arange(0.0, 100.0, 0.004))
+        monkeypatch.setattr(verify.time, "perf_counter", lambda: float(next(clock)))
+        a = analyze(builtin_field("mixture", dim=2), equal_measure_grid(2, 64), 256)
+        studies = convergence_study(a, ["uno", "mt"], [4, 16])
+        assert [s.runtimes_ms for s in studies] == [(4, 4, 4)] * 2
+        rows = run_checks(a, ["dos", "converge"])[1:]
+        assert [r.runtime_ms for r in rows] == [4] * 3 and rows[0].check_name == "converge:dos[N=4]"
+
     def test_finest_rung_is_the_analysis(self):
         finest = analyze(builtin_field("mixture", dim=2), equal_measure_grid(2, 32), 512)
         studies = convergence_study(finest, ["uno", "dos", "mt"], [8])
@@ -464,6 +477,66 @@ class TestAnalysisSorts:
             analyze(parse_field(text, 1), equal_measure_grid(1, N), 512)
 
 
+class TestSharedGradientCumulative:
+    """The analysis reads (|grad f|)*'s cumulative at the t-grid once, and
+    sorts |grad f| on a second thread while it builds the surrogate."""
+
+    def test_kept_cumulative_is_the_rhs_of_uno_and_dos(self):
+        a = analyze(builtin_field("mixture", dim=2), equal_measure_grid(2, 96), 512)
+        assert_same_bits(a.grad_cum, a.grad_prof.cumulative(a.t_grid))
+        assert not a.grad_cum.flags.writeable
+        uno, dos = run_checks(a, ["uno", "dos"])
+        assert uno.rhs_curve is a.grad_cum and dos.rhs_curve is a.grad_cum
+        assert check_reformulated(a).rhs_curve is a.grad_cum
+
+    def test_uno_and_dos_run_no_grid_sized_sum(self, monkeypatch):
+        grid = equal_measure_grid(3, 24)
+        a = analyze(parse_field("tanh(x1 + 0.5*x2*x3) + 0.3*sin(x2)", 3), grid, 512, ["uno", "dos"])
+        # dos's symmetrized field reads f*'s bin means, once per analysis
+        assert a.sym_grad_prof.num_pieces == 24
+        lengths, running_sum_at = [], rearrange.running_sum_at
+
+        def counting(increments, at, block):
+            lengths.append(int(at.max(initial=0)))
+            return running_sum_at(increments, at, block)
+
+        monkeypatch.setattr(rearrange, "running_sum_at", counting)
+        run_checks(a, ["uno", "dos"])
+        assert lengths and max(lengths) <= max(a.m_d, 24) < grid.num_cells
+
+    def test_cumulative_built_only_for_its_readers(self):
+        grid = equal_measure_grid(1, 256)
+        for checks, built in (
+            (["norm", "mt"], False), (["mt", "converge"], False), (["dos"], True),
+            (["converge"], True), (["mt", "dos", "converge"], True),
+        ):
+            a = analyze(COORD, grid, 64, checks)
+            assert ("grad_cum" in vars(a)) == built
+        # read on first use otherwise, with the same bits
+        assert_same_bits(a.grad_cum, analyze(COORD, grid, 64, ["mt"]).grad_cum)
+
+    def test_no_thread_left_running(self, monkeypatch):
+        before = threading.active_count()
+        field, grid = builtin_field("mixture", dim=2), equal_measure_grid(2, 64)
+        analyze(field, grid, 512)
+        assert threading.active_count() == before
+
+        def refuse(p, m_d, at):
+            raise ZeroDivisionError("surrogate")
+
+        monkeypatch.setattr(verify, "_surrogate_at", refuse)
+        with pytest.raises(ZeroDivisionError, match="surrogate"):
+            analyze(field, grid, 512)
+        assert threading.active_count() == before
+
+    def test_background_failure_raised_on_the_caller(self):
+        before, ran = threading.active_count(), []
+        with pytest.raises(ZeroDivisionError):
+            with verify._meanwhile(lambda: 1 / 0):
+                ran.append(True)
+        assert ran and threading.active_count() == before
+
+
 class TestBlockedSampling:
     """The analysis samples |f| and |grad f| one block of whole grid rows,
     about BLOCK_CELLS cells, at a time; whole-grid evaluation stays here as
@@ -471,11 +544,13 @@ class TestBlockedSampling:
 
     EXPRESSIONS = ("tanh(x1 + 0.5*x2*x3) + 0.3*sin(x2)", "exp(-x1^2)*cos(x2) + 0.1*x1*x3")
 
-    # 129 rows of 129 cells: 31 rows a block, 129 not a multiple of 31
-    @pytest.mark.parametrize("dim,N", [(1, 4097), (2, 65), (2, 129), (3, 17), (3, 33)])
+    # and 129 rows of 129 cells: 63 rows a block, 129 not a multiple of 63
+    @pytest.mark.parametrize("dim,N", [*BLOCK_GRIDS, (2, 129)])
     def test_matches_whole_grid_evaluation(self, dim, N):
         grid = equal_measure_grid(dim, N)
         assert grid.num_cells > BLOCK_CELLS and grid.num_cells % BLOCK_CELLS
+        step = max(1, BLOCK_CELLS // grid.row_cells)
+        assert grid.num_rows > step and grid.num_rows % step
         reps = representatives(grid)
         fields = [builtin_field(name, dim=dim) for name in corpus_names()]
         for text in self.EXPRESSIONS:
@@ -517,24 +592,31 @@ class TestBlockedSampling:
         assert_same_bits(a.p.knots, np.arange(64**2 + 1) / 64**2)
 
     def test_first_bad_point_named_across_blocks(self):
-        grid = equal_measure_grid(1, 4099)
+        B = BLOCK_CELLS
+        grid = equal_measure_grid(1, B + 3)
         x = grid.axis_points
-        # |f| is bad from cell 4097 on, |grad f| already from cell 4096:
-        # the |f| check comes first, as it did on the whole grid
-        f = lambda xs: np.where(xs[0] >= x[4097], np.nan, 1.0)  # noqa: E731
-        field = ScalarField(1, "edge", lambda xs: (f(xs), (np.where(xs[0] >= x[4096], np.inf, 0.0),)))
-        with pytest.raises(NonFiniteFieldError, match=rf"\|f\| = nan at x = \({x[4097]:.17g}\)"):
+        # |f| is bad from cell B + 1 on, |grad f| already from cell B, the
+        # first of the second block: the |f| check comes first, as it did
+        # on the whole grid
+        f = lambda xs: np.where(xs[0] >= x[B + 1], np.nan, 1.0)  # noqa: E731
+        field = ScalarField(1, "edge", lambda xs: (f(xs), (np.where(xs[0] >= x[B], np.inf, 0.0),)))
+        with pytest.raises(NonFiniteFieldError, match=rf"\|f\| = nan at x = \({x[B + 1]:.17g}\)"):
             analyze(field, grid, 512)
 
     def test_first_bad_point_named_in_row_blocks(self):
-        # 17^2 rows, 240 a block: the first bad cell, (15, 0, 3) in C order,
-        # sits in row 255, in the second block, where the field broadcasts
-        # a (r, 1) and a (1, N) axis
-        grid = equal_measure_grid(3, 17)
+        # N^2 rows, step a block (21^2 and 390 at BLOCK_CELLS = 8192): the
+        # first bad cell, (i, 0, 3) in C order with i = step // N + 1, sits
+        # in row i * N, in the second block, where the field broadcasts a
+        # (r, 1) and a (1, N) axis
+        N = past_a_block(3)
+        step = BLOCK_CELLS // N
+        i = step // N + 1
+        assert step <= i * N < min(2 * step, N * N)
+        grid = equal_measure_grid(3, N)
         x = grid.axis_points
-        f = lambda xs: np.where((xs[0] == x[15]) & (xs[2] == x[3]), np.inf, xs[1])  # noqa: E731
+        f = lambda xs: np.where((xs[0] == x[i]) & (xs[2] == x[3]), np.inf, xs[1])  # noqa: E731
         field = ScalarField(3, "spot", lambda xs: (f(xs), (0.0, 1.0, 0.0)))
-        named = ", ".join(f"{c:.17g}" for c in (x[15], x[0], x[3]))
+        named = ", ".join(f"{c:.17g}" for c in (x[i], x[0], x[3]))
         with pytest.raises(NonFiniteFieldError, match=rf"\|f\| = inf at x = \({named}\)"):
             analyze(field, grid, 512)
 
@@ -545,7 +627,7 @@ class TestBlockedSampling:
          ("uno", "dos"), 26, 35),
         (lambda: builtin_field("mixture", dim=2), 2, 512, ALL, 35, 50),
         (lambda: builtin_field("poly_tanh"), 1, 2**18, ("uno", "norm", "mt", "interval"),
-         35, 50),
+         35, 48),
     ], ids=["expr-3d", "mixture-2d", "poly-tanh-1d"])
     def test_peak_memory_per_cell(self, make, dim, N, checks, kept_bound, peak_bound):
         """The analysis together with its checks stays within these bytes
@@ -558,7 +640,9 @@ class TestBlockedSampling:
         Luxemburg pass and an np.diff of the powered Lorentz knots, it
         peaked at 57.5 on poly-tanh-1d.  Caching each cumulated profile's
         whole prefix mass, it kept 32.7 on expr-3d, 41.4 on mixture-2d and
-        41.8 on poly-tanh-1d, and peaked at 57.3 and 54.5 on the last two."""
+        41.8 on poly-tanh-1d, and peaked at 57.3 and 54.5 on the last two.
+        Powering the Marcinkiewicz norm's knots as one whole-profile
+        temporary, it peaked at 49.4 on poly-tanh-1d."""
         field, grid = make(), equal_measure_grid(dim, N)
         tracemalloc.start()
         try:
