@@ -54,7 +54,6 @@ from .rearrange import Profile, lebesgue_rearrangement
 from .symmetrize import symmetrized_derivative
 from .verify import (
     Analysis,
-    ConvergenceStudy,
     IneqReport,
     analyze,
     check_interval_bound,

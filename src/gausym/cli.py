@@ -15,9 +15,12 @@ before the command line, so the command line wins per option and per
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad
 configuration (a negative or non-finite --tol, a NaN interval bound or
-norm exponent, lorentz:inf included) or a field whose value or gradient
-is not finite on the grid, 3 runtime failure while checking or a report
-holding a non-finite number.
+norm exponent, lorentz:inf included, an --out path in a missing
+directory or naming a directory, a --curves path naming an existing
+file), refused before any work, or a field whose value or gradient is
+not finite on the grid, 3 runtime failure while checking, a report
+holding a non-finite number, or a report or curve file that cannot be
+written.
 Report files are written atomically (temp file + rename), so a crash
 never leaves a partial report behind.
 """
@@ -158,6 +161,13 @@ def _validate(cfg: dict) -> dict:
         raise ConfigError("sgrid must be >= 8")
     if (cfg["expr"] is None) == (cfg["builtin"] is None):
         raise ConfigError("exactly one of --expr or --builtin is required")
+    out, curves = cfg["out"], cfg["curves"]
+    if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+        raise ConfigError(f"--out {out!r}: no such directory")
+    if out and os.path.isdir(out):
+        raise ConfigError(f"--out {out!r} is a directory")
+    if curves and os.path.exists(curves) and not os.path.isdir(curves):
+        raise ConfigError(f"--curves {curves!r} is not a directory")
     tokens = [t.strip() for t in str(cfg["checks"]).split(",") if t.strip()]
     try:
         require_known(tokens)
@@ -288,6 +298,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         write_report(reports, cfg["out"], cfg["curves"])
     except ValueError as exc:  # strict JSON refuses NaN and infinities
         print(f"runtime error: report holds a non-finite number: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        print(f"runtime error: cannot write report: {exc}", file=sys.stderr)
         return 3
     failed = [r for r in reports if not r.passed]
     for report in reports:

@@ -146,7 +146,9 @@ class Bin:
         if n is not None:
             return v, _combine(da, b * _repeated_product(a, n - 1), {}, None)
         if not db:  # constant exponent: power rule, no log; a^0 is constant
-            return v, (_combine(da, b * a ** (b - 1.0), {}, None) if b != 0 else {})
+            # (an exponent without partials, such as x1^0, may be an array
+            # of one value)
+            return v, (_combine(da, b * a ** (b - 1.0), {}, None) if np.any(b != 0) else {})
         # d(a^b) = b a^(b-1) da + a^b log(a) db; the log term is 0 where a^b is
         w = np.where(v == 0, 0.0, v * np.log(a))
         return v, _combine(da, b * a ** (b - 1.0) if da else None, db, w)

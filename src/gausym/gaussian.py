@@ -64,9 +64,10 @@ DEFAULT_CELL_BUDGET = 2_000_000
 # the whole grid at once 10-11k.  A float64 temporary of a
 # ``PASS_BLOCK``-element running-sum block is 128 KiB, exactly that
 # threshold, so it too comes from the heap only because freeing a mapped
-# grid-sized array, such as ``derivative_bin_count``'s ``np.diff``, raises
-# the threshold: counting those drops a block at a time instead took the
-# `expr-3d` run from 2.8k to 11.2k-11.7k faults inside ``cli.main``.
+# grid-sized array, such as the analysis' array of f*'s single-cell drops,
+# raises the threshold: counting those drops a block at a time instead
+# took the `expr-3d` run from 2.8k to 11.2k-11.7k faults inside
+# ``cli.main``.
 BLOCK_CELLS = 8192
 
 # AS 241 (PPND16) coefficients, highest degree first: numerator and

@@ -221,9 +221,10 @@ def lebesgue_rearrangement(samples) -> Profile:
     return Profile(knots, values[order])
 
 
-def derivative_bin_count(p: Profile, M: int, min_block: int = 1) -> int:
+def derivative_bin_count(drops: np.ndarray, top: float, M: int, min_block: int = 1) -> int:
     """Largest derivative-grid size <= M whose bins average over at least
-    two value blocks of the profile.
+    two value blocks of a profile, given its K - 1 drops
+    ``values[:-1] - values[1:]`` and its largest value ``top``.
 
     Sorted |f| values cluster in blocks: symmetric fields tie in exact
     pairs, fields constant along extra axes tie in whole columns, and on
@@ -232,11 +233,11 @@ def derivative_bin_count(p: Profile, M: int, min_block: int = 1) -> int:
     N^(dim-1).  Difference quotients on bins finer than a block alternate
     between zero and spikes.
     """
-    K = p.num_pieces
+    K = drops.size + 1
     # levels an ulp apart (imperfect float symmetry of mirrored cells)
     # count as tied
-    tol = 1e-12 * (1.0 + abs(float(p.values[0])))
-    distinct = 1 + int(np.count_nonzero(np.diff(p.values) < -tol))
+    tol = 1e-12 * (1.0 + abs(float(top)))
+    distinct = 1 + int(np.count_nonzero(drops > tol))
     block = max(K / distinct, float(min_block))
     divisor = 1 if block < 1.5 else int(np.ceil(2.0 * block))
     return max(8, min(M, K // divisor))

@@ -8,7 +8,8 @@ and refuses a field whose values or gradients are not finite on the grid
 (``NonFiniteFieldError``).  Each ``check_*`` takes an analysis plus its
 own options and reads the field, grid and M from it.  ``CHECKS`` maps
 each check token to the report rows it yields, and ``run_checks`` runs a
-list of tokens on one analysis.
+list of tokens on one analysis.  ``convergence_study`` reruns checks on
+coarser grids and returns its ``converge:<check>[N=n]`` rows directly.
 
 The field is sampled one block of whole grid rows at a time, about
 ``BLOCK_CELLS`` cells, by one call of the field's ``jet`` on the rows'
@@ -25,6 +26,10 @@ and ``grad_prof`` and their shared read-only knots k/K, 24 bytes a cell:
   measure t: the first round(tK) cells in that order.  One stable
   argsort of -|f| in cell order gives the order; -|f| gathered through
   it gives f*, the bits of a sort, so |f| is not sorted again.
+- f*'s single-cell drops are taken once, as one grid-sized temporary:
+  ``derivative_bin_count`` counts the levels from them, and with ``mt``
+  one in-place partition of them gives the median positive drop that
+  ``mt``'s fold reads, ``mt_median_drop``, the one float kept of them.
 - The sampled |grad f| is sorted in place, on a second thread, once
   nothing reads it in cell order any more (after ``mt``'s level sums):
   numpy's sort releases the GIL, so it runs while the surrogate is
@@ -38,12 +43,10 @@ and ``grad_prof`` and their shared read-only knots k/K, 24 bytes a cell:
   checks read, all known when the analysis is built.  The analysis
   keeps the arrays the checks compare: ``surr``, the surrogate's means
   on the ``m_d`` derivative bins; ``grad_cum``, (|grad f|)*'s
-  cumulative at the t-grid, the rhs of ``uno`` and ``dos``, built with
-  the analysis when one of them runs on it, alone or studied by
-  ``converge``; and
-  with ``mt`` ``mt_surr_cum`` and ``mt_grad_cum``, the other two
-  cumulatives at the t-grid and then at ``mt``'s fold edges
-  ``mt_edges``.
+  cumulative at the t-grid, the rhs of ``uno`` and ``dos``, built by
+  every analysis; and with ``mt`` ``mt_surr_cum`` and ``mt_grad_cum``,
+  the other two cumulatives at the t-grid and then at ``mt``'s fold
+  edges ``mt_edges``.
 
 The symmetrized field's gradient is taken lazily, on first use by
 ``dos`` or ``orlicz``, on the N axis points alone (the field depends on
@@ -67,7 +70,7 @@ import math
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -128,8 +131,9 @@ class Analysis:
     only ``mt`` reads is built only when it is among the checks; then
     ``mt_surr_cum`` and ``mt_grad_cum`` hold the surrogate cumulative and
     the integral of |grad f| over the super-level set of measure t, each
-    at the t-grid and then at ``mt_edges``, mt's fold edges.  Without
-    ``mt`` all three are None.
+    at the t-grid and then at ``mt_edges``, mt's fold edges, and
+    ``mt_median_drop`` the median of f*'s positive single-cell drops
+    (None when f* has none).  Without ``mt`` all four are None.
     """
 
     def __init__(
@@ -164,7 +168,11 @@ class Analysis:
         knots = uniform_knots(K)
         self.p = Profile._trusted(knots, _sort_negated(vals, order))
         del vals
-        self.m_d = derivative_bin_count(self.p, M, min_block=K // grid.cells_per_axis)
+        # f* is nonincreasing and its zeros are +0.0: every drop is >= +0.0
+        drops = self.p.values[:-1] - self.p.values[1:]
+        self.m_d = derivative_bin_count(drops, self.p.values[0], M, K // grid.cells_per_axis)
+        self.mt_median_drop = _median_positive(drops) if order is not None else None
+        del drops
         self.t_grid = np.arange(1, M + 1) / M
         self.mt_edges = self.mt_surr_cum = self.mt_grad_cum = None
         if order is not None:
@@ -184,22 +192,11 @@ class Analysis:
         with _meanwhile(lambda: _sort_negated(grads)):  # sorts in place
             surr_cum = _surrogate_at(self.p, self.m_d, at)
         self.grad_prof = Profile._trusted(knots, grads)
-        runs = {*checks, *(_studied(checks) if "converge" in checks else ())}
-        if not runs.isdisjoint(("uno", "dos")):
-            _ = self.grad_cum  # their shared rhs, built with the analysis
+        self.grad_cum = _read_only(self.grad_prof.cumulative(self.t_grid))
         self.surr = _read_only(np.diff(surr_cum[:self.m_d + 1]) * self.m_d)
         if self.mt_edges is not None:
             self.mt_surr_cum = _read_only(surr_cum[self.m_d + 1:])
         self.surr_prof = Profile(edges, _sort_negated(-self.surr))
-
-    @cached_property
-    def grad_cum(self) -> np.ndarray:
-        """(|grad f|)*'s cumulative at the t-grid, read-only: the rhs of
-        ``uno`` and ``dos``.  One running sum over the K pieces, taken
-        with the analysis when one of them runs on it (``converge`` runs
-        ``uno`` when no check it studies is among the checks), otherwise
-        on first use."""
-        return _read_only(self.grad_prof.cumulative(self.t_grid))
 
     @cached_property
     def sym_grad_prof(self) -> Profile:
@@ -226,6 +223,21 @@ class Analysis:
 def _read_only(x: np.ndarray) -> np.ndarray:
     x.setflags(write=False)
     return x
+
+
+def _median_positive(drops: np.ndarray) -> Optional[float]:
+    """``np.median`` of the positive entries of ``drops`` (each >= +0.0),
+    the same value bit for bit, or None when there is none.  Those are
+    the n nonzero entries, so their median is the order statistic of
+    ``drops`` itself at ranks zeros + (n-1)//2 and zeros + n//2: one
+    in-place partition, which reorders ``drops``, finds it.  (np.median
+    itself imports numpy.ma on first use, about 10 ms.)"""
+    n = int(np.count_nonzero(drops))
+    if n == 0:
+        return None
+    lo, hi = drops.size - n + (n - 1) // 2, drops.size - n + n // 2
+    drops.partition((lo, hi))
+    return float(drops[hi] if lo == hi else (drops[lo] + drops[hi]) / 2.0)
 
 
 def _level_grad_at(grads: np.ndarray, order: np.ndarray, cell_measure: float, at):
@@ -419,17 +431,6 @@ def check_norm_inequality(
     return reports
 
 
-def _median(x: np.ndarray) -> float:
-    """``np.median`` of a nonempty 1-d array, by partition.  The same value
-    bit for bit; np.median itself imports numpy.ma on first use, about
-    10 ms."""
-    k = x.size // 2
-    if x.size % 2:
-        return float(np.partition(x, k)[k])
-    part = np.partition(x, (k - 1, k))
-    return float((part[k - 1] + part[k]) / 2.0)
-
-
 def check_mazya_talenti(analysis: Analysis, tol: Optional[float] = None) -> IneqReport:
     """Maz'ya-Talenti bound in cumulative form: for every grid t, the
     integral of (-f*)' * I over (0, t] must stay below the integral of
@@ -440,7 +441,7 @@ def check_mazya_talenti(analysis: Analysis, tol: Optional[float] = None) -> Ineq
     The pointwise form is folded into the verdict on bins four derivative
     bins wide (narrower, the edge levels' lattice error outgrows the slack
     of nearly isoperimetric tails) whose profile drop exceeds 10x the
-    median single-cell drop.
+    median positive single-cell drop, which the analysis keeps.
     """
     t0 = time.perf_counter()
     p, t, edges = analysis.p, analysis.t_grid, analysis.mt_edges
@@ -450,14 +451,12 @@ def check_mazya_talenti(analysis: Analysis, tol: Optional[float] = None) -> Ineq
     rhs, r_edge = np.split(analysis.mt_grad_cum, (t.size,))
     bins = edges.size - 1
     drops = p(edges[:-1]) - p(edges[1:])
-    single = p.values[:-1] - p.values[1:]
-    positive = single[single > 0.0]
-    del single
+    median = analysis.mt_median_drop
     value_range = float(p.values[0] - p.values[-1])
-    if positive.size:
+    if median is not None:
         # strictly decreasing at scale, yet still resolved: a bin losing
         # more than 10% of the whole range is not a derivative estimate
-        eligible = (drops > 10.0 * _median(positive)) & (drops <= 0.1 * value_range)
+        eligible = (drops > 10.0 * median) & (drops <= 0.1 * value_range)
     else:
         eligible = np.zeros(bins, bool)
     extra = {"pointwise_eligible_bins": int(np.count_nonzero(eligible))}
@@ -542,23 +541,9 @@ def check_orlicz_equality(
 CONVERGENT_TOKENS = ("uno", "dos", "mt")
 
 
-@dataclass(frozen=True)
-class ConvergenceStudy:
-    check_name: str
-    Ns: tuple
-    violations: tuple
-    empirical_order: float
-    nonincreasing: bool
-    runtimes_ms: tuple  # each rung's check time, as its report measured it
-
-    @property
-    def passed(self) -> bool:
-        return self.nonincreasing
-
-
 def convergence_study(
     analysis: Analysis, checks: Sequence[str], coarser_Ns: Sequence[int]
-) -> list[ConvergenceStudy]:
+) -> list[IneqReport]:
     """Refinement study: rerun checks over increasing per-axis cell counts
     and fit the empirical decay order of the positive violations.
 
@@ -569,6 +554,12 @@ def convergence_study(
     Violations must not increase along refinement beyond a factor-1.5
     slack; violations at or below the round-off floor count as converged,
     and fewer than two positive entries give order +inf.
+
+    Returns one ``converge:<check>[N=n]`` row per check and rung, rungs
+    ascending within each check.  A row holds its rung's violation and
+    check time; the rows of a check share its verdict, its order
+    (``extra["empirical_order"]``) and, as their tolerance, its worst
+    violation (at least ``VIOLATION_FLOOR``), so the schema stays numeric.
     """
     grid = analysis.grid
     Ns = tuple(int(n) for n in coarser_Ns) + (grid.cells_per_axis,)
@@ -584,11 +575,11 @@ def convergence_study(
         analyze(analysis.field, equal_measure_grid(grid.dim, n), analysis.M, checks)
         for n in Ns[:-1]
     ] + [analysis]
-    studies = []
+    rows = []
     for name in checks:
         run = CHECKS[name]
         reports = [run(a, tol=None, equality=False)[0] for a in rungs]
-        violations = tuple(r.max_violation for r in reports)
+        violations = [r.max_violation for r in reports]
         positive = [max(v, 0.0) for v in violations]
         nonincreasing = all(
             later <= max(1.5 * earlier, VIOLATION_FLOOR)
@@ -602,10 +593,26 @@ def convergence_study(
         else:
             xs, ys = zip(*fit_pts)
             order = -float(np.polyfit(xs, ys, 1)[0])
-        studies.append(ConvergenceStudy(
-            name, Ns, violations, order, nonincreasing, tuple(r.runtime_ms for r in reports)
-        ))
-    return studies
+        worst = max(max(violations), VIOLATION_FLOOR)
+        rows += [
+            IneqReport(
+                check_name=f"converge:{name}[N={n}]",
+                field_label=analysis.field.label,
+                dim=grid.dim,
+                N=n,
+                M=analysis.M,
+                s_grid=np.array([1.0]),
+                lhs_curve=np.array([r.max_violation]),
+                rhs_curve=np.array([0.0]),
+                max_violation=r.max_violation,
+                tolerance=worst,
+                passed=nonincreasing,
+                runtime_ms=r.runtime_ms,
+                extra={"empirical_order": order},
+            )
+            for n, r in zip(Ns, reports)
+        ]
+    return rows
 
 
 def _studied(tokens: Sequence[str]) -> list[str]:
@@ -614,38 +621,9 @@ def _studied(tokens: Sequence[str]) -> list[str]:
     return [t for t in tokens if t in CONVERGENT_TOKENS] or ["uno"]
 
 
-def _converge_rows(
-    analysis: Analysis, tokens: Sequence[str], tol: Optional[float]
-) -> list[IneqReport]:
-    """One row per rung and study on the ladder N/16, N/4, N of the
-    analysis's N, for the requested convergent checks (``uno`` if none)."""
-    N = analysis.grid.cells_per_axis
-    coarser = sorted({max(2, N // 16), max(2, N // 4)} - {N})
-    inner = _studied(tokens)
-    rows = []
-    for study in convergence_study(analysis, inner, coarser):
-        # Rows share the study verdict; the recorded tolerance is the worst
-        # violation in the ladder so the schema stays numeric.
-        row_tol = tol if tol is not None else max(max(study.violations), VIOLATION_FLOOR)
-        rows += [
-            IneqReport(
-                check_name=f"converge:{study.check_name}[N={n_cells}]",
-                field_label=analysis.field.label,
-                dim=analysis.grid.dim,
-                N=n_cells,
-                M=analysis.M,
-                s_grid=np.array([1.0]),
-                lhs_curve=np.array([violation]),
-                rhs_curve=np.array([0.0]),
-                max_violation=violation,
-                tolerance=row_tol,
-                passed=study.passed,
-                runtime_ms=ms,
-                extra={"empirical_order": study.empirical_order},
-            )
-            for n_cells, violation, ms in zip(study.Ns, study.violations, study.runtimes_ms)
-        ]
-    return rows
+def _coarser(N: int) -> list[int]:
+    """The rungs ``converge`` adds below N: N/16 and N/4, each at least 2."""
+    return sorted({max(2, N // 16), max(2, N // 4)} - {N})
 
 
 # check token -> the report rows it yields from one analysis; each entry
@@ -657,7 +635,10 @@ CHECKS = {
     "mt": lambda a, tol, **_: [check_mazya_talenti(a, tol)],
     "interval": lambda a, tol, intervals, **_: [check_interval_bound(a, intervals, tol)],
     "orlicz": lambda a, tol, **_: [check_orlicz_equality(a, tol=tol)],
-    "converge": lambda a, tol, tokens, **_: _converge_rows(a, tokens, tol),
+    "converge": lambda a, tol, tokens, **_: [
+        row if tol is None else replace(row, tolerance=tol)
+        for row in convergence_study(a, _studied(tokens), _coarser(a.grid.cells_per_axis))
+    ],
 }
 
 

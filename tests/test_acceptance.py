@@ -226,15 +226,19 @@ def test_criterion_7_convergence():
     start = time.perf_counter()
     field = builtin_field("gaussian_bump")
     finest = analyze(field, equal_measure_grid(1, 8192), 4096)
-    study = convergence_study(finest, ["uno"], [512, 2048])[0]
-    positive = [max(v, 0.0) for v in study.violations]
+    rows = convergence_study(finest, ["uno"], [512, 2048])
+    violations = tuple(r.max_violation for r in rows)
+    order = rows[0].extra["empirical_order"]
+    positive = [max(v, 0.0) for v in violations]
     slack_ok = all(b <= max(1.5 * a, 1e-12) for a, b in zip(positive, positive[1:]))
-    order_ok = study.empirical_order >= 0.5  # +inf when already at floor
+    order_ok = order >= 0.5  # +inf when already at floor
     elapsed = time.perf_counter() - start
     report(7, "refinement convergence", elapsed, [
-        (f"violations {tuple(f'{v:+.2e}' for v in study.violations)} non-increasing "
-         f"(factor-1.5 slack)", study.nonincreasing and slack_ok),
-        (f"empirical order {study.empirical_order} >= 0.5", order_ok),
+        (f"rungs {tuple(r.N for r in rows)} are 512, 2048, 8192",
+         tuple(r.N for r in rows) == (512, 2048, 8192)),
+        (f"violations {tuple(f'{v:+.2e}' for v in violations)} non-increasing "
+         f"(factor-1.5 slack)", all(r.passed for r in rows) and slack_ok),
+        (f"empirical order {order} >= 0.5", order_ok),
     ])
 
 

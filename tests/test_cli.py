@@ -219,6 +219,39 @@ class TestExitCodes:
         leftovers = [p for p in os.listdir(tmp_path) if p.endswith(".tmp")]
         assert leftovers == []
 
+    @pytest.mark.parametrize("target,message", [
+        (lambda d: ["--out", str(d / "missing" / "r.json")], "no such directory"),
+        (lambda d: ["--out", str(d)], "is a directory"),
+        (lambda d: ["--curves", str(d / "afile")], "is not a directory"),
+    ], ids=["out-dir-missing", "out-is-a-directory", "curves-is-a-file"])
+    def test_unwritable_output_is_two_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                      target, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("analysis built for an unwritable output path")
+
+        monkeypatch.setattr(cli, "analyze", refuse)
+        (tmp_path / "afile").write_text("kept\n")
+        code = main(["--builtin", "coordinate", "--grid", "64", "--checks", "uno",
+                     *target(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert (tmp_path / "afile").read_text() == "kept\n"
+        assert sorted(os.listdir(tmp_path)) == ["afile"]
+
+    def test_failed_write_is_three(self, tmp_path, capsys):
+        # the curves path passes validation (it does not exist yet), but
+        # its parent is a file, so creating it fails once every check ran
+        (tmp_path / "afile").write_text("kept\n")
+        out = tmp_path / "r.json"
+        code = main(["--builtin", "coordinate", "--grid", "64", "--checks", "uno",
+                     "--out", str(out), "--curves", str(tmp_path / "afile" / "cv")])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("runtime error: cannot write report: ")
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert sorted(os.listdir(tmp_path)) == ["afile"]
+
 
 class TestReportEmission:
     def test_schema_and_round_trip(self, tmp_path):
@@ -301,14 +334,8 @@ class TestSharedAnalysis:
             verify.check_interval_bound(a, [(0.1, 0.2), (0.6, 0.7)]),
             verify.check_orlicz_equality(a),
         ]
-        expected = [(r.check_name, r.passed, r.max_violation, r.tolerance) for r in rows]
-        for study in verify.convergence_study(a, ["uno", "dos", "mt"], [4, 16]):
-            row_tol = max(max(study.violations), 1e-12)
-            expected += [
-                (f"converge:{study.check_name}[N={n}]", study.passed, v, row_tol)
-                for n, v in zip(study.Ns, study.violations)
-            ]
-        return expected
+        rows += verify.convergence_study(a, ["uno", "dos", "mt"], [4, 16])
+        return [(r.check_name, r.passed, r.max_violation, r.tolerance) for r in rows]
 
     def test_all_checks_share_one_analysis(self, tmp_path, monkeypatch):
         builds = []

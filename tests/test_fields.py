@@ -336,6 +336,14 @@ class TestForwardGradient:
         f = parse_field(text, 2)
         assert jet_at(f, np.array([point]))[1].tolist() == [expected]
 
+    def test_exponent_array_without_partials(self):
+        # x1^0 has no partials but is an array of ones on several points:
+        # the power rule took its truth value and raised ValueError
+        pts = np.array([[0.0, 1.0], [0.5, 3.0], [2.0, 0.5]])
+        assert jet_at(parse_field("x1^(x1^(1-1))", 2), pts)[1].tolist() == [[1.0, 0.0]] * 3
+        g = jet_at(parse_field("x2^(x1^0*2)", 2), pts)[1]
+        assert g.tolist() == [[0.0, 2.0], [0.0, 6.0], [0.0, 1.0]]
+
     def test_unbounded_derivative_is_not_finite(self):
         f = parse_field("sqrt(abs(x1))", 1)
         g = jet_at(f, np.array([[0.0], [4.0]]))[1]

@@ -32,7 +32,7 @@ from gausym import expr, rearrange, verify
 from gausym.fields import ScalarField, corpus_names
 from gausym.gaussian import BLOCK_CELLS, iso_profile
 from gausym.rearrange import PASS_BLOCK
-from gausym.verify import CHECKS, _median, validate_intervals
+from gausym.verify import CHECKS, validate_intervals
 
 from conftest import (
     BLOCK_GRIDS,
@@ -53,6 +53,17 @@ def gradient_norms(field, pts) -> np.ndarray:
 GRID_1K = equal_measure_grid(1, 1024)
 COORD = builtin_field("coordinate")
 CONST = parse_field("2.0", 1)
+
+
+def study(rows, name):
+    """The rows of one check's study, as (Ns, violations, verdict, order,
+    runtimes); every row of it carries the same verdict and order."""
+    mine = [r for r in rows if r.check_name.startswith(f"converge:{name}[")]
+    assert mine and len({(r.passed, r.extra["empirical_order"]) for r in mine}) == 1
+    return (
+        tuple(r.N for r in mine), tuple(r.max_violation for r in mine), mine[0].passed,
+        mine[0].extra["empirical_order"], tuple(r.runtime_ms for r in mine),
+    )
 
 
 class TestTrivialCases:
@@ -128,8 +139,8 @@ class TestMazyaTalenti:
     @pytest.mark.parametrize("dim,N", [(2, 1024), (3, 125)])
     def test_converges_on_the_cli_ladder(self, dim, N):
         finest = analyze(builtin_field("mixture", dim=dim), equal_measure_grid(dim, N), 4096)
-        study = convergence_study(finest, ["mt"], [N // 16, N // 4])[0]
-        assert study.passed, study.violations
+        _, violations, passed, _, _ = study(convergence_study(finest, ["mt"], [N // 16, N // 4]), "mt")
+        assert passed, violations
 
     # Fold bins four derivative bins wide: on bins one wide, the lattice
     # error of the edge levels made the fold positive in the nearly
@@ -145,15 +156,66 @@ class TestMazyaTalenti:
         N = 512 if params else 256
         field = builtin_field(name, params, dim=2)
         finest = analyze(field, equal_measure_grid(2, N), 4096)
-        study = convergence_study(finest, ["mt"], [N // 16, N // 4])[0]
-        assert study.passed, study.violations
-        assert max(study.violations) <= 0.0, study.violations
+        _, violations, passed, _, _ = study(convergence_study(finest, ["mt"], [N // 16, N // 4]), "mt")
+        assert passed, violations
+        assert max(violations) <= 0.0, violations
 
-    def test_median_matches_numpy(self):
-        rng = np.random.default_rng(0)
-        for n in range(1, 63):
-            for x in (rng.random(n), rng.exponential(size=n) * 1e-9, np.ceil(rng.random(n) * 3)):
-                assert_same_bits(np.array(_median(x)), np.array(np.median(x)))
+    def test_median_drop_matches_numpy(self):
+        """The analysis keeps np.median of f*'s positive single-cell drops,
+        the same bits, read off one partition of all the drops."""
+        analyses = [
+            analyze(parse_field(text, 1), equal_measure_grid(1, N), 512, ["mt"])
+            for text, N in [("2.0", 64), ("x1", 64), ("x1", 65), ("abs(x1) + 0.5", 200),
+                            ("tanh(x1) + 0.1*x1^3", 301), ("exp(-x1^2)*cos(3*x1)", 1024)]
+        ] + [
+            analyze(builtin_field(name, dim=dim), equal_measure_grid(dim, N), 256, ["mt"])
+            for dim, N in [(2, 31), (2, 64), (3, 15), (3, 16)] for name in corpus_names()
+        ]
+        parities = set()
+        for a in analyses:
+            positive = -np.diff(a.p.values)
+            positive = positive[positive > 0.0]
+            if positive.size == 0:
+                assert a.mt_median_drop is None
+            else:
+                parities.add(positive.size % 2)
+                assert_same_bits(np.array(a.mt_median_drop), np.array(np.median(positive)))
+        assert analyses[0].mt_median_drop is None  # the constant field
+        assert parities == {0, 1}
+        assert analyze(COORD, GRID_1K, 512, ["uno"]).mt_median_drop is None
+
+    def test_check_allocates_under_a_byte_a_cell(self):
+        """Given its analysis, mt reads the median drop the analysis kept:
+        it builds no grid-sized temporary (rebuilding f*'s single-cell drops
+        in the check allocated 13.4 bytes a cell above what is kept)."""
+        grid = equal_measure_grid(1, 2**18)
+        a = analyze(builtin_field("poly_tanh"), grid, 4096, ["mt"])
+        tracemalloc.start()
+        try:
+            rep = check_mazya_talenti(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed and rep.extra["pointwise_eligible_bins"] > 0
+        assert peak < grid.num_cells
+
+    def test_derivative_bins_unchanged_on_the_builtin_scan(self):
+        """m_d, counted from the drops the analysis takes once, equals the
+        count of levels more than an ulp-scaled tolerance apart on the
+        whole profile, and derivative_bin_count gives it from those drops."""
+        for dim, Ns in [(1, (64, 1001, 4096)), (2, (32, 63, 128)), (3, (12, 25))]:
+            for name in corpus_names():
+                for N in Ns:
+                    grid = equal_measure_grid(dim, N)
+                    a = analyze(builtin_field(name, dim=dim), grid, 4096, ["uno"])
+                    values, K = a.p.values, grid.num_cells
+                    tol = 1e-12 * (1.0 + abs(float(values[0])))
+                    distinct = 1 + int(np.count_nonzero(np.diff(values) < -tol))
+                    block = max(K / distinct, float(K // N))
+                    divisor = 1 if block < 1.5 else int(np.ceil(2.0 * block))
+                    assert a.m_d == max(8, min(4096, K // divisor)), (name, dim, N)
+                    drops = values[:-1] - values[1:]
+                    assert rearrange.derivative_bin_count(drops, values[0], 4096, K // N) == a.m_d
 
 
 class TestIntervalBound:
@@ -302,18 +364,24 @@ class TestCorpusIntegration:
 
 class TestConvergenceStudy:
     def test_constant_field(self):
-        studies = convergence_study(analyze(CONST, GRID_1K, 512), ["uno"], [64, 256])
-        assert studies[0].Ns == (64, 256, 1024)
-        assert studies[0].violations == (0.0, 0.0, 0.0)
-        assert studies[0].nonincreasing
-        assert studies[0].empirical_order == np.inf
+        rows = convergence_study(analyze(CONST, GRID_1K, 512), ["uno"], [64, 256])
+        assert [r.check_name for r in rows] == [f"converge:uno[N={n}]" for n in (64, 256, 1024)]
+        Ns, violations, passed, order, _ = study(rows, "uno")
+        assert Ns == (64, 256, 1024)
+        assert violations == (0.0, 0.0, 0.0)
+        assert passed
+        assert order == np.inf
+        # the study's worst violation, at least the round-off floor
+        assert all(r.tolerance == 1e-12 for r in rows)
 
     def test_coordinate_nonincreasing(self):
         finest = analyze(COORD, equal_measure_grid(1, 4096), 4096)
-        st = convergence_study(finest, ["uno"], [256, 1024])[0]
-        positive = [max(v, 0.0) for v in st.violations]
-        assert st.nonincreasing
+        rows = convergence_study(finest, ["uno"], [256, 1024])
+        _, violations, passed, _, _ = study(rows, "uno")
+        positive = [max(v, 0.0) for v in violations]
+        assert passed
         assert all(b <= max(1.5 * a, 1e-12) for a, b in zip(positive, positive[1:]))
+        assert all(r.tolerance == max(max(violations), 1e-12) for r in rows)
 
     def test_validation(self):
         finest = analyze(COORD, equal_measure_grid(1, 512), 256)
@@ -326,29 +394,42 @@ class TestConvergenceStudy:
 
     def test_rungs_take_the_field_dimension(self):
         field = builtin_field("mixture", dim=2)
-        study = convergence_study(analyze(field, equal_measure_grid(2, 16), 256), ["uno"], [8])[0]
+        rows = convergence_study(analyze(field, equal_measure_grid(2, 16), 256), ["uno"], [8])
         expected = tuple(
             check_reformulated(analyze(field, equal_measure_grid(2, n), 256)).max_violation
             for n in (8, 16)
         )
-        assert study.violations == expected
+        assert study(rows, "uno")[1] == expected
+        assert [(r.dim, r.M) for r in rows] == [(2, 256)] * 2
 
     def test_rows_carry_each_rung_check_time(self, monkeypatch):
         # a clock that moves 4 ms a reading: each check reads it twice
         clock = iter(np.arange(0.0, 100.0, 0.004))
         monkeypatch.setattr(verify.time, "perf_counter", lambda: float(next(clock)))
         a = analyze(builtin_field("mixture", dim=2), equal_measure_grid(2, 64), 256)
-        studies = convergence_study(a, ["uno", "mt"], [4, 16])
-        assert [s.runtimes_ms for s in studies] == [(4, 4, 4)] * 2
+        rows = convergence_study(a, ["uno", "mt"], [4, 16])
+        assert [study(rows, c)[4] for c in ("uno", "mt")] == [(4, 4, 4)] * 2
         rows = run_checks(a, ["dos", "converge"])[1:]
         assert [r.runtime_ms for r in rows] == [4] * 3 and rows[0].check_name == "converge:dos[N=4]"
 
     def test_finest_rung_is_the_analysis(self):
         finest = analyze(builtin_field("mixture", dim=2), equal_measure_grid(2, 32), 512)
-        studies = convergence_study(finest, ["uno", "dos", "mt"], [8])
-        assert [s.violations[-1] for s in studies] == [
+        rows = convergence_study(finest, ["uno", "dos", "mt"], [8])
+        assert [study(rows, c)[1][-1] for c in ("uno", "dos", "mt")] == [
             check(finest).max_violation
             for check in (check_reformulated, check_polya_szego, check_mazya_talenti)
+        ]
+
+    def test_tolerance_override_keeps_the_verdict(self):
+        # a failing ladder (the coarse mt rung reads at or below 0): a
+        # --tol puts itself on every row and changes no verdict
+        a = analyze(builtin_field("monotone1d", dim=2), equal_measure_grid(2, 256), 4096)
+        plain = run_checks(a, ["mt", "converge"])[1:]
+        assert not any(r.passed for r in plain)
+        overridden = run_checks(a, ["mt", "converge"], tol=10.0)[1:]
+        assert [r.tolerance for r in overridden] == [10.0] * 3
+        assert [(r.check_name, r.max_violation, r.passed, r.extra) for r in overridden] == [
+            (r.check_name, r.max_violation, r.passed, r.extra) for r in plain
         ]
 
 
@@ -504,16 +585,14 @@ class TestSharedGradientCumulative:
         run_checks(a, ["uno", "dos"])
         assert lengths and max(lengths) <= max(a.m_d, 24) < grid.num_cells
 
-    def test_cumulative_built_only_for_its_readers(self):
+    def test_every_analysis_keeps_the_cumulative(self):
         grid = equal_measure_grid(1, 256)
-        for checks, built in (
-            (["norm", "mt"], False), (["mt", "converge"], False), (["dos"], True),
-            (["converge"], True), (["mt", "dos", "converge"], True),
-        ):
+        ref = analyze(COORD, grid, 64).grad_cum
+        for checks in (["norm", "mt"], ["mt", "converge"], ["dos"], ["converge"],
+                       ["mt", "dos", "converge"], ["interval"]):
             a = analyze(COORD, grid, 64, checks)
-            assert ("grad_cum" in vars(a)) == built
-        # read on first use otherwise, with the same bits
-        assert_same_bits(a.grad_cum, analyze(COORD, grid, 64, ["mt"]).grad_cum)
+            assert "grad_cum" in vars(a) and not a.grad_cum.flags.writeable
+            assert_same_bits(a.grad_cum, ref)
 
     def test_no_thread_left_running(self, monkeypatch):
         before = threading.active_count()
@@ -625,9 +704,9 @@ class TestBlockedSampling:
     @pytest.mark.parametrize("make,dim,N,checks,kept_bound,peak_bound", [
         (lambda: parse_field("tanh(x1 + 0.5*x2*x3) + 0.3*sin(x2)", 3), 3, 64,
          ("uno", "dos"), 26, 35),
-        (lambda: builtin_field("mixture", dim=2), 2, 512, ALL, 35, 50),
+        (lambda: builtin_field("mixture", dim=2), 2, 512, ALL, 35, 44),
         (lambda: builtin_field("poly_tanh"), 1, 2**18, ("uno", "norm", "mt", "interval"),
-         35, 48),
+         35, 44),
     ], ids=["expr-3d", "mixture-2d", "poly-tanh-1d"])
     def test_peak_memory_per_cell(self, make, dim, N, checks, kept_bound, peak_bound):
         """The analysis together with its checks stays within these bytes
@@ -642,7 +721,9 @@ class TestBlockedSampling:
         whole prefix mass, it kept 32.7 on expr-3d, 41.4 on mixture-2d and
         41.8 on poly-tanh-1d, and peaked at 57.3 and 54.5 on the last two.
         Powering the Marcinkiewicz norm's knots as one whole-profile
-        temporary, it peaked at 49.4 on poly-tanh-1d."""
+        temporary, it peaked at 49.4 on poly-tanh-1d.  Rebuilding f*'s
+        single-cell drops inside mt for their median, it peaked at 49.2 on
+        mixture-2d and 46.4 on poly-tanh-1d."""
         field, grid = make(), equal_measure_grid(dim, N)
         tracemalloc.start()
         try:
