@@ -14,13 +14,13 @@ before the command line, so the command line wins per option and per
 ``--param`` key.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad
-configuration (a negative or non-finite --tol, a NaN interval bound or
-norm exponent, lorentz:inf included, an --out path in a missing
-directory or naming a directory, a --curves path naming an existing
-file), refused before any work, or a field whose value or gradient is
-not finite on the grid, 3 runtime failure while checking, a report
-holding a non-finite number, or a report or curve file that cannot be
-written.
+configuration (a negative or non-finite --tol, an --sgrid below 8 or
+above the cell budget of 2,000,000, a NaN interval bound or norm
+exponent, lorentz:inf included, an --out path in a missing directory or
+naming a directory, a --curves path naming an existing file), refused
+before any work, or a field whose value or gradient is not finite on the
+grid, 3 runtime failure while checking, a report holding a non-finite
+number, or a report or curve file that cannot be written.
 Report files are written atomically (temp file + rename), so a crash
 never leaves a partial report behind.
 """
@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import GausymError, NonFiniteFieldError
 from .fields import builtin_field, corpus_names, describe_field, parse_field
-from .gaussian import equal_measure_grid
+from .gaussian import DEFAULT_CELL_BUDGET, equal_measure_grid
 from .majorize import DEFAULT_NORM_FAMILY, parse_norm
 from .verify import CHECKS, IneqReport, analyze, require_known, run_checks, validate_intervals
 
@@ -159,6 +159,8 @@ def _validate(cfg: dict) -> dict:
         raise ConfigError("grid must be ≥ 2")
     if cfg["sgrid"] < 8:
         raise ConfigError("sgrid must be >= 8")
+    if cfg["sgrid"] > DEFAULT_CELL_BUDGET:
+        raise ConfigError(f"sgrid must be <= {DEFAULT_CELL_BUDGET}, the cell budget")
     if (cfg["expr"] is None) == (cfg["builtin"] is None):
         raise ConfigError("exactly one of --expr or --builtin is required")
     out, curves = cfg["out"], cfg["curves"]
@@ -169,21 +171,18 @@ def _validate(cfg: dict) -> dict:
     if curves and os.path.exists(curves) and not os.path.isdir(curves):
         raise ConfigError(f"--curves {curves!r} is not a directory")
     tokens = [t.strip() for t in str(cfg["checks"]).split(",") if t.strip()]
-    try:
-        require_known(tokens)
-        if not tokens:
-            raise ConfigError("no checks requested")
-        cfg["check_tokens"] = tokens
-        cfg["interval_list"] = (
-            validate_intervals(_parse_intervals(cfg["intervals"])) if "interval" in tokens else None
-        )
-        cfg["norm_list"] = (
-            [parse_norm(s) for s in cfg["norms"].split(",") if s.strip()]
-            if cfg["norms"]
-            else list(DEFAULT_NORM_FAMILY)
-        )
-    except GausymError as exc:
-        raise ConfigError(str(exc)) from exc
+    require_known(tokens)
+    if not tokens:
+        raise ConfigError("no checks requested")
+    cfg["check_tokens"] = tokens
+    cfg["interval_list"] = (
+        validate_intervals(_parse_intervals(cfg["intervals"])) if "interval" in tokens else None
+    )
+    cfg["norm_list"] = (
+        [parse_norm(s) for s in cfg["norms"].split(",") if s.strip()]
+        if cfg["norms"]
+        else list(DEFAULT_NORM_FAMILY)
+    )
     return cfg
 
 

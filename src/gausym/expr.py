@@ -217,25 +217,18 @@ class _Parser:
             raise ExpressionError("syntax error", tok.pos)
         return node
 
+    def left_assoc(self, ops: str, operand):
+        """Operands joined by the operators ``ops``, left-associative."""
+        node = operand()
+        while self.peek().kind == "op" and self.peek().text in ops:
+            node = Bin(self.advance().text, node, operand())
+        return node
+
     def sum(self):
-        node = self.term()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "+-":
-                self.advance()
-                node = Bin(tok.text, node, self.term())
-            else:
-                return node
+        return self.left_assoc("+-", self.term)
 
     def term(self):
-        node = self.factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in "*/":
-                self.advance()
-                node = Bin(tok.text, node, self.factor())
-            else:
-                return node
+        return self.left_assoc("*/", self.factor)
 
     def factor(self):
         tok = self.peek()

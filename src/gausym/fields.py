@@ -13,6 +13,7 @@ closed form and every parsed expression's is the forward-mode
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -50,16 +51,43 @@ class ScalarField:
             object.__setattr__(self, "evaluator", lambda xs: jet(xs)[0])
 
 
-def partials_norm(partials: Coords, out: np.ndarray) -> np.ndarray:
-    """Euclidean norm of broadcastable partials, written into ``out`` of
-    their common shape: the squares summed in axis order, then the square
-    root, the bits of ``np.linalg.norm`` over the stacked partials.  A
-    scalar 0.0 partial adds an exact 0 and is skipped."""
-    first, *rest = [d for d in partials if np.ndim(d) or d != 0.0] or [0.0]
+# a norm peaking below this may have lost its squares to underflow
+_TINY_NORM = 2.0 ** -500
+
+
+def _root_sum_squares(parts: list, out: np.ndarray):
+    """sqrt(sum of d * d) over ``parts``, in order, into ``out``."""
+    first, *rest = parts
     np.multiply(first, first, out=out)
     for d in rest:
         out += d * d
-    return np.sqrt(out, out=out)
+    np.sqrt(out, out=out)
+
+
+def partials_norm(partials: Coords, out: np.ndarray) -> np.ndarray:
+    """Euclidean norm of broadcastable partials, written into ``out`` of
+    their common shape.  A scalar 0.0 partial adds an exact 0 and is
+    skipped.  A lone partial's norm is its absolute value, the bits of
+    sqrt(d * d) wherever d * d neither overflows nor underflows.  Several
+    partials have their squares summed in axis order, then the square
+    root, the bits of ``np.linalg.norm`` over the stacked partials; where
+    that peaks at inf, or below ``_TINY_NORM`` with a partial nonzero, a
+    square over- or underflowed, and the norm is taken again on the
+    partials scaled by a power of two (exactly) to a largest magnitude
+    in [1/2, 1), then scaled back."""
+    parts = [d for d in partials if np.ndim(d) or d != 0.0] or [0.0]
+    if len(parts) == 1:
+        return np.abs(parts[0], out=out)
+    with np.errstate(over="ignore", under="ignore"):
+        _root_sum_squares(parts, out)
+        peak = float(np.max(out))
+        if peak == np.inf or peak < _TINY_NORM:
+            top = max(float(np.max(np.abs(d))) for d in parts)
+            if 0.0 < top < np.inf:
+                exponent = math.frexp(top)[1]
+                _root_sum_squares([np.ldexp(d, -exponent) for d in parts], out)
+                np.ldexp(out, exponent, out=out)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -114,28 +114,28 @@ class RINorm:
         return f"{self.kind}:{p}"
 
 
+# norm kind -> (whether an exponent is accepted, the rule a refused one breaks);
+# each test is written so that NaN fails it, and lorentz:inf would integrate
+# against d(s^0) = 0: a norm of 0 for every profile
+_EXPONENT_RULES = {
+    "lp": (lambda p: p >= 1, ">= 1"),
+    "lorentz": (lambda p: 1 <= p < math.inf, "finite and >= 1"),
+    "marcinkiewicz": (lambda p: p > 1, "> 1"),
+}
+
+
 def parse_norm(spec: str) -> RINorm:
     """Parse the CLI mini-syntax: lp:2, lp:inf, lorentz:2, marcinkiewicz:2,
     orlicz:expsq."""
     kind, sep, arg = spec.strip().partition(":")
     if not sep:
         raise InvalidParameterError(f"norm spec {spec!r} needs kind:parameter")
-    if kind == "lp":
-        p = math.inf if arg == "inf" else float(arg)
-        if not p >= 1:  # NaN fails too
-            raise InvalidParameterError(f"lp exponent must be >= 1, got {arg}")
-        return RINorm("lp", p)
-    if kind == "lorentz":
+    if kind in _EXPONENT_RULES:
+        accepts, rule = _EXPONENT_RULES[kind]
         p = float(arg)
-        # lorentz:inf would integrate against d(s^0) = 0: a norm of 0 for every profile
-        if not 1 <= p < math.inf:
-            raise InvalidParameterError(f"lorentz exponent must be finite and >= 1, got {arg}")
-        return RINorm("lorentz", p)
-    if kind == "marcinkiewicz":
-        p = float(arg)
-        if not p > 1:
-            raise InvalidParameterError(f"marcinkiewicz exponent must be > 1, got {arg}")
-        return RINorm("marcinkiewicz", p)
+        if not accepts(p):
+            raise InvalidParameterError(f"{kind} exponent must be {rule}, got {arg}")
+        return RINorm(kind, p)
     if kind == "orlicz":
         if arg != "expsq":
             raise InvalidParameterError(f"unknown orlicz spec {arg!r}; use expsq")

@@ -151,7 +151,7 @@ class Profile:
             run *= values[start:stop]
             return run
 
-        mass = running_sum_at(masses, idx.ravel(), PASS_BLOCK).reshape(idx.shape)
+        mass = running_sum_at(masses, idx.ravel()).reshape(idx.shape)
         out = mass + values[idx] * (t_arr - knots[idx])
         return out if t_arr.ndim else float(out)
 
@@ -173,13 +173,13 @@ class Profile:
         return cls(np.array([0.0, 1.0]), np.array([abs(float(c))]))
 
 
-def running_sum_at(increments, at: np.ndarray, block: int) -> np.ndarray:
+def running_sum_at(increments, at: np.ndarray) -> np.ndarray:
     """The running sums S[j] of a sequence, the sum of its elements
     0..j-1, at the indices ``at``, in any order and with repeats.
 
     ``increments(start, stop)`` returns elements start..stop-1 as a fresh
-    array, and is called ``block`` elements at a time, in order, up to
-    the largest index read.  Each block's carry is added to its first
+    array, and is called ``PASS_BLOCK`` elements at a time, in order, up
+    to the largest index read.  Each block's carry is added to its first
     element before its in-place cumsum, so every S[j] has the bits of one
     whole-array cumsum, and no array of the sequence's length is built.
     """
@@ -188,8 +188,8 @@ def running_sum_at(increments, at: np.ndarray, block: int) -> np.ndarray:
     out = np.zeros(at.size)
     total = -0.0  # x + -0.0 is x for every x, -0.0 included
     last = int(at.max(initial=0))
-    for start in range(0, last, block):
-        stop = min(start + block, last)
+    for start in range(0, last, PASS_BLOCK):
+        stop = min(start + PASS_BLOCK, last)
         run = increments(start, stop)
         run[0] += total
         np.cumsum(run, out=run)  # run[i] = S[start + 1 + i]

@@ -9,7 +9,8 @@ and refuses a field whose values or gradients are not finite on the grid
 own options and reads the field, grid and M from it.  ``CHECKS`` maps
 each check token to the report rows it yields, and ``run_checks`` runs a
 list of tokens on one analysis.  ``convergence_study`` reruns checks on
-coarser grids and returns its ``converge:<check>[N=n]`` rows directly.
+coarser grids and relabels each rung's row as a ``converge:<check>[N=n]``
+row.
 
 The field is sampled one block of whole grid rows at a time, about
 ``BLOCK_CELLS`` cells, by one call of the field's ``jet`` on the rows'
@@ -80,7 +81,7 @@ from .errors import DomainError, IntervalError, NonFiniteFieldError, NonSmoothFi
 from .fields import ScalarField, partials_norm
 from .gaussian import BLOCK_CELLS, GaussianGrid, equal_measure_grid, iso_profile
 from .majorize import DEFAULT_NORM_FAMILY, HINGE_GRID_SIZE, RINorm, hinge_integrals, ri_norm
-from .rearrange import PASS_BLOCK, Profile, derivative_bin_count, running_sum_at, uniform_knots
+from .rearrange import Profile, derivative_bin_count, running_sum_at, uniform_knots
 from .symmetrize import symmetrized_derivative
 
 VIOLATION_FLOOR = 1e-12
@@ -205,7 +206,11 @@ class Analysis:
         The field depends on x1 alone, so its gradient is taken on the N
         axis points, and the profile has N pieces of width 1/N: each
         sorted value stands for the N^(dim-1) cells of its x1 slab.
+        A non-smooth field has none: its checks, ``dos`` and ``orlicz``,
+        are refused (``NonSmoothFieldError``).
         """
+        if not self.field.smooth:
+            raise NonSmoothFieldError(f"check needs a smooth field, got {self.field.label!r}")
         neg = -np.abs(symmetrized_derivative(self.p, self.grid.axis_points, self.m_d))
         return Profile(uniform_knots(self.grid.cells_per_axis), _sort_negated(neg))
 
@@ -250,7 +255,7 @@ def _level_grad_at(grads: np.ndarray, order: np.ndarray, cell_measure: float, at
         run *= cell_measure
         return run
 
-    return running_sum_at(cell_masses, at, PASS_BLOCK)
+    return running_sum_at(cell_masses, at)
 
 
 def _sort_negated(neg: np.ndarray, order: Optional[np.ndarray] = None) -> np.ndarray:
@@ -322,7 +327,7 @@ def _surrogate_at(p: Profile, m_d: int, at: np.ndarray) -> np.ndarray:
             last_at = at[-1]
         return mass
 
-    return running_sum_at(drops, at, PASS_BLOCK)
+    return running_sum_at(drops, at)
 
 
 def _require_finite(
@@ -391,8 +396,6 @@ def check_polya_szego(
 
     Equality mode (for fields already decreasing in x1) bounds |LHS-RHS|.
     """
-    if not analysis.field.smooth:
-        raise NonSmoothFieldError(f"check needs a smooth field, got {analysis.field.label!r}")
     t0 = time.perf_counter()
     t = analysis.t_grid
     lhs = analysis.sym_grad_prof.cumulative(t)
@@ -502,7 +505,7 @@ def check_interval_bound(
     t = analysis.t_grid
     # the integral over (0, t] of the surrogate's bin-constant extension
     cum = np.concatenate(([0.0], np.cumsum(analysis.surr) / analysis.m_d))
-    edges = uniform_knots(analysis.m_d)
+    edges = analysis.surr_prof.knots
     clamped = np.clip(t[None, :], a[:, None], b[:, None])
     lhs = np.sum(np.interp(clamped, edges, cum) - np.interp(a, edges, cum)[:, None], axis=0)
     cut = np.sum(np.maximum(np.minimum(t[None, :], b[:, None]) - a[:, None], 0.0), axis=0)
@@ -523,11 +526,9 @@ def check_orlicz_equality(
 
     Both sides are hinge integrals of rearranged (already sorted)
     profiles, evaluated by prefix sums."""
-    if not analysis.field.smooth:
-        raise NonSmoothFieldError(f"check needs a smooth field, got {analysis.field.label!r}")
     t0 = time.perf_counter()
     if c_grid is None:
-        c_grid = np.linspace(0.0, float(np.max(analysis.surr)), HINGE_GRID_SIZE)
+        c_grid = np.linspace(0.0, analysis.surr_prof.sup, HINGE_GRID_SIZE)
     c_grid = np.asarray(c_grid, dtype=float)
     lhs = hinge_integrals(analysis.surr_prof, c_grid)
     rhs = hinge_integrals(analysis.sym_grad_prof, c_grid)
@@ -556,10 +557,11 @@ def convergence_study(
     and fewer than two positive entries give order +inf.
 
     Returns one ``converge:<check>[N=n]`` row per check and rung, rungs
-    ascending within each check.  A row holds its rung's violation and
-    check time; the rows of a check share its verdict, its order
-    (``extra["empirical_order"]``) and, as their tolerance, its worst
-    violation (at least ``VIOLATION_FLOOR``), so the schema stays numeric.
+    ascending within each check: the rung's own row of the check,
+    relabelled, so it keeps its violation, N, M and check time.  The rows
+    of a check share its verdict, its order (``extra["empirical_order"]``)
+    and, as their tolerance, its worst violation (at least
+    ``VIOLATION_FLOOR``), so the schema stays numeric.
     """
     grid = analysis.grid
     Ns = tuple(int(n) for n in coarser_Ns) + (grid.cells_per_axis,)
@@ -594,24 +596,11 @@ def convergence_study(
             xs, ys = zip(*fit_pts)
             order = -float(np.polyfit(xs, ys, 1)[0])
         worst = max(max(violations), VIOLATION_FLOOR)
-        rows += [
-            IneqReport(
-                check_name=f"converge:{name}[N={n}]",
-                field_label=analysis.field.label,
-                dim=grid.dim,
-                N=n,
-                M=analysis.M,
-                s_grid=np.array([1.0]),
-                lhs_curve=np.array([r.max_violation]),
-                rhs_curve=np.array([0.0]),
-                max_violation=r.max_violation,
-                tolerance=worst,
-                passed=nonincreasing,
-                runtime_ms=r.runtime_ms,
-                extra={"empirical_order": order},
-            )
-            for n, r in zip(Ns, reports)
-        ]
+        rows += [replace(
+            r, check_name=f"converge:{name}[N={r.N}]", s_grid=np.array([1.0]),
+            lhs_curve=np.array([r.max_violation]), rhs_curve=np.array([0.0]),
+            tolerance=worst, passed=nonincreasing, extra={"empirical_order": order},
+        ) for r in reports]
     return rows
 
 

@@ -84,9 +84,12 @@ class TestConfigErrors:
         assert main(["--builtin", "coordinate", "--checks", ","]) == 2
         assert capsys.readouterr().err == "error: no checks requested\n"
 
-    def test_bad_expression(self, capsys):
+    def test_bad_expression(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "analyze", None)  # never reached
         assert main(["--expr", "x1*", "--checks", "uno"]) == 2
         assert "offset 3" in capsys.readouterr().err
+        assert main(["--expr", "(x1", "--checks", "uno"]) == 2
+        assert capsys.readouterr().err == "error: expected ')' at offset 3\n"
 
     def test_bad_builtin(self, capsys):
         assert main(["--builtin", "nope"]) == 2
@@ -145,6 +148,22 @@ class TestExitCodes:
         assert err.startswith("error: ") and "not finite" in err and "at x = (" in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ["--expr", "1e-170*x1", "--checks", "uno,dos,norm,mt,interval,orlicz,converge"],
+        ["--expr", "1e-170*(x1+x2)", "--dim", "2", "--checks", "uno,dos,mt"],
+        ["--expr", "1e160*x1", "--checks", "uno,mt"],
+        ["--expr", "1e160*(x1+x2)", "--dim", "2", "--checks", "uno,dos,mt"],
+    ], ids=["tiny-1d", "tiny-2d", "huge-1d", "huge-2d"])
+    def test_tiny_and_huge_gradients_pass(self, tmp_path, capsys, argv):
+        """|grad f| of a smooth Lipschitz field is neither lost to
+        underflow nor taken as inf from overflowing squares, and no
+        numpy warning reaches stderr (every warning is an error here)."""
+        out = tmp_path / "r.json"
+        assert main([*argv, "--grid", "64", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert all(entry["pass"] for entry in strict_report(out)["checks"])
+
     def test_non_finite_report_is_three(self, tmp_path, capsys, monkeypatch):
         uno = verify.CHECKS["uno"]
         monkeypatch.setitem(verify.CHECKS, "uno", lambda *args, **kwargs: [
@@ -181,18 +200,35 @@ class TestExitCodes:
         assert "finite number" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flags", [
-        ["--checks", "interval", "--intervals", "0.1,nan"],
-        ["--checks", "norm", "--norms", "lp:nan"],
-        ["--checks", "norm", "--norms", "lorentz:nan"],
-        ["--checks", "norm", "--norms", "marcinkiewicz:nan"],
-        ["--checks", "norm", "--norms", "lorentz:inf"],
-        ["--checks", "uno", "--tol", "-1"],
-        ["--checks", "uno", "--tol=-1e-300"],
-        "tol=-1",
+    @pytest.mark.parametrize("flags,message", [
+        (["--checks", "interval", "--intervals", "0.1,nan"], "intervals must lie within [0, 1]"),
+        (["--checks", "norm", "--norms", "lp:nan"], "lp exponent must be >= 1, got nan"),
+        (["--checks", "norm", "--norms", "lorentz:nan"],
+         "lorentz exponent must be finite and >= 1, got nan"),
+        (["--checks", "norm", "--norms", "marcinkiewicz:nan"],
+         "marcinkiewicz exponent must be > 1, got nan"),
+        (["--checks", "norm", "--norms", "lorentz:inf"],
+         "lorentz exponent must be finite and >= 1, got inf"),
+        (["--checks", "uno", "--tol", "-1"], "expected a finite number >= 0, got '-1'"),
+        (["--checks", "uno", "--tol=-1e-300"], "expected a finite number >= 0, got '-1e-300'"),
+        ("tol=-1", "expected a finite number >= 0, got '-1'"),
+        (["--checks", "interval", "--intervals", "a,b"], "interval 'a,b' has non-numeric bounds"),
+        (["--checks", "interval", "--intervals", ";"], "no intervals given"),
+        (["--checks", "uno", "--sgrid", "4"], "sgrid must be >= 8"),
+        # the t-grid and its curves are M long: refused before the grid is sampled
+        (["--checks", "uno", "--sgrid", "2000001"], "sgrid must be <= 2000000, the cell budget"),
+        (["--checks", "uno", "--builtin", "monotone1d", "--param", "a=inf"],
+         "parameter a=inf must be finite"),
+        (["--checks", "uno", "--builtin", "monotone1d", "--param", "a=0"], "a must be positive"),
+        (["--checks", "uno", "--builtin", "mixture", "--param", "c1=0"],
+         "bump widths c1, c2 must be positive"),
+        (["--checks", "uno", "--builtin", "halfspace_indicator_smooth", "--param", "width=0"],
+         "width must be positive"),
     ], ids=["interval-nan", "lp-nan", "lorentz-nan", "marcinkiewicz-nan", "lorentz-inf",
-            "tol-negative", "tol-tiny-negative", "file-tol-negative"])
-    def test_nan_or_negative_value_is_two(self, tmp_path, capsys, monkeypatch, flags):
+            "tol-negative", "tol-tiny-negative", "file-tol-negative", "interval-non-numeric",
+            "no-intervals", "sgrid-below-8", "sgrid-above-budget",
+            "param-inf", "monotone-a-zero", "mixture-c1-zero", "halfspace-width-zero"])
+    def test_nan_or_negative_value_is_two(self, tmp_path, capsys, monkeypatch, flags, message):
         def refuse(*args, **kwargs):
             raise AssertionError("analysis built for an invalid configuration")
 
@@ -203,7 +239,7 @@ class TestExitCodes:
         code = main(["--builtin", "coordinate", "--grid", "32", "--sgrid", "64",
                      *flags, "--out", str(out)])
         assert code == 2
-        assert "error" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_tolerance_accepted(self, tmp_path):

@@ -17,7 +17,9 @@ from gausym import (
     equal_measure_grid,
     parse_field,
 )
-from gausym.expr import DERIVATIVES, FUNCTIONS, Call, Neg, Num, Var, parse_expression, serialize
+from gausym.expr import (
+    DERIVATIVES, FUNCTIONS, Bin, Call, Neg, Num, Var, parse_expression, serialize,
+)
 from gausym.fields import partials_norm
 
 from conftest import (
@@ -121,6 +123,18 @@ class TestParser:
             parse_field("x1*", 1)
         assert err.value.offset == 3
         assert "offset 3" in str(err.value)
+
+    def test_unclosed_parenthesis(self):
+        with pytest.raises(ExpressionError, match=r"expected '\)' at offset 3") as err:
+            parse_field("(x1", 1)
+        assert err.value.offset == 3
+
+    def test_sums_and_products_associate_left(self):
+        x1, x2, x3 = Var(1), Var(2), Var(3)
+        assert parse_expression("x1-x2+x3", 3) == Bin("+", Bin("-", x1, x2), x3)
+        assert parse_expression("x1/x2*x3", 3) == Bin("*", Bin("/", x1, x2), x3)
+        assert parse_expression("x1-x2*x3/x1+x2", 3) == Bin(
+            "+", Bin("-", x1, Bin("/", Bin("*", x2, x3), x1)), x2)
 
     def test_unexpected_character(self):
         with pytest.raises(ExpressionError) as err:
@@ -321,6 +335,31 @@ class TestForwardGradient:
         assert [np.shape(d) for d in partials] == [(1000,)] * 3
         ref = np.linalg.norm(np.column_stack(partials), axis=1)
         assert_same_bits(partials_norm(partials, np.empty(1000)), ref)
+
+    def test_norm_bits_of_the_squared_form(self):
+        """In the normal range the norm has the bits of sqrt of the summed
+        squares, one partial (taken as its absolute value) or several."""
+        rng = np.random.default_rng(3)
+        n = 100_000
+        sign = rng.choice([-1.0, 1.0], n)
+        wide = sign * np.exp(rng.uniform(np.log(1e-153), np.log(1e153), n))
+        for partials in [(wide,), (0.0, wide, 0.0), (wide, rng.standard_normal(n)),
+                         (rng.standard_normal(n), 2.5, wide * 1e-100)]:
+            ref = np.zeros(n)
+            for d in partials:
+                ref = ref + np.asarray(d) * d
+            assert_same_bits(partials_norm(partials, np.empty(n)), np.sqrt(ref))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-170, 1e-300, 5e-324, 1e160, 1e300])
+    def test_norm_of_tiny_and_huge_partials(self, scale):
+        """Squares that under- or overflow are not lost: the norm is taken
+        on the partials scaled by a power of two, without a warning."""
+        d = np.array([1.0, -3.0, 0.5, 0.0]) * scale
+        for partials, ref in [((d,), np.abs(d)), ((d, d), np.sqrt(2.0) * np.abs(d)),
+                              ((d, scale, 0.0), np.hypot(d, scale))]:
+            np.testing.assert_allclose(partials_norm(partials, np.empty(4)), ref,
+                                       rtol=1e-15, atol=0.0 if scale > 1e-300 else 1e-323)
 
     @pytest.mark.parametrize("text,point,expected", [
         ("x1^0", [0.0, 1.0], [0.0, 0.0]),

@@ -300,7 +300,8 @@ class TestRunningSumAt:
         [4, 1, 2],
         [0, 0],
     ], ids=["unsorted-repeated", "n-then-0", "every-index", "signed-zeros", "zeros"])
-    def test_matches_whole_array_cumsum(self, block, at):
+    def test_matches_whole_array_cumsum(self, block, at, monkeypatch):
+        monkeypatch.setattr(rearrange, "PASS_BLOCK", block)
         x, calls = self.X, []
 
         def increments(start, stop):
@@ -309,7 +310,7 @@ class TestRunningSumAt:
 
         at = np.array(at, dtype=np.intp)
         ref = np.concatenate(([0.0], np.cumsum(x)))[at]
-        assert_same_bits(running_sum_at(increments, at, block), ref)
+        assert_same_bits(running_sum_at(increments, at), ref)
         # blocks in order, up to the largest index read
         last = int(at.max())
         assert calls == [(s, min(s + block, last)) for s in range(0, last, block)]

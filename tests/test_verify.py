@@ -252,6 +252,10 @@ class TestIntervalBound:
         with pytest.raises(IntervalError):
             check_interval_bound(a, [(-0.1, 0.5)])
 
+    def test_empty_union_rejected(self):
+        with pytest.raises(IntervalError, match="need at least one interval"):
+            validate_intervals([])
+
     @pytest.mark.parametrize("bad", [[(0.1, math.nan)], [(math.nan, 0.5)],
                                      [(0.1, 0.2), (math.nan, 0.7)]])
     def test_nan_bound_rejected(self, bad):
@@ -487,6 +491,10 @@ class TestCheckTable:
         with pytest.raises(DomainError, match="'bogus'"):
             analyze(COORD, equal_measure_grid(1, 64), 64, ["uno", "bogus"])
 
+    def test_analysis_refuses_a_short_t_grid(self):
+        with pytest.raises(DomainError, match="s-grid needs M >= 8, got 4"):
+            analyze(COORD, equal_measure_grid(1, 64), 4)
+
     def test_converge_alone_studies_uno(self):
         a = analyze(COORD, GRID_1K, 512)
         rows = run_checks(a, ["converge"])
@@ -529,7 +537,7 @@ class TestAnalysisSorts:
         t-grid and the fold edges, equal, bit for bit, those read off the
         running sum over the positive drops alone, located by
         searchsorted."""
-        monkeypatch.setattr(verify, "PASS_BLOCK", block)
+        monkeypatch.setattr(rearrange, "PASS_BLOCK", block)
         grid = equal_measure_grid(dim, N)
         for field in (builtin_field("mixture", dim=dim), parse_field("abs(x1) + 0.5", dim)):
             for checks in (None, ["uno"]):
@@ -577,9 +585,9 @@ class TestSharedGradientCumulative:
         assert a.sym_grad_prof.num_pieces == 24
         lengths, running_sum_at = [], rearrange.running_sum_at
 
-        def counting(increments, at, block):
+        def counting(increments, at):
             lengths.append(int(at.max(initial=0)))
-            return running_sum_at(increments, at, block)
+            return running_sum_at(increments, at)
 
         monkeypatch.setattr(rearrange, "running_sum_at", counting)
         run_checks(a, ["uno", "dos"])
