@@ -20,9 +20,12 @@ exponent, lorentz:inf included, an --out path in a missing directory or
 naming a directory, a --curves path naming an existing file), refused
 before any work, or a field whose value or gradient is not finite on the
 grid, 3 runtime failure while checking, a report holding a non-finite
-number, or a report or curve file that cannot be written.
+number, a report or curve file that cannot be written, or (through the
+console script, which flushes stdout and stderr and then exits with
+os._exit) output that cannot be written, its reader gone.
 Report files are written atomically (temp file + rename), so a crash
-never leaves a partial report behind.
+never leaves a partial report behind; they get the mode the umask gives
+(0644 under umask 022).
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from typing import Optional
 
 import numpy as np
@@ -193,8 +195,11 @@ def _build_field(cfg: dict):
 
 
 def _atomic_write(path: str, payload: str):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".gausym-", suffix=".tmp")
+    # a unique temp file beside the target, created with mode 0o666 so
+    # that the umask applies: the rename keeps the temp file's mode
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = os.path.join(directory, f".gausym-{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(payload)
@@ -313,7 +318,22 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def entry():
-    sys.exit(main())
+    """The console script: ``main``, then stdout and stderr flushed, then
+    an immediate exit with main's code, which skips the interpreter's
+    teardown.  Output that cannot be written, its reader gone, exits 3
+    with a runtime error line where stderr still takes one."""
+    try:
+        code = main()
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when started with that fd closed
+                stream.flush()
+    except OSError as exc:  # main handles those of the files it writes
+        code = 3
+        try:
+            print(f"runtime error: cannot write output: {exc}", file=sys.stderr, flush=True)
+        except OSError:
+            pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -6,9 +6,9 @@ together: the columns of a batch of points, or a grid's row coordinates,
 on which a term that depends on the leading axes alone is evaluated once
 per row.  The builtin corpus is restricted to fields that are Lipschitz
 on the effective support of the Gaussian measure, since the inequality
-checks sample gradients everywhere mass lives.  Every builtin's jet is
-closed form and every parsed expression's is the forward-mode
-``expr.jet``.
+checks sample gradients everywhere mass lives.  Every builtin is a named
+expression: a template with its parameters written in, parsed like
+``--expr``, so every field's jet is the forward-mode ``expr.jet``.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import expr
 from .errors import InvalidParameterError, UnknownFieldError
 
 # per-axis coordinate arrays that broadcast together
@@ -109,125 +110,50 @@ def _merge_params(name: str, defaults: dict, params: Optional[dict]) -> dict:
     return merged
 
 
-def _axis_sum(terms) -> np.ndarray:
-    """The terms added in axis order, broadcasting."""
-    return sum(terms[1:], terms[0])
-
-
-def _coordinate(p: dict, dim: int) -> ScalarField:
-    axis = int(p["axis"])
-    if not 1 <= axis <= dim:
-        raise InvalidParameterError(f"axis {axis} out of range for dim {dim}")
-
-    def jet(xs):
-        return xs[axis - 1], tuple(1.0 if k == axis - 1 else 0.0 for k in range(dim))
-
-    return ScalarField(dim, f"coordinate(axis={axis})", jet)
-
-
-def _halfspace(p: dict, dim: int) -> ScalarField:
-    a, width = p["a"], p["width"]
-    if width <= 0:
-        raise InvalidParameterError("width must be positive")
-
-    def jet(xs):
-        u = np.tanh((xs[0] - a) / width)
-        return 0.5 * (1.0 - u), (-0.5 * (1.0 - u * u) / width,) + (0.0,) * (dim - 1)
-
-    return ScalarField(dim, f"halfspace_indicator_smooth(a={a},width={width})", jet)
-
-
-def _gaussian_bump(p: dict, dim: int) -> ScalarField:
-    c = p["c"]
-    if c <= 0:
-        raise InvalidParameterError("c must be positive")
-
-    def jet(xs):
-        v = np.exp(-c * _axis_sum([x * x for x in xs]))
-        return v, tuple(-2.0 * c * x * v for x in xs)
-
-    return ScalarField(dim, f"gaussian_bump(c={c})", jet)
-
-
-def _mixture(p: dict, dim: int) -> ScalarField:
-    w1, w2, c1, c2, m = p["w1"], p["w2"], p["c1"], p["c2"], p["m"]
-    if c1 <= 0 or c2 <= 0:
-        raise InvalidParameterError("bump widths c1, c2 must be positive")
-
-    def jet(xs):
-        # offsets from the two centers: they differ on the first axis only
-        d1 = (xs[0] - m, *xs[1:])
-        d2 = (xs[0] + m, *xs[1:])
-        g1 = np.exp(-c1 * _axis_sum([d * d for d in d1]))
-        g2 = np.exp(-c2 * _axis_sum([d * d for d in d2]))
-        grad = tuple(-2.0 * c1 * w1 * a * g1 - 2.0 * c2 * w2 * b * g2 for a, b in zip(d1, d2))
-        return w1 * g1 + w2 * g2, grad
-
-    return ScalarField(dim, f"mixture(w1={w1},w2={w2},c1={c1},c2={c2},m={m})", jet)
-
-
-def _poly_tanh(p: dict, dim: int) -> ScalarField:
-    a, b = p["a"], p["b"]
-    w = 0.5 ** np.arange(dim)
-
-    def jet(xs):
-        # w[0] = 1: the first axis enters unscaled
-        u = _axis_sum([xs[0]] + [wk * x for wk, x in zip(w[1:], xs[1:])])
-        # u*u*u, not u**3: np.power may take a slow element-wise path for
-        # negative bases, whose results need not mirror those for positive
-        # ones bit for bit
-        t = np.tanh(a * u + b * (u * u * u))
-        g = (1.0 - t * t) * (a + 3.0 * b * u * u)
-        return t, (g, *(g * wk for wk in w[1:]))
-
-    return ScalarField(dim, f"poly_tanh(a={a},b={b})", jet)
-
-
-def _monotone1d(p: dict, dim: int) -> ScalarField:
-    a = p["a"]
-    if a <= 0:
-        raise InvalidParameterError("a must be positive")
-
-    def jet(xs):
-        v = np.exp(-a * xs[0])
-        return v, (-a * v,) + (0.0,) * (dim - 1)
-
-    return ScalarField(dim, f"monotone1d(a={a})", jet)
-
-
+# name -> (expression template, defaults, positivity, description).  The
+# template is filled with each parameter's repr, which round-trips, and
+# with ``rest`` (the squares of the axes after the first) and ``u`` (the
+# fixed weighted sum of coordinates) for the requested dim.  Positivity
+# is the phrase a refusal names, then the parameters that must be > 0.
 _BUILTINS = {
     "coordinate": (
-        _coordinate,
+        "x{axis}",
         {"axis": 1.0},
+        (),
         "f(x) = x_axis, the linear coordinate field; the gradient norm "
         "|grad f| is identically 1.",
     ),
     "halfspace_indicator_smooth": (
-        _halfspace,
+        "0.5*(1-tanh((x1-{a})/{width}))",
         {"a": 0.0, "width": 0.25},
+        ("width", "width"),
         "Smoothed half-space indicator 0.5*(1 - tanh((x1-a)/width)): close "
         "to 1 for x1 << a and 0 for x1 >> a, nonincreasing in x1.",
     ),
     "gaussian_bump": (
-        _gaussian_bump,
+        "exp(-{c}*(x1^2{rest}))",
         {"c": 1.0},
+        ("c", "c"),
         "Radial bump exp(-c*|x|^2) with analytic gradient -2c x f(x).",
     ),
     "mixture": (
-        _mixture,
+        "{w1}*exp(-{c1}*((x1-{m})^2{rest}))+{w2}*exp(-{c2}*((x1+{m})^2{rest}))",
         {"w1": 1.0, "w2": 0.6, "c1": 1.0, "c2": 2.0, "m": 1.2},
+        ("bump widths c1, c2", "c1", "c2"),
         "Two Gaussian bumps centered at +-m along the first axis with "
         "weights w1, w2 and widths c1, c2.",
     ),
     "poly_tanh": (
-        _poly_tanh,
+        "tanh({a}*({u})+{b}*({u})^3)",
         {"a": 1.0, "b": 0.3},
+        (),
         "tanh(a*u + b*u^3) with u a fixed weighted sum of coordinates; "
         "bounded with bounded analytic gradient.",
     ),
     "monotone1d": (
-        _monotone1d,
+        "exp(-{a}*x1)",
         {"a": 1.0},
+        ("a", "a"),
         "f(x) = exp(-a*x1), nonnegative and strictly decreasing in x1: a "
         "fixed point of first-coordinate symmetrization.",
     ),
@@ -239,7 +165,8 @@ def corpus_names() -> list[str]:
 
 
 def _builtin(name: str) -> tuple:
-    """The corpus entry (builder, defaults, description) of ``name``."""
+    """The corpus entry (template, defaults, positivity, description) of
+    ``name``."""
     if name not in _BUILTINS:
         raise UnknownFieldError(
             f"unknown field {name!r}; available: {', '.join(corpus_names())}"
@@ -248,19 +175,44 @@ def _builtin(name: str) -> tuple:
 
 
 def builtin_field(name: str, params: Optional[dict] = None, dim: int = 1) -> ScalarField:
-    """Construct a field from the builtin corpus.
+    """Construct a field from the builtin corpus: its expression template
+    with the parameters written in, through the parser's jet, labelled
+    ``name(key=value,...)``.
 
     Unknown names raise UnknownFieldError; parameters outside the family's
     signature or domain raise InvalidParameterError.
     """
-    builder, defaults, _ = _builtin(name)
-    return builder(_merge_params(name, defaults, params), dim)
+    template, defaults, positive, _ = _builtin(name)
+    p = _merge_params(name, defaults, params)
+    if "axis" in p:
+        p["axis"] = int(p["axis"])
+        if not 1 <= p["axis"] <= dim:
+            raise InvalidParameterError(f"axis {p['axis']} out of range for dim {dim}")
+    if positive and min(p[k] for k in positive[1:]) <= 0:
+        raise InvalidParameterError(f"{positive[0]} must be positive")
+    source = template.format(
+        **{k: repr(v) for k, v in p.items()},
+        rest="".join(f"+x{k}^2" for k in range(2, dim + 1)),
+        # the weights 0.5^(k-1), exact: the first axis enters unscaled
+        u="+".join(["x1"] + [f"{0.5 ** (k - 1)!r}*x{k}" for k in range(2, dim + 1)]),
+    )
+    label = ",".join(f"{k}={v}" for k, v in p.items())
+    return _expression_field(expr.parse_expression(source, dim), dim, f"{name}({label})")
 
 
 def describe_field(name: str) -> str:
-    _, defaults, text = _builtin(name)
+    _, defaults, _, text = _builtin(name)
     params = ", ".join(f"{k}={v:g}" for k, v in sorted(defaults.items()))
     return f"{name}\n  parameters: {params}\n  {text}"
+
+
+def _expression_field(ast, dim: int, label: str) -> ScalarField:
+    """The field of a parsed expression: its jet is ``expr.jet``, and it
+    is flagged non-smooth when the expression uses abs()."""
+    def jet(xs):
+        return expr.jet(ast, xs)
+
+    return ScalarField(dim, label, jet, smooth=not expr.uses_abs(ast))
 
 
 def parse_field(expression: str, dim: int) -> ScalarField:
@@ -272,13 +224,6 @@ def parse_field(expression: str, dim: int) -> ScalarField:
     and ``verify.analyze`` refuses the field.  The label is the canonical
     serialized form, which re-parses to a field that agrees everywhere.
     Fields whose expression uses abs() are flagged non-smooth.
-    The parser is imported here, so a run on builtin fields never loads it.
     """
-    from . import expr as _expr
-
-    ast = _expr.parse_expression(expression, dim)
-
-    def jet(xs):
-        return _expr.jet(ast, xs)
-
-    return ScalarField(dim, _expr.serialize(ast), jet, smooth=not _expr.uses_abs(ast))
+    ast = expr.parse_expression(expression, dim)
+    return _expression_field(ast, dim, expr.serialize(ast))

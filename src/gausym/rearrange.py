@@ -235,8 +235,9 @@ def derivative_bin_count(drops: np.ndarray, top: float, M: int, min_block: int =
     """
     K = drops.size + 1
     # levels an ulp apart (imperfect float symmetry of mirrored cells)
-    # count as tied
-    tol = 1e-12 * (1.0 + abs(float(top)))
+    # count as tied; the floor is relative to the top, so that the count
+    # does not depend on the field's units
+    tol = 1e-12 * abs(float(top))
     distinct = 1 + int(np.count_nonzero(drops > tol))
     block = max(K / distinct, float(min_block))
     divisor = 1 if block < 1.5 else int(np.ceil(2.0 * block))

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 
@@ -320,6 +321,31 @@ class TestReportEmission:
         s, lhs, rhs = (float(v) for v in lines[-1].split(","))
         assert s == 1.0
 
+    def test_expr_field_is_the_canonical_form(self, tmp_path):
+        """An --expr field's report label is its canonical serialized form."""
+        out = tmp_path / "r.json"
+        assert main(["--expr", "tanh(x1 + 0.5*x2)", "--dim", "2", "--grid", "32",
+                     "--checks", "uno", "--out", str(out)]) == 0
+        assert read_report(out)["checks"][0]["field"] == "tanh(x1+0.5*x2)"
+
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    def test_files_take_the_umask(self, tmp_path, umask, mode):
+        """The report and the curves get the mode the umask gives, not the
+        0600 of a mkstemp temp file that the rename would keep."""
+        out, curves = tmp_path / "r.json", tmp_path / "curves"
+        old = os.umask(umask)
+        try:
+            code = main(["--builtin", "coordinate", "--grid", "64", "--checks", "uno,dos",
+                         "--out", str(out), "--curves", str(curves)])
+        finally:
+            os.umask(old)
+        assert code == 0
+        files = [out, *curves.iterdir()]
+        assert len(files) == 3
+        assert [stat.S_IMODE(os.stat(f).st_mode) for f in files] == [mode] * 3
+        assert sorted(os.listdir(tmp_path)) == ["curves", "r.json"]
+
     # signed zero, the smallest subnormal and normal, the largest power of
     # ten, a non-terminating decimal, integral floats, and non-finites
     CSV_VALUES = [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1, 1.0, -3.0, 2.0**60,
@@ -517,23 +543,61 @@ class TestGridSampling:
         assert out.stdout.splitlines()[-2:] == ["[0, 0, 0]", "False"]
         assert [len(read_report(o)["checks"]) for o in outs] == [22, 11, 2]
 
-    def test_builtin_run_does_not_import_the_parser(self, tmp_path):
-        """fields imports the expression parser only to parse an expression:
-        13-17 ms of a builtin run where no bytecode is cached."""
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        runs = [["--builtin", "mixture", "--dim", "2", "--grid", "32", "--checks", "uno,dos"],
-                ["--expr", "tanh(x1 + 0.5*x2)", "--dim", "2", "--grid", "32", "--checks", "uno,dos"]]
-        outs = [str(tmp_path / f"r{i}.json") for i in range(len(runs))]
-        code = ("import sys; from gausym.cli import main; "
-                f"codes = [main({runs[0]!r} + ['--out', {outs[0]!r}])]; "
-                "loaded = 'gausym.expr' in sys.modules; "
-                f"codes.append(main({runs[1]!r} + ['--out', {outs[1]!r}])); "
-                "print(codes, loaded)")
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True)
-        assert out.stdout.splitlines()[-1] == "[0, 0] False"
-        assert read_report(outs[1])["checks"][0]["field"] == "tanh(x1+0.5*x2)"
+
+class TestConsoleScript:
+    """``entry``, the installed console script, exits with ``os._exit``
+    once stdout and stderr are flushed: in a child process every line
+    still arrives through a pipe, with main's exit code."""
+
+    ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__))),
+         os.environ.get("PYTHONPATH", "")])}
+    SCRIPT = [sys.executable, "-c", "from gausym.cli import entry; entry()"]
+
+    @pytest.mark.parametrize("argv,code", [
+        (["--builtin", "coordinate", "--grid", "64", "--checks", "uno,dos"], 0),
+        (["--builtin", "coordinate", "--checks", "orlicz", "--tol", "1e-18"], 1),
+        (["--builtin", "coordinate", "--grid", "1"], 2),
+        (["--expr", "abs(x1)", "--checks", "dos"], 3),
+    ], ids=["pass", "fail", "bad-config", "runtime-error"])
+    def test_lines_and_code_match_main(self, tmp_path, capsys, argv, code):
+        argv = [*argv, "--out", str(tmp_path / "r.json")]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        child = subprocess.run(self.SCRIPT + argv, env=self.ENV, capture_output=True, text=True)
+        assert (child.returncode, child.stdout, child.stderr) == (code, captured.out, captured.err)
+
+    @staticmethod
+    def run_with_reader_gone(argv, stream, env):
+        """The console script on ``argv`` with ``stream`` a pipe whose
+        read end is closed; the other stream is captured."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, stream: write_end}
+        try:
+            return subprocess.run(TestConsoleScript.SCRIPT + argv, env=env, text=True, **pipes)
+        finally:
+            os.close(write_end)
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_is_three(self, tmp_path, unbuffered):
+        """Stdout whose reader is gone fails main's last lines, in main
+        when unbuffered, else in the final flush: exit 3 with a runtime
+        error line, not Python's "Exception ignored" and exit 120."""
+        out = tmp_path / "r.json"
+        child = self.run_with_reader_gone(
+            ["--builtin", "coordinate", "--grid", "64", "--checks", "uno", "--out", str(out)],
+            "stdout", {**self.ENV, "PYTHONUNBUFFERED": unbuffered})
+        assert child.returncode == 3
+        assert child.stderr.startswith("runtime error: cannot write output: ")
+        assert "Traceback" not in child.stderr and "Exception ignored" not in child.stderr
+        assert read_report(out)["checks"][0]["pass"] is True
+
+    def test_closed_stderr_is_three(self):
+        """An error line that cannot reach stderr exits 3, silently."""
+        child = self.run_with_reader_gone(["--builtin", "coordinate", "--grid", "1"], "stderr",
+                                          self.ENV)
+        assert (child.returncode, child.stdout) == (3, "")
 
 
 class TestTracerHooks:

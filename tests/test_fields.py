@@ -16,11 +16,13 @@ from gausym import (
     describe_field,
     equal_measure_grid,
     parse_field,
+    run_checks,
 )
 from gausym.expr import (
     DERIVATIVES, FUNCTIONS, Bin, Call, Neg, Num, Var, parse_expression, serialize,
 )
 from gausym.fields import partials_norm
+from gausym.verify import CHECKS
 
 from conftest import (
     FD_STEP,
@@ -106,6 +108,88 @@ class TestBuiltins:
         analytic = jet_at(field, pts)[1]
         err = np.abs(analytic - central_differences(field, pts))
         assert np.all(err <= 1e-5 * (1.0 + np.abs(analytic)))
+
+
+# Reference jets: each builtin in closed form, axis by axis, with its
+# default parameters.  Each builtin is its expression template through
+# the parser's jet, which these check.
+def _axis_sum(terms):
+    """The terms added in axis order, broadcasting."""
+    return sum(terms[1:], terms[0])
+
+
+def _coordinate_jet(xs):
+    return xs[0], (1.0,) + (0.0,) * (len(xs) - 1)
+
+
+def _halfspace_jet(xs, a=0.0, width=0.25):
+    u = np.tanh((xs[0] - a) / width)
+    return 0.5 * (1.0 - u), (-0.5 * (1.0 - u * u) / width,) + (0.0,) * (len(xs) - 1)
+
+
+def _gaussian_bump_jet(xs, c=1.0):
+    v = np.exp(-c * _axis_sum([x * x for x in xs]))
+    return v, tuple(-2.0 * c * x * v for x in xs)
+
+
+def _mixture_jet(xs, w1=1.0, w2=0.6, c1=1.0, c2=2.0, m=1.2):
+    # offsets from the two centers: they differ on the first axis only
+    d1 = (xs[0] - m, *xs[1:])
+    d2 = (xs[0] + m, *xs[1:])
+    g1 = np.exp(-c1 * _axis_sum([d * d for d in d1]))
+    g2 = np.exp(-c2 * _axis_sum([d * d for d in d2]))
+    grad = tuple(-2.0 * c1 * w1 * a * g1 - 2.0 * c2 * w2 * b * g2 for a, b in zip(d1, d2))
+    return w1 * g1 + w2 * g2, grad
+
+
+def _poly_tanh_jet(xs, a=1.0, b=0.3):
+    w = 0.5 ** np.arange(len(xs))
+    u = _axis_sum([xs[0]] + [wk * x for wk, x in zip(w[1:], xs[1:])])
+    t = np.tanh(a * u + b * (u * u * u))
+    g = (1.0 - t * t) * (a + 3.0 * b * u * u)
+    return t, (g, *(g * wk for wk in w[1:]))
+
+
+def _monotone1d_jet(xs, a=1.0):
+    v = np.exp(-a * xs[0])
+    return v, (-a * v,) + (0.0,) * (len(xs) - 1)
+
+
+# builtin -> (reference jet, largest relative move of (|grad f|)* from it:
+# 0 where the template's order of operations is the reference's)
+REFERENCE_JETS = {
+    "coordinate": (_coordinate_jet, 0.0),
+    "halfspace_indicator_smooth": (_halfspace_jet, 0.0),
+    "gaussian_bump": (_gaussian_bump_jet, 0.0),
+    "mixture": (_mixture_jet, 4e-13),  # 2.1e-13 measured
+    "poly_tanh": (_poly_tanh_jet, 1e-15),  # 6.3e-16 measured
+    "monotone1d": (_monotone1d_jet, 0.0),
+}
+
+
+class TestReferenceJets:
+    """Each builtin against its closed-form reference, with all seven
+    checks: f* bit for bit, (|grad f|)* bit for bit or within the bound
+    of a different order of operations, m_d and every verdict equal."""
+
+    @pytest.mark.parametrize("name", corpus_names())
+    @pytest.mark.parametrize("dim,N", [(1, 4096), (2, 256), (3, 40)])
+    def test_builtin_matches_reference(self, name, dim, N):
+        assert sorted(REFERENCE_JETS) == corpus_names()
+        jet, bound = REFERENCE_JETS[name]
+        grid = equal_measure_grid(dim, N)
+        field = builtin_field(name, dim=dim)
+        got, want = (analyze(f, grid, 1024) for f in (field, ScalarField(dim, field.label, jet)))
+        assert_same_bits(got.p.values, want.p.values)
+        a, b = got.grad_prof.values, want.grad_prof.values
+        if bound == 0.0:
+            assert_same_bits(a, b)
+        else:
+            np.testing.assert_allclose(a, b, rtol=bound, atol=0.0)
+        assert got.m_d == want.m_d
+        verdicts = [[r.passed for r in run_checks(x, list(CHECKS), intervals=[(0.1, 0.2)])]
+                    for x in (got, want)]
+        assert verdicts[0] == verdicts[1] and len(verdicts[0]) == 22
 
 
 class TestParser:

@@ -218,6 +218,30 @@ class TestMazyaTalenti:
                     assert rearrange.derivative_bin_count(drops, values[0], 4096, K // N) == a.m_d
 
 
+class TestDerivativeBinsAreUnitFree:
+    """The tie floor of derivative_bin_count is relative to f*'s top, so
+    m_d does not depend on the field's units: an absolute floor took
+    every level of a field far below 1 for a tie."""
+
+    @pytest.mark.parametrize("text", ["x1", "1e-6*x1", "1e-13*x1", "1e-170*x1"])
+    def test_linear_fields_of_any_size(self, text):
+        a = analyze(parse_field(text, 1), equal_measure_grid(1, 4096), 4096, ["uno"])
+        assert a.m_d == 1024
+
+    @pytest.mark.parametrize("text,dim,N", [
+        ("tanh(x1 + 0.3*x1^3)", 1, 4096),
+        ("exp(-x1^2)*cos(x2) + 0.1*x1", 2, 128),
+        ("tanh(x1 + 0.5*x2*x3) + 0.3*sin(x2)", 3, 25),
+    ])
+    def test_power_of_two_scaling(self, text, dim, N):
+        # 2^k * f scales every level and drop exactly
+        grid = equal_measure_grid(dim, N)
+        m_d = analyze(parse_field(text, dim), grid, 4096, ["uno"]).m_d
+        for k in (-200, -40, 40, 200):
+            scaled = parse_field(f"{2.0 ** k!r}*({text})", dim)
+            assert analyze(scaled, grid, 4096, ["uno"]).m_d == m_d, k
+
+
 class TestIntervalBound:
     COORD_2K = analyze(COORD, equal_measure_grid(1, 2048), 2048)
 
