@@ -23,6 +23,7 @@ from .rearrange import PASS_BLOCK, Profile
 EXPSQ_DEFAULT_CAP = 20.0
 HINGE_GRID_SIZE = 256
 _TINY = float(np.finfo(float).tiny)  # smallest normal double
+_TINY_SUM = 2.0 ** -500  # an Lp power sum below this may have lost terms to underflow
 _MAX_PASSES = 100  # Luxemburg refinement; typical profiles take five to ten
 _REL_TOL = 1e-10  # relative width at which the Luxemburg bracket stops
 _COARSE_STEP = 64  # knots apart in the coarse profiles of a Luxemburg bracket
@@ -270,8 +271,11 @@ def _luxemburg(p: Profile, A: YoungFunction) -> float:
 
     def log_theta(lam: float) -> float:
         np.multiply(values, 1.0 / lam, out=scaled)
+        # weighted in place and summed pairwise: np.dot would hand the sum
+        # to BLAS, whose bits depend on its thread count
         with np.errstate(over="ignore"):
-            theta = float(np.dot(A(scaled, out=scaled), widths))
+            np.multiply(A(scaled, out=scaled), widths, out=scaled)
+            theta = float(np.sum(scaled))
         return math.log(theta) if theta > 0.0 else -math.inf
 
     bracket = None
@@ -374,10 +378,20 @@ def _walk_bracket(sup: float, log_theta):
     return lo, y_lo, hi, y_hi, last_lo
 
 
+def _power_sum(values: np.ndarray, widths: np.ndarray, power: float) -> float:
+    """Sum of values^power * widths, the products in place: one
+    profile-sized temporary."""
+    terms = values ** power
+    terms *= widths
+    return float(np.sum(terms))
+
+
 def ri_norm(p: Profile, X: RINorm) -> float:
     """Evaluate a rearrangement-invariant norm of a profile.
 
-    Lp by exact piecewise quadrature (L-inf is the top value), the
+    Lp by exact piecewise quadrature (L-inf is the top value; a power
+    sum that over- or underflows is taken again on the values scaled by
+    a power of two, exactly, as ``fields.partials_norm`` does), the
     Lorentz lambda-norm integrates the profile against d(s^(1/p)), the
     Marcinkiewicz norm takes the exact sup of t^(1/p-1) * integral over
     (0,t] (attained at knots: on each piece that function is a sum of a
@@ -389,10 +403,16 @@ def ri_norm(p: Profile, X: RINorm) -> float:
     if X.kind == "lp":
         if math.isinf(X.param):
             return p.sup
-        # products in place: one profile-sized temporary per norm
-        terms = p.values ** X.param
-        terms *= p.widths
-        return float(np.sum(terms) ** (1.0 / X.param))
+        with np.errstate(over="ignore", under="ignore"):
+            total = _power_sum(p.values, p.widths, X.param)
+            if total == math.inf or (total < _TINY_SUM and p.sup > 0.0):
+                # a power over- or underflowed: again on the values scaled
+                # by a power of two (exactly) to a top in [1/2, 1)
+                exponent = math.frexp(p.sup)[1]
+                scaled = np.ldexp(p.values, -exponent)
+                total = _power_sum(scaled, p.widths, X.param)
+                return math.ldexp(total ** (1.0 / X.param), exponent)
+        return float(total ** (1.0 / X.param))
     if X.kind == "lorentz":
         # the powered knots differenced in place: one temporary per norm
         powered = p.knots ** (1.0 / X.param)

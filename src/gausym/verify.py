@@ -31,13 +31,12 @@ and ``grad_prof`` and their shared read-only knots k/K, 24 bytes a cell:
   ``derivative_bin_count`` counts the levels from them, and with ``mt``
   one in-place partition of them gives the median positive drop that
   ``mt``'s fold reads, ``mt_median_drop``, the one float kept of them.
-- The sampled |grad f| is sorted in place, on a second thread, once
-  nothing reads it in cell order any more (after ``mt``'s level sums):
-  numpy's sort releases the GIL, so it runs while the surrogate is
-  built, and it is joined however that ends.  Only max |grad f| is kept
-  of the unsorted gradient.  Both profiles are built without
-  ``Profile``'s validating re-scans (``Profile._trusted``): their arrays
-  were just sorted and checked finite.
+- The sampled |grad f| is sorted in place once nothing reads it in
+  cell order any more (after ``mt``'s level sums), before the surrogate
+  is built: the analysis runs on the calling thread alone.  Only max
+  |grad f| is kept of the unsorted gradient.  Both profiles are built
+  without ``Profile``'s validating re-scans (``Profile._trusted``):
+  their arrays were just sorted and checked finite.
 - Each cumulative, of |grad f| in level order, of the surrogate and of
   (|grad f|)*, is one running sum taken ``PASS_BLOCK`` elements at a
   time (``rearrange.running_sum_at``), read only at the points the
@@ -68,9 +67,7 @@ diverge toward the endpoints).  Tolerances double for non-smooth fields.
 from __future__ import annotations
 
 import math
-import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
 from typing import Optional, Sequence
@@ -188,11 +185,10 @@ class Analysis:
         reads = edges if self.mt_edges is None else np.concatenate((edges, mt_reads))
         # the last knot adds no drop, so the surrogate there is that at K-1
         at = np.clip(np.searchsorted(knots, reads, side="right") - 1, 0, K - 1)
-        # nothing reads |grad f| in cell order any more: sort it meanwhile
+        # nothing reads |grad f| in cell order any more: sort it in place
         np.negative(grads, out=grads)
-        with _meanwhile(lambda: _sort_negated(grads)):  # sorts in place
-            surr_cum = _surrogate_at(self.p, self.m_d, at)
-        self.grad_prof = Profile._trusted(knots, grads)
+        self.grad_prof = Profile._trusted(knots, _sort_negated(grads))
+        surr_cum = _surrogate_at(self.p, self.m_d, at)
         self.grad_cum = _read_only(self.grad_prof.cumulative(self.t_grid))
         self.surr = _read_only(np.diff(surr_cum[:self.m_d + 1]) * self.m_d)
         if self.mt_edges is not None:
@@ -272,31 +268,6 @@ def _sort_negated(neg: np.ndarray, order: Optional[np.ndarray] = None) -> np.nda
     np.negative(neg, out=neg)
     neg.setflags(write=False)
     return neg
-
-
-@contextmanager
-def _meanwhile(task):
-    """Run ``task()`` on a second thread while the body of the with block
-    runs (numpy's sort releases the GIL).  The thread is joined on leaving
-    the block, however it is left, and what ``task`` raised is raised
-    then.  A bare thread: importing ``concurrent.futures`` would add about
-    6 ms to every run."""
-    raised = []
-
-    def run():
-        try:
-            task()
-        except BaseException as exc:  # re-raised on the calling thread
-            raised.append(exc)
-
-    thread = threading.Thread(target=run, name="gausym-meanwhile")
-    thread.start()
-    try:
-        yield
-    finally:
-        thread.join()
-    if raised:
-        raise raised[0]
 
 
 def _surrogate_at(p: Profile, m_d: int, at: np.ndarray) -> np.ndarray:

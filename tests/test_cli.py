@@ -165,6 +165,16 @@ class TestExitCodes:
         assert capsys.readouterr().err == ""
         assert all(entry["pass"] for entry in strict_report(out)["checks"])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("text", ["2^600*x1", "1e300*x1"])
+    def test_overflowing_lp_powers_pass(self, tmp_path, capsys, text):
+        """The Lp norms of a field whose values' powers overflow are
+        finite: no inf - inf margin, no warning and no exit 3."""
+        out = tmp_path / "r.json"
+        assert main(["--expr", text, "--grid", "64", "--checks", "norm", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert all(entry["pass"] for entry in strict_report(out)["checks"])
+
     def test_non_finite_report_is_three(self, tmp_path, capsys, monkeypatch):
         uno = verify.CHECKS["uno"]
         monkeypatch.setitem(verify.CHECKS, "uno", lambda *args, **kwargs: [

@@ -19,6 +19,7 @@ from gausym import (
     lebesgue_rearrangement,
     majorizes,
     orlicz_integral,
+    parse_field,
     parse_norm,
     ri_norm,
 )
@@ -300,6 +301,26 @@ class TestRiNorm:
         for X in DEFAULT_NORM_FAMILY:
             rel = 1e-9 if X.kind == "orlicz" else 1e-12
             assert ri_norm(q, X) == pytest.approx(2.5 * ri_norm(p, X), rel=rel)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [600, -600])
+    def test_lp_of_huge_and_tiny_profiles(self, k):
+        """The Lp norms of 2^k * x1 are 2^k times those of x1, also where
+        the powers of the values over- or underflow (lp:2 and lp:4 gave
+        inf at k = 600, 0.0 at k = -600).  An unscaled power sum S near
+        2^(kp) errs in S ** (1/p) by up to |k| ln 2 eps relative, the
+        rounding of 1/p times ln(S) / p: 2.3e-14 measured for lp:1.5 at
+        k = 600.  The rescaled sums err by an ulp or two."""
+        grid = equal_measure_grid(1, 64)
+        base = analyze(parse_field("x1", 1), grid, 512, ["norm"])
+        scaled = analyze(parse_field(f"2^{k}*x1", 1), grid, 512, ["norm"])
+        bound = abs(k) * math.log(2.0) * 2.0 ** -53 + 1e-15
+        for name in ("surr_prof", "grad_prof"):
+            for q in (1.0, 1.5, 2.0, 4.0, math.inf):
+                X = RINorm("lp", q)
+                expected = math.ldexp(ri_norm(getattr(base, name), X), k)
+                got = ri_norm(getattr(scaled, name), X)
+                assert got == pytest.approx(expected, rel=bound, abs=0.0), (name, X.label)
 
     def test_zero_profile(self):
         zero = Profile.constant(0.0)

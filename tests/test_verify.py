@@ -28,7 +28,7 @@ from gausym import (
     parse_norm,
     run_checks,
 )
-from gausym import expr, rearrange, verify
+from gausym import expr, majorize, rearrange, verify
 from gausym.fields import ScalarField, corpus_names
 from gausym.gaussian import BLOCK_CELLS, iso_profile
 from gausym.rearrange import PASS_BLOCK
@@ -592,7 +592,8 @@ class TestAnalysisSorts:
 
 class TestSharedGradientCumulative:
     """The analysis reads (|grad f|)*'s cumulative at the t-grid once, and
-    sorts |grad f| on a second thread while it builds the surrogate."""
+    sorts |grad f| in place on the calling thread before it builds the
+    surrogate."""
 
     def test_kept_cumulative_is_the_rhs_of_uno_and_dos(self):
         a = analyze(builtin_field("mixture", dim=2), equal_measure_grid(2, 96), 512)
@@ -640,12 +641,28 @@ class TestSharedGradientCumulative:
             analyze(field, grid, 512)
         assert threading.active_count() == before
 
-    def test_background_failure_raised_on_the_caller(self):
-        before, ran = threading.active_count(), []
-        with pytest.raises(ZeroDivisionError):
-            with verify._meanwhile(lambda: 1 / 0):
-                ran.append(True)
-        assert ran and threading.active_count() == before
+    def test_one_thread_and_no_blas(self, monkeypatch):
+        """Every check runs on the calling thread and sums without BLAS,
+        whose bits depend on its thread count.  The 65536-piece gradient
+        profile of 2-d mixture at N = 256 takes the Luxemburg bracket from
+        coarse profiles."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread or a BLAS call")
+
+        brackets, coarse_bracket = [], majorize._coarse_bracket
+
+        def counting(p, *args):
+            brackets.append(p.num_pieces)
+            return coarse_bracket(p, *args)
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        monkeypatch.setattr(np, "dot", refuse)
+        monkeypatch.setattr(majorize, "_coarse_bracket", counting)
+        a = analyze(builtin_field("mixture", dim=2), equal_measure_grid(2, 256), 1024)
+        rows = run_checks(a, list(CHECKS), intervals=[(0.1, 0.9)])
+        assert rows and all(row.passed for row in rows)
+        assert 256 * 256 in brackets
 
 
 class TestBlockedSampling:
