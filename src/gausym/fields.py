@@ -185,9 +185,9 @@ def builtin_field(name: str, params: Optional[dict] = None, dim: int = 1) -> Sca
     template, defaults, positive, _ = _builtin(name)
     p = _merge_params(name, defaults, params)
     if "axis" in p:
+        if not (p["axis"].is_integer() and 1 <= p["axis"] <= dim):
+            raise InvalidParameterError(f"axis must be an integer in 1..{dim}, got {p['axis']!r}")
         p["axis"] = int(p["axis"])
-        if not 1 <= p["axis"] <= dim:
-            raise InvalidParameterError(f"axis {p['axis']} out of range for dim {dim}")
     if positive and min(p[k] for k in positive[1:]) <= 0:
         raise InvalidParameterError(f"{positive[0]} must be positive")
     source = template.format(

@@ -108,7 +108,9 @@ class Profile:
         """A profile on arrays its caller has just built, taken as they
         are: read-only ``uniform_knots`` and nonincreasing NaN-free values.
         ``__post_init__`` would scan both again, each time with a
-        temporary of their size; only ``verify.Analysis`` calls this."""
+        temporary of their size.  Only ``verify.Analysis`` calls this, for
+        its four profiles: ``p``, ``grad_prof``, ``surr_prof`` and
+        ``sym_grad_prof``."""
         profile = object.__new__(cls)
         object.__setattr__(profile, "knots", knots)
         object.__setattr__(profile, "values", values)

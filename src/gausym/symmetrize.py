@@ -31,13 +31,13 @@ def symmetrized_derivative(p: Profile, x1, n_bins: int) -> np.ndarray:
     midpoints; its derivative is the interpolant's slope times phi(x1),
     0 outside the outermost slope nodes."""
     means = _bin_means(p, n_bins)
-    # nonincreasing bin means: round-off on the cumulative is clamped
-    slopes = np.minimum((means[1:] - means[:-1]) * n_bins, 0.0)
+    # nonincreasing bin means: round-off on the cumulative is clamped; the
+    # 0.0 at each end is the slope below the first node and from the last
+    slopes = np.zeros(n_bins + 1)
+    np.minimum((means[1:] - means[:-1]) * n_bins, 0.0, out=slopes[1:-1])
     # Slopes are looked up among the nodes' x1 images, not by mapping x1
     # back to s: a point on a node is then the same float as the node,
     # and which slope it takes does not depend on round-off in Phi.
-    idx = np.searchsorted(midpoint_quantiles(n_bins), x1, side="right") - 1
-    inside = (idx >= 0) & (idx < len(slopes))
-    out = np.zeros_like(x1)
-    out[inside] = slopes[idx[inside]] * phi(x1[inside])
+    out = slopes[np.searchsorted(midpoint_quantiles(n_bins), x1, side="right")]
+    out *= phi(x1)
     return out

@@ -34,9 +34,12 @@ and ``grad_prof`` and their shared read-only knots k/K, 24 bytes a cell:
 - The sampled |grad f| is sorted in place once nothing reads it in
   cell order any more (after ``mt``'s level sums), before the surrogate
   is built: the analysis runs on the calling thread alone.  Only max
-  |grad f| is kept of the unsorted gradient.  Both profiles are built
-  without ``Profile``'s validating re-scans (``Profile._trusted``):
-  their arrays were just sorted and checked finite.
+  |grad f| is kept of the unsorted gradient.  Every profile of the
+  analysis, ``p``, ``grad_prof``, ``surr_prof`` and ``sym_grad_prof``,
+  is built the same way: its negated magnitudes sorted in place
+  (``_sort_negated``) and wrapped on read-only equal-width knots without
+  ``Profile``'s validating re-scans (``Profile._trusted``), since the
+  arrays were just sorted and are finite.
 - Each cumulative, of |grad f| in level order, of the surrogate and of
   (|grad f|)*, is one running sum taken ``PASS_BLOCK`` elements at a
   time (``rearrange.running_sum_at``), read only at the points the
@@ -50,7 +53,9 @@ and ``grad_prof`` and their shared read-only knots k/K, 24 bytes a cell:
 
 The symmetrized field's gradient is taken lazily, on first use by
 ``dos`` or ``orlicz``, on the N axis points alone (the field depends on
-x1 only), so its profile has N pieces.
+x1 only), so its profile has N pieces: in 1-d these are f*'s K pieces,
+and the profile shares ``p``'s knots, so it adds only its 8 bytes a cell
+of values.
 
 Each check compares two curves over a common grid on (0, 1) and reports
 the worst signed violation against a tolerance.  The default tolerance
@@ -193,7 +198,7 @@ class Analysis:
         self.surr = _read_only(np.diff(surr_cum[:self.m_d + 1]) * self.m_d)
         if self.mt_edges is not None:
             self.mt_surr_cum = _read_only(surr_cum[self.m_d + 1:])
-        self.surr_prof = Profile(edges, _sort_negated(-self.surr))
+        self.surr_prof = Profile._trusted(edges, _sort_negated(-self.surr))
 
     @cached_property
     def sym_grad_prof(self) -> Profile:
@@ -201,14 +206,17 @@ class Analysis:
 
         The field depends on x1 alone, so its gradient is taken on the N
         axis points, and the profile has N pieces of width 1/N: each
-        sorted value stands for the N^(dim-1) cells of its x1 slab.
+        sorted value stands for the N^(dim-1) cells of its x1 slab.  In
+        1-d those are the grid's cells, on ``p``'s knots.
         A non-smooth field has none: its checks, ``dos`` and ``orlicz``,
         are refused (``NonSmoothFieldError``).
         """
         if not self.field.smooth:
             raise NonSmoothFieldError(f"check needs a smooth field, got {self.field.label!r}")
-        neg = -np.abs(symmetrized_derivative(self.p, self.grid.axis_points, self.m_d))
-        return Profile(uniform_knots(self.grid.cells_per_axis), _sort_negated(neg))
+        neg = symmetrized_derivative(self.p, self.grid.axis_points, self.m_d)
+        np.negative(np.abs(neg, out=neg), out=neg)
+        knots = self.p.knots if self.grid.dim == 1 else uniform_knots(self.grid.cells_per_axis)
+        return Profile._trusted(knots, _sort_negated(neg))
 
     def tolerance(self, override: Optional[float]) -> float:
         if override is not None:
@@ -367,11 +375,7 @@ def check_polya_szego(
 
     Equality mode (for fields already decreasing in x1) bounds |LHS-RHS|.
     """
-    t0 = time.perf_counter()
-    t = analysis.t_grid
-    lhs = analysis.sym_grad_prof.cumulative(t)
-    rhs = analysis.grad_cum
-    return _finish("dos", analysis, t, lhs, rhs, analysis.tolerance(tol), equality, t0)
+    return _against_grad_cum("dos", analysis, "sym_grad_prof", equality, tol)
 
 
 def check_reformulated(
@@ -379,11 +383,18 @@ def check_reformulated(
 ) -> IneqReport:
     """Cumulative comparison of the rearranged surrogate (-f*)' * I against
     the rearranged gradient: LHS(t) <= RHS(t) on the t-grid."""
+    return _against_grad_cum("uno", analysis, "surr_prof", equality, tol)
+
+
+def _against_grad_cum(name: str, analysis: Analysis, profile: str, equality: bool, tol):
+    """The cumulative at the t-grid of the analysis' profile named
+    ``profile`` against ``grad_cum``; the profile is read inside the timed
+    span, so a lazy one (``sym_grad_prof``) is built there."""
     t0 = time.perf_counter()
     t = analysis.t_grid
-    lhs = analysis.surr_prof.cumulative(t)
+    lhs = getattr(analysis, profile).cumulative(t)
     rhs = analysis.grad_cum
-    return _finish("uno", analysis, t, lhs, rhs, analysis.tolerance(tol), equality, t0)
+    return _finish(name, analysis, t, lhs, rhs, analysis.tolerance(tol), equality, t0)
 
 
 def check_norm_inequality(

@@ -99,6 +99,13 @@ class TestConfigErrors:
         assert main(["--builtin", "gaussian_bump", "--param", "c=-2"]) == 2
         assert main(["--builtin", "gaussian_bump", "--param", "c"]) == 2
 
+    def test_non_integer_axis(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        argv = ["--builtin", "coordinate", "--param", "axis=1.5", "--dim", "2", "--grid", "16"]
+        assert main([*argv, "--checks", "uno", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: axis must be an integer in 1..2, got 1.5\n"
+        assert not out.exists()
+
     def test_bad_norm_spec(self, capsys):
         assert main(["--expr", "x1", "--checks", "norm", "--norms", "lp:0"]) == 2
 

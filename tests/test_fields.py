@@ -94,6 +94,12 @@ class TestBuiltins:
         with pytest.raises(InvalidParameterError):
             builtin_field("monotone1d", {"bogus": 1.0})
 
+    @pytest.mark.parametrize("axis", [1.5, 0.9, 2.0000000000000004])
+    def test_non_integer_axis_refused(self, axis):
+        # int() truncated it: 1.5 ran coordinate(axis=1), 0.9 read "axis 0"
+        with pytest.raises(InvalidParameterError, match=rf"got {axis!r}$"):
+            builtin_field("coordinate", {"axis": axis}, dim=2)
+
     def test_describe(self):
         text = describe_field("coordinate")
         assert "identically 1" in text

@@ -16,8 +16,9 @@ from gausym import (
 )
 
 from gausym import rearrange
+from gausym.gaussian import midpoint_quantiles, phi
 from gausym.rearrange import PASS_BLOCK, uniform_knots
-from gausym.symmetrize import _bin_means
+from gausym.symmetrize import _bin_means, symmetrized_derivative
 
 from conftest import (
     assert_same_bits,
@@ -200,3 +201,35 @@ class TestBinMeans:
         p = Profile(knots, np.sort(rng.normal(size=40))[::-1])
         for n_bins in range(1, 90):
             assert_same_bits(_bin_means(p, n_bins), self._reference(p, n_bins))
+
+
+class TestSymmetrizedDerivative:
+    """One gather from the slopes padded with 0.0 at each end, times
+    phi(x1); the masked gather and scatter stays here as the reference."""
+
+    @staticmethod
+    def _reference(p, x1, n_bins):
+        means = _bin_means(p, n_bins)
+        slopes = np.minimum((means[1:] - means[:-1]) * n_bins, 0.0)
+        idx = np.searchsorted(midpoint_quantiles(n_bins), x1, side="right") - 1
+        inside = (idx >= 0) & (idx < len(slopes))
+        out = np.zeros_like(x1)
+        out[inside] = slopes[idx[inside]] * phi(x1[inside])
+        return out
+
+    @pytest.mark.parametrize("n_bins", [1, 2, 3, 8, 255, 1024])
+    @pytest.mark.parametrize("name", ["mixture", "poly_tanh", "halfspace_indicator_smooth"])
+    def test_matches_masked_formula(self, name, n_bins):
+        p = rearrangement(builtin_field(name), equal_measure_grid(1, 1024))
+        nodes = midpoint_quantiles(n_bins)
+        x1 = np.concatenate((
+            nodes[0] - np.array([6.0, 1.0, 1e-9]),  # below the first node
+            nodes,  # on each node, the last one included
+            np.nextafter(nodes, -np.inf),  # one ulp left of each node
+            (nodes[1:] + nodes[:-1]) / 2.0,  # between nodes
+            nodes[-1] + np.array([1e-9, 1.0, 6.0]),  # after the last node
+        ))
+        got = symmetrized_derivative(p, x1, n_bins)
+        assert_same_bits(got, self._reference(p, x1, n_bins))
+        # on row coordinates, as a field's jet passes them
+        assert_same_bits(symmetrized_derivative(p, x1[:, None], n_bins), got[:, None])

@@ -51,6 +51,8 @@ def gradient_norms(field, pts) -> np.ndarray:
 
 
 GRID_1K = equal_measure_grid(1, 1024)
+# (dim, per-axis cell counts) that each builtin is analysed on in a scan
+BUILTIN_SCAN = [(1, (64, 1001, 4096)), (2, (32, 63, 128)), (3, (12, 25))]
 COORD = builtin_field("coordinate")
 CONST = parse_field("2.0", 1)
 
@@ -203,7 +205,7 @@ class TestMazyaTalenti:
         """m_d, counted from the drops the analysis takes once, equals the
         count of levels more than an ulp-scaled tolerance apart on the
         whole profile, and derivative_bin_count gives it from those drops."""
-        for dim, Ns in [(1, (64, 1001, 4096)), (2, (32, 63, 128)), (3, (12, 25))]:
+        for dim, Ns in BUILTIN_SCAN:
             for name in corpus_names():
                 for N in Ns:
                     grid = equal_measure_grid(dim, N)
@@ -719,6 +721,22 @@ class TestBlockedSampling:
         assert not a.p.knots.flags.writeable
         assert_same_bits(a.p.knots, np.arange(64**2 + 1) / 64**2)
 
+    def test_profiles_pass_validation_unchanged_on_the_builtin_scan(self):
+        """The analysis builds every profile without Profile's validating
+        re-scan, so each must already be what validation would leave:
+        read-only, NaN-free, nonincreasing on knots from 0 to 1."""
+        for dim, Ns in BUILTIN_SCAN:
+            for name in corpus_names():
+                for N in Ns:
+                    a = analyze(builtin_field(name, dim=dim), equal_measure_grid(dim, N), 4096,
+                                ["uno", "dos"])
+                    for prof in (a.p, a.grad_prof, a.surr_prof, a.sym_grad_prof):
+                        assert not prof.knots.flags.writeable
+                        assert not prof.values.flags.writeable
+                        assert not np.any(np.isnan(prof.values)), (name, dim, N)
+                        checked = Profile(prof.knots, prof.values)
+                        assert checked.knots is prof.knots and checked.values is prof.values
+
     def test_first_bad_point_named_across_blocks(self):
         B = BLOCK_CELLS
         grid = equal_measure_grid(1, B + 3)
@@ -756,7 +774,8 @@ class TestBlockedSampling:
         (lambda: builtin_field("mixture", dim=2), 2, 512, ALL, 35, 44),
         (lambda: builtin_field("poly_tanh"), 1, 2**18, ("uno", "norm", "mt", "interval"),
          35, 44),
-    ], ids=["expr-3d", "mixture-2d", "poly-tanh-1d"])
+        (lambda: builtin_field("poly_tanh"), 1, 2**18, ("uno", "dos", "orlicz"), 33, 50),
+    ], ids=["expr-3d", "mixture-2d", "poly-tanh-1d", "poly-tanh-1d-sym"])
     def test_peak_memory_per_cell(self, make, dim, N, checks, kept_bound, peak_bound):
         """The analysis together with its checks stays within these bytes
         of numpy allocations per cell.  Keeping the unsorted |f| and
@@ -772,7 +791,10 @@ class TestBlockedSampling:
         Powering the Marcinkiewicz norm's knots as one whole-profile
         temporary, it peaked at 49.4 on poly-tanh-1d.  Rebuilding f*'s
         single-cell drops inside mt for their median, it peaked at 49.2 on
-        mixture-2d and 46.4 on poly-tanh-1d."""
+        mixture-2d and 46.4 on poly-tanh-1d.  Building the symmetrized
+        gradient on knots of its own, through a masked gather and scatter
+        and the validating Profile(), it kept 41.0 and peaked at 74.0 on
+        poly-tanh-1d-sym."""
         field, grid = make(), equal_measure_grid(dim, N)
         tracemalloc.start()
         try:
@@ -787,13 +809,16 @@ class TestBlockedSampling:
 
     def test_dos_and_orlicz_leave_no_grid_sized_cache(self):
         """No profile of the analysis caches an array of the grid's size
-        (the cumulative reads a running sum, not a kept prefix)."""
-        grid = equal_measure_grid(2, 128)
-        a = analyze(builtin_field("mixture", dim=2), grid, 512)
-        run_checks(a, ["dos", "orlicz"])
-        for prof in (a.p, a.grad_prof, a.surr_prof, a.sym_grad_prof):
-            cached = {
-                name for name, v in vars(prof).items()
-                if name not in ("knots", "values") and np.size(v) >= grid.num_cells
-            }
-            assert not cached
+        (the cumulative reads a running sum, not a kept prefix), and in
+        1-d the symmetrized gradient's N pieces sit on f*'s knots."""
+        for dim, N in [(2, 128), (1, 16384)]:
+            grid = equal_measure_grid(dim, N)
+            a = analyze(builtin_field("mixture", dim=dim), grid, 512)
+            run_checks(a, ["dos", "orlicz"])
+            assert (a.sym_grad_prof.knots is a.p.knots) == (dim == 1)
+            for prof in (a.p, a.grad_prof, a.surr_prof, a.sym_grad_prof):
+                cached = {
+                    name for name, v in vars(prof).items()
+                    if name not in ("knots", "values") and np.size(v) >= grid.num_cells
+                }
+                assert not cached
