@@ -189,7 +189,12 @@ def phi(x):
     Accepts scalars or arrays; returns the matching shape.
     """
     arr, scalar = _as_float_array(x)
-    out = np.exp(-0.5 * arr * arr) / SQRT_2PI
+    # in place on one array; scaling by -0.5 is exact, so these are the
+    # bits of exp(-0.5 * arr * arr) / SQRT_2PI
+    out = np.multiply(arr, arr, out=np.empty_like(arr))
+    out *= -0.5
+    np.exp(out, out=out)
+    out /= SQRT_2PI
     return _scalar_or_array(out, scalar)
 
 

@@ -196,7 +196,7 @@ def hinge_integrals(p: Profile, c_grid) -> np.ndarray:
     knot k minus c times that knot: O(K + C log K), no C x K temporary.
     """
     c = np.asarray(c_grid, dtype=float)
-    knot = p.knots[np.searchsorted(-p.values, -c, side="left")]
+    knot = p.knot(np.searchsorted(-p.values, -c, side="left"))
     return p.cumulative(knot) - c * knot
 
 
@@ -327,7 +327,7 @@ def _coarse_bracket(p: Profile, A: YoungFunction, log_theta):
     """
     K = p.num_pieces
     first = np.arange(0, K, _COARSE_STEP)
-    knots = np.append(p.knots[first], 1.0)
+    knots = np.append(p.knot(first), 1.0)
     last = np.append(first[1:] - 1, K - 1)
     lo = _luxemburg(Profile(knots, p.values[last]), A) * (1.0 - _REL_TOL)
     if not lo >= _TINY:
@@ -414,9 +414,13 @@ def ri_norm(p: Profile, X: RINorm) -> float:
                 return math.ldexp(total ** (1.0 / X.param), exponent)
         return float(total ** (1.0 / X.param))
     if X.kind == "lorentz":
-        # the powered knots differenced in place: one temporary per norm
-        powered = p.knots ** (1.0 / X.param)
-        terms = np.subtract(powered[1:], powered[:-1], out=powered[:-1])
+        # the powered knots differenced a block at a time into one
+        # temporary per norm, then weighted in place
+        terms = np.empty(p.num_pieces)
+        for start in range(0, terms.size, PASS_BLOCK):
+            stop = min(start + PASS_BLOCK, terms.size)
+            powered = p.knot(np.arange(start, stop + 1)) ** (1.0 / X.param)
+            np.subtract(powered[1:], powered[:-1], out=terms[start:stop])
         terms *= p.values
         return float(np.sum(terms))
     if X.kind == "marcinkiewicz":
@@ -424,10 +428,10 @@ def ri_norm(p: Profile, X: RINorm) -> float:
         # the powered knots a block at a time (one temporary per norm)
         terms = p.values * p.widths
         np.cumsum(terms, out=terms)
-        knots, power = p.knots, 1.0 / X.param - 1.0
+        power = 1.0 / X.param - 1.0
         for start in range(0, terms.size, PASS_BLOCK):
-            stop = start + PASS_BLOCK
-            terms[start:stop] *= knots[start + 1:stop + 1] ** power
+            stop = min(start + PASS_BLOCK, terms.size)
+            terms[start:stop] *= p.knot(np.arange(start + 1, stop + 1)) ** power
         return float(np.max(terms))
     if X.kind == "orlicz":
         return _luxemburg(p, X.young)

@@ -18,8 +18,8 @@ per-axis coordinates from ``GaussianGrid.rows``.  The jet gives the values
 and partials together, each broadcast only over the axes it depends on,
 and both are broadcast into cell order as they are stored: no array of
 points or partials, and no temporary of the field's jet, spans the whole
-grid.  The analysis keeps three grid-sized arrays, the values of ``p``
-and ``grad_prof`` and their shared read-only knots k/K, 24 bytes a cell:
+grid.  The analysis keeps two grid-sized arrays, the values of ``p``
+and ``grad_prof``, 16 bytes a cell:
 
 - Level order is built only when ``mt`` is among the checks.  Only
   ``mt`` reads the cells in level order (decreasing |f|, ties by cell
@@ -37,25 +37,27 @@ and ``grad_prof`` and their shared read-only knots k/K, 24 bytes a cell:
   |grad f| is kept of the unsorted gradient.  Every profile of the
   analysis, ``p``, ``grad_prof``, ``surr_prof`` and ``sym_grad_prof``,
   is built the same way: its negated magnitudes sorted in place
-  (``_sort_negated``) and wrapped on read-only equal-width knots without
-  ``Profile``'s validating re-scans (``Profile._trusted``), since the
-  arrays were just sorted and are finite.
+  (``_sort_negated``) and taken as an equal-width profile, which keeps
+  no knot or width array, without ``Profile``'s validating re-scans
+  (``Profile.equal_width``), since the arrays were just sorted and are
+  finite.
 - Each cumulative, of |grad f| in level order, of the surrogate and of
-  (|grad f|)*, is one running sum taken ``PASS_BLOCK`` elements at a
-  time (``rearrange.running_sum_at``), read only at the points the
-  checks read, all known when the analysis is built.  The analysis
-  keeps the arrays the checks compare: ``surr``, the surrogate's means
-  on the ``m_d`` derivative bins; ``grad_cum``, (|grad f|)*'s
-  cumulative at the t-grid, the rhs of ``uno`` and ``dos``, built by
-  every analysis; and with ``mt`` ``mt_surr_cum`` and ``mt_grad_cum``,
-  the other two cumulatives at the t-grid and then at ``mt``'s fold
-  edges ``mt_edges``.
+  (|grad f|)*, is one running sum taken in pairwise-summed chunks
+  (``rearrange.running_sum_at``), read only at the points the checks
+  read, all known when the analysis is built; each value read depends
+  on its index alone, not on what else is read.  The analysis keeps
+  the arrays the checks compare: ``surr``, the surrogate's means on
+  the ``m_d`` derivative bins; ``grad_cum``, (|grad f|)*'s cumulative
+  at the t-grid, the rhs of ``uno`` and ``dos``, built by every
+  analysis; with ``mt`` ``mt_surr_cum`` and ``mt_grad_cum``, the other
+  two cumulatives at the t-grid and then at ``mt``'s fold edges
+  ``mt_edges``; and with ``dos`` or ``orlicz`` ``sym_means``, f*'s
+  means on the derivative bins, read off the surrogate's sweep over f*.
 
 The symmetrized field's gradient is taken lazily, on first use by
-``dos`` or ``orlicz``, on the N axis points alone (the field depends on
-x1 only), so its profile has N pieces: in 1-d these are f*'s K pieces,
-and the profile shares ``p``'s knots, so it adds only its 8 bytes a cell
-of values.
+``dos`` or ``orlicz``, from ``sym_means`` on the N axis points alone
+(the field depends on x1 only), so its profile has N pieces: in 1-d
+these are f*'s K pieces, and it adds its 8 bytes a cell of values.
 
 Each check compares two curves over a common grid on (0, 1) and reports
 the worst signed violation against a tolerance.  The default tolerance
@@ -83,7 +85,7 @@ from .errors import DomainError, IntervalError, NonFiniteFieldError, NonSmoothFi
 from .fields import ScalarField, partials_norm
 from .gaussian import BLOCK_CELLS, GaussianGrid, equal_measure_grid, iso_profile
 from .majorize import DEFAULT_NORM_FAMILY, HINGE_GRID_SIZE, RINorm, hinge_integrals, ri_norm
-from .rearrange import Profile, derivative_bin_count, running_sum_at, uniform_knots
+from .rearrange import Profile, derivative_bin_count, running_sum_at, uniform_knots, uniform_piece
 from .symmetrize import symmetrized_derivative
 
 VIOLATION_FLOOR = 1e-12
@@ -128,9 +130,11 @@ class Analysis:
     Build it with ``analyze``; every check reads it and none modifies it.
     ``checks`` names the check tokens it serves (every token by default).
     Of the grid-sized arrays it keeps only the values of ``p`` and
-    ``grad_prof`` and their shared knots.  ``surr`` holds the surrogate's
-    means on the ``m_d`` derivative bins, and ``grad_cum`` the cumulative
-    of ``grad_prof`` at the t-grid, both read-only.  The level order that
+    ``grad_prof``.  ``surr`` holds the surrogate's means on the ``m_d``
+    derivative bins, and ``grad_cum`` the cumulative of ``grad_prof`` at
+    the t-grid, both read-only; with ``dos`` or ``orlicz`` among the
+    checks ``sym_means`` holds f*'s means on the same bins, which the
+    symmetrized gradient reads, and is None otherwise.  The level order that
     only ``mt`` reads is built only when it is among the checks; then
     ``mt_surr_cum`` and ``mt_grad_cum`` hold the surrogate cumulative and
     the integral of |grad f| over the super-level set of measure t, each
@@ -167,9 +171,7 @@ class Analysis:
         # -|f| ascending is |f| decreasing, and its stable order the level order
         np.negative(vals, out=vals)
         order = np.argsort(vals, kind="stable") if "mt" in checks else None
-        # one read-only knot array for both profiles
-        knots = uniform_knots(K)
-        self.p = Profile._trusted(knots, _sort_negated(vals, order))
+        self.p = Profile.equal_width(_sort_negated(vals, order))
         del vals
         # f* is nonincreasing and its zeros are +0.0: every drop is >= +0.0
         drops = self.p.values[:-1] - self.p.values[1:]
@@ -189,16 +191,19 @@ class Analysis:
         edges = uniform_knots(self.m_d)
         reads = edges if self.mt_edges is None else np.concatenate((edges, mt_reads))
         # the last knot adds no drop, so the surrogate there is that at K-1
-        at = np.clip(np.searchsorted(knots, reads, side="right") - 1, 0, K - 1)
+        at = uniform_piece(reads, K, side="right")
         # nothing reads |grad f| in cell order any more: sort it in place
         np.negative(grads, out=grads)
-        self.grad_prof = Profile._trusted(knots, _sort_negated(grads))
-        surr_cum = _surrogate_at(self.p, self.m_d, at)
+        self.grad_prof = Profile.equal_width(_sort_negated(grads))
+        # dos and orlicz read f*'s means on the bins, off the same sweep
+        sym = "dos" in checks or "orlicz" in checks
+        surr_cum, cum = _surrogate_at(self.p, self.m_d, at, edges if sym else None)
+        self.sym_means = None if cum is None else _read_only(np.diff(cum) * self.m_d)
         self.grad_cum = _read_only(self.grad_prof.cumulative(self.t_grid))
         self.surr = _read_only(np.diff(surr_cum[:self.m_d + 1]) * self.m_d)
         if self.mt_edges is not None:
             self.mt_surr_cum = _read_only(surr_cum[self.m_d + 1:])
-        self.surr_prof = Profile._trusted(edges, _sort_negated(-self.surr))
+        self.surr_prof = Profile.equal_width(_sort_negated(-self.surr))
 
     @cached_property
     def sym_grad_prof(self) -> Profile:
@@ -207,25 +212,29 @@ class Analysis:
         The field depends on x1 alone, so its gradient is taken on the N
         axis points, and the profile has N pieces of width 1/N: each
         sorted value stands for the N^(dim-1) cells of its x1 slab.  In
-        1-d those are the grid's cells, on ``p``'s knots.
-        A non-smooth field has none: its checks, ``dos`` and ``orlicz``,
-        are refused (``NonSmoothFieldError``).
+        1-d those are the grid's cells.  It is built from ``sym_means``, so
+        an analysis built without ``dos`` and ``orlicz`` has none
+        (``DomainError``), and a non-smooth field has none: its checks are
+        refused (``NonSmoothFieldError``).
         """
         if not self.field.smooth:
             raise NonSmoothFieldError(f"check needs a smooth field, got {self.field.label!r}")
-        neg = symmetrized_derivative(self.p, self.grid.axis_points, self.m_d)
+        if self.sym_means is None:
+            raise DomainError("checks 'dos' and 'orlicz' need an analysis built with one of them")
+        neg = symmetrized_derivative(self.sym_means, self.grid.axis_points)
         np.negative(np.abs(neg, out=neg), out=neg)
-        knots = self.p.knots if self.grid.dim == 1 else uniform_knots(self.grid.cells_per_axis)
-        return Profile._trusted(knots, _sort_negated(neg))
+        return Profile.equal_width(_sort_negated(neg))
 
     def tolerance(self, override: Optional[float]) -> float:
         if override is not None:
             return float(override)
-        c1 = 5.0 * self.grad_max
         s = (np.arange(self.m_d) + 0.5) / self.m_d
         interior = self.surr[(s >= 0.05) & (s <= 0.95)]
-        c2 = 10.0 * (float(np.max(interior)) if interior.size else 0.0)
-        tol = c1 / math.sqrt(self.grid.cells_per_axis) + c2 / self.M
+        peak = float(np.max(interior)) if interior.size else 0.0
+        # divided before multiplied, so that a sup near the top of the
+        # double range still gives a finite tolerance
+        c1 = self.grad_max / math.sqrt(self.grid.cells_per_axis)
+        tol = 5.0 * c1 + 10.0 * (peak / self.M)
         return tol if self.field.smooth else 2.0 * tol
 
 
@@ -278,9 +287,10 @@ def _sort_negated(neg: np.ndarray, order: Optional[np.ndarray] = None) -> np.nda
     return neg
 
 
-def _surrogate_at(p: Profile, m_d: int, at: np.ndarray) -> np.ndarray:
+def _surrogate_at(p: Profile, m_d: int, at: np.ndarray, edges: Optional[np.ndarray] = None):
     """Integral of the surrogate measure over (0, knots[k]], for each k of
-    ``at``, in any order, each below K.
+    ``at``, in any order, each below K, and with ``edges`` p's cumulative
+    at each of them (else None), read off the same running sum.
 
     The measure (-dp) * I puts at each drop of the step profile its size
     times I at the center of the stretch it stands for, capped at the
@@ -288,25 +298,35 @@ def _surrogate_at(p: Profile, m_d: int, at: np.ndarray) -> np.ndarray:
     its own location, while dense drops get the unbiased midpoint.
     Surrogate samples are bin averages of this measure, so they stay inside
     the range of (-p)' * I even where both factors vary quickly within a
-    bin.  Built in blocks of ``PASS_BLOCK`` knots as one running sum, to
-    which a knot without a drop adds an exact 0.
+    bin.  Built as one running sum, to which a knot without a drop adds
+    an exact 0; with ``edges``, p's masses are its second row.
     """
-    values, knots = p.values, p.knots
+    values = p.values
     last_at = 0.0
 
     def drops(start, stop):
         nonlocal last_at
-        mass = values[start:stop] - values[start + 1:stop + 1]  # at knots[start + 1:stop + 1]
+        run = np.empty((1 if edges is None else 2, stop - start))
+        # at knots[start + 1:stop + 1]
+        mass = np.subtract(values[start:stop], values[start + 1:stop + 1], out=run[0])
         idx = np.flatnonzero(mass > 0.0)
         if idx.size:
-            at = knots[start + 1:stop + 1][idx]
+            at = p.knot(idx + (start + 1))
             prev = np.concatenate(([last_at], at[:-1]))
             shift = 0.5 * np.minimum(at - prev, 1.0 / m_d)
             mass[idx] *= iso_profile(at - shift)
             last_at = at[-1]
-        return mass
+        if edges is None:
+            return mass
+        np.multiply(values[start:stop], p.widths, out=run[1])  # as ``p.masses`` takes them
+        return run
 
-    return running_sum_at(drops, at)
+    if edges is None:
+        return running_sum_at(drops, at), None
+    pieces = uniform_piece(edges, p.num_pieces)
+    surr, mass = running_sum_at(drops, np.append(at, pieces))
+    # the cumulative past the knot below each edge, as ``Profile.cumulative`` adds it
+    return surr[:at.size], mass[at.size:] + values[pieces] * (edges - p.knot(pieces))
 
 
 def _require_finite(
@@ -485,8 +505,9 @@ def check_interval_bound(
     t0 = time.perf_counter()
     a, b = arr[:, 0], arr[:, 1]
     t = analysis.t_grid
-    # the integral over (0, t] of the surrogate's bin-constant extension
-    cum = np.concatenate(([0.0], np.cumsum(analysis.surr) / analysis.m_d))
+    # the integral over (0, t] of the surrogate's bin-constant extension,
+    # its bins' masses summed (the sum of the means could overflow)
+    cum = np.concatenate(([0.0], np.cumsum(analysis.surr / analysis.m_d)))
     edges = analysis.surr_prof.knots
     clamped = np.clip(t[None, :], a[:, None], b[:, None])
     lhs = np.sum(np.interp(clamped, edges, cum) - np.interp(a, edges, cum)[:, None], axis=0)

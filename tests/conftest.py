@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from gausym import NonSmoothFieldError, Phi, Phi_inv, Profile, ScalarField, analyze
 from gausym.expr import FUNCTIONS
 from gausym.gaussian import BLOCK_CELLS
-from gausym.symmetrize import _bin_means, symmetrized_derivative
+from gausym.symmetrize import symmetrized_derivative
 
 
 def quasi_random_points(n: int, dim: int, low: float = -3.0, high: float = 3.0) -> np.ndarray:
@@ -111,16 +111,23 @@ def sort_decreasing(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def bin_means(p: Profile, n_bins: int) -> np.ndarray:
+    """Averages of p over ``n_bins`` uniform bins, differenced off
+    ``p.cumulative`` at the bin edges."""
+    cum = p.cumulative(np.arange(n_bins + 1) / n_bins)
+    return (cum[1:] - cum[:-1]) * n_bins
+
+
 def symmetrized_field(p: Profile, dim: int = 1, *, n_bins: int) -> ScalarField:
     """Field x -> p(Phi(x1)), nonincreasing in x1, constant in x2..xn: the
     averages of p over ``n_bins`` uniform bins interpolated linearly
     between the bin midpoints, with ``symmetrized_derivative`` as its
     gradient.  Both read the x1 coordinates alone."""
     nodes = (np.arange(n_bins) + 0.5) / n_bins
-    means = _bin_means(p, n_bins)
+    means = bin_means(p, n_bins)
 
     def jet(xs):
-        slope = symmetrized_derivative(p, xs[0], n_bins)
+        slope = symmetrized_derivative(means, xs[0])
         return np.interp(Phi(xs[0]), nodes, means), (slope,) + (0.0,) * (dim - 1)
 
     return ScalarField(dim, "symmetrized[linear]", jet)
@@ -148,7 +155,7 @@ def pointwise_identity_gap(analysis) -> float:
     x1 = Phi_inv(s[mask])
     # the slope right of each node, then the one left of it
     x1 = np.concatenate((x1, np.nextafter(x1, -np.inf)))
-    right, left = np.split(np.abs(symmetrized_derivative(analysis.p, x1, analysis.m_d)), 2)
+    right, left = np.split(np.abs(symmetrized_derivative(analysis.sym_means, x1)), 2)
     return float(np.max(np.abs(surr[mask] - 0.5 * (right + left))))
 
 
@@ -165,8 +172,9 @@ def assert_same_bits(a: np.ndarray, b: np.ndarray):
 
 def cumulative_reference(p: Profile, t) -> np.ndarray:
     """p's integral over (0, t], read off one whole-array cumsum of its
-    pieces' masses: the reference for ``Profile.cumulative``."""
-    prefix = np.concatenate(([0.0], np.cumsum((p.knots[1:] - p.knots[:-1]) * p.values)))
+    pieces' masses: the reference for ``Profile.cumulative`` at a chunk of
+    1 (``rearrange.SUM_CHUNK``)."""
+    prefix = np.concatenate(([0.0], np.cumsum(p.values * p.widths)))
     t = np.asarray(t, dtype=float)
     idx = np.clip(np.searchsorted(p.knots, t, side="left") - 1, 0, p.num_pieces - 1)
     return prefix[idx] + p.values[idx] * (t - p.knots[idx])

@@ -182,6 +182,50 @@ class TestExitCodes:
         assert capsys.readouterr().err == ""
         assert all(entry["pass"] for entry in strict_report(out)["checks"])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [1021, 1022])
+    def test_fields_near_the_top_of_the_double_range_scale(self, tmp_path, capsys, k):
+        """2^k * x1, within a factor of 4 of the largest double, exits 0
+        with nothing on stderr, and every row's curves, violation and
+        tolerance are 2^k times those of x1: bit for bit, except the norms
+        lp:1.5 (pow rounding) and orlicz:expsq (the Luxemburg root
+        tolerance).  The tolerance took 10 sup before dividing by M, and
+        the symmetrized slopes n_bins times the bin means' drops, and both
+        overflowed: exit 3."""
+        def run(text, name):
+            out, curves = tmp_path / f"{name}.json", tmp_path / name
+            code = main(["--expr", text, "--grid", "64",
+                         "--checks", "uno,dos,norm,mt,interval,orlicz",
+                         "--out", str(out), "--curves", str(curves)])
+            assert code == 0 and capsys.readouterr().err == ""
+            rows = strict_report(out)["checks"]
+            for row in rows:
+                row["curve"] = np.loadtxt(row["curves_file"], delimiter=",", skiprows=1, ndmin=2)
+            return rows
+
+        base, scaled = run("x1", "base"), run(f"2^{k}*x1", "scaled")
+        assert [r["name"] for r in base] == [r["name"] for r in scaled]
+        bounds = {"norm:lp:1.5": 7.6e-15, "norm:orlicz:expsq": 5e-11}
+        for b, s in zip(base, scaled):
+            curve = np.ldexp(b["curve"], k)
+            if b["name"] != "orlicz":  # its s-grid is the hinge thresholds c
+                curve[:, 0] = b["curve"][:, 0]
+            got = np.array([s["max_violation"], s["tolerance"], *s["curve"].ravel()])
+            want = np.array([math.ldexp(b["max_violation"], k), math.ldexp(b["tolerance"], k),
+                             *curve.ravel()])
+            bound = bounds.get(b["name"], 0.0) * math.ldexp(np.max(np.abs(b["curve"])), k)
+            assert np.all(np.abs(got - want) <= bound), b["name"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_field_on_the_largest_3d_grid_passes(self, tmp_path, capsys):
+        """Every running sum adds masses, value times width, so none of
+        them overflows where the values' plain sum over 125^3 cells would."""
+        out = tmp_path / "r.json"
+        code = main(["--expr", "1e302*x1", "--dim", "3", "--grid", "125", "--checks", "uno,dos",
+                     "--out", str(out)])
+        assert code == 0 and capsys.readouterr().err == ""
+        assert all(entry["pass"] for entry in strict_report(out)["checks"])
+
     def test_non_finite_report_is_three(self, tmp_path, capsys, monkeypatch):
         uno = verify.CHECKS["uno"]
         monkeypatch.setitem(verify.CHECKS, "uno", lambda *args, **kwargs: [
@@ -446,9 +490,9 @@ class TestSharedAnalysis:
         points = []
         original = verify.symmetrized_derivative
 
-        def counting_derivative(p, x1, n_bins):
+        def counting_derivative(means, x1):
             points.append(len(x1))
-            return original(p, x1, n_bins)
+            return original(means, x1)
 
         monkeypatch.setattr(verify, "symmetrized_derivative", counting_derivative)
         main([

@@ -8,6 +8,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -63,6 +64,28 @@ class TestDensity:
         out = phi(x)
         assert out.shape == (3,)
         assert out[0] == out[2]
+
+    def test_in_place_keeps_the_bits_of_the_whole_array_formula(self):
+        """phi is built in place on one array; scaling by -0.5 is exact,
+        so it keeps the bits of exp(-0.5 * x * x) / SQRT_2PI, out to where
+        the density underflows, and on row coordinates and scalars too."""
+        rng = np.random.default_rng(40)
+        x = np.concatenate((np.linspace(-40.0, 40.0, 160001), rng.uniform(-40.0, 40.0, 10000),
+                            [0.0, -0.0, 1e-170, -5e-324, 38.6, np.inf, -np.inf]))
+        assert_same_bits(phi(x), np.exp(-0.5 * x * x) / SQRT_2PI)
+        assert_same_bits(phi(x[:64, None]), np.exp(-0.5 * x[:64, None] ** 2) / SQRT_2PI)
+        assert phi(1.25) == float(np.exp(-0.5 * 1.25 * 1.25) / SQRT_2PI)
+        assert isinstance(phi(1.25), float)
+
+    def test_allocates_only_its_result(self):
+        x = np.linspace(-8.0, 8.0, 1 << 16)
+        tracemalloc.start()
+        try:
+            out = phi(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * out.nbytes
 
 
 class TestCdf:

@@ -1,6 +1,7 @@
 """Profiles, distribution functions and rearrangements: the weighted
 sort, the value sort, and the profiles an analysis builds."""
 
+import math
 import tracemalloc
 import warnings
 
@@ -23,7 +24,14 @@ from gausym import (
     parse_field,
 )
 from gausym import rearrange
-from gausym.rearrange import PASS_BLOCK, derivative_bin_count, running_sum_at
+from gausym.rearrange import (
+    PASS_BLOCK,
+    SUM_CHUNK,
+    derivative_bin_count,
+    running_sum_at,
+    uniform_knots,
+    uniform_piece,
+)
 
 from conftest import (
     assert_same_bits,
@@ -97,12 +105,15 @@ class TestProfile:
     @pytest.mark.parametrize("block", [1, 3, 64, PASS_BLOCK])
     def test_cumulative_matches_whole_array_cumsum(self, block, monkeypatch):
         """The cumulative, read off a running sum ``block`` pieces at a
-        time, has the bits of one whole-array cumsum, and the profile
-        caches nothing of it."""
+        time in chunks of 1, has the bits of one whole-array cumsum, on
+        knots and on equal widths, and the profile caches nothing of it."""
         monkeypatch.setattr(rearrange, "PASS_BLOCK", block)
+        monkeypatch.setattr(rearrange, "SUM_CHUNK", 1)
         rng = np.random.default_rng(block)
         for max_pieces in (8, 64, 300, 300):
             p = random_profile(rng, max_pieces)
+            if max_pieces == 300:
+                p = Profile.equal_width(p.values)
             knots = p.knots
             between = 0.5 * (knots[1:] + knots[:-1])
             unsorted = np.concatenate((between[::-3], knots[::2], [1.0, 0.0, knots[2], 1.0]))
@@ -114,12 +125,26 @@ class TestProfile:
                     assert isinstance(got, float)
                     got, ref = np.array(got), np.array(ref)
                 assert_same_bits(got, ref)
-            assert set(vars(p)) == {"knots", "values"}
+            # the widths the reference read are no cumulative
+            assert set(vars(p)) - {"_knot_widths"} == {"_knots", "values"}
 
     def test_widths_built_once(self):
         assert_same_bits(HALVES.widths, np.array([0.5, 0.5]))
         assert HALVES.widths is HALVES.widths
         assert not HALVES.widths.flags.writeable
+
+    def test_equal_width_keeps_no_knots(self):
+        values = np.array([3.0, 2.0, 2.0, 0.5, 0.0])
+        values.setflags(write=False)
+        p, ref = Profile.equal_width(values), Profile(uniform_knots(5), values)
+        assert p.values is values and p.widths == 0.2
+        assert_same_bits(p.knots, ref.knots)
+        assert not p.knots.flags.writeable and p.knots is not p.knots
+        s = np.concatenate((ref.knots, np.nextafter(ref.knots, -1.0), [0.3, 0.9]))
+        assert_same_bits(p(s), ref(s))
+        for level in (3.0, 2.5, 2.0, 1.0, 0.0, -1.0):
+            assert p.super_level_measure(level) == ref.super_level_measure(level)
+        assert vars(p) == {"_knots": None, "values": values}
 
 
 class TestDistributionFunction:
@@ -284,9 +309,29 @@ class TestEqualWeightSort:
         assert peak <= 1.1 * out.nbytes
 
 
+def chunked_running_sums(x: np.ndarray, chunk: int, at) -> np.ndarray:
+    """``running_sum_at``'s rule written out: S[0] = +0.0, and S[j] the
+    serial sum, from -0.0, of the pairwise sums of the whole chunks before
+    j, plus that of j's own chunk up to j; a pairwise sum is that of
+    ``np.add.reduceat`` over one segment."""
+    carry = [-0.0]  # before each chunk
+    for k in range(int(np.max(at, initial=0)) // chunk):
+        carry.append(carry[-1] + np.add.reduceat(x[k * chunk:(k + 1) * chunk], [0])[0])
+    out = []
+    for j in at:
+        q, r = divmod(int(j), chunk)
+        s = carry[q] if j else 0.0
+        if r:
+            s += np.add.reduceat(x[q * chunk:j], [0])[0]
+        out.append(s)
+    return np.array(out, dtype=float)
+
+
 class TestRunningSumAt:
-    """Running sums read at chosen indices, a block at a time, have the
-    bits of a whole-array cumsum, whatever the order of the indices."""
+    """Running sums read at chosen indices, a block at a time, follow the
+    chunked rule whatever the order of the indices, the other indices read
+    and the block size; at a chunk of 1 they have the bits of a
+    whole-array cumsum."""
 
     X = np.concatenate((
         [-0.0, -0.0, 2.5, -2.5, -0.0], np.random.default_rng(11).standard_normal(45)
@@ -302,18 +347,76 @@ class TestRunningSumAt:
     ], ids=["unsorted-repeated", "n-then-0", "every-index", "signed-zeros", "zeros"])
     def test_matches_whole_array_cumsum(self, block, at, monkeypatch):
         monkeypatch.setattr(rearrange, "PASS_BLOCK", block)
-        x, calls = self.X, []
+        x, at = self.X, np.array(at, dtype=np.intp)
+        cumsum = np.concatenate(([0.0], np.cumsum(x)))[at]
+        for chunk in (1, 3, 8, 64):
+            monkeypatch.setattr(rearrange, "SUM_CHUNK", chunk)
+            calls = []
 
-        def increments(start, stop):
-            calls.append((start, stop))
-            return x[start:stop].copy()
+            def increments(start, stop):
+                calls.append((start, stop))
+                return x[start:stop].copy()
 
-        at = np.array(at, dtype=np.intp)
-        ref = np.concatenate(([0.0], np.cumsum(x)))[at]
-        assert_same_bits(running_sum_at(increments, at), ref)
-        # blocks in order, up to the largest index read
-        last = int(at.max())
-        assert calls == [(s, min(s + block, last)) for s in range(0, last, block)]
+            got = running_sum_at(increments, at)
+            assert_same_bits(got, chunked_running_sums(x, chunk, at))
+            if chunk == 1:
+                assert_same_bits(got, cumsum)
+            # blocks of whole chunks in order, up to the largest index read
+            last, step = int(at.max()), chunk * max(1, block // chunk)
+            assert calls == [(s, min(s + step, last)) for s in range(0, last, step)]
+
+    @pytest.mark.parametrize("chunk", [1, 7, SUM_CHUNK])
+    def test_rows_follow_the_rule_whatever_else_is_read(self, chunk, monkeypatch):
+        """Each S[j] is the same whichever other indices are read beside
+        it and whatever the block size; rows of a sequence are summed
+        each on its own."""
+        monkeypatch.setattr(rearrange, "SUM_CHUNK", chunk)
+        rng = np.random.default_rng(chunk)
+        x = rng.standard_normal((2, 2 * PASS_BLOCK + 77))
+        at = rng.integers(0, x.shape[1] + 1, 300)
+        ref = np.stack([chunked_running_sums(row, chunk, at) for row in x])
+        for block in (5 * chunk, 1000, PASS_BLOCK):
+            monkeypatch.setattr(rearrange, "PASS_BLOCK", block)
+            assert_same_bits(running_sum_at(lambda a, b: x[:, a:b].copy(), at), ref)
+            for part in (at[:1], at[::7], at[-5:]):
+                assert_same_bits(running_sum_at(lambda a, b: x[1, a:b].copy(), part),
+                                 chunked_running_sums(x[1], chunk, part))
+
+    @pytest.mark.parametrize("n", [2**10, 2**16, 2**20])
+    def test_total_near_fsum(self, n):
+        """The total is within (n / 256 + 20) u of the exact sum, relative
+        to the sum of magnitudes (u = 2^-53, first order): at most 20
+        roundings inside a pairwise-summed chunk of 256 (numpy runs 8
+        serial accumulators over blocks of up to 128), and one for each
+        chunk sum carried serially."""
+        assert SUM_CHUNK == 256
+        rng = np.random.default_rng(n)
+        bound = (n / 256 + 20) * 2.0 ** -53
+        for x in (rng.random(n), rng.standard_normal(n) * np.exp(4.0 * rng.standard_normal(n))):
+            total = running_sum_at(lambda a, b: x[a:b].copy(), np.array([n]))[0]
+            assert abs(total - math.fsum(x)) <= bound * math.fsum(np.abs(x))
+        # on positive draws, about as close as one pairwise sum, far inside that bound
+        x = rng.random(n)
+        total = running_sum_at(lambda a, b: x[a:b].copy(), np.array([n]))[0]
+        assert abs(total - math.fsum(x)) <= 1e-14 * math.fsum(x)
+
+
+class TestUniformPiece:
+    """The piece of t among n equal ones has the integers of searchsorted
+    on ``uniform_knots(n)``, on every knot and one ulp either side."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 10, 49, 125, 1000, 3**9, 2**20 + 7, 1953125])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_matches_searchsorted(self, n, side):
+        knots = uniform_knots(n)
+        rng = np.random.default_rng(n)
+        t = np.concatenate((
+            knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf),
+            rng.random(1000), [0.0, -0.0, 1.0, -1.0, 2.0, 1e-300, np.nan],
+        ))
+        ref = np.clip(np.searchsorted(knots, t, side=side) - 1, 0, n - 1)
+        assert np.array_equal(uniform_piece(t, n, side), ref)
+        assert uniform_piece(t[5], n, side) == ref[5]
 
 
 def bin_count(p: Profile, M: int, min_block: int = 1) -> int:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gausym import (
+    DomainError,
     NonSmoothFieldError,
     Phi,
     Phi_inv,
@@ -18,10 +19,11 @@ from gausym import (
 from gausym import rearrange
 from gausym.gaussian import midpoint_quantiles, phi
 from gausym.rearrange import PASS_BLOCK, uniform_knots
-from gausym.symmetrize import _bin_means, symmetrized_derivative
+from gausym.symmetrize import symmetrized_derivative
 
 from conftest import (
     assert_same_bits,
+    bin_means,
     cumulative_reference,
     jet_at,
     pointwise_identity_gap,
@@ -168,9 +170,11 @@ class TestEqualityChain:
 
 
 class TestBinMeans:
-    """``_bin_means`` differences ``p.cumulative``, a running sum over p
-    taken ``PASS_BLOCK`` pieces at a time, at the bin edges; one
-    whole-array cumsum of p's masses stays here as the reference."""
+    """The analysis reads f*'s bin means off the sweep that builds its
+    surrogate (``Analysis.sym_means``), with the bits of differencing
+    ``p.cumulative`` at the bin edges.  At a chunk of 1 the running sum
+    behind that is one whole-array cumsum of p's masses, which stays here
+    as the reference."""
 
     @staticmethod
     def _reference(p, n_bins):
@@ -184,23 +188,39 @@ class TestBinMeans:
         (4 * PASS_BLOCK, 4),
         (4 * PASS_BLOCK, 4 * PASS_BLOCK),
     ])
-    def test_matches_prefix_mass_means(self, K, n_bins):
+    def test_matches_prefix_mass_means(self, K, n_bins, monkeypatch):
+        monkeypatch.setattr(rearrange, "SUM_CHUNK", 1)
         rng = np.random.default_rng(K + n_bins)
         # pairs of tied values, as mirrored cells give
         values = np.repeat(np.sort(rng.exponential(size=K // 2 + 1))[::-1], 2)[:K]
-        p = Profile(uniform_knots(K), values)
-        means = _bin_means(p, n_bins)
-        assert set(vars(p)) == {"knots", "values"}
-        assert_same_bits(means, self._reference(p, n_bins))
+        values.setflags(write=False)
+        for p in (Profile(uniform_knots(K), values), Profile.equal_width(values)):
+            means = bin_means(p, n_bins)
+            assert set(vars(p)) == {"_knots", "values"}
+            assert_same_bits(means, self._reference(p, n_bins))
 
     @pytest.mark.parametrize("block", [1, 2, 5, 8])
     def test_any_block_on_unequal_pieces(self, block, monkeypatch):
         monkeypatch.setattr(rearrange, "PASS_BLOCK", block)
+        monkeypatch.setattr(rearrange, "SUM_CHUNK", 1)
         rng = np.random.default_rng(block)
         knots = np.concatenate(([0.0], np.cumsum(rng.dirichlet(np.ones(40)))))
         p = Profile(knots, np.sort(rng.normal(size=40))[::-1])
         for n_bins in range(1, 90):
-            assert_same_bits(_bin_means(p, n_bins), self._reference(p, n_bins))
+            assert_same_bits(bin_means(p, n_bins), self._reference(p, n_bins))
+
+    @pytest.mark.parametrize("checks", [["dos"], ["orlicz"], ["uno", "dos", "mt"], None])
+    @pytest.mark.parametrize("dim,N", [(1, 2 * PASS_BLOCK + 5), (2, 183), (3, 40)])
+    def test_read_off_the_surrogate_sweep(self, dim, N, checks):
+        a = analyze(builtin_field("mixture", dim=dim), equal_measure_grid(dim, N), 512, checks)
+        assert_same_bits(a.sym_means, bin_means(a.p, a.m_d))
+        assert not a.sym_means.flags.writeable
+
+    def test_kept_only_for_dos_and_orlicz(self):
+        a = analyze(builtin_field("mixture"), equal_measure_grid(1, 256), 512, ["uno", "mt"])
+        assert a.sym_means is None
+        with pytest.raises(DomainError, match="'dos' and 'orlicz'"):
+            a.sym_grad_prof
 
 
 class TestSymmetrizedDerivative:
@@ -209,7 +229,7 @@ class TestSymmetrizedDerivative:
 
     @staticmethod
     def _reference(p, x1, n_bins):
-        means = _bin_means(p, n_bins)
+        means = bin_means(p, n_bins)
         slopes = np.minimum((means[1:] - means[:-1]) * n_bins, 0.0)
         idx = np.searchsorted(midpoint_quantiles(n_bins), x1, side="right") - 1
         inside = (idx >= 0) & (idx < len(slopes))
@@ -229,7 +249,8 @@ class TestSymmetrizedDerivative:
             (nodes[1:] + nodes[:-1]) / 2.0,  # between nodes
             nodes[-1] + np.array([1e-9, 1.0, 6.0]),  # after the last node
         ))
-        got = symmetrized_derivative(p, x1, n_bins)
+        means = bin_means(p, n_bins)
+        got = symmetrized_derivative(means, x1)
         assert_same_bits(got, self._reference(p, x1, n_bins))
         # on row coordinates, as a field's jet passes them
-        assert_same_bits(symmetrized_derivative(p, x1[:, None], n_bins), got[:, None])
+        assert_same_bits(symmetrized_derivative(means, x1[:, None]), got[:, None])
