@@ -18,7 +18,7 @@ exact partials in one pass; ``evaluate`` is its values.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,36 +97,79 @@ _TOKEN_RE = re.compile(
 _VAR_RE = re.compile(r"x([1-9])\Z")
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+class _Node:
+    """Base of the AST nodes: an immutable record whose fields are its
+    subclass's ``__slots__``, given positionally.  Two nodes are equal
+    only when they have the same type and equal fields, so ``Num(1.0) !=
+    Var(1)``; equal nodes hash alike.  Plain slotted classes, not frozen
+    dataclasses: those generate their methods through ``exec`` when the
+    module is imported, and every run pays for that."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields):
+        if len(fields) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields")
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: AST nodes are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: AST nodes are immutable")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash((type(self).__name__, *self._values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Num(_Node):
+    """A real literal: ``Num(value)``."""
+
+    __slots__ = ("value",)
 
     def forward(self, xs):
         return np.float64(self.value), {}
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int  # 1-based axis
+class Var(_Node):
+    """The coordinate of a 1-based axis: ``Var(index)``."""
+
+    __slots__ = ("index",)
 
     def forward(self, xs):
         return xs[self.index - 1], {self.index - 1: _ONE}
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: object
+class Neg(_Node):
+    """Unary minus: ``Neg(arg)``."""
+
+    __slots__ = ("arg",)
 
     def forward(self, xs):
         a, da = self.arg.forward(xs)
         return -a, {k: -d for k, d in da.items()}
 
 
-@dataclass(frozen=True)
-class Bin:
-    op: str
-    left: object
-    right: object
+class Bin(_Node):
+    """A binary operation: ``Bin(op, left, right)``, op one of + - * / ^."""
+
+    __slots__ = ("op", "left", "right")
 
     def forward(self, xs):
         a, da = self.left.forward(xs)
@@ -154,10 +197,10 @@ class Bin:
         return v, _combine(da, b * a ** (b - 1.0) if da else None, db, w)
 
 
-@dataclass(frozen=True)
-class Call:
-    name: str
-    arg: object
+class Call(_Node):
+    """A function of the grammar applied to one argument: ``Call(name, arg)``."""
+
+    __slots__ = ("name", "arg")
 
     def forward(self, xs):
         a, da = self.arg.forward(xs)
@@ -165,8 +208,7 @@ class Call:
         return v, (_combine(da, DERIVATIVES[self.name](a, v), {}, None) if da else {})
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # num | name | op | end
     text: str
     pos: int

@@ -36,6 +36,10 @@ class ScalarField:
     one pass; an axis the field ignores gets a scalar 0.0.  ``smooth`` is
     False for fields with gradient jump sets (e.g. expressions using abs);
     checks either reject those or double their tolerances.
+
+    One of the package's three dataclasses (each costs about a millisecond
+    to create at import): perfbench/tracing.py rebuilds a field through
+    ``dataclasses.replace``.
     """
 
     dim: int

@@ -258,14 +258,22 @@ def _iso_profile_block(t: np.ndarray) -> np.ndarray:
 def midpoint_quantiles(n: int) -> np.ndarray:
     """Cell-midpoint quantiles Phi_inv((k + 1/2)/n), k = 0..n-1.
 
-    The lower half is computed and mirrored, so the result is odd bit for
-    bit (the middle point of odd n is 0.0).  (k + 1/2)/n is one correctly
-    rounded division, so equal fractions from different n give the same
-    point.
+    The lower half's AS 241 quantiles are written straight into the
+    result, one ``PASS_BLOCK`` at a time, and mirrored in place with their
+    signs flipped, so the result is odd bit for bit (the middle point of
+    odd n is +0.0) and no temporary of the half's size is made.  (k +
+    1/2)/n is one correctly rounded division, inside (0, 1/2), so equal
+    fractions from different n give the same point, with the bits of
+    ``Phi_inv`` on them.
     """
-    lower = Phi_inv((np.arange(n // 2) + 0.5) / n)
-    middle = [0.0] if n % 2 else []
-    return np.concatenate((lower, middle, -lower[::-1]))
+    out = np.empty(n)
+    half = n // 2
+    for start in range(0, half, PASS_BLOCK):
+        stop = min(start + PASS_BLOCK, half)
+        out[start:stop] = _ppnd16_block((np.arange(start, stop) + 0.5) / n)
+    out[half:n - half] = 0.0
+    np.negative(out[:half][::-1], out=out[n - half:])
+    return out
 
 
 @dataclass(frozen=True)
@@ -285,6 +293,9 @@ class GaussianGrid:
     array per axis, which broadcast together to the cells in C order, so a
     caller can sample the grid one block of rows at a time and evaluate
     what depends on the leading axes once per row.
+
+    It stays a frozen dataclass, one of the package's three: assigning to
+    a field raises ``FrozenInstanceError``, as its tests expect.
     """
 
     dim: int

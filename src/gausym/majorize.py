@@ -7,13 +7,16 @@ extreme rays characterizing partial-sum domination between nonincreasing
 profiles.  The "any r.i. norm" quantifier is realized by a finite family
 spanning the standard scale: Lp, a Lorentz lambda-norm, a Marcinkiewicz
 maximal norm, and an Orlicz (Luxemburg) norm.
+
+The records here are ``NamedTuple``s, immutable and compared by value: a
+frozen dataclass would generate its methods through ``exec`` each time
+the module is imported.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -32,8 +35,7 @@ _COARSE_STEP = 64  # knots apart in the coarse profiles of a Luxemburg bracket
 _COARSE_MIN_PIECES = 32768
 
 
-@dataclass(frozen=True)
-class YoungFunction:
+class YoungFunction(NamedTuple):
     """Convex nondecreasing A on [0, inf) with A(0) = 0.
 
     Kinds: power(p >= 1) t^p; hinge(c >= 0) max(t-c, 0);
@@ -94,8 +96,7 @@ class YoungFunction:
         return cls("expsq", float(T))
 
 
-@dataclass(frozen=True)
-class RINorm:
+class RINorm(NamedTuple):
     """Rearrangement-invariant norm specification.
 
     kinds: lp (p in [1, inf]), lorentz (lambda_p, 1 <= p < inf), marcinkiewicz
@@ -163,8 +164,7 @@ def orlicz_integral(p: Profile, A) -> float:
     return float(np.sum(A(p.values) * p.widths))
 
 
-@dataclass(frozen=True)
-class MajorizationVerdict:
+class MajorizationVerdict(NamedTuple):
     holds: bool
     min_margin: float
     argmin_t: float
@@ -200,8 +200,7 @@ def hinge_integrals(p: Profile, c_grid) -> np.ndarray:
     return p.cumulative(knot) - c * knot
 
 
-@dataclass(frozen=True)
-class HlpEquivalenceReport:
+class HlpEquivalenceReport(NamedTuple):
     orlicz_dominated: bool  # all hinge integrals of g below those of h
     majorization_holds: bool
     witness_c: Optional[float]  # first c breaking the hinge comparison
@@ -399,7 +398,10 @@ def ri_norm(p: Profile, X: RINorm) -> float:
     Luxemburg functional, located to 1e-10 relative by Illinois regula
     falsi on log theta against log lambda (about ten passes over the
     profile; about five for one of 32768 pieces or more, whose bracket
-    comes from two coarse profiles of its block bounds)."""
+    comes from two coarse profiles of its block bounds).  A Luxemburg
+    norm that comes out inf for a finite profile had a bracket end
+    overflow, and is found again on the values scaled by a power of two,
+    as for Lp."""
     if X.kind == "lp":
         if math.isinf(X.param):
             return p.sup
@@ -434,12 +436,20 @@ def ri_norm(p: Profile, X: RINorm) -> float:
             terms[start:stop] *= p.knot(np.arange(start + 1, stop + 1)) ** power
         return float(np.max(terms))
     if X.kind == "orlicz":
-        return _luxemburg(p, X.young)
+        norm = _luxemburg(p, X.young)
+        if norm == math.inf and math.isfinite(p.sup):
+            # a bracket end overflowed, the profile's top being within a
+            # factor of 2 or so of the largest double: again on the values
+            # scaled by a power of two (exactly) to a top in [1/2, 1)
+            exponent = math.frexp(p.sup)[1]
+            norm = _luxemburg(p.scaled(2.0 ** -exponent), X.young)
+            with np.errstate(over="ignore"):
+                return float(np.ldexp(norm, exponent))
+        return norm
     raise InvalidParameterError(f"unknown norm kind {X.kind!r}")
 
 
-@dataclass(frozen=True)
-class NormVerdict:
+class NormVerdict(NamedTuple):
     label: str
     norm_g: float
     norm_h: float
@@ -447,8 +457,7 @@ class NormVerdict:
     ok: bool
 
 
-@dataclass(frozen=True)
-class CalderonReport:
+class CalderonReport(NamedTuple):
     precondition_holds: bool
     min_majorization_margin: float
     verdicts: tuple

@@ -93,7 +93,10 @@ VIOLATION_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class IneqReport:
-    """Outcome of one check: LHS/RHS curves, worst violation, verdict."""
+    """Outcome of one check: LHS/RHS curves, worst violation, verdict.
+
+    A dataclass, so that a row is rebuilt with ``dataclasses.replace``, as
+    ``convergence_study`` and ``run_checks`` do."""
 
     check_name: str
     field_label: str

@@ -217,6 +217,24 @@ class TestExitCodes:
             assert np.all(np.abs(got - want) <= bound), b["name"]
 
     @pytest.mark.filterwarnings("error")
+    def test_luxemburg_norm_at_the_top_of_the_double_range(self, tmp_path, capsys):
+        """The largest double times tanh(x1) exits 0 with nothing on
+        stderr, its orlicz:expsq norm twice that of 2^1023*tanh(x1) to the
+        Luxemburg root tolerance.  The bracket walk doubled its upper end
+        past the largest double, and the norm came out -inf: exit 3."""
+        def orlicz_violation(text, name):
+            out = tmp_path / f"{name}.json"
+            code = main(["--expr", text, "--grid", "64", "--checks", "norm", "--out", str(out)])
+            assert code == 0 and capsys.readouterr().err == ""
+            rows = {row["name"]: row for row in strict_report(out)["checks"]}
+            assert all(row["pass"] for row in rows.values())
+            return rows["norm:orlicz:expsq"]["max_violation"]
+
+        top = orlicz_violation("1.7976931348623157e308*tanh(x1)", "top")
+        half = orlicz_violation("2^1023*tanh(x1)", "half")
+        assert top == pytest.approx(2.0 * half, rel=1e-9)
+
+    @pytest.mark.filterwarnings("error")
     def test_huge_field_on_the_largest_3d_grid_passes(self, tmp_path, capsys):
         """Every running sum adds masses, value times width, so none of
         them overflows where the values' plain sum over 125^3 cells would."""

@@ -1,5 +1,7 @@
 """Builtin corpus, expression parsing, and the jets of fields."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -225,6 +227,34 @@ class TestParser:
         assert parse_expression("x1/x2*x3", 3) == Bin("*", Bin("/", x1, x2), x3)
         assert parse_expression("x1-x2*x3/x1+x2", 3) == Bin(
             "+", Bin("-", x1, Bin("/", Bin("*", x2, x3), x1)), x2)
+
+    def test_nodes_are_immutable_values(self):
+        """Nodes compare and hash by type and fields, refuse assignment
+        and deletion, and survive a pickle round trip."""
+        node = parse_expression("exp(-x1)*2", 1)
+        same = Bin("*", Call("exp", Neg(Var(1))), Num(2.0))
+        assert node == same and hash(node) == hash(same)
+        assert repr(same) == ("Bin(op='*', left=Call(name='exp', arg=Neg(arg=Var(index=1))), "
+                              "right=Num(value=2.0))")
+        assert pickle.loads(pickle.dumps(node)) == node
+        for target in (node, node.left, node.left.arg.arg, node.right):
+            name = target.__slots__[0]
+            with pytest.raises(AttributeError):
+                setattr(target, name, None)
+            with pytest.raises(AttributeError):
+                delattr(target, name)
+            with pytest.raises(AttributeError):
+                target.extra = 1
+        with pytest.raises(TypeError):
+            Bin("+", Var(1))
+
+    def test_nodes_equal_only_within_their_own_type(self):
+        # each pair has equal fields; the dataclasses' == told them apart by type too
+        for a, b in ((Num(1.0), Var(1)), (Neg(Var(1)), Num(Var(1))),
+                     (Var(2), (2,)), (Num(0.5), 0.5)):
+            assert a != b and b != a
+        assert Num(1.0) == Num(1) and Var(3) == Var(3) and Call("abs", Var(1)) != Call("exp", Var(1))
+        assert len({Num(1.0), Num(1), Var(1), Neg(Num(1.0))}) == 3
 
     def test_unexpected_character(self):
         with pytest.raises(ExpressionError) as err:

@@ -272,6 +272,28 @@ class TestMidpointQuantiles:
             # + 0.0 turns the mirrored middle point -0.0 of odd n into 0.0
             assert_same_bits(q, -q[::-1] + 0.0)
 
+    @pytest.mark.parametrize("n", [2, 3, 125, 4097, 1 << 20])
+    def test_reference_formula_bit_for_bit(self, n):
+        """The block-wise in-place build has the bits of Phi_inv of the
+        lower half's fractions, mirrored: a negative lower half, a +0.0
+        middle for odd n and a positive upper half."""
+        lower = Phi_inv((np.arange(n // 2) + 0.5) / n)
+        middle = [0.0] if n % 2 else []
+        q = midpoint_quantiles(n)
+        assert_same_bits(q, np.concatenate((lower, middle, -lower[::-1])))
+        assert np.all(np.signbit(q[:n // 2])) and not np.any(np.signbit(q[n // 2:]))
+
+    def test_grid_allocates_little_beyond_its_axis(self):
+        # the half-sized index, fraction and negated temporaries came to
+        # 16 MiB beside the 8 MiB axis; a few block temporaries remain
+        tracemalloc.start()
+        try:
+            grid = equal_measure_grid(1, 1 << 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * grid.axis_points.nbytes
+
     def test_quantiles_of_cell_midpoints(self):
         for n in (2, 7, 64, 1001):
             q = midpoint_quantiles(n)

@@ -97,3 +97,33 @@ def test_cli_dispatches_through_the_check_table():
     assert not [n for n in names if n.startswith("check_") or n == "convergence_study"]
     assert cli.CHECK_TOKENS == tuple(verify.CHECKS)
     assert list(verify.CHECKS) == ["uno", "dos", "norm", "mt", "interval", "orlicz", "converge"]
+
+
+# The package's only dataclasses, each with the reason it stays one.  A
+# frozen dataclass generates its methods through ``exec`` when its module
+# is imported, about a millisecond each, and every CLI run pays for it;
+# every other record is a NamedTuple or a slotted class.
+DATACLASSES = {
+    ("fields.py", "ScalarField"): "perfbench/tracing.py rebuilds a field with dataclasses.replace",
+    ("gaussian.py", "GaussianGrid"): "an assignment raises FrozenInstanceError (test_immutable)",
+    ("verify.py", "IneqReport"): "verify and the CLI tests rebuild a row with dataclasses.replace",
+}
+
+
+def _is_dataclass_decorator(node: ast.expr) -> bool:
+    target = node.func if isinstance(node, ast.Call) else node
+    return (isinstance(target, ast.Name) and target.id == "dataclass") or (
+        isinstance(target, ast.Attribute) and target.attr == "dataclass")
+
+
+def test_dataclasses_only_where_a_reason_is_named():
+    found = {
+        (path.name, node.name)
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ClassDef) and any(map(_is_dataclass_decorator, node.decorator_list))
+    }
+    assert found == set(DATACLASSES)
+    # nor is one made by a call: dataclasses.make_dataclass
+    for path in MODULES:
+        assert "make_dataclass" not in path.read_text(encoding="utf-8"), path.name

@@ -476,6 +476,30 @@ class TestLuxemburg:
         assert n <= 6, n
         assert value == pytest.approx(bisection_luxemburg(p, A), rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("pieces", [64, 1 << 16], ids=["walk", "coarse"])
+    def test_scales_up_to_the_top_of_the_double_range(self, pieces):
+        """The orlicz:expsq norm of 2^k p is 2^k times that of p, to the
+        root tolerance, for every k up to the largest the double range
+        holds.  A profile flat near its top, tanh on an equal-width grid,
+        needs a bracket end above sup: doubled past the largest double, it
+        made the norm inf."""
+        flat = np.tanh(np.linspace(3.0, 0.01, pieces))
+        flat.setflags(write=False)
+        profiles = [Profile.equal_width(flat),
+                    *(random_profile(np.random.default_rng(seed)) for seed in range(10))]
+        orlicz = RINorm("orlicz", young=YoungFunction.exp_sq_truncated())
+        for p in profiles:
+            base = ri_norm(p, orlicz)
+            top = 1024 - math.frexp(p.sup)[1]  # the largest k with 2^k sup finite
+            for k in (0, 500, *range(top - 8, top + 1)):
+                got = ri_norm(Profile(p.knots, np.ldexp(p.values, k)), orlicz)
+                with np.errstate(over="ignore"):
+                    want = float(np.ldexp(base, k))
+                if want == math.inf:  # the norm itself exceeds the largest double
+                    assert got == math.inf, (p.num_pieces, k)
+                else:
+                    assert got == pytest.approx(want, rel=1e-10, abs=0.0), (p.num_pieces, k)
+
     def test_coarse_bracket_falls_back_to_the_walk(self):
         """A coarse profile of group minima can lose the support that makes
         the norm positive: 1250 of 65536 pieces at 5 give expsq(2) a
