@@ -8,8 +8,9 @@ libm's erfc): the quantile function is Wichura's rational approximation,
 Algorithm AS 241 (PPND16), Applied Statistics 37 (1988) 477-484, accurate
 to about 1e-16 relative without a polishing step.  Both kernels run a
 block at a time; a block wholly inside AS 241's central region
-|t - 1/2| <= 0.425 skips the clamps and region masks and runs the same
-arithmetic on whole buffers, so every result keeps its bits.
+|t - 1/2| <= 0.425, or wholly inside one of its near tails, skips the
+clamps and region masks and runs the same arithmetic on whole buffers,
+so every result keeps its bits.
 
 Convention
 ----------
@@ -158,13 +159,43 @@ def _central(q: np.ndarray) -> np.ndarray:
     return q
 
 
+def _near_tail(p: np.ndarray, q: np.ndarray):
+    """AS 241 quantiles of a block wholly inside one tail, |q| > 0.425,
+    with every r <= 5: the masked path's arithmetic on whole buffers, or
+    None when the block is not such a block.  There r <= 5 keeps
+    min(p, 1 - p) above e^-25, so the clamp to [P_LO, P_HI] changes
+    nothing."""
+    lower = bool(q.max() < -0.425)
+    if not (lower or q.min() > 0.425):
+        return None
+    # out-of-range p (never from this module's callers) gives r = inf or
+    # NaN here and takes the masked path
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.log(p) if lower else np.log(np.subtract(1.0, p))
+        np.negative(r, out=r)
+        np.sqrt(r, out=r)
+    if not r.max() <= 5.0:
+        return None
+    r -= 1.6
+    x = _rational(r, _NEAR_TAIL)
+    return np.negative(x, out=x) if lower else x
+
+
 def _ppnd16_block(p: np.ndarray) -> np.ndarray:
     """AS 241 quantiles of probabilities inside (0, 1), clamped to
-    [P_LO, P_HI] first.  A block wholly inside the central region, where
-    the clamp changes nothing, skips the clamp and the masks."""
+    [P_LO, P_HI] first.  A block wholly inside the central region, or
+    wholly inside one tail with every r <= 5, where the clamp changes
+    nothing, skips the clamp, the masks and the gathers."""
     q = p - 0.5
     if _all_central(q):
         return _central(q)
+    x = _near_tail(p, q)
+    return _ppnd16_masked(p) if x is None else x
+
+
+def _ppnd16_masked(p: np.ndarray) -> np.ndarray:
+    """AS 241 on any block: the clamp, then the central region and the
+    two tail ranges by masks, gathers and scatters."""
     p = np.clip(p, P_LO, P_HI)
     q = p - 0.5
     out = np.empty_like(p)

@@ -27,12 +27,13 @@ EXPSQ_DEFAULT_CAP = 20.0
 HINGE_GRID_SIZE = 256
 _TINY = float(np.finfo(float).tiny)  # smallest normal double
 _TINY_SUM = 2.0 ** -500  # an Lp power sum below this may have lost terms to underflow
-_MAX_PASSES = 100  # Luxemburg refinement; typical profiles take five to ten
+_MAX_PASSES = 100  # Luxemburg refinement; typical profiles take two to ten
 _REL_TOL = 1e-10  # relative width at which the Luxemburg bracket stops
 _COARSE_STEP = 64  # knots apart in the coarse profiles of a Luxemburg bracket
 # fewest pieces for which that bracket pays: measured on gradient
 # profiles, it was slower at 8192 pieces, about even at 16384, faster at 32768
 _COARSE_MIN_PIECES = 32768
+_BOUND_STEP = 256  # knots per run bounded at once in the Marcinkiewicz norm's pruning
 
 
 class YoungFunction(NamedTuple):
@@ -46,14 +47,15 @@ class YoungFunction(NamedTuple):
     kind: str
     param: float
 
-    def __call__(self, t, out=None):
+    def __call__(self, t, out=None, nonnegative=False):
         """A(t) elementwise, into ``out`` when given (a float array shaped
         like ``t``, or ``t`` itself), else into one fresh array.  In place
         from there: the Luxemburg root-finder calls this on whole profiles
-        five to ten times per norm."""
+        a few times per norm.  ``nonnegative`` says that t >= 0 already,
+        so the |t| pass is skipped."""
         if out is None:
             t = out = np.array(t, dtype=float)
-        x = np.abs(t, out=out)
+        x = out if nonnegative and t is out else np.abs(t, out=out)
         if self.kind == "power":
             x **= self.param
         elif self.kind == "hinge":
@@ -249,12 +251,14 @@ def _luxemburg(p: Profile, A: YoungFunction) -> float:
     Root of log theta against log lam (exactly linear for power(p)) by
     Illinois regula falsi (Dowell & Jarratt 1971) on a bracket
     theta(lo) > 1 >= theta(hi), one pass over the profile per probe.  A
-    profile of at least ``_COARSE_MIN_PIECES`` pieces takes its bracket
-    from the norms of two coarse profiles (``_coarse_bracket``): two
-    passes to check its ends, and a third of one for those norms.  Any
-    other profile, or one whose coarse ends do not bracket the root,
-    walks from sup p.  The search stops when hi - lo <= _REL_TOL * hi and
-    returns the midpoint.
+    profile of at least ``_COARSE_MIN_PIECES`` pieces takes its bracket,
+    and the log theta it starts from at either end, from two coarse
+    profiles (``_coarse_bracket``), a third of a pass in all, so every
+    whole pass is a probe that shrinks the bracket: three on the 2^20-piece
+    gradient profile of the 1-d ``poly_tanh`` field.  Any other profile,
+    or one whose coarse profiles give no usable start, walks from sup p.
+    The search stops when hi - lo <= _REL_TOL * hi and returns the
+    midpoint.
     The norm is 0 when theta <= 1 for every lam, which a bounded A allows;
     norms below the smallest normal double are returned as 0 too.
     """
@@ -262,6 +266,8 @@ def _luxemburg(p: Profile, A: YoungFunction) -> float:
         return 0.0
 
     values, widths = p.values, p.widths
+    # a profile that ends at or above 0 is its own |p|: A skips that pass
+    nonnegative = bool(values[-1] >= 0.0)
     # One profile-sized array for every pass: A runs in place on it.
     # Fresh arrays per pass let the C allocator trim and regrow its heap on
     # every pass, which tripled the time of this loop depending on earlier
@@ -273,13 +279,13 @@ def _luxemburg(p: Profile, A: YoungFunction) -> float:
         # weighted in place and summed pairwise: np.dot would hand the sum
         # to BLAS, whose bits depend on its thread count
         with np.errstate(over="ignore"):
-            np.multiply(A(scaled, out=scaled), widths, out=scaled)
+            np.multiply(A(scaled, out=scaled, nonnegative=nonnegative), widths, out=scaled)
             theta = float(np.sum(scaled))
         return math.log(theta) if theta > 0.0 else -math.inf
 
     bracket = None
     if p.num_pieces >= _COARSE_MIN_PIECES:
-        bracket = _coarse_bracket(p, A, log_theta)
+        bracket = _coarse_bracket(p, A)
     if bracket is None:
         bracket = _walk_bracket(p.sup, log_theta)
         if bracket is None:
@@ -307,37 +313,49 @@ def _luxemburg(p: Profile, A: YoungFunction) -> float:
                 y_hi *= 0.5  # Illinois: the same end moved twice running
             lo, y_lo, last_lo = lam, y, True
         else:
-            if not last_lo:
+            if last_lo is False:
                 y_lo *= 0.5
             hi, y_hi, last_lo = lam, y, False
     raise BracketingError(f"Luxemburg root-finding did not converge in {_MAX_PASSES} passes")
 
 
-def _coarse_bracket(p: Profile, A: YoungFunction, log_theta):
-    """A bracket (lo, log theta(lo), hi, log theta(hi), last_lo) from two
-    coarse profiles on every ``_COARSE_STEP``-th knot of ``p``, or None
-    when its ends do not bracket the root.
+def _coarse_bracket(p: Profile, A: YoungFunction):
+    """A bracket (lo, log theta(lo), hi, log theta(hi), last_lo) of the
+    norm of ``p`` read off two coarse profiles on every
+    ``_COARSE_STEP``-th knot of ``p``, with no pass over ``p`` itself, or
+    None when they give no usable start.
 
     One coarse profile takes each group's first (largest) value, the other
     its last (smallest).  A is nondecreasing, so their theta bound that of
     ``p`` from above and from below at every lam, whatever the widths, and
-    their norms bound the norm of ``p``.  Each end is widened by
-    ``_REL_TOL``, the accuracy of those norms, and checked on ``p`` itself.
+    their norms bound the norm of ``p``.  Each coarse norm is found to
+    ``_REL_TOL`` and its end widened by ``_REL_TOL``, so theta(lo) > 1 >=
+    theta(hi) holds without a check on ``p``.  The log theta at either end
+    is that of the mean of the two coarse thetas there, the rule of an
+    upper and a lower sum: it lies between the bounds, on the right side
+    of 1, and near the true value, so the first secant lands near the
+    root.  Neither end has just moved (``last_lo`` is None).
     """
     K = p.num_pieces
     first = np.arange(0, K, _COARSE_STEP)
     knots = np.append(p.knot(first), 1.0)
     last = np.append(first[1:] - 1, K - 1)
-    lo = _luxemburg(Profile(knots, p.values[last]), A) * (1.0 - _REL_TOL)
+    upper, lower = Profile(knots, p.values[first]), Profile(knots, p.values[last])
+    lo = _luxemburg(lower, A) * (1.0 - _REL_TOL)
     if not lo >= _TINY:
         return None
-    hi = _luxemburg(Profile(knots, p.values[first]), A) * (1.0 + _REL_TOL)
-    del first, knots, last  # not held through the two passes over p
-    y_hi = log_theta(hi)
-    y_lo = log_theta(lo)  # probed last: the bracket starts as if lo had just moved
+    hi = _luxemburg(upper, A) * (1.0 + _REL_TOL)
+
+    def log_mean_theta(lam: float) -> float:
+        with np.errstate(over="ignore"):
+            up, low = (float(np.sum(A(c.values / lam) * c.widths)) for c in (upper, lower))
+        theta = 0.5 * (up + low)
+        return math.log(theta) if theta > 0.0 else -math.inf
+
+    y_lo, y_hi = log_mean_theta(lo), log_mean_theta(hi)
     if not y_lo > 0.0 >= y_hi:
         return None
-    return lo, y_lo, hi, y_hi, True
+    return lo, y_lo, hi, y_hi, None
 
 
 def _walk_bracket(sup: float, log_theta):
@@ -379,10 +397,53 @@ def _walk_bracket(sup: float, log_theta):
 
 def _power_sum(values: np.ndarray, widths: np.ndarray, power: float) -> float:
     """Sum of values^power * widths, the products in place: one
-    profile-sized temporary."""
-    terms = values ** power
-    terms *= widths
+    profile-sized temporary, and for power 1 no pass to power them."""
+    if power == 1.0:
+        terms = values * widths
+    else:
+        terms = values ** power
+        terms *= widths
     return float(np.sum(terms))
+
+
+def _marcinkiewicz(p: Profile, power: float) -> float:
+    """max over k of P_k * t_k^power, P_k the integral of ``p`` over (0,
+    t_k] and t_k its knot k + 1, with power = 1/q - 1 in (-1, 0).
+
+    The prefix sums are one ``cumsum`` in place (one temporary per norm),
+    weighted in place by the powered knots a ``PASS_BLOCK`` at a time.  A
+    block is weighted only while it can hold the max: the prefix sums of a
+    profile that ends at or above 0 never decrease (rounding is monotone)
+    and t^power decreases, so on each ``_BOUND_STEP`` run of knots the
+    terms are at most its last prefix sum times its first knot's power.
+    Those bounds, with a margin for the rounding of ``pow`` and of the
+    products, order the blocks; a block whose bound does not exceed the
+    max so far is skipped, and the max keeps the bits of weighting every
+    prefix."""
+    terms = p.values * p.widths
+    np.cumsum(terms, out=terms)
+    n = terms.size
+    blocks = np.arange(0, n, PASS_BLOCK)
+    if p.values[-1] >= 0.0:
+        step = math.gcd(PASS_BLOCK, _BOUND_STEP)  # runs that tile the blocks
+        starts = np.arange(0, n, step)
+        ends = np.minimum(starts + step, n)
+        with np.errstate(over="ignore"):
+            bound = terms[ends - 1] * p.knot(starts + 1) ** power
+            bound *= 1.0 + 2.0 ** -40
+            bound += _TINY  # above a subnormal product's absolute rounding
+        bound = np.maximum.reduceat(bound, blocks // step)
+    else:
+        bound = np.full(blocks.size, math.inf)
+    top = -math.inf
+    for b in np.argsort(-bound, kind="stable"):
+        if bound[b] <= top:
+            break
+        start, stop = int(blocks[b]), min(int(blocks[b]) + PASS_BLOCK, n)
+        block = terms[start:stop]
+        block *= p.knot(np.arange(start + 1, stop + 1)) ** power
+        top = max(top, float(block.max()))
+    return top
 
 
 def ri_norm(p: Profile, X: RINorm) -> float:
@@ -394,11 +455,12 @@ def ri_norm(p: Profile, X: RINorm) -> float:
     Lorentz lambda-norm integrates the profile against d(s^(1/p)), the
     Marcinkiewicz norm takes the exact sup of t^(1/p-1) * integral over
     (0,t] (attained at knots: on each piece that function is a sum of a
-    decreasing and an increasing term), and the Orlicz norm is the
-    Luxemburg functional, located to 1e-10 relative by Illinois regula
-    falsi on log theta against log lambda (about ten passes over the
-    profile; about five for one of 32768 pieces or more, whose bracket
-    comes from two coarse profiles of its block bounds).  A Luxemburg
+    decreasing and an increasing term; only the blocks of knots that can
+    hold it are powered), and the Orlicz norm is the Luxemburg
+    functional, located to 1e-10 relative by Illinois regula falsi on log
+    theta against log lambda (about ten passes over the profile; usually
+    two to five for one of 32768 pieces or more, whose bracket and starting
+    values come from two coarse profiles of its block bounds).  A Luxemburg
     norm that comes out inf for a finite profile had a bracket end
     overflow, and is found again on the values scaled by a power of two,
     as for Lp."""
@@ -426,15 +488,7 @@ def ri_norm(p: Profile, X: RINorm) -> float:
         terms *= p.values
         return float(np.sum(terms))
     if X.kind == "marcinkiewicz":
-        # every prefix is read: one cumsum, in place, weighted in place by
-        # the powered knots a block at a time (one temporary per norm)
-        terms = p.values * p.widths
-        np.cumsum(terms, out=terms)
-        power = 1.0 / X.param - 1.0
-        for start in range(0, terms.size, PASS_BLOCK):
-            stop = min(start + PASS_BLOCK, terms.size)
-            terms[start:stop] *= p.knot(np.arange(start + 1, stop + 1)) ** power
-        return float(np.max(terms))
+        return _marcinkiewicz(p, 1.0 / X.param - 1.0)
     if X.kind == "orlicz":
         norm = _luxemburg(p, X.young)
         if norm == math.inf and math.isfinite(p.sup):

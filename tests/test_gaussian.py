@@ -5,6 +5,7 @@ Frozen reference values were computed with mpmath at 40 digits
 """
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -28,6 +29,7 @@ from gausym import (
     phi,
 )
 
+from gausym import gaussian
 from gausym.gaussian import (
     _CENTRAL,
     _FAR_TAIL,
@@ -459,6 +461,55 @@ def masked_iso_profile(t: np.ndarray) -> np.ndarray:
         x = masked_ppnd16(tc[inner])
         out[inner] = np.exp(-0.5 * x * x) / SQRT_2PI
     return out
+
+
+class TestNearTailFastPath:
+    """A block wholly inside one tail, |p - 1/2| > 0.425 with every
+    r = sqrt(-log(min(p, 1 - p))) <= 5, skips the clamp, the masks and the
+    gathers; every result keeps the bits of the masked kernel.  A block
+    that crosses p = 0.075 (or 0.925) or r = 5 takes the masked path."""
+
+    R5 = math.exp(-25.0)  # min(p, 1 - p) at r = 5
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("inputs", ["lower", "upper", "cross_p", "cross_r", "far", "bad"])
+    def test_bits_match_the_masked_kernel(self, inputs, monkeypatch):
+        rng = np.random.default_rng(11)
+        lower = np.concatenate((rng.uniform(2 * self.R5, 0.075, PASS_BLOCK - 6),
+                                np.geomspace(2 * self.R5, 1e-3, 3),
+                                [np.nextafter(0.075, 0.0), 1e-10, 0.05]))
+        block = {
+            "lower": lower,
+            "upper": 1.0 - lower,
+            "cross_p": np.concatenate((lower[:100], [0.075, np.nextafter(0.075, 1.0), 0.3])),
+            "cross_r": np.concatenate((lower[:100], [self.R5 / 2, 1e-12, 1e-20])),
+            "far": np.array([1e-300, 1e-20, 1e-12, 1.0 - 1e-12, P_HI]),
+            "bad": np.array([0.0, 1e-3, 0.01]),
+        }[inputs]
+        for p in (block, block[::-1].copy(), block[:1], block[:3]):
+            assert_same_bits(_ppnd16_block(p), masked_ppnd16(p))
+        if inputs in ("lower", "upper"):
+            def refuse(p):
+                raise AssertionError("the masked path ran on a near-tail block")
+
+            monkeypatch.setattr(gaussian, "_ppnd16_masked", refuse)
+            assert_same_bits(_ppnd16_block(block), masked_ppnd16(block))
+            assert_same_bits(iso_profile(block), masked_iso_profile(block))
+
+    @pytest.mark.parametrize("n", [1001, 2**20])
+    def test_midpoint_quantiles_take_it(self, n, monkeypatch):
+        """Below p = 0.075 the midpoint fractions of a grid up to far beyond
+        the cell budget are near-tail blocks: the masked path runs only on
+        the block that crosses p = 0.075."""
+        masked = []
+        call = gaussian._ppnd16_masked
+        monkeypatch.setattr(gaussian, "_ppnd16_masked",
+                            lambda p: masked.append(p.size) or call(p))
+        lower = (np.arange(n // 2) + 0.5) / n
+        assert_same_bits(midpoint_quantiles(n)[:n // 2], masked_ppnd16(lower))
+        crossing = [start for start in range(0, n // 2, PASS_BLOCK)
+                    if lower[start] < 0.075 <= lower[min(start + PASS_BLOCK, n // 2) - 1]]
+        assert len(masked) == len(crossing) == 1
 
 
 class TestCentralFastPath:

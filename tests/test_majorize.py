@@ -272,18 +272,41 @@ class TestRiNorm:
         ref = float(np.sum(np.diff(p.knots ** (1.0 / q)) * p.values))
         assert ri_norm(p, RINorm("lorentz", q)) == ref
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("block", [1, 3, 64, PASS_BLOCK])
     @pytest.mark.parametrize("q", [1.5, 2.0, 3.5])
     def test_marcinkiewicz_bits_match_whole_array_formula(self, q, block, monkeypatch):
-        # the powered knots multiply the in-place prefix sums a block at a time
+        """The powered knots multiply the in-place prefix sums a block at a
+        time, and only in the blocks whose bound can reach the max so far;
+        the max keeps the bits of weighting every prefix.  Also where the
+        sup sits in the first or the last block, where runs of tied values
+        cross block boundaries, where the max is tied across blocks, and
+        on values near the top of the double range, whose blocks' bounds
+        overflow (with no warning: every warning fails this test)."""
         monkeypatch.setattr(majorize, "PASS_BLOCK", block)
         rng = np.random.default_rng(int(10 * q) + block)
+        n = 2 * PASS_BLOCK + 3
         unequal = [random_profile(rng) for _ in range(4)]
         equal = [Profile(np.arange(k + 1) / k, np.sort(rng.gamma(2.0, 1.0, k))[::-1])
-                 for k in (5, 64, 2 * PASS_BLOCK + 3)]
-        for p in unequal + equal:
+                 for k in (5, 64, n)]
+        first = np.sort(rng.gamma(2.0, 1.0, n))[::-1]
+        first[0] = 1e6  # the sup at the first knot
+        last = 1.0 + np.sort(rng.random(n))[::-1] * 1e-3  # t^(1/q) grows: the sup at t = 1
+        equal += [Profile(np.arange(n + 1) / n, v) for v in (first, last)]
+        # runs of equal values whose ends fall inside blocks of every size
+        ties = tied_profile([4.0, 3.0, 1.0, 0.5, 0.0], [7, 2 * block + 5, PASS_BLOCK, 11, 3])
+        # 6 on (0, 1/4] and 2 beyond: t^(-1/2) P(t) reads 3.0 exactly at
+        # t = 1/4 and t = 1, in different blocks, and less between
+        quarter = 4 * max(block, 16)
+        tie = tied_profile([6.0, 2.0], [quarter // 4, 3 * quarter // 4])
+        profiles = unequal + equal + [ties, tie]
+        profiles += [Profile(p.knots, np.ldexp(p.values, 1023 - math.frexp(p.sup)[1]))
+                     for p in profiles]
+        for p in profiles:
             ref = float(np.max(np.cumsum(p.values * p.widths) * p.knots[1:] ** (1.0 / q - 1.0)))
             assert ri_norm(p, RINorm("marcinkiewicz", q)) == ref
+        if q == 2.0:
+            assert ri_norm(tie, RINorm("marcinkiewicz", q)) == 3.0
 
     def test_orlicz_power2_equals_l2(self):
         X2 = RINorm("orlicz", young=YoungFunction.power(2))
@@ -447,7 +470,10 @@ class TestLuxemburg:
     def test_pass_ceiling(self, young_calls):
         """At most 12 passes per profile (bisection took 35 or more): also
         where the first secant lands on the root (log theta is linear in
-        log lam for power(p)) and where the norm lies up to 1e5 below sup."""
+        log lam for power(p)) and where the norm lies up to 1e5 below sup.
+        The builtins' profiles also on grids of 65536 cells, whose gradient
+        profiles start from the coarse bracket, all within 1e-10 of
+        bisection."""
         young = (YoungFunction.exp_sq_truncated(), YoungFunction.hinge(0.5),
                  YoungFunction.power(1), YoungFunction.power(3))
         spikes = (tied_profile([1e3, 1e-3], [1, 99999]), tied_profile([7.0, 0.25], [10, 9990]),
@@ -457,24 +483,51 @@ class TestLuxemburg:
                  for A in young]
         cases += [(random_profile(np.random.default_rng(seed)), YoungFunction.power(q))
                   for seed in range(20) for q in (1.0, 1.5, 3.0, 8.0)]
-        for dim, N in ((1, 4096), (2, 64)):
+        builtins = []
+        for dim, N in ((1, 4096), (2, 64), (1, 2**16), (2, 256)):
             for name in corpus_names():
                 a = analyze(builtin_field(name, None, dim), equal_measure_grid(dim, N), 4096)
-                cases += [(a.grad_prof, YoungFunction.exp_sq_truncated()),
-                          (a.surr_prof, YoungFunction.exp_sq_truncated())]
-        for p, A in cases:
+                builtins += [(a.grad_prof, YoungFunction.exp_sq_truncated()),
+                             (a.surr_prof, YoungFunction.exp_sq_truncated())]
+        assert sum(p.num_pieces >= majorize._COARSE_MIN_PIECES for p, _ in builtins) == 12
+        for p, A in cases + builtins:
             value, n = _passes(young_calls, p, A)
             assert value > 0.0 and n <= 12, (A.label, p.sup, n)
+        for p, A in builtins:
+            assert ri_norm(p, RINorm("orlicz", young=A)) == pytest.approx(
+                bisection_luxemburg(p, A), rel=1e-10, abs=0.0), (p.num_pieces, p.sup)
 
     def test_dense_gradient_profile(self, young_calls):
-        """The 2^20-piece gradient profile of poly_tanh takes at most six
-        whole passes (the walk from sup took ten), matching bisection."""
+        """The 2^20-piece gradient profile of poly_tanh takes three whole
+        passes (the walk from sup took ten, and the coarse bracket checked
+        on the profile five), plus the coarse profiles' work, under half a
+        pass; the norm matches bisection."""
         grid = equal_measure_grid(1, 2**20)
         p = analyze(builtin_field("poly_tanh"), grid, 4096, ["norm"]).grad_prof
         A = YoungFunction.exp_sq_truncated()
         value, n = _passes(young_calls, p, A)
-        assert n <= 6, n
+        whole = [size for size in young_calls if size == p.num_pieces]
+        assert len(whole) <= 3 and n <= 3.5, (len(whole), n)
         assert value == pytest.approx(bisection_luxemburg(p, A), rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("name", corpus_names())
+    def test_coarse_bracket_makes_no_pass_over_the_profile(self, young_calls, name):
+        """The coarse bracket reads only the two coarse profiles, K/64
+        pieces each, yet brackets the norm of the whole profile: theta >
+        1 at lo and theta <= 1 at hi, each start value on its side of 0."""
+        grid = equal_measure_grid(1, 2**16)
+        p = analyze(builtin_field(name), grid, 4096, ["norm"]).grad_prof
+        A = YoungFunction.exp_sq_truncated()
+        young_calls.clear()
+        lo, y_lo, hi, y_hi, last_lo = majorize._coarse_bracket(p, A)
+        assert max(young_calls) <= p.num_pieces // majorize._COARSE_STEP
+        assert y_lo > 0.0 >= y_hi and last_lo is None
+
+        def theta(lam):
+            return float(np.sum(A(p.values / lam) * p.widths))
+
+        assert theta(lo) > 1.0 >= theta(hi)
+        assert lo < bisection_luxemburg(p, A) < hi
 
     @pytest.mark.parametrize("pieces", [64, 1 << 16], ids=["walk", "coarse"])
     def test_scales_up_to_the_top_of_the_double_range(self, pieces):
