@@ -37,16 +37,9 @@ from .gaussian import (
 )
 from .majorize import (
     DEFAULT_NORM_FAMILY,
-    CalderonReport,
-    HlpEquivalenceReport,
-    MajorizationVerdict,
     RINorm,
     YoungFunction,
-    calderon_check,
     hinge_integrals,
-    hlp_equivalence_check,
-    majorizes,
-    orlicz_integral,
     parse_norm,
     ri_norm,
 )

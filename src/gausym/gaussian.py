@@ -267,22 +267,15 @@ def iso_profile(t):
 
 
 def _iso_profile_block(t: np.ndarray) -> np.ndarray:
-    q = t - 0.5
-    if _all_central(q):
-        # inside (0, 1), where neither clip changes anything: the same
-        # arithmetic as the masked path, on whole buffers
-        x = _central(q)
-        out = x * -0.5
-        out *= x
-        np.exp(out, out=out)
-        out /= SQRT_2PI
-        return out
+    """I on a block: a block wholly inside (0, 1), where the clip changes
+    nothing, skips it and the mask; a NaN fails that test."""
+    if t.min() > 0.0 and t.max() < 1.0:
+        return phi(_ppnd16_block(t))
     tc = np.clip(t, 0.0, 1.0)
     out = np.zeros_like(tc)
     inner = (tc > 0.0) & (tc < 1.0)
     if np.any(inner):
-        x = _ppnd16_block(tc[inner])
-        out[inner] = np.exp(-0.5 * x * x) / SQRT_2PI
+        out[inner] = phi(_ppnd16_block(tc[inner]))
     return out
 
 

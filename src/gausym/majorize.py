@@ -1,12 +1,14 @@
-"""Young functions, Orlicz integrals, partial-sum majorization, and
-rearrangement-invariant norms on profiles.
+"""Young functions, hinge integrals and rearrangement-invariant norms on
+profiles.
 
 The "all Young functions" quantifier of the comparison principle is
 realized by the hinge family (t-c)+ on a finite c-grid: hinges are the
 extreme rays characterizing partial-sum domination between nonincreasing
 profiles.  The "any r.i. norm" quantifier is realized by a finite family
 spanning the standard scale: Lp, a Lorentz lambda-norm, a Marcinkiewicz
-maximal norm, and an Orlicz (Luxemburg) norm.
+maximal norm, and an Orlicz (Luxemburg) norm.  The ``orlicz`` and
+``norm`` checks compare profiles of one analysis through these; the
+partial sums themselves are ``Profile.cumulative``.
 
 The records here are ``NamedTuple``s, immutable and compared by value: a
 frozen dataclass would generate its methods through ``exec`` each time
@@ -16,7 +18,7 @@ the module is imported.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -161,35 +163,6 @@ DEFAULT_NORM_FAMILY: tuple[RINorm, ...] = (
 )
 
 
-def orlicz_integral(p: Profile, A) -> float:
-    """Integral of A over a Profile, an exact piecewise sum."""
-    return float(np.sum(A(p.values) * p.widths))
-
-
-class MajorizationVerdict(NamedTuple):
-    holds: bool
-    min_margin: float
-    argmin_t: float
-    t_grid: np.ndarray
-    margins: np.ndarray
-
-
-def majorizes(h: Profile, g: Profile, M: int = 1024, tol: float = 1e-12) -> MajorizationVerdict:
-    """Partial-sum domination: integral of g over (0,t] <= same for h,
-    for every t on the uniform M-grid; reports the minimal margin and
-    where it occurs."""
-    t_grid = np.arange(1, M + 1) / M
-    margins = h.cumulative(t_grid) - g.cumulative(t_grid)
-    k = int(np.argmin(margins))
-    return MajorizationVerdict(
-        holds=bool(margins[k] >= -tol),
-        min_margin=float(margins[k]),
-        argmin_t=float(t_grid[k]),
-        t_grid=t_grid,
-        margins=margins,
-    )
-
-
 def hinge_integrals(p: Profile, c_grid) -> np.ndarray:
     """Integral of (p - c)+ over (0, 1) for every threshold c in c_grid.
 
@@ -200,48 +173,6 @@ def hinge_integrals(p: Profile, c_grid) -> np.ndarray:
     c = np.asarray(c_grid, dtype=float)
     knot = p.knot(np.searchsorted(-p.values, -c, side="left"))
     return p.cumulative(knot) - c * knot
-
-
-class HlpEquivalenceReport(NamedTuple):
-    orlicz_dominated: bool  # all hinge integrals of g below those of h
-    majorization_holds: bool
-    witness_c: Optional[float]  # first c breaking the hinge comparison
-    witness_t: Optional[float]  # argmin margin when majorization fails
-    max_hinge_excess: float
-
-    @property
-    def agree(self) -> bool:
-        return self.orlicz_dominated == self.majorization_holds
-
-
-def hlp_equivalence_check(
-    g: Profile,
-    h: Profile,
-    c_grid: Optional[np.ndarray] = None,
-    M: int = 1024,
-    tol: float = 1e-10,
-) -> HlpEquivalenceReport:
-    """Cross-check the two equivalent domination predicates for g against h:
-    hinge integrals ordered for every c, and partial sums ordered for
-    every t.  Disagreement beyond tolerance comes with a witness.
-
-    The default c-grid is the profiles' own values: the hinge gap is
-    piecewise linear in c with kinks there, so its max over c is attained
-    at one of them, however narrow the band of c where it is positive."""
-    if c_grid is None:
-        c_grid = np.union1d(g.values, h.values)
-    c_grid = np.asarray(c_grid, dtype=float)
-    excess = hinge_integrals(g, c_grid) - hinge_integrals(h, c_grid)
-    bad = np.nonzero(excess > tol)[0]
-    orlicz_dominated = bad.size == 0
-    verdict = majorizes(h, g, M=M, tol=tol)
-    return HlpEquivalenceReport(
-        orlicz_dominated=orlicz_dominated,
-        majorization_holds=verdict.holds,
-        witness_c=float(c_grid[bad[0]]) if bad.size else None,
-        witness_t=None if verdict.holds else verdict.argmin_t,
-        max_hinge_excess=float(np.max(excess)),
-    )
 
 
 def _luxemburg(p: Profile, A: YoungFunction) -> float:
@@ -501,47 +432,3 @@ def ri_norm(p: Profile, X: RINorm) -> float:
                 return float(np.ldexp(norm, exponent))
         return norm
     raise InvalidParameterError(f"unknown norm kind {X.kind!r}")
-
-
-class NormVerdict(NamedTuple):
-    label: str
-    norm_g: float
-    norm_h: float
-    margin: float
-    ok: bool
-
-
-class CalderonReport(NamedTuple):
-    precondition_holds: bool
-    min_majorization_margin: float
-    verdicts: tuple
-
-    @property
-    def all_ok(self) -> bool:
-        return self.precondition_holds and all(v.ok for v in self.verdicts)
-
-
-def calderon_check(
-    g: Profile,
-    h: Profile,
-    norms: Sequence[RINorm] = DEFAULT_NORM_FAMILY,
-    M: int = 1024,
-    tol: float = 1e-9,
-) -> CalderonReport:
-    """Norm domination under majorization: given g majorized by h, every
-    norm in the family must order the pair the same way.  A violated
-    precondition is reported, never silently skipped."""
-    verdict = majorizes(h, g, M=M)
-    results = []
-    for X in norms:
-        ng = ri_norm(g, X)
-        nh = ri_norm(h, X)
-        margin = nh - ng
-        results.append(
-            NormVerdict(X.label, ng, nh, margin, bool(margin >= -tol * (1.0 + abs(nh))))
-        )
-    return CalderonReport(
-        precondition_holds=verdict.holds,
-        min_majorization_margin=verdict.min_margin,
-        verdicts=tuple(results),
-    )

@@ -139,7 +139,7 @@ class Profile:
         and NaN-free.  The constructor would scan them again, with a
         temporary of their size.  ``verify.Analysis`` builds its four
         profiles this way: ``p``, ``grad_prof``, ``surr_prof`` and
-        ``sym_grad_prof``."""
+        ``sym_grad_prof``; ``scaled`` keeps a profile of this form in it."""
         profile = object.__new__(cls)
         profile._knots = None
         profile.values = values
@@ -215,9 +215,19 @@ class Profile:
         return float(self.knot(np.searchsorted(-self.values, -level, side="left")))
 
     def scaled(self, factor: float) -> "Profile":
+        """The profile times ``factor`` >= 0, on the same knots: an
+        equal-width profile stays one."""
         if factor < 0:
             raise DomainError("scaling factor must be nonnegative")
-        return Profile(self.knots, self.values * factor)
+        if self._knots is not None:
+            return Profile(self._knots, self.values * factor)
+        # a nonnegative factor keeps the values nonincreasing; a NaN factor,
+        # or 0 times an infinite value, makes a NaN that max propagates
+        values = self.values * factor
+        if math.isnan(values.max()):
+            raise DomainError("profile values must not be NaN")
+        values.setflags(write=False)
+        return Profile.equal_width(values)
 
     @classmethod
     def constant(cls, c: float) -> "Profile":

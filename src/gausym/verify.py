@@ -41,8 +41,8 @@ and ``grad_prof``, 16 bytes a cell:
   no knot or width array, without ``Profile``'s validating re-scans
   (``Profile.equal_width``), since the arrays were just sorted and are
   finite.
-- Each cumulative, of |grad f| in level order, of the surrogate and of
-  (|grad f|)*, is one running sum taken in pairwise-summed chunks
+- Each cumulative, of |grad f| in level order, of the surrogate, of f*
+  and of (|grad f|)*, is one running sum taken in pairwise-summed chunks
   (``rearrange.running_sum_at``), read only at the points the checks
   read, all known when the analysis is built; each value read depends
   on its index alone, not on what else is read.  The analysis keeps
@@ -52,7 +52,8 @@ and ``grad_prof``, 16 bytes a cell:
   analysis; with ``mt`` ``mt_surr_cum`` and ``mt_grad_cum``, the other
   two cumulatives at the t-grid and then at ``mt``'s fold edges
   ``mt_edges``; and with ``dos`` or ``orlicz`` ``sym_means``, f*'s
-  means on the derivative bins, read off the surrogate's sweep over f*.
+  means on the derivative bins, differenced from ``p.cumulative`` at the
+  bin edges.
 
 The symmetrized field's gradient is taken lazily, on first use by
 ``dos`` or ``orlicz``, from ``sym_means`` on the N axis points alone
@@ -136,9 +137,10 @@ class Analysis:
     ``grad_prof``.  ``surr`` holds the surrogate's means on the ``m_d``
     derivative bins, and ``grad_cum`` the cumulative of ``grad_prof`` at
     the t-grid, both read-only; with ``dos`` or ``orlicz`` among the
-    checks ``sym_means`` holds f*'s means on the same bins, which the
-    symmetrized gradient reads, and is None otherwise.  The level order that
-    only ``mt`` reads is built only when it is among the checks; then
+    checks ``sym_means`` holds f*'s means on the same bins, differenced
+    from ``p.cumulative`` at their edges, which the symmetrized gradient
+    reads, and is None otherwise.  The level order that only ``mt``
+    reads is built only when it is among the checks; then
     ``mt_surr_cum`` and ``mt_grad_cum`` hold the surrogate cumulative and
     the integral of |grad f| over the super-level set of measure t, each
     at the t-grid and then at ``mt_edges``, mt's fold edges, and
@@ -198,10 +200,10 @@ class Analysis:
         # nothing reads |grad f| in cell order any more: sort it in place
         np.negative(grads, out=grads)
         self.grad_prof = Profile.equal_width(_sort_negated(grads))
-        # dos and orlicz read f*'s means on the bins, off the same sweep
-        sym = "dos" in checks or "orlicz" in checks
-        surr_cum, cum = _surrogate_at(self.p, self.m_d, at, edges if sym else None)
-        self.sym_means = None if cum is None else _read_only(np.diff(cum) * self.m_d)
+        surr_cum = _surrogate_at(self.p, self.m_d, at)
+        self.sym_means = None
+        if "dos" in checks or "orlicz" in checks:
+            self.sym_means = _read_only(np.diff(self.p.cumulative(edges)) * self.m_d)
         self.grad_cum = _read_only(self.grad_prof.cumulative(self.t_grid))
         self.surr = _read_only(np.diff(surr_cum[:self.m_d + 1]) * self.m_d)
         if self.mt_edges is not None:
@@ -290,10 +292,9 @@ def _sort_negated(neg: np.ndarray, order: Optional[np.ndarray] = None) -> np.nda
     return neg
 
 
-def _surrogate_at(p: Profile, m_d: int, at: np.ndarray, edges: Optional[np.ndarray] = None):
+def _surrogate_at(p: Profile, m_d: int, at: np.ndarray) -> np.ndarray:
     """Integral of the surrogate measure over (0, knots[k]], for each k of
-    ``at``, in any order, each below K, and with ``edges`` p's cumulative
-    at each of them (else None), read off the same running sum.
+    ``at``, in any order, each below K.
 
     The measure (-dp) * I puts at each drop of the step profile its size
     times I at the center of the stretch it stands for, capped at the
@@ -302,16 +303,15 @@ def _surrogate_at(p: Profile, m_d: int, at: np.ndarray, edges: Optional[np.ndarr
     Surrogate samples are bin averages of this measure, so they stay inside
     the range of (-p)' * I even where both factors vary quickly within a
     bin.  Built as one running sum, to which a knot without a drop adds
-    an exact 0; with ``edges``, p's masses are its second row.
+    an exact 0.
     """
     values = p.values
     last_at = 0.0
 
     def drops(start, stop):
         nonlocal last_at
-        run = np.empty((1 if edges is None else 2, stop - start))
         # at knots[start + 1:stop + 1]
-        mass = np.subtract(values[start:stop], values[start + 1:stop + 1], out=run[0])
+        mass = np.subtract(values[start:stop], values[start + 1:stop + 1])
         idx = np.flatnonzero(mass > 0.0)
         if idx.size:
             at = p.knot(idx + (start + 1))
@@ -319,17 +319,9 @@ def _surrogate_at(p: Profile, m_d: int, at: np.ndarray, edges: Optional[np.ndarr
             shift = 0.5 * np.minimum(at - prev, 1.0 / m_d)
             mass[idx] *= iso_profile(at - shift)
             last_at = at[-1]
-        if edges is None:
-            return mass
-        np.multiply(values[start:stop], p.widths, out=run[1])  # as ``p.masses`` takes them
-        return run
+        return mass
 
-    if edges is None:
-        return running_sum_at(drops, at), None
-    pieces = uniform_piece(edges, p.num_pieces)
-    surr, mass = running_sum_at(drops, np.append(at, pieces))
-    # the cumulative past the knot below each edge, as ``Profile.cumulative`` adds it
-    return surr[:at.size], mass[at.size:] + values[pieces] * (edges - p.knot(pieces))
+    return running_sum_at(drops, at)
 
 
 def _require_finite(

@@ -1,4 +1,8 @@
-"""Young functions, Orlicz integrals, majorization, and r.i. norms."""
+"""Young functions, hinge integrals, r.i. norms, and the theorems that tie
+them to partial sums: Hardy-Littlewood-Polya (hinge integrals ordered iff
+partial sums ordered) and Calderon (partial sums ordered implies every
+r.i. norm ordered), checked on ``Profile.cumulative``, ``hinge_integrals``
+and ``ri_norm`` directly."""
 
 import math
 
@@ -13,12 +17,8 @@ from gausym import (
     Profile,
     RINorm,
     YoungFunction,
-    calderon_check,
     hinge_integrals,
-    hlp_equivalence_check,
     lebesgue_rearrangement,
-    majorizes,
-    orlicz_integral,
     parse_field,
     parse_norm,
     ri_norm,
@@ -33,6 +33,8 @@ from conftest import averaged_profile, majorized_pair, random_profile
 
 THREE_ONE = Profile(np.array([0.0, 0.5, 1.0]), np.array([3.0, 1.0]))
 TWO_TWO = Profile(np.array([0.0, 0.5, 1.0]), np.array([2.0, 2.0]))
+# the t-grid on which partial sums are compared
+T_GRID = np.arange(1, 1025) / 1024
 
 
 class TestYoungFunction:
@@ -102,16 +104,18 @@ class TestYoungFunction:
 
 
 class TestOrliczIntegral:
+    """Integrals of a Young function over a profile: the Lp:1 norm for
+    power(1), the hinge integrals for hinge(c)."""
+
     def test_constant_identity(self):
-        assert orlicz_integral(Profile.constant(2.5), YoungFunction.power(1)) == 2.5
+        assert ri_norm(Profile.constant(2.5), RINorm("lp", 1.0)) == 2.5
 
     def test_hand_hinge(self):
         # (3 - 1) * 1/2 + 0 * 1/2
-        assert orlicz_integral(THREE_ONE, YoungFunction.hinge(1.0)) == 1.0
+        assert np.array_equal(hinge_integrals(THREE_ONE, [1.0]), [1.0])
 
     def test_hinge_above_sup(self):
-        assert orlicz_integral(THREE_ONE, YoungFunction.hinge(3.0)) == 0.0
-        assert orlicz_integral(THREE_ONE, YoungFunction.hinge(17.0)) == 0.0
+        assert np.array_equal(hinge_integrals(THREE_ONE, [3.0, 17.0]), [0.0, 0.0])
 
 
 def _hinge_thresholds(values, extra):
@@ -169,26 +173,27 @@ class TestHingeIntegrals:
 
 
 class TestMajorizes:
+    """h majorizes g where h's partial sums are at least g's at every t,
+    read off ``Profile.cumulative`` on ``T_GRID``."""
+
     def test_reflexive(self):
-        v = majorizes(THREE_ONE, THREE_ONE)
-        assert v.holds and v.min_margin == 0.0
+        margins = THREE_ONE.cumulative(T_GRID) - THREE_ONE.cumulative(T_GRID)
+        assert np.all(margins == 0.0)
 
     def test_hand_pair(self):
-        v = majorizes(THREE_ONE, TWO_TWO)
-        assert v.holds
-        i_half = np.argmin(np.abs(v.t_grid - 0.5))
-        i_one = np.argmin(np.abs(v.t_grid - 1.0))
-        assert v.margins[i_half] == pytest.approx(0.5)
-        assert v.margins[i_one] == pytest.approx(0.0, abs=1e-15)
+        margins = THREE_ONE.cumulative(T_GRID) - TWO_TWO.cumulative(T_GRID)
+        assert np.min(margins) >= -1e-12
+        assert margins[T_GRID == 0.5][0] == pytest.approx(0.5)
+        assert margins[-1] == pytest.approx(0.0, abs=1e-15)
 
     def test_reversed_fails(self):
-        v = majorizes(TWO_TWO, THREE_ONE)
-        assert not v.holds
-        assert v.argmin_t == pytest.approx(0.5, abs=1e-3)
+        margins = TWO_TWO.cumulative(T_GRID) - THREE_ONE.cumulative(T_GRID)
+        assert np.min(margins) < -1e-12
+        assert T_GRID[np.argmin(margins)] == pytest.approx(0.5, abs=1e-3)
 
     def test_zero_profile(self):
         zero = Profile.constant(0.0)
-        assert majorizes(THREE_ONE, zero).holds
+        assert np.min(THREE_ONE.cumulative(T_GRID) - zero.cumulative(T_GRID)) >= -1e-12
 
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=40, deadline=None)
@@ -196,7 +201,7 @@ class TestMajorizes:
         rng = np.random.default_rng(seed)
         h = random_profile(rng)
         g = averaged_profile(rng, h)
-        assert majorizes(h, g, tol=1e-10).holds
+        assert np.min(h.cumulative(T_GRID) - g.cumulative(T_GRID)) >= -1e-10
 
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=25, deadline=None)
@@ -205,49 +210,65 @@ class TestMajorizes:
         h = random_profile(rng)
         g = averaged_profile(rng, h)
         f = averaged_profile(rng, g).scaled(0.9)
-        assert majorizes(h, g, tol=1e-10).holds
-        assert majorizes(g, f, tol=1e-10).holds
-        assert majorizes(h, f, tol=1e-10).holds
+        for upper, lower in ((h, g), (g, f), (h, f)):
+            assert np.min(upper.cumulative(T_GRID) - lower.cumulative(T_GRID)) >= -1e-10
 
 
 class TestHlpEquivalence:
+    """g's hinge integrals at most h's at every threshold c, exactly when
+    g's partial sums are at most h's at every t, each within 1e-10.  The
+    hinge gap is piecewise linear in c with kinks at the profiles' values,
+    so its max over c is attained at one of them, however narrow the band
+    of c where it is positive: those are the thresholds compared."""
+
+    @staticmethod
+    def _gaps(g, h):
+        """g's excess over h in hinge integrals at the profiles' values,
+        and in partial sums on ``T_GRID``."""
+        c = np.union1d(g.values, h.values)
+        hinge = hinge_integrals(g, c) - hinge_integrals(h, c)
+        partial = g.cumulative(T_GRID) - h.cumulative(T_GRID)
+        return hinge, partial
+
     def test_equal_profiles(self):
-        rep = hlp_equivalence_check(THREE_ONE, THREE_ONE)
-        assert rep.orlicz_dominated and rep.majorization_holds and rep.agree
+        hinge, partial = self._gaps(THREE_ONE, THREE_ONE)
+        assert np.all(hinge == 0.0) and np.all(partial == 0.0)
 
     def test_hand_pair_both_directions(self):
-        forward = hlp_equivalence_check(TWO_TWO, THREE_ONE)
-        assert forward.orlicz_dominated and forward.majorization_holds
-        backward = hlp_equivalence_check(THREE_ONE, TWO_TWO)
-        assert not backward.orlicz_dominated and not backward.majorization_holds
-        assert backward.witness_c is not None and backward.witness_t is not None
-        assert forward.agree and backward.agree
+        hinge, partial = self._gaps(TWO_TWO, THREE_ONE)
+        assert np.max(hinge) <= 1e-10 and np.max(partial) <= 1e-10
+        # the reverse pair breaks both: the hinge at c = 2, the partial sums
+        # most at t = 1/2
+        hinge, partial = self._gaps(THREE_ONE, TWO_TWO)
+        assert np.array_equal(hinge, [0.0, 0.5, 0.0])
+        assert T_GRID[np.argmax(partial)] == 0.5 and np.max(partial) == 0.5
 
     def test_shifted_profile(self):
         # g = h + 1 dominates h in both senses, so domination of g by h
         # fails under both predicates
         h = THREE_ONE
         g = Profile(h.knots, h.values + 1.0)
-        rep = hlp_equivalence_check(g, h)
-        assert not rep.orlicz_dominated and not rep.majorization_holds and rep.agree
-        rep2 = hlp_equivalence_check(h, g)
-        assert rep2.orlicz_dominated and rep2.majorization_holds and rep2.agree
+        hinge, partial = self._gaps(g, h)
+        assert np.max(hinge) > 1e-10 and np.max(partial) > 1e-10
+        hinge, partial = self._gaps(h, g)
+        assert np.max(hinge) <= 1e-10 and np.max(partial) <= 1e-10
 
     def test_narrow_hinge_band_found(self):
         # h fails to be majorized by g by 3.2e-4 at t = 0.135, but the hinge
         # gap is positive only on a band of c narrower than a 256-point grid
         g, h = majorized_pair(np.random.default_rng(71250))
-        rep = hlp_equivalence_check(h, g)
-        assert not rep.majorization_holds and not rep.orlicz_dominated and rep.agree
-        assert rep.max_hinge_excess == pytest.approx(3.19e-4, rel=1e-2)
+        hinge, partial = self._gaps(h, g)
+        assert np.max(partial) > 1e-10
+        assert np.max(hinge) == pytest.approx(3.19e-4, rel=1e-2)
 
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=40, deadline=None)
     def test_agreement_on_random_pairs(self, seed):
         rng = np.random.default_rng(seed)
         g, h = majorized_pair(rng)
-        assert hlp_equivalence_check(g, h).agree
-        assert hlp_equivalence_check(h, g).agree
+        for pair in ((g, h), (h, g)):
+            hinge, partial = self._gaps(*pair)
+            assert (np.max(hinge) <= 1e-10) == (np.max(partial) <= 1e-10)
 
 
 class TestRiNorm:
@@ -359,7 +380,7 @@ class TestRiNorm:
         for A in (YoungFunction.exp_sq_truncated(), YoungFunction.power(3)):
             lam = ri_norm(p, RINorm("orlicz", young=A))
             assert lam > 0
-            val = orlicz_integral(Profile(p.knots, p.values / lam), A)
+            val = float(np.sum(A(p.values / lam) * p.widths))
             assert 1 - 1e-8 <= val <= 1 + 1e-8
 
 
@@ -596,26 +617,31 @@ class TestParseNorm:
 
 
 class TestCalderon:
+    """g majorized by h gives ri_norm(g) <= ri_norm(h) for every norm of
+    the family, to 1e-9 relative."""
+
+    @staticmethod
+    def _margins(g, h):
+        return {X.label: ri_norm(h, X) - ri_norm(g, X) for X in DEFAULT_NORM_FAMILY}
+
     def test_equal_profiles(self):
-        rep = calderon_check(THREE_ONE, THREE_ONE)
-        assert rep.precondition_holds and rep.all_ok
-        assert all(v.margin == 0.0 for v in rep.verdicts)
+        assert all(m == 0.0 for m in self._margins(THREE_ONE, THREE_ONE).values())
 
     def test_hand_pair_margins(self):
-        rep = calderon_check(TWO_TWO, THREE_ONE)
-        assert rep.all_ok
-        by_label = {v.label: v for v in rep.verdicts}
-        assert by_label["lp:1"].margin == pytest.approx(0.0, abs=1e-15)
-        assert by_label["lp:2"].margin == pytest.approx(math.sqrt(5.0) - 2.0)
+        margins = self._margins(TWO_TWO, THREE_ONE)
+        for X in DEFAULT_NORM_FAMILY:
+            assert margins[X.label] >= -1e-9 * (1.0 + ri_norm(THREE_ONE, X)), X.label
+        assert margins["lp:1"] == pytest.approx(0.0, abs=1e-15)
+        assert margins["lp:2"] == pytest.approx(math.sqrt(5.0) - 2.0)
 
     def test_margins_scale(self):
-        base = calderon_check(TWO_TWO, THREE_ONE)
-        scaled = calderon_check(TWO_TWO.scaled(2.5), THREE_ONE.scaled(2.5))
-        for a, b in zip(base.verdicts, scaled.verdicts):
-            assert b.margin == pytest.approx(2.5 * a.margin, abs=1e-8)
+        base = self._margins(TWO_TWO, THREE_ONE)
+        scaled = self._margins(TWO_TWO.scaled(2.5), THREE_ONE.scaled(2.5))
+        for label, margin in base.items():
+            assert scaled[label] == pytest.approx(2.5 * margin, abs=1e-8)
 
-    def test_precondition_reported_not_skipped(self):
-        rep = calderon_check(THREE_ONE, TWO_TWO)
-        assert not rep.precondition_holds
-        assert not rep.all_ok
-        assert len(rep.verdicts) == len(DEFAULT_NORM_FAMILY)
+    def test_fails_without_majorization(self):
+        # THREE_ONE is not majorized by TWO_TWO, and lp:2 orders them the
+        # other way
+        assert np.min(TWO_TWO.cumulative(T_GRID) - THREE_ONE.cumulative(T_GRID)) < -1e-12
+        assert self._margins(THREE_ONE, TWO_TWO)["lp:2"] < -1e-9

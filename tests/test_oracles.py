@@ -1,0 +1,38 @@
+"""Closed-form oracles: the true error of an analysis' curves on a field
+whose continuum curves are known.
+
+``monotone1d``, f = e^(-a x1), has f*(t) = e^(-a Phi_inv(t)), and its
+surrogate (-f*)' I equals (|grad f|)* = a f*, so the cumulatives of both
+are a e^(a^2/2) Phi(Phi_inv(t) + a), which is a e^(a^2/2) at t = 1.
+Errors are the max over the t-grid (M = 4096), as fractions of that
+scale, and may not grow past 1.25 times their measured values: a change
+that makes either curve worse fails here.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from gausym import Phi, Phi_inv, analyze, builtin_field, equal_measure_grid
+
+A = 1.0
+SCALE = A * math.exp(A * A / 2.0)
+SLACK = 1.25
+
+
+# (log2 N, surrogate cumulative error, (|grad f|)* cumulative error),
+# measured on the field's default a = 1
+@pytest.mark.parametrize("log_n, lhs_error, rhs_error", [
+    (12, 1.08e-2, 6.87e-4),
+    (16, 1.51e-3, 6.94e-5),
+    (20, 1.89e-4, 6.73e-6),
+])
+def test_monotone1d_cumulatives(log_n, lhs_error, rhs_error):
+    analysis = analyze(builtin_field("monotone1d"), equal_measure_grid(1, 2**log_n), 4096, ["uno"])
+    t = analysis.t_grid
+    exact = np.append(SCALE * Phi(Phi_inv(t[:-1]) + A), SCALE)
+    lhs = float(np.max(np.abs(analysis.surr_prof.cumulative(t) - exact))) / SCALE
+    rhs = float(np.max(np.abs(analysis.grad_cum - exact))) / SCALE
+    assert lhs <= SLACK * lhs_error, lhs
+    assert rhs <= SLACK * rhs_error, rhs

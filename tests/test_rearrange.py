@@ -15,6 +15,7 @@ from gausym import (
     Phi,
     Phi_inv,
     Profile,
+    RINorm,
     WeightSumError,
     YoungFunction,
     analyze,
@@ -22,6 +23,7 @@ from gausym import (
     equal_measure_grid,
     lebesgue_rearrangement,
     parse_field,
+    ri_norm,
 )
 from gausym import rearrange
 from gausym.rearrange import (
@@ -145,6 +147,30 @@ class TestProfile:
         for level in (3.0, 2.5, 2.0, 1.0, 0.0, -1.0):
             assert p.super_level_measure(level) == ref.super_level_measure(level)
         assert vars(p) == {"_knots": None, "values": values}
+
+    def test_scaled_equal_width_profile_stays_equal_width(self):
+        """Scaling an equal-width profile keeps no knot array, and gives the
+        bits of the equal-width profile of the scaled values.  At 125^3
+        pieces np.diff(k/n) is not 1/n, so the knot profile it used to
+        build differed in its cumulative and its norms.  A negative factor
+        and NaN values are still refused."""
+        values = np.sort(np.random.default_rng(3).gamma(2.0, 1.0, 125**3))[::-1]
+        values.setflags(write=False)
+        p = Profile.equal_width(values)
+        got, ref = p.scaled(0.5), Profile.equal_width(np.ldexp(values, -1))
+        assert vars(got).keys() == {"_knots", "values"} and got._knots is None
+        t = np.linspace(0.0, 1.0, 4097)
+        assert_same_bits(got.cumulative(t), ref.cumulative(t))
+        for X in (RINorm("marcinkiewicz", 2.0), RINorm("lp", 1.5)):
+            assert ri_norm(got, X) == ri_norm(ref, X), X.label
+        with pytest.raises(DomainError, match="nonnegative"):
+            p.scaled(-1.0)
+        with pytest.raises(DomainError, match="NaN"):
+            p.scaled(math.nan)
+        top = np.array([np.inf, 1.0])
+        top.setflags(write=False)
+        with pytest.raises(DomainError, match="NaN"), np.errstate(invalid="ignore"):
+            Profile.equal_width(top).scaled(0.0)
 
 
 class TestDistributionFunction:
