@@ -16,13 +16,14 @@ before the command line, so the command line wins per option and per
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad
 configuration (a negative or non-finite --tol, an --sgrid below 8 or
 above the cell budget of 2,000,000, a NaN interval bound or norm
-exponent, lorentz:inf included, an --out path in a missing directory or
-naming a directory, a --curves path naming an existing file), refused
-before any work, or a field whose value or gradient is not finite on the
-grid, 3 runtime failure while checking, a report holding a non-finite
-number, a report or curve file that cannot be written, or (through the
-console script, which flushes stdout and stderr and then exits with
-os._exit) output that cannot be written, its reader gone.
+exponent, lorentz:inf included, a --norms value that names no norm, an
+--out path in a missing directory or naming a directory, a --curves path
+naming an existing file), refused before any work, or a field whose
+value or gradient is not finite on the grid, 3 runtime failure while
+checking, a report holding a non-finite number, a report or curve file
+that cannot be written, or (through the console script, which flushes
+stdout and stderr and then exits with os._exit) output that cannot be
+written, its reader gone.
 Report files are written atomically (temp file + rename), so a crash
 never leaves a partial report behind; they get the mode the umask gives
 (0644 under umask 022).
@@ -180,11 +181,11 @@ def _validate(cfg: dict) -> dict:
     cfg["interval_list"] = (
         validate_intervals(_parse_intervals(cfg["intervals"])) if "interval" in tokens else None
     )
-    cfg["norm_list"] = (
-        [parse_norm(s) for s in cfg["norms"].split(",") if s.strip()]
-        if cfg["norms"]
-        else list(DEFAULT_NORM_FAMILY)
-    )
+    cfg["norm_list"] = list(DEFAULT_NORM_FAMILY)
+    if cfg["norms"]:
+        cfg["norm_list"] = [parse_norm(s) for s in cfg["norms"].split(",") if s.strip()]
+        if not cfg["norm_list"]:
+            raise ConfigError("no norms given")
     return cfg
 
 

@@ -1,24 +1,25 @@
-"""Young functions, hinge integrals and rearrangement-invariant norms on
-profiles.
+"""The Orlicz norm's Young function, hinge integrals and
+rearrangement-invariant norms on profiles.
 
 The "all Young functions" quantifier of the comparison principle is
 realized by the hinge family (t-c)+ on a finite c-grid: hinges are the
 extreme rays characterizing partial-sum domination between nonincreasing
 profiles.  The "any r.i. norm" quantifier is realized by a finite family
 spanning the standard scale: Lp, a Lorentz lambda-norm, a Marcinkiewicz
-maximal norm, and an Orlicz (Luxemburg) norm.  The ``orlicz`` and
+maximal norm, and the Orlicz (Luxemburg) norm of one Young function,
+exp(t^2) - 1 truncated at ``EXPSQ_DEFAULT_CAP``.  The ``orlicz`` and
 ``norm`` checks compare profiles of one analysis through these; the
 partial sums themselves are ``Profile.cumulative``.
 
-The records here are ``NamedTuple``s, immutable and compared by value: a
-frozen dataclass would generate its methods through ``exec`` each time
-the module is imported.
+The norm record ``RINorm`` is a ``NamedTuple``, immutable and compared by
+value: a frozen dataclass would generate its methods through ``exec``
+each time the module is imported.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,16 +39,14 @@ _COARSE_MIN_PIECES = 32768
 _BOUND_STEP = 256  # knots per run bounded at once in the Marcinkiewicz norm's pruning
 
 
-class YoungFunction(NamedTuple):
-    """Convex nondecreasing A on [0, inf) with A(0) = 0.
-
-    Kinds: power(p >= 1) t^p; hinge(c >= 0) max(t-c, 0);
-    expsq(T) exp(min(t, T)^2) - 1, truncated to stay finite in double
-    precision (default T = 20).
+class YoungFunction:
+    """The Young function A(t) = exp(min(|t|, T)^2) - 1 of the Orlicz norm,
+    T = ``EXPSQ_DEFAULT_CAP``: convex and nondecreasing on [0, inf) with
+    A(0) = 0, truncated to stay finite in double precision: its sup is
+    e^(T^2) - 1, about 5.2e173.
     """
 
-    kind: str
-    param: float
+    __slots__ = ()
 
     def __call__(self, t, out=None, nonnegative=False):
         """A(t) elementwise, into ``out`` when given (a float array shaped
@@ -58,66 +57,35 @@ class YoungFunction(NamedTuple):
         if out is None:
             t = out = np.array(t, dtype=float)
         x = out if nonnegative and t is out else np.abs(t, out=out)
-        if self.kind == "power":
-            x **= self.param
-        elif self.kind == "hinge":
-            x -= self.param
-            np.maximum(x, 0.0, out=x)
-        else:
-            np.minimum(x, self.param, out=x)
-            x *= x
-            np.expm1(x, out=x)
+        np.minimum(x, EXPSQ_DEFAULT_CAP, out=x)
+        x *= x
+        np.expm1(x, out=x)
         return x if x.ndim else x[()]
 
-    @property
-    def label(self) -> str:
-        return f"{self.kind}({self.param:g})"
 
-    @property
-    def sup(self) -> float:
-        """Supremum of A over [0, inf): finite only for the truncated expsq."""
-        if self.kind != "expsq":
-            return math.inf
-        with np.errstate(over="ignore"):
-            return float(np.expm1(self.param * self.param))
-
-    @classmethod
-    def power(cls, p: float) -> "YoungFunction":
-        if p < 1:
-            raise InvalidParameterError(f"power exponent must be >= 1, got {p}")
-        return cls("power", float(p))
-
-    @classmethod
-    def hinge(cls, c: float) -> "YoungFunction":
-        if c < 0:
-            raise InvalidParameterError(f"hinge threshold must be >= 0, got {c}")
-        return cls("hinge", float(c))
-
-    @classmethod
-    def exp_sq_truncated(cls, T: float = EXPSQ_DEFAULT_CAP) -> "YoungFunction":
-        if T <= 0:
-            raise InvalidParameterError(f"truncation level must be positive, got {T}")
-        return cls("expsq", float(T))
+_EXPSQ = YoungFunction()
+_EXPSQ_SUP = float(np.expm1(EXPSQ_DEFAULT_CAP * EXPSQ_DEFAULT_CAP))
 
 
 class RINorm(NamedTuple):
     """Rearrangement-invariant norm specification.
 
     kinds: lp (p in [1, inf]), lorentz (lambda_p, 1 <= p < inf), marcinkiewicz
-    (maximal-function form, p > 1), orlicz (Luxemburg norm of a Young
-    function).
+    (maximal-function form, p > 1), orlicz (the Luxemburg norm of
+    ``YoungFunction``, no exponent).
     """
 
     kind: str
     param: float = math.nan
-    young: Optional[YoungFunction] = None
 
     @property
     def label(self) -> str:
+        """``kind:exponent``, the exponent in its shortest round-trip form
+        less a trailing ``.0``, so that two norms share a label only when
+        they are the same norm and ``parse_norm`` reads it back."""
         if self.kind == "orlicz":
-            return f"orlicz:{self.young.kind}"
-        p = "inf" if math.isinf(self.param) else f"{self.param:g}"
-        return f"{self.kind}:{p}"
+            return "orlicz:expsq"
+        return f"{self.kind}:{self.param!r}".removesuffix(".0")
 
 
 # norm kind -> (whether an exponent is accepted, the rule a refused one breaks);
@@ -145,7 +113,7 @@ def parse_norm(spec: str) -> RINorm:
     if kind == "orlicz":
         if arg != "expsq":
             raise InvalidParameterError(f"unknown orlicz spec {arg!r}; use expsq")
-        return RINorm("orlicz", young=YoungFunction.exp_sq_truncated())
+        return RINorm("orlicz")
     raise InvalidParameterError(
         f"unknown norm kind {kind!r}; use lp, lorentz, marcinkiewicz or orlicz"
     )
@@ -159,7 +127,7 @@ DEFAULT_NORM_FAMILY: tuple[RINorm, ...] = (
     RINorm("lp", math.inf),
     RINorm("lorentz", 2.0),
     RINorm("marcinkiewicz", 2.0),
-    RINorm("orlicz", young=YoungFunction.exp_sq_truncated()),
+    RINorm("orlicz"),
 )
 
 
@@ -175,25 +143,25 @@ def hinge_integrals(p: Profile, c_grid) -> np.ndarray:
     return p.cumulative(knot) - c * knot
 
 
-def _luxemburg(p: Profile, A: YoungFunction) -> float:
+def _luxemburg(p: Profile) -> float:
     """Luxemburg norm inf{lam > 0 : theta(lam) <= 1}, theta(lam) = integral
-    of A(p / lam), to ``_REL_TOL`` relative.
+    of A(p / lam) for A the ``YoungFunction``, to ``_REL_TOL`` relative.
 
-    Root of log theta against log lam (exactly linear for power(p)) by
-    Illinois regula falsi (Dowell & Jarratt 1971) on a bracket
-    theta(lo) > 1 >= theta(hi), one pass over the profile per probe.  A
-    profile of at least ``_COARSE_MIN_PIECES`` pieces takes its bracket,
-    and the log theta it starts from at either end, from two coarse
-    profiles (``_coarse_bracket``), a third of a pass in all, so every
-    whole pass is a probe that shrinks the bracket: three on the 2^20-piece
-    gradient profile of the 1-d ``poly_tanh`` field.  Any other profile,
+    Root of log theta against log lam by Illinois regula falsi (Dowell &
+    Jarratt 1971) on a bracket theta(lo) > 1 >= theta(hi), one pass over
+    the profile per probe.  A profile of at least ``_COARSE_MIN_PIECES``
+    pieces takes its bracket, and the log theta it starts from at either
+    end, from two coarse profiles (``_coarse_bracket``), a third of a pass
+    in all, so every whole pass is a probe that shrinks the bracket: three
+    on the 2^20-piece gradient profile of the 1-d ``poly_tanh`` field.  Any other profile,
     or one whose coarse profiles give no usable start, walks from sup p.
     The search stops when hi - lo <= _REL_TOL * hi and returns the
     midpoint.
-    The norm is 0 when theta <= 1 for every lam, which a bounded A allows;
-    norms below the smallest normal double are returned as 0 too.
+    The norm is 0 when theta <= 1 for every lam, which the bounded A
+    allows on a support of measure at most 1/sup A; norms below the
+    smallest normal double are returned as 0 too.
     """
-    if p.sup < _TINY or A.sup * p.super_level_measure(0.0) <= 1.0:
+    if p.sup < _TINY or _EXPSQ_SUP * p.super_level_measure(0.0) <= 1.0:
         return 0.0
 
     values, widths = p.values, p.widths
@@ -210,13 +178,13 @@ def _luxemburg(p: Profile, A: YoungFunction) -> float:
         # weighted in place and summed pairwise: np.dot would hand the sum
         # to BLAS, whose bits depend on its thread count
         with np.errstate(over="ignore"):
-            np.multiply(A(scaled, out=scaled, nonnegative=nonnegative), widths, out=scaled)
+            np.multiply(_EXPSQ(scaled, out=scaled, nonnegative=nonnegative), widths, out=scaled)
             theta = float(np.sum(scaled))
         return math.log(theta) if theta > 0.0 else -math.inf
 
     bracket = None
     if p.num_pieces >= _COARSE_MIN_PIECES:
-        bracket = _coarse_bracket(p, A)
+        bracket = _coarse_bracket(p)
     if bracket is None:
         bracket = _walk_bracket(p.sup, log_theta)
         if bracket is None:
@@ -250,7 +218,7 @@ def _luxemburg(p: Profile, A: YoungFunction) -> float:
     raise BracketingError(f"Luxemburg root-finding did not converge in {_MAX_PASSES} passes")
 
 
-def _coarse_bracket(p: Profile, A: YoungFunction):
+def _coarse_bracket(p: Profile):
     """A bracket (lo, log theta(lo), hi, log theta(hi), last_lo) of the
     norm of ``p`` read off two coarse profiles on every
     ``_COARSE_STEP``-th knot of ``p``, with no pass over ``p`` itself, or
@@ -272,14 +240,14 @@ def _coarse_bracket(p: Profile, A: YoungFunction):
     knots = np.append(p.knot(first), 1.0)
     last = np.append(first[1:] - 1, K - 1)
     upper, lower = Profile(knots, p.values[first]), Profile(knots, p.values[last])
-    lo = _luxemburg(lower, A) * (1.0 - _REL_TOL)
+    lo = _luxemburg(lower) * (1.0 - _REL_TOL)
     if not lo >= _TINY:
         return None
-    hi = _luxemburg(upper, A) * (1.0 + _REL_TOL)
+    hi = _luxemburg(upper) * (1.0 + _REL_TOL)
 
     def log_mean_theta(lam: float) -> float:
         with np.errstate(over="ignore"):
-            up, low = (float(np.sum(A(c.values / lam) * c.widths)) for c in (upper, lower))
+            up, low = (float(np.sum(_EXPSQ(c.values / lam) * c.widths)) for c in (upper, lower))
         theta = 0.5 * (up + low)
         return math.log(theta) if theta > 0.0 else -math.inf
 
@@ -291,38 +259,26 @@ def _coarse_bracket(p: Profile, A: YoungFunction):
 
 def _walk_bracket(sup: float, log_theta):
     """A bracket (lo, log theta(lo), hi, log theta(hi), last_lo) walked
-    from ``sup``, or None when the norm lies below the smallest normal
-    double."""
+    from ``sup`` by doubling, then halving, or None when the norm lies
+    below the smallest normal double.  A(20) = e^400 - 1, so the norm is
+    at least sup / 20 whenever the top piece is wider than 1/(e^400 - 1):
+    then at most five halvings find the lower end."""
     lo, hi = 0.0, sup
     y_hi = log_theta(hi)
     last_lo = False  # whether the last probe became the lower end
-    while y_hi > 0.0:  # at most once: theta(2 sup) <= A(1/2) <= 1/2 for every kind
+    while y_hi > 0.0:  # at most once: theta(2 sup) <= A(1/2) < 1
         lo, y_lo = hi, y_hi
         hi *= 2.0
         y_hi = log_theta(hi)
-    above = None  # the upper end before the last one
-    halvings = 0
     while lo == 0.0:
         if hi <= _TINY:
             return None
-        lam = 0.5 * hi
-        if halvings >= 2 and y_hi > above[1]:
-            # Profiles whose norm lies far below sup: extrapolate the secant
-            # through the last two upper ends, but not below hi * theta(hi)/2,
-            # where theta > 1 already holds for convex A (t A'(t) >= A(t), so
-            # log theta falls at least as fast as log lam rises).  Near sup
-            # the secant is too shallow for expsq and would overshoot into
-            # the cap, hence two plain halvings first.
-            x_hi, x_above = math.log(hi), math.log(above[0])
-            x = x_hi - y_hi * (x_hi - x_above) / (y_hi - above[1])
-            lam = min(lam, max(math.exp(x), lam * math.exp(y_hi)))
-        lam = max(lam, _TINY)  # keeps 1 / lam finite
+        lam = max(0.5 * hi, _TINY)  # keeps 1 / lam finite
         y = log_theta(lam)
         if y > 0.0:
             lo, y_lo, last_lo = lam, y, True
         else:
-            above, hi, y_hi = (hi, y_hi), lam, y
-            halvings += 1
+            hi, y_hi = lam, y
     return lo, y_lo, hi, y_hi, last_lo
 
 
@@ -421,13 +377,13 @@ def ri_norm(p: Profile, X: RINorm) -> float:
     if X.kind == "marcinkiewicz":
         return _marcinkiewicz(p, 1.0 / X.param - 1.0)
     if X.kind == "orlicz":
-        norm = _luxemburg(p, X.young)
+        norm = _luxemburg(p)
         if norm == math.inf and math.isfinite(p.sup):
             # a bracket end overflowed, the profile's top being within a
             # factor of 2 or so of the largest double: again on the values
             # scaled by a power of two (exactly) to a top in [1/2, 1)
             exponent = math.frexp(p.sup)[1]
-            norm = _luxemburg(p.scaled(2.0 ** -exponent), X.young)
+            norm = _luxemburg(p.scaled(2.0 ** -exponent))
             with np.errstate(over="ignore"):
                 return float(np.ldexp(norm, exponent))
         return norm

@@ -247,16 +247,11 @@ def running_sum_at(increments, at: np.ndarray) -> np.ndarray:
     whole-array cumsum.
 
     ``increments(start, stop)`` returns elements start..stop-1 as a fresh
-    array, or as rows of one, each its own sequence along the last axis.
-    It is called in order, a block of whole chunks, about ``PASS_BLOCK``
-    elements, at a time, up to the largest index read, and no array of
-    the sequence's length is built.
+    array.  It is called in order, a block of whole chunks, about
+    ``PASS_BLOCK`` elements, at a time, up to the largest index read, and
+    no array of the sequence's length is built.
     """
-    order = np.argsort(at, kind="stable")
-    at = at[order]
-    first = np.ones(at.size, bool)  # the first of each distinct index
-    np.not_equal(at[1:], at[:-1], out=first[1:])
-    reads = at[first]
+    reads, inverse = np.unique(at, return_inverse=True)
     last = int(reads[-1]) if reads.size else 0
     if last == 0:
         return np.zeros(at.size)
@@ -273,24 +268,21 @@ def running_sum_at(increments, at: np.ndarray) -> np.ndarray:
     for k, start in enumerate(range(0, last, step)):
         stop = min(start + step, last)
         run = increments(start, stop)
-        sums.append(np.add.reduceat(run, np.arange(0, stop - start, SUM_CHUNK), axis=-1))
+        sums.append(np.add.reduceat(run, np.arange(0, stop - start, SUM_CHUNK)))
         block_cuts = cuts[bounds[k]:bounds[k + 1]] - start
         if block_cuts.size:
             if block_cuts[-1] == stop - start:  # that segment runs to the block's end
                 block_cuts = block_cuts[:-1]
-            partial.append(np.add.reduceat(run, block_cuts, axis=-1)[..., ::2])
-    sums = np.concatenate(sums, axis=-1)
+            partial.append(np.add.reduceat(run, block_cuts)[::2])
     # the serial carry before each chunk, from -0.0: x + -0.0 is x, -0.0 included
-    carry = np.concatenate((np.full(sums.shape[:-1] + (1,), -0.0), sums), axis=-1)
-    np.cumsum(carry, axis=-1, out=carry)
-    found = carry[..., chunk]
+    carry = np.concatenate(([-0.0], *sums))
+    np.cumsum(carry, out=carry)
+    found = carry[chunk]
     if partial:
-        found[..., inside] += np.concatenate(partial, axis=-1)
+        found[inside] += np.concatenate(partial)
     if reads[0] == 0:
-        found[..., 0] = 0.0
-    out = np.empty(found.shape[:-1] + (at.size,))
-    out[..., order] = found[..., np.cumsum(first) - 1]
-    return out
+        found[0] = 0.0
+    return found[inverse]
 
 
 def lebesgue_rearrangement(samples) -> Profile:

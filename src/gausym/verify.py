@@ -44,21 +44,20 @@ and ``grad_prof``, 16 bytes a cell:
 - Each cumulative, of |grad f| in level order, of the surrogate, of f*
   and of (|grad f|)*, is one running sum taken in pairwise-summed chunks
   (``rearrange.running_sum_at``), read only at the points the checks
-  read, all known when the analysis is built; each value read depends
-  on its index alone, not on what else is read.  The analysis keeps
-  the arrays the checks compare: ``surr``, the surrogate's means on
-  the ``m_d`` derivative bins; ``grad_cum``, (|grad f|)*'s cumulative
-  at the t-grid, the rhs of ``uno`` and ``dos``, built by every
-  analysis; with ``mt`` ``mt_surr_cum`` and ``mt_grad_cum``, the other
-  two cumulatives at the t-grid and then at ``mt``'s fold edges
-  ``mt_edges``; and with ``dos`` or ``orlicz`` ``sym_means``, f*'s
-  means on the derivative bins, differenced from ``p.cumulative`` at the
-  bin edges.
+  read; each value read depends on its index alone, not on what else is
+  read.  The analysis keeps the arrays the checks compare: ``surr``,
+  the surrogate's means on the ``m_d`` derivative bins; ``grad_cum``,
+  (|grad f|)*'s cumulative at the t-grid, the rhs of ``uno`` and
+  ``dos``, built by every analysis; and with ``mt`` ``mt_surr_cum`` and
+  ``mt_grad_cum``, the other two cumulatives at the t-grid and then at
+  ``mt``'s fold edges ``mt_edges``.
 
 The symmetrized field's gradient is taken lazily, on first use by
-``dos`` or ``orlicz``, from ``sym_means`` on the N axis points alone
-(the field depends on x1 only), so its profile has N pieces: in 1-d
-these are f*'s K pieces, and it adds its 8 bytes a cell of values.
+``dos`` or ``orlicz``, from ``sym_means``, f*'s means on the derivative
+bins differenced from ``p.cumulative`` at the bin edges, on the N axis
+points alone (the field depends on x1 only), so its profile has N
+pieces: in 1-d these are f*'s K pieces, and it adds its 8 bytes a cell
+of values.
 
 Each check compares two curves over a common grid on (0, 1) and reports
 the worst signed violation against a tolerance.  The default tolerance
@@ -136,16 +135,14 @@ class Analysis:
     Of the grid-sized arrays it keeps only the values of ``p`` and
     ``grad_prof``.  ``surr`` holds the surrogate's means on the ``m_d``
     derivative bins, and ``grad_cum`` the cumulative of ``grad_prof`` at
-    the t-grid, both read-only; with ``dos`` or ``orlicz`` among the
-    checks ``sym_means`` holds f*'s means on the same bins, differenced
-    from ``p.cumulative`` at their edges, which the symmetrized gradient
-    reads, and is None otherwise.  The level order that only ``mt``
-    reads is built only when it is among the checks; then
-    ``mt_surr_cum`` and ``mt_grad_cum`` hold the surrogate cumulative and
-    the integral of |grad f| over the super-level set of measure t, each
-    at the t-grid and then at ``mt_edges``, mt's fold edges, and
-    ``mt_median_drop`` the median of f*'s positive single-cell drops
-    (None when f* has none).  Without ``mt`` all four are None.
+    the t-grid, both read-only; ``sym_means``, f*'s means on the same
+    bins, is taken on first use by the symmetrized gradient.  The level
+    order that only ``mt`` reads is built only when it is among the
+    checks; then ``mt_surr_cum`` and ``mt_grad_cum`` hold the surrogate
+    cumulative and the integral of |grad f| over the super-level set of
+    measure t, each at the t-grid and then at ``mt_edges``, mt's fold
+    edges, and ``mt_median_drop`` the median of f*'s positive single-cell
+    drops (None when f* has none).  Without ``mt`` all four are None.
     """
 
     def __init__(
@@ -201,14 +198,17 @@ class Analysis:
         np.negative(grads, out=grads)
         self.grad_prof = Profile.equal_width(_sort_negated(grads))
         surr_cum = _surrogate_at(self.p, self.m_d, at)
-        self.sym_means = None
-        if "dos" in checks or "orlicz" in checks:
-            self.sym_means = _read_only(np.diff(self.p.cumulative(edges)) * self.m_d)
         self.grad_cum = _read_only(self.grad_prof.cumulative(self.t_grid))
         self.surr = _read_only(np.diff(surr_cum[:self.m_d + 1]) * self.m_d)
         if self.mt_edges is not None:
             self.mt_surr_cum = _read_only(surr_cum[self.m_d + 1:])
         self.surr_prof = Profile.equal_width(_sort_negated(-self.surr))
+
+    @cached_property
+    def sym_means(self) -> np.ndarray:
+        """f*'s means on the ``m_d`` derivative bins, read-only: differenced
+        from ``p.cumulative`` at the bin edges."""
+        return _read_only(np.diff(self.p.cumulative(uniform_knots(self.m_d))) * self.m_d)
 
     @cached_property
     def sym_grad_prof(self) -> Profile:
@@ -217,15 +217,12 @@ class Analysis:
         The field depends on x1 alone, so its gradient is taken on the N
         axis points, and the profile has N pieces of width 1/N: each
         sorted value stands for the N^(dim-1) cells of its x1 slab.  In
-        1-d those are the grid's cells.  It is built from ``sym_means``, so
-        an analysis built without ``dos`` and ``orlicz`` has none
-        (``DomainError``), and a non-smooth field has none: its checks are
-        refused (``NonSmoothFieldError``).
+        1-d those are the grid's cells.  It is built from ``sym_means``.  A
+        non-smooth field has none: its checks are refused
+        (``NonSmoothFieldError``).
         """
         if not self.field.smooth:
             raise NonSmoothFieldError(f"check needs a smooth field, got {self.field.label!r}")
-        if self.sym_means is None:
-            raise DomainError("checks 'dos' and 'orlicz' need an analysis built with one of them")
         neg = symmetrized_derivative(self.sym_means, self.grid.axis_points)
         np.negative(np.abs(neg, out=neg), out=neg)
         return Profile.equal_width(_sort_negated(neg))

@@ -24,6 +24,7 @@ from gausym import (
     ri_norm,
 )
 from gausym import majorize
+from gausym.majorize import EXPSQ_DEFAULT_CAP
 from gausym.fields import builtin_field, corpus_names
 from gausym.gaussian import equal_measure_grid
 from gausym.rearrange import PASS_BLOCK
@@ -35,44 +36,24 @@ THREE_ONE = Profile(np.array([0.0, 0.5, 1.0]), np.array([3.0, 1.0]))
 TWO_TWO = Profile(np.array([0.0, 0.5, 1.0]), np.array([2.0, 2.0]))
 # the t-grid on which partial sums are compared
 T_GRID = np.arange(1, 1025) / 1024
+ORLICZ = RINorm("orlicz")
+A = YoungFunction()  # the Young function of ORLICZ
 
 
 class TestYoungFunction:
     def test_zero_at_zero(self):
-        for A in (
-            YoungFunction.power(1),
-            YoungFunction.power(2.5),
-            YoungFunction.hinge(0.3),
-            YoungFunction.exp_sq_truncated(),
-        ):
-            assert A(0.0) == 0.0
+        assert A(0.0) == 0.0
 
     def test_convex_nondecreasing(self):
-        # sample grid stays below the exp-square cap, where the default
-        # truncation never bites
-        t = np.linspace(0.0, 6.0, 241)
-        for A in (
-            YoungFunction.power(1.3),
-            YoungFunction.hinge(0.7),
-            YoungFunction.exp_sq_truncated(),
-        ):
-            vals = A(t)
-            assert np.all(np.diff(vals) >= -1e-12)
-            assert np.all(np.diff(vals, 2) >= -1e-9)
+        # sample grid stays below the exp-square cap, where the truncation
+        # never bites
+        vals = A(np.linspace(0.0, 6.0, 241))
+        assert np.all(np.diff(vals) >= -1e-12)
+        assert np.all(np.diff(vals, 2) >= -1e-9)
 
-    @pytest.mark.parametrize("A", [
-        YoungFunction.power(1), YoungFunction.power(1.5), YoungFunction.power(2),
-        YoungFunction.power(4), YoungFunction.hinge(0.0), YoungFunction.hinge(0.7),
-        YoungFunction.exp_sq_truncated(), YoungFunction.exp_sq_truncated(2.0),
-    ])
-    def test_in_place_evaluation_matches_reference(self, A):
+    def test_in_place_evaluation_matches_reference(self):
         def reference(t):
-            x = np.abs(np.asarray(t, dtype=float))
-            if A.kind == "power":
-                return x**A.param
-            if A.kind == "hinge":
-                return np.maximum(x - A.param, 0.0)
-            capped = np.minimum(x, A.param)
+            capped = np.minimum(np.abs(np.asarray(t, dtype=float)), EXPSQ_DEFAULT_CAP)
             return np.expm1(capped * capped)
 
         t = np.concatenate((np.linspace(-30.0, 30.0, 1001), [0.0, -0.0, 1e-300, np.inf]))
@@ -91,21 +72,12 @@ class TestYoungFunction:
         assert A(-1.5) == reference(-1.5)
 
     def test_truncation_keeps_finite(self):
-        A = YoungFunction.exp_sq_truncated(20.0)
         assert np.isfinite(A(1e6))
-
-    def test_invalid_parameters(self):
-        with pytest.raises(InvalidParameterError):
-            YoungFunction.power(0.5)
-        with pytest.raises(InvalidParameterError):
-            YoungFunction.hinge(-0.1)
-        with pytest.raises(InvalidParameterError):
-            YoungFunction.exp_sq_truncated(0.0)
 
 
 class TestOrliczIntegral:
     """Integrals of a Young function over a profile: the Lp:1 norm for
-    power(1), the hinge integrals for hinge(c)."""
+    |t|, the hinge integrals for (|t| - c)+."""
 
     def test_constant_identity(self):
         assert ri_norm(Profile.constant(2.5), RINorm("lp", 1.0)) == 2.5
@@ -329,15 +301,6 @@ class TestRiNorm:
         if q == 2.0:
             assert ri_norm(tie, RINorm("marcinkiewicz", q)) == 3.0
 
-    def test_orlicz_power2_equals_l2(self):
-        X2 = RINorm("orlicz", young=YoungFunction.power(2))
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            p = random_profile(rng)
-            assert ri_norm(p, X2) == pytest.approx(
-                ri_norm(p, RINorm("lp", 2.0)), rel=1e-8
-            )
-
     def test_positive_homogeneity(self):
         rng = np.random.default_rng(5)
         p = random_profile(rng)
@@ -377,14 +340,13 @@ class TestRiNorm:
         # the Luxemburg functional sits at the unit-integral level
         rng = np.random.default_rng(seed)
         p = random_profile(rng)
-        for A in (YoungFunction.exp_sq_truncated(), YoungFunction.power(3)):
-            lam = ri_norm(p, RINorm("orlicz", young=A))
-            assert lam > 0
-            val = float(np.sum(A(p.values / lam) * p.widths))
-            assert 1 - 1e-8 <= val <= 1 + 1e-8
+        lam = ri_norm(p, ORLICZ)
+        assert lam > 0
+        val = float(np.sum(A(p.values / lam) * p.widths))
+        assert 1 - 1e-8 <= val <= 1 + 1e-8
 
 
-def bisection_luxemburg(p: Profile, A: YoungFunction, rel_tol: float = 1e-13) -> float:
+def bisection_luxemburg(p: Profile, rel_tol: float = 1e-13) -> float:
     """Reference Luxemburg norm: plain bisection on theta(lam) = integral of
     A(p / lam), bracketed by doubling and halving from sup p."""
 
@@ -450,73 +412,52 @@ def young_calls(monkeypatch):
     return calls
 
 
-def _passes(young_calls, p, A):
-    """The norm and the work it took in whole passes over ``p``: the
-    elements passed to A, divided by the pieces of ``p``."""
+def _passes(young_calls, p):
+    """The Orlicz norm and the work it took in whole passes over ``p``:
+    the elements passed to A, divided by the pieces of ``p``."""
     young_calls.clear()
-    value = ri_norm(p, RINorm("orlicz", young=A))
+    value = ri_norm(p, ORLICZ)
     return value, sum(young_calls) / p.num_pieces
 
 
 class TestLuxemburg:
     @settings(max_examples=30, deadline=None)
-    @given(_LUXEMBURG_PROFILES, st.floats(0.0, 4.0), st.sampled_from([20.0, 2.0]))
-    def test_matches_bisection(self, p, c, T):
-        for A in (YoungFunction.power(1), YoungFunction.power(3), YoungFunction.hinge(c),
-                  YoungFunction.exp_sq_truncated(T)):
-            got = ri_norm(p, RINorm("orlicz", young=A))
-            assert got == pytest.approx(bisection_luxemburg(p, A), rel=1e-10, abs=0.0), A.label
+    @given(_LUXEMBURG_PROFILES)
+    def test_matches_bisection(self, p):
+        assert ri_norm(p, ORLICZ) == pytest.approx(bisection_luxemburg(p), rel=1e-10, abs=0.0)
 
-    @settings(max_examples=30, deadline=None)
-    @given(_LUXEMBURG_PROFILES, st.floats(1.0, 8.0))
-    def test_power_is_lp(self, p, q):
-        got = ri_norm(p, RINorm("orlicz", young=YoungFunction.power(q)))
-        assert got == pytest.approx(ri_norm(p, RINorm("lp", q)), rel=1e-10, abs=0.0)
-
-    @pytest.mark.parametrize("A, norm_of_one", [
-        (YoungFunction.exp_sq_truncated(), 1.0 / math.sqrt(math.log(2.0))),
-        (YoungFunction.hinge(0.5), 1.0 / 1.5),
-        (YoungFunction.power(3), 1.0),
-    ], ids=["expsq", "hinge", "power"])
-    def test_constant_profiles_at_every_scale(self, young_calls, A, norm_of_one):
-        # A(c / lam) = 1 at lam = c * norm_of_one; small profiles used to pay
+    def test_constant_profiles_at_every_scale(self, young_calls):
+        # A(c / lam) = 1 at lam = c / sqrt(ln 2); small profiles used to pay
         # log2(1/c) extra halvings, and c = 1e-305 came out as 0
         passes = []
         for c in (1.0, 1e-6, 1e-100, 1e-305, 1e300):
-            value, n = _passes(young_calls, Profile.constant(c), A)
-            assert value == pytest.approx(c * norm_of_one, rel=1e-10, abs=0.0), c
+            value, n = _passes(young_calls, Profile.constant(c))
+            assert value == pytest.approx(c / math.sqrt(math.log(2.0)), rel=1e-10, abs=0.0), c
             passes.append(n)
         assert max(passes) - min(passes) <= 1, passes
 
     def test_pass_ceiling(self, young_calls):
-        """At most 12 passes per profile (bisection took 35 or more): also
-        where the first secant lands on the root (log theta is linear in
-        log lam for power(p)) and where the norm lies up to 1e5 below sup.
-        The builtins' profiles also on grids of 65536 cells, whose gradient
-        profiles start from the coarse bracket, all within 1e-10 of
-        bisection."""
-        young = (YoungFunction.exp_sq_truncated(), YoungFunction.hinge(0.5),
-                 YoungFunction.power(1), YoungFunction.power(3))
+        """At most 12 passes per profile (bisection took 35 or more): on
+        constants at every scale, on spikes whose norm lies well below
+        sup, and on random profiles.  The builtins' profiles also on grids
+        of 65536 cells, whose gradient profiles start from the coarse
+        bracket, all within 1e-10 of bisection."""
         spikes = (tied_profile([1e3, 1e-3], [1, 99999]), tied_profile([7.0, 0.25], [10, 9990]),
                   tied_profile([1e3, 2.5, 1e-6], [3, 300, 30000]))
-        cases = [(p, A) for p in (*map(Profile.constant, (1.0, 1e-6, 1e-100, 1e-305, 1e300)),
-                                  *spikes)
-                 for A in young]
-        cases += [(random_profile(np.random.default_rng(seed)), YoungFunction.power(q))
-                  for seed in range(20) for q in (1.0, 1.5, 3.0, 8.0)]
+        cases = [*map(Profile.constant, (1.0, 1e-6, 1e-100, 1e-305, 1e300)), *spikes]
+        cases += [random_profile(np.random.default_rng(seed)) for seed in range(20)]
         builtins = []
         for dim, N in ((1, 4096), (2, 64), (1, 2**16), (2, 256)):
             for name in corpus_names():
                 a = analyze(builtin_field(name, None, dim), equal_measure_grid(dim, N), 4096)
-                builtins += [(a.grad_prof, YoungFunction.exp_sq_truncated()),
-                             (a.surr_prof, YoungFunction.exp_sq_truncated())]
-        assert sum(p.num_pieces >= majorize._COARSE_MIN_PIECES for p, _ in builtins) == 12
-        for p, A in cases + builtins:
-            value, n = _passes(young_calls, p, A)
-            assert value > 0.0 and n <= 12, (A.label, p.sup, n)
-        for p, A in builtins:
-            assert ri_norm(p, RINorm("orlicz", young=A)) == pytest.approx(
-                bisection_luxemburg(p, A), rel=1e-10, abs=0.0), (p.num_pieces, p.sup)
+                builtins += [a.grad_prof, a.surr_prof]
+        assert sum(p.num_pieces >= majorize._COARSE_MIN_PIECES for p in builtins) == 12
+        for p in cases + builtins:
+            value, n = _passes(young_calls, p)
+            assert value > 0.0 and n <= 12, (p.sup, n)
+        for p in builtins:
+            assert ri_norm(p, ORLICZ) == pytest.approx(
+                bisection_luxemburg(p), rel=1e-10, abs=0.0), (p.num_pieces, p.sup)
 
     def test_dense_gradient_profile(self, young_calls):
         """The 2^20-piece gradient profile of poly_tanh takes three whole
@@ -525,11 +466,10 @@ class TestLuxemburg:
         pass; the norm matches bisection."""
         grid = equal_measure_grid(1, 2**20)
         p = analyze(builtin_field("poly_tanh"), grid, 4096, ["norm"]).grad_prof
-        A = YoungFunction.exp_sq_truncated()
-        value, n = _passes(young_calls, p, A)
+        value, n = _passes(young_calls, p)
         whole = [size for size in young_calls if size == p.num_pieces]
         assert len(whole) <= 3 and n <= 3.5, (len(whole), n)
-        assert value == pytest.approx(bisection_luxemburg(p, A), rel=1e-10, abs=0.0)
+        assert value == pytest.approx(bisection_luxemburg(p), rel=1e-10, abs=0.0)
 
     @pytest.mark.parametrize("name", corpus_names())
     def test_coarse_bracket_makes_no_pass_over_the_profile(self, young_calls, name):
@@ -538,9 +478,8 @@ class TestLuxemburg:
         1 at lo and theta <= 1 at hi, each start value on its side of 0."""
         grid = equal_measure_grid(1, 2**16)
         p = analyze(builtin_field(name), grid, 4096, ["norm"]).grad_prof
-        A = YoungFunction.exp_sq_truncated()
         young_calls.clear()
-        lo, y_lo, hi, y_hi, last_lo = majorize._coarse_bracket(p, A)
+        lo, y_lo, hi, y_hi, last_lo = majorize._coarse_bracket(p)
         assert max(young_calls) <= p.num_pieces // majorize._COARSE_STEP
         assert y_lo > 0.0 >= y_hi and last_lo is None
 
@@ -548,7 +487,7 @@ class TestLuxemburg:
             return float(np.sum(A(p.values / lam) * p.widths))
 
         assert theta(lo) > 1.0 >= theta(hi)
-        assert lo < bisection_luxemburg(p, A) < hi
+        assert lo < bisection_luxemburg(p) < hi
 
     @pytest.mark.parametrize("pieces", [64, 1 << 16], ids=["walk", "coarse"])
     def test_scales_up_to_the_top_of_the_double_range(self, pieces):
@@ -561,12 +500,11 @@ class TestLuxemburg:
         flat.setflags(write=False)
         profiles = [Profile.equal_width(flat),
                     *(random_profile(np.random.default_rng(seed)) for seed in range(10))]
-        orlicz = RINorm("orlicz", young=YoungFunction.exp_sq_truncated())
         for p in profiles:
-            base = ri_norm(p, orlicz)
+            base = ri_norm(p, ORLICZ)
             top = 1024 - math.frexp(p.sup)[1]  # the largest k with 2^k sup finite
             for k in (0, 500, *range(top - 8, top + 1)):
-                got = ri_norm(Profile(p.knots, np.ldexp(p.values, k)), orlicz)
+                got = ri_norm(Profile(p.knots, np.ldexp(p.values, k)), ORLICZ)
                 with np.errstate(over="ignore"):
                     want = float(np.ldexp(base, k))
                 if want == math.inf:  # the norm itself exceeds the largest double
@@ -574,26 +512,32 @@ class TestLuxemburg:
                 else:
                     assert got == pytest.approx(want, rel=1e-10, abs=0.0), (p.num_pieces, k)
 
-    def test_coarse_bracket_falls_back_to_the_walk(self):
+    def test_coarse_bracket_falls_back_to_the_walk(self, monkeypatch):
         """A coarse profile of group minima can lose the support that makes
-        the norm positive: 1250 of 65536 pieces at 5 give expsq(2) a
-        positive norm, but the 1216 pieces of whole groups of 64 do not
-        (theta stays below (e^4 - 1) * 1216 / 65536 < 1)."""
-        p = tied_profile([5.0, 0.0], [1250, 65536 - 1250])
-        A = YoungFunction.exp_sq_truncated(2.0)
-        got = ri_norm(p, RINorm("orlicz", young=A))
+        the norm positive: 63 of 65536 pieces at 5 give a positive norm,
+        but no whole group of 64 is positive, so the coarse profile of
+        minima is 0 and the norm is walked from sup."""
+        p = tied_profile([5.0, 0.0], [63, 65536 - 63])
+        walks, walk = [], majorize._walk_bracket
+
+        def counting(*args):
+            walks.append(args[0])
+            return walk(*args)
+
+        monkeypatch.setattr(majorize, "_walk_bracket", counting)
+        got = ri_norm(p, ORLICZ)
+        assert walks == [p.sup]
         assert got > 0.0
-        assert got == pytest.approx(bisection_luxemburg(p, A), rel=1e-10, abs=0.0)
+        assert got == pytest.approx(bisection_luxemburg(p), rel=1e-10, abs=0.0)
 
     def test_bounded_young_function_can_give_zero(self, young_calls):
-        # expsq(2) never exceeds e^4 - 1: on a support of measure 1/64,
-        # theta(lam) < 1 for every lam, so the norm is 0, found without a
-        # pass instead of by halving lam down to the smallest double
-        p = Profile(np.array([0.0, 1.0 / 64.0, 1.0]), np.array([5.0, 0.0]))
-        assert _passes(young_calls, p, YoungFunction.exp_sq_truncated(2.0)) == (0.0, 0)
-        A = YoungFunction.exp_sq_truncated()
-        assert _passes(young_calls, p, A)[0] == pytest.approx(bisection_luxemburg(p, A),
-                                                              rel=1e-10, abs=0.0)
+        # A never exceeds e^400 - 1: on a support of measure below
+        # 1/(e^400 - 1), theta(lam) < 1 for every lam, so the norm is 0,
+        # found without a pass instead of by halving lam down to the
+        # smallest double
+        p = Profile(np.array([0.0, 1e-180, 1.0]), np.array([5.0, 0.0]))
+        assert _passes(young_calls, p) == (0.0, 0)
+        assert bisection_luxemburg(p) == 0.0
 
 
 class TestParseNorm:
@@ -602,11 +546,22 @@ class TestParseNorm:
         assert math.isinf(parse_norm("lp:inf").param)
         assert parse_norm("lorentz:2").kind == "lorentz"
         assert parse_norm("marcinkiewicz:2").kind == "marcinkiewicz"
-        assert parse_norm("orlicz:expsq").young is not None
+        assert parse_norm("orlicz:expsq") == RINorm("orlicz")
 
     def test_labels_round_trip(self):
         for spec in ("lp:2", "lp:inf", "lorentz:2", "marcinkiewicz:2", "orlicz:expsq"):
             assert parse_norm(spec).label == spec
+
+    def test_distinct_exponents_get_distinct_labels(self):
+        # six significant digits made lp:1.0000001 and lp:1 one label
+        norms = [RINorm("lp", p) for p in (1.0, 1.0000001, 1.5, 1234567.0, 1e20, math.inf)]
+        norms += [RINorm("lorentz", 2.0 + 2.0 ** -40), RINorm("marcinkiewicz", 1.0 + 1e-15)]
+        assert len({X.label for X in norms}) == len(norms)
+        for X in norms:
+            assert parse_norm(X.label) == X, X.label
+        assert [X.label for X in DEFAULT_NORM_FAMILY] == [
+            "lp:1", "lp:1.5", "lp:2", "lp:4", "lp:inf", "lorentz:2", "marcinkiewicz:2",
+            "orlicz:expsq"]
 
     def test_invalid_specs(self):
         for bad in ("lp", "lp:0.5", "lorentz:0", "marcinkiewicz:1", "orlicz:power", "huh:3",

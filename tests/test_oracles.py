@@ -4,6 +4,8 @@ whose continuum curves are known.
 ``monotone1d``, f = e^(-a x1), has f*(t) = e^(-a Phi_inv(t)), and its
 surrogate (-f*)' I equals (|grad f|)* = a f*, so the cumulatives of both
 are a e^(a^2/2) Phi(Phi_inv(t) + a), which is a e^(a^2/2) at t = 1.
+The Gaussian measure is rotation invariant, so the same field rotated
+onto the diagonal of 3-d space has the same curves.
 Errors are the max over the t-grid (M = 4096), as fractions of that
 scale, and may not grow past 1.25 times their measured values: a change
 that makes either curve worse fails here.
@@ -14,11 +16,22 @@ import math
 import numpy as np
 import pytest
 
-from gausym import Phi, Phi_inv, analyze, builtin_field, equal_measure_grid
+from gausym import Phi, Phi_inv, analyze, builtin_field, equal_measure_grid, parse_field
 
 A = 1.0
 SCALE = A * math.exp(A * A / 2.0)
 SLACK = 1.25
+
+
+def assert_within_slack(analysis, lhs_error, rhs_error):
+    """Each cumulative's max error over the t-grid, as a fraction of
+    scale, at most ``SLACK`` times its measured value."""
+    t = analysis.t_grid
+    exact = np.append(SCALE * Phi(Phi_inv(t[:-1]) + A), SCALE)
+    lhs = float(np.max(np.abs(analysis.surr_prof.cumulative(t) - exact))) / SCALE
+    rhs = float(np.max(np.abs(analysis.grad_cum - exact))) / SCALE
+    assert lhs <= SLACK * lhs_error, lhs
+    assert rhs <= SLACK * rhs_error, rhs
 
 
 # (log2 N, surrogate cumulative error, (|grad f|)* cumulative error),
@@ -30,9 +43,17 @@ SLACK = 1.25
 ])
 def test_monotone1d_cumulatives(log_n, lhs_error, rhs_error):
     analysis = analyze(builtin_field("monotone1d"), equal_measure_grid(1, 2**log_n), 4096, ["uno"])
-    t = analysis.t_grid
-    exact = np.append(SCALE * Phi(Phi_inv(t[:-1]) + A), SCALE)
-    lhs = float(np.max(np.abs(analysis.surr_prof.cumulative(t) - exact))) / SCALE
-    rhs = float(np.max(np.abs(analysis.grad_cum - exact))) / SCALE
-    assert lhs <= SLACK * lhs_error, lhs
-    assert rhs <= SLACK * rhs_error, rhs
+    assert_within_slack(analysis, lhs_error, rhs_error)
+
+
+# f = e^(-(x1 + x2 + x3) / sqrt(3)) is monotone1d's field rotated to the
+# diagonal, so its curves are monotone1d's: (N, the two errors as above)
+@pytest.mark.parametrize("N, lhs_error, rhs_error", [
+    (16, 1.232e-1, 4.589e-2),
+    (32, 6.942e-2, 2.471e-2),
+    (64, 3.859e-2, 1.325e-2),
+])
+def test_rotated_3d_cumulatives(N, lhs_error, rhs_error):
+    field = parse_field("exp(-(x1+x2+x3)*0.5773502691896258)", 3)
+    analysis = analyze(field, equal_measure_grid(3, N), 4096, ["uno"])
+    assert_within_slack(analysis, lhs_error, rhs_error)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gausym import (
-    DomainError,
     NonSmoothFieldError,
     Phi,
     Phi_inv,
@@ -14,6 +13,7 @@ from gausym import (
     check_orlicz_equality,
     equal_measure_grid,
     parse_field,
+    run_checks,
 )
 
 from gausym import rearrange
@@ -170,11 +170,10 @@ class TestEqualityChain:
 
 
 class TestBinMeans:
-    """The analysis reads f*'s bin means off the sweep that builds its
-    surrogate (``Analysis.sym_means``), with the bits of differencing
-    ``p.cumulative`` at the bin edges.  At a chunk of 1 the running sum
-    behind that is one whole-array cumsum of p's masses, which stays here
-    as the reference."""
+    """The analysis takes f*'s bin means (``Analysis.sym_means``) by
+    differencing ``p.cumulative`` at the bin edges.  At a chunk of 1 the
+    running sum behind that is one whole-array cumsum of p's masses,
+    which stays here as the reference."""
 
     @staticmethod
     def _reference(p, n_bins):
@@ -217,10 +216,17 @@ class TestBinMeans:
         assert not a.sym_means.flags.writeable
 
     def test_kept_only_for_dos_and_orlicz(self):
-        a = analyze(builtin_field("mixture"), equal_measure_grid(1, 256), 512, ["uno", "mt"])
-        assert a.sym_means is None
-        with pytest.raises(DomainError, match="'dos' and 'orlicz'"):
-            a.sym_grad_prof
+        """The bin means are taken when ``dos`` or ``orlicz`` first reads
+        them, so an analysis built for other checks can still run
+        either, with the bits of one built for it."""
+        field, grid = builtin_field("mixture"), equal_measure_grid(1, 256)
+        a = analyze(field, grid, 512, ["uno", "mt"])
+        run_checks(a, ["uno", "mt"])
+        assert "sym_means" not in vars(a)
+        ref = analyze(field, grid, 512, ["dos"])
+        (row,), (ref_row,) = run_checks(a, ["dos"]), run_checks(ref, ["dos"])
+        assert_same_bits(row.lhs_curve, ref_row.lhs_curve)
+        assert_same_bits(a.sym_means, ref.sym_means)
 
 
 class TestSymmetrizedDerivative:
