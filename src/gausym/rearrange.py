@@ -207,9 +207,6 @@ class Profile:
         out = mass + self.values[idx] * (t_arr - self.knot(idx))
         return out if t_arr.ndim else float(out)
 
-    def total_integral(self) -> float:
-        return float(np.sum(self.values * self.widths))
-
     def super_level_measure(self, level: float) -> float:
         """Lebesgue measure of {s : profile(s) > level}; exact on knot data."""
         return float(self.knot(np.searchsorted(-self.values, -level, side="left")))
@@ -228,10 +225,6 @@ class Profile:
             raise DomainError("profile values must not be NaN")
         values.setflags(write=False)
         return Profile.equal_width(values)
-
-    @classmethod
-    def constant(cls, c: float) -> "Profile":
-        return cls(np.array([0.0, 1.0]), np.array([abs(float(c))]))
 
 
 def running_sum_at(increments, at: np.ndarray) -> np.ndarray:
@@ -307,7 +300,7 @@ def lebesgue_rearrangement(samples) -> Profile:
     return Profile(knots, values[order])
 
 
-def derivative_bin_count(drops: np.ndarray, top: float, M: int, min_block: int = 1) -> int:
+def derivative_bin_count(drops: np.ndarray, top: float, M: int, min_block: int) -> int:
     """Largest derivative-grid size <= M whose bins average over at least
     two value blocks of a profile, given its K - 1 drops
     ``values[:-1] - values[1:]`` and its largest value ``top``.

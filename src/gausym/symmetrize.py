@@ -5,8 +5,8 @@ decreasing rearrangement of f: the profile p evaluated at Phi(x1).  It is
 built from bin averages of p, interpolated linearly in s = Phi(x1), so
 its gradient norm is the interpolant's slope times phi(x1): a discrete
 (-p)'(s) * I(s).  The analysis reads only that gradient,
-``symmetrized_derivative``, and takes the bin averages off the sweep
-over p that builds its surrogate.
+``symmetrized_derivative``, and takes the bin averages from p's
+cumulative at the bin edges.
 """
 
 from __future__ import annotations

@@ -8,9 +8,9 @@ and refuses a field whose values or gradients are not finite on the grid
 (``NonFiniteFieldError``).  Each ``check_*`` takes an analysis plus its
 own options and reads the field, grid and M from it.  ``CHECKS`` maps
 each check token to the report rows it yields, and ``run_checks`` runs a
-list of tokens on one analysis.  ``convergence_study`` reruns checks on
-coarser grids and relabels each rung's row as a ``converge:<check>[N=n]``
-row.
+list of tokens on one analysis.  ``convergence_study(analysis, tokens)``
+reruns the convergent checks among the tokens on coarser grids and
+relabels each rung's row as a ``converge:<check>[N=n]`` row.
 
 The field is sampled one block of whole grid rows at a time, about
 ``BLOCK_CELLS`` cells, by one call of the field's ``jet`` on the rows'
@@ -36,9 +36,9 @@ and ``grad_prof``, 16 bytes a cell:
   is built: the analysis runs on the calling thread alone.  Only max
   |grad f| is kept of the unsorted gradient.  Every profile of the
   analysis, ``p``, ``grad_prof``, ``surr_prof`` and ``sym_grad_prof``,
-  is built the same way: its negated magnitudes sorted in place
-  (``_sort_negated``) and taken as an equal-width profile, which keeps
-  no knot or width array, without ``Profile``'s validating re-scans
+  is built by ``_sorted_profile``: its negated magnitudes sorted in
+  place and taken as an equal-width profile, which keeps no knot or
+  width array, without ``Profile``'s validating re-scans
   (``Profile.equal_width``), since the arrays were just sorted and are
   finite.
 - Each cumulative, of |grad f| in level order, of the surrogate, of f*
@@ -140,9 +140,11 @@ class Analysis:
     order that only ``mt`` reads is built only when it is among the
     checks; then ``mt_surr_cum`` and ``mt_grad_cum`` hold the surrogate
     cumulative and the integral of |grad f| over the super-level set of
-    measure t, each at the t-grid and then at ``mt_edges``, mt's fold
-    edges, and ``mt_median_drop`` the median of f*'s positive single-cell
-    drops (None when f* has none).  Without ``mt`` all four are None.
+    measure t, both over the first round(tK) cells (the surrogate's at
+    most K-1), for each t of the t-grid and then of ``mt_edges``, mt's
+    fold edges, and ``mt_median_drop`` the median of f*'s positive
+    single-cell drops (None when f* has none).  Without ``mt`` all four
+    are None.
     """
 
     def __init__(
@@ -173,7 +175,7 @@ class Analysis:
         # -|f| ascending is |f| decreasing, and its stable order the level order
         np.negative(vals, out=vals)
         order = np.argsort(vals, kind="stable") if "mt" in checks else None
-        self.p = Profile.equal_width(_sort_negated(vals, order))
+        self.p = _sorted_profile(vals, order)
         del vals
         # f* is nonincreasing and its zeros are +0.0: every drop is >= +0.0
         drops = self.p.values[:-1] - self.p.values[1:]
@@ -182,27 +184,26 @@ class Analysis:
         del drops
         self.t_grid = np.arange(1, M + 1) / M
         self.mt_edges = self.mt_surr_cum = self.mt_grad_cum = None
+        # the last knot adds no drop, so the surrogate there is that at K-1
+        at = uniform_piece(uniform_knots(self.m_d), K, side="right")
         if order is not None:
             # bins four derivative bins wide (check_mazya_talenti gives the reason)
             bins = max(8, min(self.m_d, K // 16) // 4)
             self.mt_edges = np.arange(bins + 1) / bins
-            mt_reads = np.concatenate((self.t_grid, self.mt_edges))
-            at = np.rint(mt_reads * K).astype(np.intp)
-            self.mt_grad_cum = _read_only(_level_grad_at(grads, order, grid.cell_measure, at))
+            # both mt sides cut at the first round(tK) cells
+            mt_at = np.rint(np.concatenate((self.t_grid, self.mt_edges)) * K).astype(np.intp)
+            self.mt_grad_cum = _read_only(_level_grad_at(grads, order, grid.cell_measure, mt_at))
+            at = np.concatenate((at, np.minimum(mt_at, K - 1)))
             del order
-        edges = uniform_knots(self.m_d)
-        reads = edges if self.mt_edges is None else np.concatenate((edges, mt_reads))
-        # the last knot adds no drop, so the surrogate there is that at K-1
-        at = uniform_piece(reads, K, side="right")
         # nothing reads |grad f| in cell order any more: sort it in place
         np.negative(grads, out=grads)
-        self.grad_prof = Profile.equal_width(_sort_negated(grads))
+        self.grad_prof = _sorted_profile(grads)
         surr_cum = _surrogate_at(self.p, self.m_d, at)
         self.grad_cum = _read_only(self.grad_prof.cumulative(self.t_grid))
         self.surr = _read_only(np.diff(surr_cum[:self.m_d + 1]) * self.m_d)
         if self.mt_edges is not None:
             self.mt_surr_cum = _read_only(surr_cum[self.m_d + 1:])
-        self.surr_prof = Profile.equal_width(_sort_negated(-self.surr))
+        self.surr_prof = _sorted_profile(-self.surr)
 
     @cached_property
     def sym_means(self) -> np.ndarray:
@@ -225,7 +226,7 @@ class Analysis:
             raise NonSmoothFieldError(f"check needs a smooth field, got {self.field.label!r}")
         neg = symmetrized_derivative(self.sym_means, self.grid.axis_points)
         np.negative(np.abs(neg, out=neg), out=neg)
-        return Profile.equal_width(_sort_negated(neg))
+        return _sorted_profile(neg)
 
     def tolerance(self, override: Optional[float]) -> float:
         if override is not None:
@@ -273,20 +274,20 @@ def _level_grad_at(grads: np.ndarray, order: np.ndarray, cell_measure: float, at
     return running_sum_at(cell_masses, at)
 
 
-def _sort_negated(neg: np.ndarray, order: Optional[np.ndarray] = None) -> np.ndarray:
-    """Minus nonnegative values, NaN-free, sorted in place and negated
-    back: the values in nonincreasing order, read-only, so a Profile keeps
-    them uncopied.  Every zero comes back +0.0, so this equals the values
-    gathered in their stable decreasing argsort order, bit for bit: given
-    that order (``np.argsort(neg, kind="stable")``), they are gathered
-    through it into a new array instead of sorted again."""
+def _sorted_profile(neg: np.ndarray, order: Optional[np.ndarray] = None) -> Profile:
+    """The equal-width profile of nonnegative values given negated and
+    NaN-free: ``neg`` sorted in place and negated back, read-only, so the
+    profile keeps it uncopied.  Every zero comes back +0.0, so the values
+    equal those gathered in their stable decreasing argsort order, bit for
+    bit: given that order (``np.argsort(neg, kind="stable")``), they are
+    gathered through it into a new array instead of sorted again."""
     if order is None:
         neg.sort()
     else:
         neg = np.take(neg, order)
     np.negative(neg, out=neg)
     neg.setflags(write=False)
-    return neg
+    return Profile.equal_width(neg)
 
 
 def _surrogate_at(p: Profile, m_d: int, at: np.ndarray) -> np.ndarray:
@@ -431,9 +432,11 @@ def check_norm_inequality(
 def check_mazya_talenti(analysis: Analysis, tol: Optional[float] = None) -> IneqReport:
     """Maz'ya-Talenti bound in cumulative form: for every grid t, the
     integral of (-f*)' * I over (0, t] must stay below the integral of
-    |grad f| over the super-level set of measure t: the first round(tK)
-    cells in level order.  In the continuum it differs from {|f| > f*(t)}
-    only within a level set, where grad f = 0 almost everywhere.
+    |grad f| over the super-level set of measure t.  Both are taken over
+    the first round(tK) cells: the surrogate's over f*'s first pieces,
+    and |grad f|'s in level order.  In the continuum that set differs from
+    {|f| > f*(t)} only within a level set, where grad f = 0 almost
+    everywhere.
 
     The pointwise form is folded into the verdict on bins four derivative
     bins wide (narrower, the edge levels' lattice error outgrows the slack
@@ -511,20 +514,17 @@ def check_interval_bound(
     )
 
 
-def check_orlicz_equality(
-    analysis: Analysis, c_grid: Optional[np.ndarray] = None, tol: Optional[float] = None
-) -> IneqReport:
+def check_orlicz_equality(analysis: Analysis, tol: Optional[float] = None) -> IneqReport:
     """Change-of-variables identity tested as an equality over the hinge
-    family: for each threshold c, the uniform-grid integral of
+    family: for each of ``HINGE_GRID_SIZE`` thresholds c evenly spaced on
+    [0, sup of the surrogate], the uniform-grid integral of
     (surrogate - c)+ must match the Gaussian-grid integral of
     (|grad of the symmetrized field| - c)+.
 
     Both sides are hinge integrals of rearranged (already sorted)
     profiles, evaluated by prefix sums."""
     t0 = time.perf_counter()
-    if c_grid is None:
-        c_grid = np.linspace(0.0, analysis.surr_prof.sup, HINGE_GRID_SIZE)
-    c_grid = np.asarray(c_grid, dtype=float)
+    c_grid = np.linspace(0.0, analysis.surr_prof.sup, HINGE_GRID_SIZE)
     lhs = hinge_integrals(analysis.surr_prof, c_grid)
     rhs = hinge_integrals(analysis.sym_grad_prof, c_grid)
     return _finish(
@@ -537,15 +537,16 @@ def check_orlicz_equality(
 CONVERGENT_TOKENS = ("uno", "dos", "mt")
 
 
-def convergence_study(
-    analysis: Analysis, checks: Sequence[str], coarser_Ns: Sequence[int]
-) -> list[IneqReport]:
+def convergence_study(analysis: Analysis, tokens: Sequence[str]) -> list[IneqReport]:
     """Refinement study: rerun checks over increasing per-axis cell counts
     and fit the empirical decay order of the positive violations.
 
-    ``analysis`` is the finest rung.  Each count of ``coarser_Ns`` adds a
-    rung below it: a grid of the same dimension, analysed with the same
-    field and M, one analysis per rung for every check.
+    The checks studied are the convergent ones among the check tokens
+    ``tokens`` (``CONVERGENT_TOKENS``), or ``uno`` if none is.
+    ``analysis``, of N cells per axis, is the finest rung; below it come
+    rungs of N/16 and N/4 cells per axis, each at least 2 and below N:
+    grids of the same dimension, analysed with the same field and M, one
+    analysis per rung for every check studied.
 
     Violations must not increase along refinement beyond a factor-1.5
     slack; violations at or below the round-off floor count as converged,
@@ -558,16 +559,9 @@ def convergence_study(
     and, as their tolerance, its worst violation (at least
     ``VIOLATION_FLOOR``), so the schema stays numeric.
     """
-    grid = analysis.grid
-    Ns = tuple(int(n) for n in coarser_Ns) + (grid.cells_per_axis,)
-    if any(b <= a for a, b in zip(Ns, Ns[1:])):
-        raise DomainError(
-            "refinement cell counts must be strictly increasing and below the "
-            f"analysis's N = {grid.cells_per_axis}"
-        )
-    unknown = [c for c in checks if c not in CONVERGENT_TOKENS]
-    if unknown:
-        raise DomainError(f"convergence study supports {sorted(CONVERGENT_TOKENS)}, got {unknown}")
+    grid, N = analysis.grid, analysis.grid.cells_per_axis
+    checks = [t for t in tokens if t in CONVERGENT_TOKENS] or ["uno"]
+    Ns = [n for n in sorted({max(2, N // 16), max(2, N // 4)}) if n < N] + [N]
     rungs = [
         analyze(analysis.field, equal_measure_grid(grid.dim, n), analysis.M, checks)
         for n in Ns[:-1]
@@ -599,17 +593,6 @@ def convergence_study(
     return rows
 
 
-def _studied(tokens: Sequence[str]) -> list[str]:
-    """The checks that ``converge`` studies among ``tokens``: the
-    convergent ones, or ``uno`` if none is."""
-    return [t for t in tokens if t in CONVERGENT_TOKENS] or ["uno"]
-
-
-def _coarser(N: int) -> list[int]:
-    """The rungs ``converge`` adds below N: N/16 and N/4, each at least 2."""
-    return sorted({max(2, N // 16), max(2, N // 4)} - {N})
-
-
 # check token -> the report rows it yields from one analysis; each entry
 # names the options of ``run_checks`` that it reads
 CHECKS = {
@@ -618,10 +601,10 @@ CHECKS = {
     "norm": lambda a, tol, norms, **_: check_norm_inequality(a, norms, tol),
     "mt": lambda a, tol, **_: [check_mazya_talenti(a, tol)],
     "interval": lambda a, tol, intervals, **_: [check_interval_bound(a, intervals, tol)],
-    "orlicz": lambda a, tol, **_: [check_orlicz_equality(a, tol=tol)],
+    "orlicz": lambda a, tol, **_: [check_orlicz_equality(a, tol)],
     "converge": lambda a, tol, tokens, **_: [
         row if tol is None else replace(row, tolerance=tol)
-        for row in convergence_study(a, _studied(tokens), _coarser(a.grid.cells_per_axis))
+        for row in convergence_study(a, tokens)
     ],
 }
 

@@ -2,8 +2,9 @@
 gradients at a batch of points, a grid's cell representatives, the
 analysis' rearrangement, reference implementations (central differences,
 the stable decreasing sort, a profile's cumulative, the symmetrized field
-and its pointwise gradient identity), random profile pairs, random
-field expressions and the grids that span more than one sampling block."""
+and its pointwise gradient identity), constant and random profiles,
+majorized pairs of them, random field expressions and the grids that
+span more than one sampling block."""
 
 import numpy as np
 import pytest
@@ -178,6 +179,11 @@ def cumulative_reference(p: Profile, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     idx = np.clip(np.searchsorted(p.knots, t, side="left") - 1, 0, p.num_pieces - 1)
     return prefix[idx] + p.values[idx] * (t - p.knots[idx])
+
+
+def constant_profile(c: float) -> Profile:
+    """The one-piece profile of the constant c >= 0 on (0, 1]."""
+    return Profile(np.array([0.0, 1.0]), np.array([float(c)]))
 
 
 def random_profile(rng: np.random.Generator, max_pieces: int = 64) -> Profile:

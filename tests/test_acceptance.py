@@ -237,7 +237,7 @@ def test_criterion_7_convergence():
     start = time.perf_counter()
     field = builtin_field("gaussian_bump")
     finest = analyze(field, equal_measure_grid(1, 8192), 4096)
-    rows = convergence_study(finest, ["uno"], [512, 2048])
+    rows = convergence_study(finest, ["uno"])
     violations = tuple(r.max_violation for r in rows)
     order = rows[0].extra["empirical_order"]
     positive = [max(v, 0.0) for v in violations]

@@ -489,7 +489,7 @@ class TestSharedAnalysis:
             verify.check_interval_bound(a, [(0.1, 0.2), (0.6, 0.7)]),
             verify.check_orlicz_equality(a),
         ]
-        rows += verify.convergence_study(a, ["uno", "dos", "mt"], [4, 16])
+        rows += verify.convergence_study(a, ["uno", "dos", "mt"])
         return [(r.check_name, r.passed, r.max_violation, r.tolerance) for r in rows]
 
     def test_all_checks_share_one_analysis(self, tmp_path, monkeypatch):

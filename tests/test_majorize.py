@@ -30,7 +30,7 @@ from gausym.gaussian import equal_measure_grid
 from gausym.rearrange import PASS_BLOCK
 from gausym.verify import analyze
 
-from conftest import averaged_profile, majorized_pair, random_profile
+from conftest import averaged_profile, constant_profile, majorized_pair, random_profile
 
 THREE_ONE = Profile(np.array([0.0, 0.5, 1.0]), np.array([3.0, 1.0]))
 TWO_TWO = Profile(np.array([0.0, 0.5, 1.0]), np.array([2.0, 2.0]))
@@ -80,7 +80,7 @@ class TestOrliczIntegral:
     |t|, the hinge integrals for (|t| - c)+."""
 
     def test_constant_identity(self):
-        assert ri_norm(Profile.constant(2.5), RINorm("lp", 1.0)) == 2.5
+        assert ri_norm(constant_profile(2.5), RINorm("lp", 1.0)) == 2.5
 
     def test_hand_hinge(self):
         # (3 - 1) * 1/2 + 0 * 1/2
@@ -164,7 +164,7 @@ class TestMajorizes:
         assert T_GRID[np.argmin(margins)] == pytest.approx(0.5, abs=1e-3)
 
     def test_zero_profile(self):
-        zero = Profile.constant(0.0)
+        zero = constant_profile(0.0)
         assert np.min(THREE_ONE.cumulative(T_GRID) - zero.cumulative(T_GRID)) >= -1e-12
 
     @given(st.integers(min_value=0, max_value=2**31))
@@ -245,7 +245,7 @@ class TestHlpEquivalence:
 
 class TestRiNorm:
     def test_constant_lp(self):
-        assert ri_norm(Profile.constant(2.0), RINorm("lp", 2.0)) == pytest.approx(2.0)
+        assert ri_norm(constant_profile(2.0), RINorm("lp", 2.0)) == pytest.approx(2.0)
 
     def test_hand_values(self):
         assert ri_norm(THREE_ONE, RINorm("lp", 1.0)) == pytest.approx(2.0)
@@ -330,7 +330,7 @@ class TestRiNorm:
                 assert got == pytest.approx(expected, rel=bound, abs=0.0), (name, X.label)
 
     def test_zero_profile(self):
-        zero = Profile.constant(0.0)
+        zero = constant_profile(0.0)
         for X in DEFAULT_NORM_FAMILY:
             assert ri_norm(zero, X) == 0.0
 
@@ -431,7 +431,7 @@ class TestLuxemburg:
         # log2(1/c) extra halvings, and c = 1e-305 came out as 0
         passes = []
         for c in (1.0, 1e-6, 1e-100, 1e-305, 1e300):
-            value, n = _passes(young_calls, Profile.constant(c))
+            value, n = _passes(young_calls, constant_profile(c))
             assert value == pytest.approx(c / math.sqrt(math.log(2.0)), rel=1e-10, abs=0.0), c
             passes.append(n)
         assert max(passes) - min(passes) <= 1, passes
@@ -444,7 +444,7 @@ class TestLuxemburg:
         bracket, all within 1e-10 of bisection."""
         spikes = (tied_profile([1e3, 1e-3], [1, 99999]), tied_profile([7.0, 0.25], [10, 9990]),
                   tied_profile([1e3, 2.5, 1e-6], [3, 300, 30000]))
-        cases = [*map(Profile.constant, (1.0, 1e-6, 1e-100, 1e-305, 1e300)), *spikes]
+        cases = [*map(constant_profile, (1.0, 1e-6, 1e-100, 1e-305, 1e300)), *spikes]
         cases += [random_profile(np.random.default_rng(seed)) for seed in range(20)]
         builtins = []
         for dim, N in ((1, 4096), (2, 64), (1, 2**16), (2, 256)):

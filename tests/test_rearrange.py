@@ -36,6 +36,7 @@ from gausym.rearrange import (
 
 from conftest import (
     assert_same_bits,
+    constant_profile,
     cumulative_reference,
     jet_at,
     random_profile,
@@ -59,7 +60,6 @@ class TestProfile:
         assert HALVES.cumulative(0.5) == 1.5
         assert HALVES.cumulative(0.75) == 1.75
         assert HALVES.cumulative(1.0) == 2.0
-        assert HALVES.total_integral() == 2.0
 
     def test_super_level_measure(self):
         assert HALVES.super_level_measure(2.0) == 0.5
@@ -295,7 +295,7 @@ class TestLebesgueRearrangement:
         values = rng.uniform(0.0, 5.0, size=k)
         p = lebesgue_rearrangement(np.column_stack((weights, values)))
         assert np.all(np.diff(p.values) <= 0)
-        assert p.total_integral() == pytest.approx(float(np.sum(weights * values)), abs=1e-12)
+        assert p.cumulative(1.0) == pytest.approx(float(np.sum(weights * values)), abs=1e-12)
 
 
 class TestEqualWeightSort:
@@ -464,7 +464,7 @@ class TestDerivativeBinCount:
         assert bin_count(p, 4096) == 8
 
     def test_constant_floor(self):
-        assert bin_count(Profile.constant(1.0), 4096) == 8
+        assert bin_count(constant_profile(1.0), 4096) == 8
 
 
 class TestGradientRearrangement:

@@ -24,6 +24,7 @@ from gausym.symmetrize import symmetrized_derivative
 from conftest import (
     assert_same_bits,
     bin_means,
+    constant_profile,
     cumulative_reference,
     jet_at,
     pointwise_identity_gap,
@@ -35,7 +36,7 @@ from conftest import (
 
 class TestSymmetrizedField:
     def test_constant_profile(self):
-        fo = symmetrized_field(Profile.constant(2.0), dim=2, n_bins=8)
+        fo = symmetrized_field(constant_profile(2.0), dim=2, n_bins=8)
         pts = np.array([[0.0, 0.0], [1.5, -2.0], [-3.0, 0.7]])
         assert np.all(jet_at(fo, pts)[0] == 2.0)
 
@@ -75,7 +76,7 @@ class TestSymmetrizedField:
 
     def test_bin_count_is_required(self):
         with pytest.raises(TypeError):
-            symmetrized_field(Profile.constant(2.0), dim=1)
+            symmetrized_field(constant_profile(2.0), dim=1)
 
     def test_linear_gradient_sign(self):
         grid = equal_measure_grid(1, 256)
