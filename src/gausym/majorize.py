@@ -48,16 +48,19 @@ class YoungFunction:
 
     __slots__ = ()
 
-    def __call__(self, t, out=None, nonnegative=False):
+    def __call__(self, t, out=None, nonnegative=False, within_cap=False):
         """A(t) elementwise, into ``out`` when given (a float array shaped
         like ``t``, or ``t`` itself), else into one fresh array.  In place
         from there: the Luxemburg root-finder calls this on whole profiles
         a few times per norm.  ``nonnegative`` says that t >= 0 already,
-        so the |t| pass is skipped."""
+        so the |t| pass is skipped, and ``within_cap`` that |t| <= T
+        already, so the min(|t|, T) pass is skipped: the bits are those of
+        the capped evaluation either way."""
         if out is None:
             t = out = np.array(t, dtype=float)
         x = out if nonnegative and t is out else np.abs(t, out=out)
-        np.minimum(x, EXPSQ_DEFAULT_CAP, out=x)
+        if not within_cap:
+            np.minimum(x, EXPSQ_DEFAULT_CAP, out=x)
         x *= x
         np.expm1(x, out=x)
         return x if x.ndim else x[()]
@@ -148,12 +151,17 @@ def _luxemburg(p: Profile) -> float:
     of A(p / lam) for A the ``YoungFunction``, to ``_REL_TOL`` relative.
 
     Root of log theta against log lam by Illinois regula falsi (Dowell &
-    Jarratt 1971) on a bracket theta(lo) > 1 >= theta(hi), one pass over
-    the profile per probe.  A profile of at least ``_COARSE_MIN_PIECES``
-    pieces takes its bracket, and the log theta it starts from at either
-    end, from two coarse profiles (``_coarse_bracket``), a third of a pass
-    in all, so every whole pass is a probe that shrinks the bracket: three
-    on the 2^20-piece gradient profile of the 1-d ``poly_tanh`` field.  Any other profile,
+    Jarratt 1971) on a bracket theta(lo) > 1 >= theta(hi), one whole pass
+    over the profile per probe: one call of A, four profile-length loops
+    (scale, square, expm1, sum) where the profile ends at or above 0 and
+    sup / lam <= T, so that A skips |t| and the cap, and the profile has
+    equal widths, whose width multiplies the pairwise sum instead of every
+    term.  Otherwise A caps, and a knot profile's widths weight its terms
+    in place.  A profile of at least ``_COARSE_MIN_PIECES`` pieces takes
+    its bracket, and the log theta it starts from at either end, from two
+    coarse profiles (``_coarse_bracket``), a third of a pass in all, so
+    every whole pass is a probe that shrinks the bracket: three on the
+    2^20-piece gradient profile of the 1-d ``poly_tanh`` field.  Any other profile,
     or one whose coarse profiles give no usable start, walks from sup p.
     The search stops when hi - lo <= _REL_TOL * hi and returns the
     midpoint.
@@ -164,9 +172,11 @@ def _luxemburg(p: Profile) -> float:
     if p.sup < _TINY or _EXPSQ_SUP * p.super_level_measure(0.0) <= 1.0:
         return 0.0
 
-    values, widths = p.values, p.widths
+    values, widths, sup = p.values, p.widths, p.sup
     # a profile that ends at or above 0 is its own |p|: A skips that pass
     nonnegative = bool(values[-1] >= 0.0)
+    # the scalar width of an equal-width profile multiplies the sum
+    equal_width = np.ndim(widths) == 0
     # One profile-sized array for every pass: A runs in place on it.
     # Fresh arrays per pass let the C allocator trim and regrow its heap on
     # every pass, which tripled the time of this loop depending on earlier
@@ -174,12 +184,20 @@ def _luxemburg(p: Profile) -> float:
     scaled = np.empty_like(values)
 
     def log_theta(lam: float) -> float:
-        np.multiply(values, 1.0 / lam, out=scaled)
-        # weighted in place and summed pairwise: np.dot would hand the sum
-        # to BLAS, whose bits depend on its thread count
+        inv = 1.0 / lam
+        np.multiply(values, inv, out=scaled)
+        # on a nonnegative profile the largest scaled value is the top's,
+        # rounded alike: at most T there, A needs no cap
+        within_cap = nonnegative and sup * inv <= EXPSQ_DEFAULT_CAP
+        # summed pairwise: np.dot would hand the sum to BLAS, whose bits
+        # depend on its thread count
         with np.errstate(over="ignore"):
-            np.multiply(_EXPSQ(scaled, out=scaled, nonnegative=nonnegative), widths, out=scaled)
-            theta = float(np.sum(scaled))
+            _EXPSQ(scaled, out=scaled, nonnegative=nonnegative, within_cap=within_cap)
+            if equal_width:
+                theta = float(np.sum(scaled)) * widths
+            else:
+                np.multiply(scaled, widths, out=scaled)
+                theta = float(np.sum(scaled))
         return math.log(theta) if theta > 0.0 else -math.inf
 
     bracket = None
@@ -282,13 +300,30 @@ def _walk_bracket(sup: float, log_theta):
     return lo, y_lo, hi, y_hi, last_lo
 
 
-def _power_sum(values: np.ndarray, widths: np.ndarray, power: float) -> float:
-    """Sum of values^power * widths, the products in place: one
-    profile-sized temporary, and for power 1 no pass to power them."""
+def _power_sum(values: np.ndarray, widths, power: float) -> float:
+    """Sum of values^power * widths over one profile-sized temporary.
+    The powers of the default family's exponents are products, each
+    rounding once where libm's ``pow`` costs several times the passes:
+    1.5 is sqrt(v)*v and 4 is (v*v)*(v*v); any other power is ``pow``.
+    A knot profile's widths weight the powers in place, and an
+    equal-width profile's scalar width multiplies their pairwise sum.
+    For power 1 there is no pass to power them, and on an equal-width
+    profile no temporary at all."""
     if power == 1.0:
-        terms = values * widths
+        terms = values
+    elif power == 1.5:
+        terms = np.sqrt(values)
+        terms *= values
+    elif power == 4.0:
+        terms = values * values
+        terms *= terms
     else:
         terms = values ** power
+    if np.ndim(widths) == 0:
+        return float(np.sum(terms)) * widths
+    if terms is values:
+        terms = values * widths
+    else:
         terms *= widths
     return float(np.sum(terms))
 
@@ -336,17 +371,20 @@ def _marcinkiewicz(p: Profile, power: float) -> float:
 def ri_norm(p: Profile, X: RINorm) -> float:
     """Evaluate a rearrangement-invariant norm of a profile.
 
-    Lp by exact piecewise quadrature (L-inf is the top value; a power
-    sum that over- or underflows is taken again on the values scaled by
-    a power of two, exactly, as ``fields.partials_norm`` does), the
+    Lp by exact piecewise quadrature (L-inf is the top value; exponents
+    1.5 and 4 power the values by products, 1.5 after one square root,
+    any other by ``pow``; a power sum that over- or
+    underflows is taken again on the values scaled by a power of two,
+    exactly, as ``fields.partials_norm`` does), the
     Lorentz lambda-norm integrates the profile against d(s^(1/p)), the
     Marcinkiewicz norm takes the exact sup of t^(1/p-1) * integral over
     (0,t] (attained at knots: on each piece that function is a sum of a
     decreasing and an increasing term; only the blocks of knots that can
     hold it are powered), and the Orlicz norm is the Luxemburg
     functional, located to 1e-10 relative by Illinois regula falsi on log
-    theta against log lambda (about ten passes over the profile; usually
-    two to five for one of 32768 pieces or more, whose bracket and starting
+    theta against log lambda (about ten passes over the profile, each
+    one call of A and as few as four profile-length loops; usually two to
+    five for one of 32768 pieces or more, whose bracket and starting
     values come from two coarse profiles of its block bounds).  A Luxemburg
     norm that comes out inf for a finite profile had a bracket end
     overflow, and is found again on the values scaled by a power of two,

@@ -134,11 +134,11 @@ class Analysis:
     ``checks`` names the check tokens it serves (every token by default).
     Of the grid-sized arrays it keeps only the values of ``p`` and
     ``grad_prof``.  ``surr`` holds the surrogate's means on the ``m_d``
-    derivative bins, and ``grad_cum`` the cumulative of ``grad_prof`` at
-    the t-grid, both read-only; ``sym_means``, f*'s means on the same
-    bins, is taken on first use by the symmetrized gradient.  The level
-    order that only ``mt`` reads is built only when it is among the
-    checks; then ``mt_surr_cum`` and ``mt_grad_cum`` hold the surrogate
+    derivative bins, each at least +0.0, and ``grad_cum`` the cumulative
+    of ``grad_prof`` at the t-grid, both read-only; ``sym_means``, f*'s
+    means on the same bins, is taken on first use by the symmetrized
+    gradient.  The level order that only ``mt`` reads is built only when
+    it is among the checks; then ``mt_surr_cum`` and ``mt_grad_cum`` hold the surrogate
     cumulative and the integral of |grad f| over the super-level set of
     measure t, both over the first round(tK) cells (the surrogate's at
     most K-1), for each t of the t-grid and then of ``mt_edges``, mt's
@@ -200,7 +200,12 @@ class Analysis:
         self.grad_prof = _sorted_profile(grads)
         surr_cum = _surrogate_at(self.p, self.m_d, at)
         self.grad_cum = _read_only(self.grad_prof.cumulative(self.t_grid))
-        self.surr = _read_only(np.diff(surr_cum[:self.m_d + 1]) * self.m_d)
+        # the surrogate measure is nonnegative: a bin mean below 0 is
+        # round-off on the running sum, clamped to +0.0 (a profile ending
+        # below 0 gives NaN powers in the norm check)
+        surr = np.diff(surr_cum[:self.m_d + 1])
+        surr *= self.m_d
+        self.surr = _read_only(np.maximum(surr, 0.0, out=surr))
         if self.mt_edges is not None:
             self.mt_surr_cum = _read_only(surr_cum[self.m_d + 1:])
         self.surr_prof = _sorted_profile(-self.surr)

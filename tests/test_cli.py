@@ -183,15 +183,31 @@ class TestExitCodes:
         assert all(entry["pass"] for entry in strict_report(out)["checks"])
 
     @pytest.mark.filterwarnings("error")
+    def test_negative_surrogate_round_off_gives_finite_norms(self, tmp_path, capsys):
+        """monotone1d on the 5^3 grid: one of the surrogate's 8 bin means
+        came out -8.9e-16 from round-off on its running sum, the surrogate
+        profile ended below 0, and lp:1.5 powered it to NaN: exit 3.  The
+        bin means are clamped at +0.0."""
+        out = tmp_path / "r.json"
+        argv = ["--builtin", "monotone1d", "--dim", "3", "--grid", "5", "--checks", "norm"]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = strict_report(out)["checks"]
+        assert len(rows) == 8
+        for row in rows:
+            assert math.isfinite(row["max_violation"]) and math.isfinite(row["tolerance"])
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("k", [1021, 1022])
     def test_fields_near_the_top_of_the_double_range_scale(self, tmp_path, capsys, k):
         """2^k * x1, within a factor of 4 of the largest double, exits 0
         with nothing on stderr, and every row's curves, violation and
         tolerance are 2^k times those of x1: bit for bit, except the norms
-        lp:1.5 (pow rounding) and orlicz:expsq (the Luxemburg root
-        tolerance).  The tolerance took 10 sup before dividing by M, and
-        the symmetrized slopes n_bins times the bin means' drops, and both
-        overflowed: exit 3."""
+        lp:1.5 (the square roots of its terms and the 1/1.5 power of
+        their sum need not scale exactly with a power of two) and
+        orlicz:expsq (the Luxemburg root tolerance).  The tolerance took
+        10 sup before dividing by M, and the symmetrized slopes n_bins
+        times the bin means' drops, and both overflowed: exit 3."""
         def run(text, name):
             out, curves = tmp_path / f"{name}.json", tmp_path / name
             code = main(["--expr", text, "--grid", "64",

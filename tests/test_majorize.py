@@ -70,6 +70,13 @@ class TestYoungFunction:
             assert np.array_equal(buf.view(np.uint64), ref.view(np.uint64))
         assert type(A(-1.5)) is type(reference(-1.5))
         assert A(-1.5) == reference(-1.5)
+        # told that |t| <= T, A skips the cap with the capped bits
+        cap = EXPSQ_DEFAULT_CAP
+        inside = np.concatenate((t[np.abs(t) <= cap], [cap, -cap, np.nextafter(cap, 0.0)]))
+        for nonnegative, part in ((False, inside), (True, np.abs(inside))):
+            buf = part.copy()
+            got = A(buf, out=buf, nonnegative=nonnegative, within_cap=True)
+            assert np.array_equal(got.view(np.uint64), reference(part).view(np.uint64))
 
     def test_truncation_keeps_finite(self):
         assert np.isfinite(A(1e6))
@@ -257,6 +264,41 @@ class TestRiNorm:
         assert ri_norm(THREE_ONE, RINorm("marcinkiewicz", 2.0)) == pytest.approx(
             1.5 * math.sqrt(2.0)
         )
+
+    @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 4.0, 1.7])
+    def test_lp_matches_the_pow_formula(self, q):
+        """Exponents 1.5 and 4 power the values by products, 1.5 after a
+        square root, any other (1.7) by pow, and an equal-width profile's
+        width multiplies the sum: each Lp norm
+        lies within 1e-15 relative of (sum of values^q * widths)^(1/q),
+        on equal-width random and tied profiles and on knot profiles."""
+        rng = np.random.default_rng(36)
+        profiles = []
+        for n in (1, 4097, 20000):
+            values = np.sort(rng.gamma(2.0, 1.0, size=n))[::-1].copy()
+            values.setflags(write=False)
+            profiles.append(Profile.equal_width(values))
+        for levels, counts in (([4.0, 3.0, 1.0 / 3.0, 0.0], [7, 3000, 11, 5]), ([2.5], [12345])):
+            profiles.append(Profile.equal_width(tied_profile(levels, counts).values))
+        profiles += [random_profile(rng, 5000) for _ in range(5)]
+        for p in profiles:
+            ref = float(np.sum(p.values ** q * p.widths)) ** (1.0 / q)
+            assert ri_norm(p, RINorm("lp", q)) == pytest.approx(ref, rel=1e-15, abs=0.0), (
+                p.num_pieces)
+
+    def test_lp_power_rule_bits(self):
+        """The powers behind the Lp norms, bit for bit: sqrt(v)*v for 1.5,
+        (v*v)*(v*v) for 4 and pow for any other, weighted in place by a
+        knot profile's widths; an equal-width profile's width multiplies
+        the sum."""
+        p = random_profile(np.random.default_rng(7), 5000)
+        v = p.values
+        rule = {1.5: np.sqrt(v) * v, 4.0: (v * v) * (v * v), 1.7: v ** 1.7}
+        for q, terms in rule.items():
+            assert ri_norm(p, RINorm("lp", q)) == float(np.sum(terms * p.widths)) ** (1 / q), q
+            flat = Profile.equal_width(v)
+            assert ri_norm(flat, RINorm("lp", q)) == (
+                float(np.sum(terms)) * flat.widths) ** (1 / q), q
 
     @pytest.mark.parametrize("q", [1.0, 2.0, 3.5])
     def test_lorentz_bits_match_differenced_powers(self, q):
@@ -528,6 +570,24 @@ class TestLuxemburg:
         got = ri_norm(p, ORLICZ)
         assert walks == [p.sup]
         assert got > 0.0
+        assert got == pytest.approx(bisection_luxemburg(p), rel=1e-10, abs=0.0)
+
+    def test_probes_either_side_of_the_cap(self, monkeypatch):
+        """5 on a piece of width 1e-170: the norm, 0.25272, is about
+        sup / 19.8, so the walk's probes below sup / T = 0.25 need the
+        cap and those above it skip it; both kinds of probe run, and the
+        norm matches bisection."""
+        p = Profile(np.array([0.0, 1e-170, 1.0]), np.array([5.0, 0.0]))
+        kinds, call = [], YoungFunction.__call__
+
+        def recording_call(self, t, **kwargs):
+            kinds.append(kwargs.get("within_cap", False))
+            return call(self, t, **kwargs)
+
+        monkeypatch.setattr(YoungFunction, "__call__", recording_call)
+        got = ri_norm(p, ORLICZ)
+        assert True in kinds and False in kinds
+        assert got == pytest.approx(0.25272, rel=1e-4)
         assert got == pytest.approx(bisection_luxemburg(p), rel=1e-10, abs=0.0)
 
     def test_bounded_young_function_can_give_zero(self, young_calls):
