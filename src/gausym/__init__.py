@@ -17,7 +17,6 @@ from .errors import (
     NonFiniteFieldError,
     NonSmoothFieldError,
     UnknownFieldError,
-    WeightSumError,
 )
 from .fields import (
     ScalarField,
@@ -43,7 +42,7 @@ from .majorize import (
     parse_norm,
     ri_norm,
 )
-from .rearrange import Profile, lebesgue_rearrangement
+from .rearrange import Profile
 from .symmetrize import symmetrized_derivative
 from .verify import (
     Analysis,

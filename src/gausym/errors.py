@@ -33,10 +33,6 @@ class InvalidParameterError(GausymError, ValueError):
     """Bad parameter for a field family, Young function, or norm."""
 
 
-class WeightSumError(GausymError, ValueError):
-    """Sample weights do not form a probability vector."""
-
-
 class NonSmoothFieldError(GausymError, ValueError):
     """Check requires a smooth field but the field is flagged non-smooth."""
 

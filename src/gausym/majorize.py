@@ -67,7 +67,6 @@ class YoungFunction:
 
 
 _EXPSQ = YoungFunction()
-_EXPSQ_SUP = float(np.expm1(EXPSQ_DEFAULT_CAP * EXPSQ_DEFAULT_CAP))
 
 
 class RINorm(NamedTuple):
@@ -152,31 +151,25 @@ def _luxemburg(p: Profile) -> float:
 
     Root of log theta against log lam by Illinois regula falsi (Dowell &
     Jarratt 1971) on a bracket theta(lo) > 1 >= theta(hi), one whole pass
-    over the profile per probe: one call of A, four profile-length loops
-    (scale, square, expm1, sum) where the profile ends at or above 0 and
-    sup / lam <= T, so that A skips |t| and the cap, and the profile has
-    equal widths, whose width multiplies the pairwise sum instead of every
-    term.  Otherwise A caps, and a knot profile's widths weight its terms
-    in place.  A profile of at least ``_COARSE_MIN_PIECES`` pieces takes
-    its bracket, and the log theta it starts from at either end, from two
-    coarse profiles (``_coarse_bracket``), a third of a pass in all, so
-    every whole pass is a probe that shrinks the bracket: three on the
-    2^20-piece gradient profile of the 1-d ``poly_tanh`` field.  Any other profile,
-    or one whose coarse profiles give no usable start, walks from sup p.
-    The search stops when hi - lo <= _REL_TOL * hi and returns the
-    midpoint.
-    The norm is 0 when theta <= 1 for every lam, which the bounded A
-    allows on a support of measure at most 1/sup A; norms below the
-    smallest normal double are returned as 0 too.
+    over the profile per probe: one call of A and four profile-length
+    loops (scale, square, expm1, sum) where the profile ends at or above 0
+    and sup / lam <= T, so that A skips |t| and the cap; the width 1/n
+    multiplies the pairwise sum instead of every term.  A profile of at
+    least ``_COARSE_MIN_PIECES`` pieces takes its bracket, and the log
+    theta it starts from at either end, from two coarse profiles
+    (``_coarse_bracket``), a third of a pass in all, so every whole pass
+    is a probe that shrinks the bracket: three on the 2^20-piece gradient
+    profile of the 1-d ``poly_tanh`` field.  Any other profile, or one
+    whose coarse profiles give no usable start, walks from sup p.  The
+    search stops when hi - lo <= _REL_TOL * hi and returns the midpoint.
+    Norms below the smallest normal double are returned as 0.
     """
-    if p.sup < _TINY or _EXPSQ_SUP * p.super_level_measure(0.0) <= 1.0:
+    if p.sup < _TINY:
         return 0.0
 
-    values, widths, sup = p.values, p.widths, p.sup
+    values, width, sup = p.values, p.widths, p.sup
     # a profile that ends at or above 0 is its own |p|: A skips that pass
     nonnegative = bool(values[-1] >= 0.0)
-    # the scalar width of an equal-width profile multiplies the sum
-    equal_width = np.ndim(widths) == 0
     # One profile-sized array for every pass: A runs in place on it.
     # Fresh arrays per pass let the C allocator trim and regrow its heap on
     # every pass, which tripled the time of this loop depending on earlier
@@ -193,11 +186,7 @@ def _luxemburg(p: Profile) -> float:
         # depend on its thread count
         with np.errstate(over="ignore"):
             _EXPSQ(scaled, out=scaled, nonnegative=nonnegative, within_cap=within_cap)
-            if equal_width:
-                theta = float(np.sum(scaled)) * widths
-            else:
-                np.multiply(scaled, widths, out=scaled)
-                theta = float(np.sum(scaled))
+            theta = float(np.sum(scaled)) * width
         return math.log(theta) if theta > 0.0 else -math.inf
 
     bracket = None
@@ -238,26 +227,28 @@ def _luxemburg(p: Profile) -> float:
 
 def _coarse_bracket(p: Profile):
     """A bracket (lo, log theta(lo), hi, log theta(hi), last_lo) of the
-    norm of ``p`` read off two coarse profiles on every
-    ``_COARSE_STEP``-th knot of ``p``, with no pass over ``p`` itself, or
-    None when they give no usable start.
+    norm of ``p`` read off two coarse profiles of about K/64 pieces,
+    ``_COARSE_STEP`` = 64, with no pass over ``p`` itself, or None when
+    they give no usable start.
 
-    One coarse profile takes each group's first (largest) value, the other
-    its last (smallest).  A is nondecreasing, so their theta bound that of
-    ``p`` from above and from below at every lam, whatever the widths, and
-    their norms bound the norm of ``p``.  Each coarse norm is found to
-    ``_REL_TOL`` and its end widened by ``_REL_TOL``, so theta(lo) > 1 >=
-    theta(hi) holds without a check on ``p``.  The log theta at either end
-    is that of the mean of the two coarse thetas there, the rule of an
-    upper and a lower sum: it lies between the bounds, on the right side
-    of 1, and near the true value, so the first secant lands near the
-    root.  Neither end has just moved (``last_lo`` is None).
+    The upper profile has floor(K/64) pieces, of measure at least 64/K:
+    piece j starts at or past piece 64 j of ``p`` and takes its value.
+    The lower has ceil(K/64) pieces, of measure at most 64/K: piece j ends
+    at or before piece 64 j + 63 of ``p`` (the last, K - 1) and takes that
+    value.  So the upper lies above ``p`` and the lower below it at every
+    s; A is nondecreasing, so their theta bound that of ``p`` from above
+    and from below at every lam, and their norms bound the norm of ``p``.
+    Each coarse norm is found to ``_REL_TOL`` and its end widened by
+    ``_REL_TOL``, so theta(lo) > 1 >= theta(hi) holds without a check on
+    ``p``.  The log theta at either end is that of the mean of the two
+    coarse thetas there, the rule of an upper and a lower sum: it lies
+    between the bounds, on the right side of 1, and near the true value,
+    so the first secant lands near the root.  Neither end has just moved
+    (``last_lo`` is None).
     """
-    K = p.num_pieces
-    first = np.arange(0, K, _COARSE_STEP)
-    knots = np.append(p.knot(first), 1.0)
-    last = np.append(first[1:] - 1, K - 1)
-    upper, lower = Profile(knots, p.values[first]), Profile(knots, p.values[last])
+    step, K = _COARSE_STEP, p.num_pieces
+    upper = Profile.equal_width(p.values[:K - K % step:step])
+    lower = Profile.equal_width(p.values[np.append(np.arange(step - 1, K - 1, step), K - 1)])
     lo = _luxemburg(lower) * (1.0 - _REL_TOL)
     if not lo >= _TINY:
         return None
@@ -278,9 +269,9 @@ def _coarse_bracket(p: Profile):
 def _walk_bracket(sup: float, log_theta):
     """A bracket (lo, log theta(lo), hi, log theta(hi), last_lo) walked
     from ``sup`` by doubling, then halving, or None when the norm lies
-    below the smallest normal double.  A(20) = e^400 - 1, so the norm is
-    at least sup / 20 whenever the top piece is wider than 1/(e^400 - 1):
-    then at most five halvings find the lower end."""
+    below the smallest normal double.  A(20) = e^400 - 1 times the top
+    piece's width 1/n exceeds 1, so the norm is at least sup / 20: at
+    most five halvings find the lower end."""
     lo, hi = 0.0, sup
     y_hi = log_theta(hi)
     last_lo = False  # whether the last probe became the lower end
@@ -300,15 +291,14 @@ def _walk_bracket(sup: float, log_theta):
     return lo, y_lo, hi, y_hi, last_lo
 
 
-def _power_sum(values: np.ndarray, widths, power: float) -> float:
-    """Sum of values^power * widths over one profile-sized temporary.
-    The powers of the default family's exponents are products, each
-    rounding once where libm's ``pow`` costs several times the passes:
-    1.5 is sqrt(v)*v and 4 is (v*v)*(v*v); any other power is ``pow``.
-    A knot profile's widths weight the powers in place, and an
-    equal-width profile's scalar width multiplies their pairwise sum.
-    For power 1 there is no pass to power them, and on an equal-width
-    profile no temporary at all."""
+def _power_sum(values: np.ndarray, width: float, power: float) -> float:
+    """Sum of values^power times ``width``, the pieces' width, over one
+    profile-sized temporary.  The powers of the default family's
+    exponents are products, each rounding once where libm's ``pow`` costs
+    several times the passes: 1.5 is sqrt(v)*v and 4 is (v*v)*(v*v); any
+    other power is ``pow``.  The width multiplies the pairwise sum of the
+    powers.  For power 1 there is no pass to power them and no temporary
+    at all."""
     if power == 1.0:
         terms = values
     elif power == 1.5:
@@ -319,13 +309,7 @@ def _power_sum(values: np.ndarray, widths, power: float) -> float:
         terms *= terms
     else:
         terms = values ** power
-    if np.ndim(widths) == 0:
-        return float(np.sum(terms)) * widths
-    if terms is values:
-        terms = values * widths
-    else:
-        terms *= widths
-    return float(np.sum(terms))
+    return float(np.sum(terms)) * width
 
 
 def _marcinkiewicz(p: Profile, power: float) -> float:
@@ -373,9 +357,10 @@ def ri_norm(p: Profile, X: RINorm) -> float:
 
     Lp by exact piecewise quadrature (L-inf is the top value; exponents
     1.5 and 4 power the values by products, 1.5 after one square root,
-    any other by ``pow``; a power sum that over- or
-    underflows is taken again on the values scaled by a power of two,
-    exactly, as ``fields.partials_norm`` does), the
+    any other by ``pow``; a power sum that over- or underflows is taken
+    again on the values scaled by a power of two, exactly, as
+    ``fields.partials_norm`` does, and on the values divided by the sup
+    where the top's power underflows even at a top in [1/2, 1)), the
     Lorentz lambda-norm integrates the profile against d(s^(1/p)), the
     Marcinkiewicz norm takes the exact sup of t^(1/p-1) * integral over
     (0,t] (attained at knots: on each piece that function is a sum of a
@@ -398,8 +383,12 @@ def ri_norm(p: Profile, X: RINorm) -> float:
                 # a power over- or underflowed: again on the values scaled
                 # by a power of two (exactly) to a top in [1/2, 1)
                 exponent = math.frexp(p.sup)[1]
-                scaled = np.ldexp(p.values, -exponent)
-                total = _power_sum(scaled, p.widths, X.param)
+                total = _power_sum(np.ldexp(p.values, -exponent), p.widths, X.param)
+                if total < _TINY_SUM:
+                    # the top's power underflows there too (p > 1074 or
+                    # so): the sup factored out, the top term is 1
+                    total = _power_sum(p.values / p.sup, p.widths, X.param)
+                    return p.sup * total ** (1.0 / X.param)
                 return math.ldexp(total ** (1.0 / X.param), exponent)
         return float(total ** (1.0 / X.param))
     if X.kind == "lorentz":

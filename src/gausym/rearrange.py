@@ -1,23 +1,23 @@
 """Decreasing step profiles on (0, 1] and the sorts that build them.
 
 A Profile is the nonincreasing right-continuous step function on (0, 1]
-given by sorted values and the knots between their pieces, or, for
-pieces of equal width, by the values alone; its super-level measures
-are the distribution function of whatever it rearranges.  Sampling a
-field and sorting |f| and |grad f| into profiles is done once per run,
-by ``verify.Analysis``; this module knows nothing of fields or grids.
+of n sorted values on n pieces of width 1/n: every profile the pipeline
+builds samples equal-measure cells.  Its super-level measures are the
+distribution function of whatever it rearranges; a piece of rational
+measure j/n is j repeated values.  Sampling a field and sorting |f| and
+|grad f| into profiles is done once per run, by ``verify.Analysis``; this
+module knows nothing of fields or grids.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, WeightSumError
+from .errors import DomainError
 
-_KNOT_SNAP = 1e-12
+_VALUE_SNAP = 1e-12  # relative increase snapped as round-off
 
 # Elements per block of a running sum over a sorted grid-sized array (a
 # profile's cumulative, the analysis' cumulatives of |grad f| in level
@@ -82,66 +82,47 @@ def uniform_piece(t, n: int, side: str = "left"):
 
 
 class Profile:
-    """Nonincreasing step function on (0, 1].
+    """Nonincreasing step function on (0, 1] of n pieces of width 1/n.
 
-    ``values[k]`` is taken on the half-open interval (knots[k], knots[k+1]];
-    evaluation at 0 returns the right limit values[0].
-
-    ``Profile(knots, values)`` stores both arrays read-only and asserts
-    the monotonicity invariant, snapping violations within round-off and
-    rejecting anything larger.  An array that is already read-only and
-    owns its data is shared, not copied; any other input is copied, so a
-    caller that later writes to its own array does not change the
-    profile.  Its ``widths`` are computed once, on first use, so the r.i.
-    norms, which read the widths on every call, do not each allocate and
-    fault in a fresh array.
-
-    ``Profile.equal_width(values)`` stores the values alone: its n pieces
-    have the scalar width 1/n, and every lookup of its knots k/n computes
-    them, with the bits of ``uniform_knots(n)``.  Its ``knots`` property
+    ``values[k]`` is taken on the half-open interval (k/n, (k+1)/n];
+    evaluation at 0 returns the right limit values[0].  The profile holds
+    its values and nothing else: its knots k/n are computed on each
+    lookup, with the bits of ``uniform_knots(n)``, its ``knots`` property
     builds that array afresh on each read, for the few readers that want
-    it.  Neither form keeps a prefix of the integral: ``cumulative`` reads
-    it off a running sum (``running_sum_at``).
+    it, and ``cumulative`` reads the prefix of the integral off a running
+    sum (``running_sum_at``).
+
+    ``Profile(values)`` asserts the invariants: a 1-d, non-empty, NaN-free
+    array, nonincreasing up to round-off, which is snapped.  An array that
+    is already read-only and owns its data is shared, not copied; any
+    other input is copied, so a caller that later writes to its own array
+    does not change the profile.  ``Profile.equal_width(values)`` takes
+    values that already hold them, unchecked.
     """
 
-    def __init__(self, knots, values):
-        knots = _frozen(knots)
+    def __init__(self, values):
         values = _frozen(values)
-        if knots.ndim != 1 or values.ndim != 1 or len(knots) != len(values) + 1:
-            raise DomainError("profile needs K+1 knots for K values")
-        if len(values) == 0:
-            raise DomainError("profile needs at least one piece")
-        if abs(knots[0]) > _KNOT_SNAP or abs(knots[-1] - 1.0) > _KNOT_SNAP:
-            raise DomainError("profile knots must start at 0 and end at 1")
-        if knots[0] != 0.0 or np.signbit(knots[0]) or knots[-1] != 1.0:
-            knots = knots.copy()
-            knots[0] = 0.0
-            knots[-1] = 1.0
-            knots.setflags(write=False)
-        if np.any(knots[1:] <= knots[:-1]):
-            raise DomainError("profile knots must be strictly increasing")
+        if values.ndim != 1 or len(values) == 0:
+            raise DomainError("profile needs a 1-d array of at least one value")
         # max |value| without a profile-sized temporary; NaN propagates
         scale = 1.0 + float(np.maximum(abs(values.max()), abs(values.min())))
         if math.isnan(scale):
             raise DomainError("profile values must not be NaN")
         if np.any(values[1:] > values[:-1]):
-            if np.any(np.diff(values) > _KNOT_SNAP * scale):
+            if np.any(np.diff(values) > _VALUE_SNAP * scale):
                 raise DomainError("profile values must be nonincreasing")
             values = np.minimum.accumulate(values)
             values.setflags(write=False)
-        self._knots = knots
         self.values = values
 
     @classmethod
     def equal_width(cls, values: np.ndarray) -> "Profile":
-        """The profile of len(values) pieces of equal width on values its
-        caller has just built, taken as they are: read-only, nonincreasing
-        and NaN-free.  The constructor would scan them again, with a
-        temporary of their size.  ``verify.Analysis`` builds its four
-        profiles this way: ``p``, ``grad_prof``, ``surr_prof`` and
-        ``sym_grad_prof``; ``scaled`` keeps a profile of this form in it."""
+        """The profile of values its caller has just built, taken as they
+        are: read-only, nonincreasing and NaN-free.  The constructor would
+        scan them again, with a temporary of their size.  ``verify.Analysis``
+        builds its four profiles this way: ``p``, ``grad_prof``,
+        ``surr_prof`` and ``sym_grad_prof``; so does ``scaled``."""
         profile = object.__new__(cls)
-        profile._knots = None
         profile.values = values
         return profile
 
@@ -151,49 +132,31 @@ class Profile:
 
     @property
     def knots(self) -> np.ndarray:
-        """The K+1 knots, read-only; built on each read for an equal-width
-        profile."""
-        return uniform_knots(self.num_pieces) if self._knots is None else self._knots
+        """The n+1 knots k/n, read-only, built on each read."""
+        return uniform_knots(self.num_pieces)
 
     def knot(self, k):
         """knots[k], for an index or an integer array of them."""
-        return k / self.num_pieces if self._knots is None else self._knots[k]
+        return k / self.num_pieces
 
     @property
-    def widths(self):
-        """The pieces' widths: the scalar 1/n for an equal-width profile."""
-        return 1.0 / self.num_pieces if self._knots is None else self._knot_widths
-
-    @cached_property
-    def _knot_widths(self) -> np.ndarray:
-        widths = np.diff(self._knots)
-        widths.setflags(write=False)
-        return widths
+    def widths(self) -> float:
+        """The width 1/n of every piece."""
+        return 1.0 / self.num_pieces
 
     @property
     def sup(self) -> float:
         return float(self.values[0])
 
-    def _piece(self, t: np.ndarray):
-        """The piece (knots[k], knots[k+1]] holding each t, clipped into
-        0..K-1."""
-        if self._knots is None:
-            return uniform_piece(t, self.num_pieces)
-        return np.clip(np.searchsorted(self._knots, t, side="left") - 1, 0, self.num_pieces - 1)
-
     def __call__(self, s) -> np.ndarray:
         s_arr = np.asarray(s, dtype=float)
-        out = self.values[self._piece(s_arr)]
+        out = self.values[uniform_piece(s_arr, self.num_pieces)]
         return out if s_arr.ndim else float(out)
 
     def masses(self, start: int, stop: int) -> np.ndarray:
         """The masses, value times width, of pieces start..stop-1, as a
         fresh array."""
-        if self._knots is None:
-            return self.values[start:stop] * self.widths
-        run = self._knots[start + 1:stop + 1] - self._knots[start:stop]
-        run *= self.values[start:stop]
-        return run
+        return self.values[start:stop] * self.widths
 
     def cumulative(self, t) -> np.ndarray:
         """Exact integral over (0, t] of the step function.
@@ -202,7 +165,7 @@ class Profile:
         sum of the pieces' masses, up to the largest knot read; no array
         of the profile's size is kept."""
         t_arr = np.asarray(t, dtype=float)
-        idx = self._piece(t_arr)
+        idx = uniform_piece(t_arr, self.num_pieces)
         mass = running_sum_at(self.masses, np.ravel(idx)).reshape(np.shape(idx))
         out = mass + self.values[idx] * (t_arr - self.knot(idx))
         return out if t_arr.ndim else float(out)
@@ -212,12 +175,9 @@ class Profile:
         return float(self.knot(np.searchsorted(-self.values, -level, side="left")))
 
     def scaled(self, factor: float) -> "Profile":
-        """The profile times ``factor`` >= 0, on the same knots: an
-        equal-width profile stays one."""
+        """The profile times ``factor`` >= 0."""
         if factor < 0:
             raise DomainError("scaling factor must be nonnegative")
-        if self._knots is not None:
-            return Profile(self._knots, self.values * factor)
         # a nonnegative factor keeps the values nonincreasing; a NaN factor,
         # or 0 times an infinite value, makes a NaN that max propagates
         values = self.values * factor
@@ -276,28 +236,6 @@ def running_sum_at(increments, at: np.ndarray) -> np.ndarray:
     if reads[0] == 0:
         found[0] = 0.0
     return found[inverse]
-
-
-def lebesgue_rearrangement(samples) -> Profile:
-    """Decreasing rearrangement of weighted samples on (0, 1).
-
-    ``samples`` is a sequence of (weight, value) pairs; weights must be
-    positive and sum to 1 within 1e-12.
-    """
-    arr = np.asarray(list(samples) if not isinstance(samples, np.ndarray) else samples, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] == 0:
-        raise WeightSumError("samples must be nonempty (weight, value) pairs")
-    weights, values = arr[:, 0], arr[:, 1]
-    # written so that NaN weights fail both tests
-    if not np.all(weights > 0.0):
-        raise WeightSumError("weights must be positive")
-    total = float(np.sum(weights))
-    if not abs(total - 1.0) <= 1e-12:
-        raise WeightSumError(f"weights sum to {total!r}, expected 1 within 1e-12")
-    order = np.argsort(-values, kind="stable")  # ties keep input order
-    knots = np.concatenate(([0.0], np.cumsum(weights[order])))
-    knots[-1] = 1.0
-    return Profile(knots, values[order])
 
 
 def derivative_bin_count(drops: np.ndarray, top: float, M: int, min_block: int) -> int:

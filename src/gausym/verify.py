@@ -37,10 +37,9 @@ and ``grad_prof``, 16 bytes a cell:
   |grad f| is kept of the unsorted gradient.  Every profile of the
   analysis, ``p``, ``grad_prof``, ``surr_prof`` and ``sym_grad_prof``,
   is built by ``_sorted_profile``: its negated magnitudes sorted in
-  place and taken as an equal-width profile, which keeps no knot or
-  width array, without ``Profile``'s validating re-scans
-  (``Profile.equal_width``), since the arrays were just sorted and are
-  finite.
+  place and taken as a profile without ``Profile``'s validating
+  re-scans (``Profile.equal_width``), since the arrays were just sorted
+  and are finite.
 - Each cumulative, of |grad f| in level order, of the surrogate, of f*
   and of (|grad f|)*, is one running sum taken in pairwise-summed chunks
   (``rearrange.running_sum_at``), read only at the points the checks
@@ -280,9 +279,9 @@ def _level_grad_at(grads: np.ndarray, order: np.ndarray, cell_measure: float, at
 
 
 def _sorted_profile(neg: np.ndarray, order: Optional[np.ndarray] = None) -> Profile:
-    """The equal-width profile of nonnegative values given negated and
-    NaN-free: ``neg`` sorted in place and negated back, read-only, so the
-    profile keeps it uncopied.  Every zero comes back +0.0, so the values
+    """The profile of nonnegative values given negated and NaN-free:
+    ``neg`` sorted in place and negated back, read-only, so the profile
+    keeps it uncopied.  Every zero comes back +0.0, so the values
     equal those gathered in their stable decreasing argsort order, bit for
     bit: given that order (``np.argsort(neg, kind="stable")``), they are
     gathered through it into a new array instead of sorted again."""

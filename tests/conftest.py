@@ -177,42 +177,37 @@ def cumulative_reference(p: Profile, t) -> np.ndarray:
     1 (``rearrange.SUM_CHUNK``)."""
     prefix = np.concatenate(([0.0], np.cumsum(p.values * p.widths)))
     t = np.asarray(t, dtype=float)
-    idx = np.clip(np.searchsorted(p.knots, t, side="left") - 1, 0, p.num_pieces - 1)
-    return prefix[idx] + p.values[idx] * (t - p.knots[idx])
+    knots = p.knots
+    idx = np.clip(np.searchsorted(knots, t, side="left") - 1, 0, p.num_pieces - 1)
+    return prefix[idx] + p.values[idx] * (t - knots[idx])
 
 
 def constant_profile(c: float) -> Profile:
     """The one-piece profile of the constant c >= 0 on (0, 1]."""
-    return Profile(np.array([0.0, 1.0]), np.array([float(c)]))
+    return Profile(np.array([float(c)]))
 
 
 def random_profile(rng: np.random.Generator, max_pieces: int = 64) -> Profile:
+    """k random levels, 4 <= k < ``max_pieces``, each repeated on 1 to 16
+    equal pieces: a profile whose levels hold unequal rational measures."""
     k = int(rng.integers(4, max_pieces))
-    widths = rng.dirichlet(np.ones(k))
+    counts = rng.integers(1, 17, size=k)
     values = np.sort(rng.gamma(2.0, 1.0, size=k))[::-1]
-    knots = np.concatenate(([0.0], np.cumsum(widths)))
-    knots[-1] = 1.0
-    return Profile(knots, values)
+    return Profile(np.repeat(values, counts))
 
 
 def averaged_profile(rng: np.random.Generator, h: Profile) -> Profile:
-    """Block-average a decreasing profile over a random consecutive
-    partition: the result is majorized by the original (averaging only
-    flattens partial sums), with equal total integral."""
+    """Block-average a decreasing profile over a random partition of its
+    pieces into 1 to 64 runs: the result is majorized by the original
+    (averaging only flattens partial sums), with equal total integral."""
     k = h.num_pieces
-    n_blocks = int(rng.integers(1, k + 1))
-    cuts = np.sort(rng.choice(np.arange(1, k), size=min(n_blocks - 1, k - 1), replace=False))
+    n_blocks = int(rng.integers(1, min(k, 64) + 1))
+    cuts = np.sort(rng.choice(np.arange(1, k), size=n_blocks - 1, replace=False))
     bounds = np.concatenate(([0], cuts, [k]))
-    widths = h.widths
-    new_vals = []
-    new_widths = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        w = widths[lo:hi].sum()
-        new_vals.append(float(np.sum(h.values[lo:hi] * widths[lo:hi]) / w))
-        new_widths.append(w)
-    knots = np.concatenate(([0.0], np.cumsum(new_widths)))
-    knots[-1] = 1.0
-    return Profile(knots, np.asarray(new_vals))
+    sizes = np.diff(bounds)
+    means = np.add.reduceat(h.values, bounds[:-1]) / sizes
+    # a mean may round an ulp above the one before it: the constructor snaps it
+    return Profile(np.repeat(means, sizes))
 
 
 def majorized_pair(rng: np.random.Generator) -> tuple[Profile, Profile]:

@@ -197,6 +197,22 @@ class TestExitCodes:
         for row in rows:
             assert math.isfinite(row["max_violation"]) and math.isfinite(row["tolerance"])
 
+    def test_large_lp_exponents_pass_on_a_linear_field(self, tmp_path, capsys):
+        """2*x1 on 256 cells: |grad f| is 2 on every cell, and 0.5^1100 of
+        the top rescued to [1/2, 1) underflowed, so lp:1100 of the gradient
+        profile came out 0 and the row failed by +1.657 (exit 1), while
+        lp:5000 passed on two zero norms.  Each norm lies within its
+        exponent's root of 1/256 below the sup, 2."""
+        out = tmp_path / "r.json"
+        argv = ["--expr", "2*x1", "--grid", "256", "--checks", "norm",
+                "--norms", "lp:1100,lp:5000,lp:inf"]
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = {row["name"]: row for row in strict_report(out)["checks"]}
+        assert all(row["pass"] for row in rows.values())
+        assert rows["norm:lp:1100"]["max_violation"] == pytest.approx(-0.3428, abs=1e-4)
+        assert rows["norm:lp:5000"]["max_violation"] == pytest.approx(-0.3384, abs=1e-4)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("k", [1021, 1022])
     def test_fields_near_the_top_of_the_double_range_scale(self, tmp_path, capsys, k):

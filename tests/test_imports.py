@@ -1,7 +1,7 @@
 """Static checks on imports, with the standard library's ``ast``: a
 deletion must not leave behind an import that nothing uses, the profile
-module must stay free of fields and grids, and the CLI must run checks
-only through verify's token table."""
+module must stay free of fields and grids, a profile must hold its values
+alone, and the CLI must run checks only through verify's token table."""
 
 import ast
 from pathlib import Path
@@ -75,6 +75,23 @@ def test_rearrange_is_a_pure_profile_module():
         elif isinstance(node, ast.Import):
             imported |= {alias.name for alias in node.names}
     assert not imported & {".fields", ".gaussian", "gausym.fields", "gausym.gaussian"}
+
+
+def test_a_profile_holds_its_values_alone():
+    # one profile form: the validating constructor takes the values alone,
+    # no method stores anything else on a profile, and no weighted sort
+    # builds one on knots of its own
+    import gausym
+
+    profile = next(node for node in ast.walk(_tree(PACKAGE / "rearrange.py"))
+                   if isinstance(node, ast.ClassDef) and node.name == "Profile")
+    init = next(node for node in profile.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    assert [arg.arg for arg in init.args.args] == ["self", "values"]
+    stored = {target.attr for node in ast.walk(profile) if isinstance(node, ast.Assign)
+              for target in node.targets if isinstance(target, ast.Attribute)}
+    assert stored == {"values"}
+    assert not hasattr(gausym, "lebesgue_rearrangement")
 
 
 def test_only_the_analysis_samples_grid_cells():

@@ -1,5 +1,5 @@
-"""Profiles, distribution functions and rearrangements: the weighted
-sort, the value sort, and the profiles an analysis builds."""
+"""Profiles, distribution functions and rearrangements: the value sort
+and the profiles an analysis builds."""
 
 import math
 import tracemalloc
@@ -16,11 +16,9 @@ from gausym import (
     Phi_inv,
     Profile,
     RINorm,
-    WeightSumError,
     analyze,
     builtin_field,
     equal_measure_grid,
-    lebesgue_rearrangement,
     parse_field,
     ri_norm,
 )
@@ -45,7 +43,7 @@ from conftest import (
     sort_decreasing,
 )
 
-HALVES = Profile(np.array([0.0, 0.5, 1.0]), np.array([3.0, 1.0]))
+HALVES = Profile(np.array([3.0, 1.0]))
 
 
 class TestProfile:
@@ -66,55 +64,58 @@ class TestProfile:
         assert HALVES.super_level_measure(0.5) == 1.0
         assert HALVES.super_level_measure(3.0) == 0.0
 
-    def test_monotonicity_enforced(self):
-        with pytest.raises(DomainError, match="nonincreasing"):
-            Profile(np.array([0.0, 0.5, 1.0]), np.array([1.0, 3.0]))
-
-    @pytest.mark.parametrize("make", [
-        lambda: Profile(np.array([0.0, 0.5, 1.0]), np.array([np.nan, 1.0])),
-        lambda: lebesgue_rearrangement([(0.5, np.nan), (0.5, 1.0)]),
-        lambda: Profile(np.linspace(0.0, 1.0, 4), np.array([np.nan, np.inf, np.inf])),
-    ], ids=["nan-first", "rearranged-nan", "nan-then-inf"])
-    def test_nan_values_refused(self, make):
+    @pytest.mark.parametrize("values,match", [
+        ([1.0, 3.0], "nonincreasing"),
+        # an increase of 3e-12 against the snap's 1e-12 * (1 + max |value|)
+        ([1.0, 1.0 + 3e-12], "nonincreasing"),
+        ([np.nan, 1.0], "NaN"),
+        ([1.0, np.nan], "NaN"),
+        ([np.nan, np.inf, np.inf], "NaN"),
+        ([], "1-d"),
+        (3.0, "1-d"),
+        ([[3.0, 1.0], [1.0, 0.0]], "1-d"),
+    ], ids=["increasing", "past-the-snap", "nan-first", "nan-last", "nan-then-inf", "empty",
+            "0-d", "2-d"])
+    def test_refusals_on_values(self, values, match):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(DomainError, match="NaN"):
-                make()
-
-    def test_knot_validation(self):
-        with pytest.raises(DomainError):
-            Profile(np.array([0.1, 1.0]), np.array([1.0]))
-        with pytest.raises(DomainError):
-            Profile(np.array([0.0, 0.5, 0.5, 1.0]), np.array([3.0, 2.0, 1.0]))
+            with pytest.raises(DomainError, match=match):
+                Profile(np.array(values, dtype=float))
 
     def test_roundoff_snapped(self):
-        p = Profile(np.array([0.0, 0.5, 1.0]), np.array([1.0, 1.0 + 1e-15]))
+        p = Profile(np.array([1.0, 1.0 + 1e-15]))
         assert np.all(np.diff(p.values) <= 0)
+        assert not p.values.flags.writeable
 
     def test_caller_arrays_copied_unless_read_only(self):
-        knots, values = np.array([0.0, 0.5, 1.0]), np.array([3.0, 1.0])
-        p = Profile(knots, values)
-        knots[1], values[0] = 0.25, 7.0
-        assert_same_bits(p.knots, np.array([0.0, 0.5, 1.0]))
+        values = np.array([3.0, 1.0])
+        p = Profile(values)
+        values[0] = 7.0
         assert_same_bits(p.values, np.array([3.0, 1.0]))
+        assert not p.values.flags.writeable
         # a read-only array that owns its data is shared, a read-only view is not
-        knots.setflags(write=False)
-        assert Profile(knots, values).knots is knots
-        assert Profile(knots[:], values).knots is not knots
-        assert not p.knots.flags.writeable and not p.values.flags.writeable
+        values.setflags(write=False)
+        assert Profile(values).values is values
+        assert Profile(values[:]).values is not values
+        assert_same_bits(Profile([3, 1]).values, np.array([3.0, 1.0]))
+
+    def test_width_is_one_over_n(self):
+        for n in (1, 2, 3, 125**3):
+            p = Profile.equal_width(np.zeros(n))
+            assert p.widths == 1.0 / n and isinstance(p.widths, float)
+            assert p.knot(n) == 1.0 and p.knot(np.array([0, 1]))[1] == 1.0 / n
 
     @pytest.mark.parametrize("block", [1, 3, 64, PASS_BLOCK])
     def test_cumulative_matches_whole_array_cumsum(self, block, monkeypatch):
         """The cumulative, read off a running sum ``block`` pieces at a
         time in chunks of 1, has the bits of one whole-array cumsum, on
-        knots and on equal widths, and the profile caches nothing of it."""
+        random profiles of repeated levels, and the profile caches nothing
+        of it."""
         monkeypatch.setattr(rearrange, "PASS_BLOCK", block)
         monkeypatch.setattr(rearrange, "SUM_CHUNK", 1)
         rng = np.random.default_rng(block)
-        for max_pieces in (8, 64, 300, 300):
+        for max_pieces in (8, 64, 300):
             p = random_profile(rng, max_pieces)
-            if max_pieces == 300:
-                p = Profile.equal_width(p.values)
             knots = p.knots
             between = 0.5 * (knots[1:] + knots[:-1])
             unsorted = np.concatenate((between[::-3], knots[::2], [1.0, 0.0, knots[2], 1.0]))
@@ -126,38 +127,33 @@ class TestProfile:
                     assert isinstance(got, float)
                     got, ref = np.array(got), np.array(ref)
                 assert_same_bits(got, ref)
-            # the widths the reference read are no cumulative
-            assert set(vars(p)) - {"_knot_widths"} == {"_knots", "values"}
-
-    def test_widths_built_once(self):
-        assert_same_bits(HALVES.widths, np.array([0.5, 0.5]))
-        assert HALVES.widths is HALVES.widths
-        assert not HALVES.widths.flags.writeable
+            assert vars(p).keys() == {"values"}
 
     def test_equal_width_keeps_no_knots(self):
         values = np.array([3.0, 2.0, 2.0, 0.5, 0.0])
         values.setflags(write=False)
-        p, ref = Profile.equal_width(values), Profile(uniform_knots(5), values)
-        assert p.values is values and p.widths == 0.2
-        assert_same_bits(p.knots, ref.knots)
+        p, ref = Profile.equal_width(values), Profile(values)
+        assert p.values is values and ref.values is values and p.widths == 0.2
+        assert_same_bits(p.knots, uniform_knots(5))
         assert not p.knots.flags.writeable and p.knots is not p.knots
-        s = np.concatenate((ref.knots, np.nextafter(ref.knots, -1.0), [0.3, 0.9]))
-        assert_same_bits(p(s), ref(s))
-        for level in (3.0, 2.5, 2.0, 1.0, 0.0, -1.0):
-            assert p.super_level_measure(level) == ref.super_level_measure(level)
-        assert vars(p) == {"_knots": None, "values": values}
+        s = np.concatenate((p.knots, np.nextafter(p.knots, -1.0), [0.3, 0.9]))
+        on_knots = [3.0, 3.0, 2.0, 2.0, 0.5, 0.0]  # right-continuous: (k/5, (k+1)/5]
+        assert_same_bits(p(s), np.array(on_knots + on_knots + [2.0, 0.0]))
+        for level, measure in ((3.0, 0.0), (2.5, 0.2), (2.0, 0.2), (1.0, 0.6), (0.0, 0.8),
+                               (-1.0, 1.0)):
+            assert p.super_level_measure(level) == measure
+        assert vars(p) == {"values": values}
 
     def test_scaled_equal_width_profile_stays_equal_width(self):
-        """Scaling an equal-width profile keeps no knot array, and gives the
-        bits of the equal-width profile of the scaled values.  At 125^3
-        pieces np.diff(k/n) is not 1/n, so the knot profile it used to
-        build differed in its cumulative and its norms.  A negative factor
-        and NaN values are still refused."""
+        """Scaling a profile keeps no knot array, and gives the bits of the
+        profile of the scaled values, also at 125^3 pieces, where
+        np.diff(k/n) is not 1/n.  A negative factor and NaN values are
+        refused."""
         values = np.sort(np.random.default_rng(3).gamma(2.0, 1.0, 125**3))[::-1]
         values.setflags(write=False)
         p = Profile.equal_width(values)
         got, ref = p.scaled(0.5), Profile.equal_width(np.ldexp(values, -1))
-        assert vars(got).keys() == {"_knots", "values"} and got._knots is None
+        assert vars(got).keys() == {"values"}
         t = np.linspace(0.0, 1.0, 4097)
         assert_same_bits(got.cumulative(t), ref.cumulative(t))
         for X in (RINorm("marcinkiewicz", 2.0), RINorm("lp", 1.5)):
@@ -244,58 +240,9 @@ class TestDecreasingRearrangement:
         vals = np.abs(jet_at(field, representatives(grid))[0])
         rng = np.random.default_rng(3)
         shuffled = vals[rng.permutation(len(vals))]
-        weights = np.full(len(vals), grid.cell_measure)
-        q = lebesgue_rearrangement(np.column_stack((weights, shuffled)))
+        q = Profile(sort_decreasing(shuffled))
         assert np.array_equal(p.values, q.values)
         assert np.array_equal(p.knots, q.knots)
-
-
-class TestLebesgueRearrangement:
-    def test_decreasing_input_fixed(self):
-        # rearranging an already nonincreasing sequence returns it unchanged
-        weights = np.full(8, 1.0 / 8)
-        values = np.array([9.0, 7.5, 7.5, 4.0, 2.0, 1.5, 0.5, 0.0])
-        p = lebesgue_rearrangement(np.column_stack((weights, values)))
-        assert np.array_equal(p.values, values)
-
-    def test_two_point_sort(self):
-        p = lebesgue_rearrangement([(0.5, 1.0), (0.5, 3.0)])
-        assert np.array_equal(p.values, [3.0, 1.0])
-        assert np.array_equal(p.knots, [0.0, 0.5, 1.0])
-
-    def test_weight_sum_violation(self):
-        with pytest.raises(WeightSumError):
-            lebesgue_rearrangement([(0.5, 1.0), (0.4, 2.0)])
-        with pytest.raises(WeightSumError):
-            lebesgue_rearrangement([(1.5, 1.0), (-0.5, 2.0)])
-
-    @pytest.mark.parametrize("weights", [(np.nan, 0.5), (np.nan, np.nan), (np.inf, 0.5)])
-    def test_non_finite_weights_rejected(self, weights):
-        samples = np.column_stack([weights, [1.0, 2.0]])
-        with pytest.raises(WeightSumError):
-            lebesgue_rearrangement(samples)
-
-    @given(st.integers(min_value=2, max_value=24), st.integers(min_value=0, max_value=2**31))
-    @settings(max_examples=50, deadline=None)
-    def test_permutation_invariance(self, k, seed):
-        rng = np.random.default_rng(seed)
-        weights = rng.dirichlet(np.ones(k))
-        values = rng.uniform(0.0, 5.0, size=k)
-        a = lebesgue_rearrangement(np.column_stack((weights, values)))
-        perm = rng.permutation(k)
-        b = lebesgue_rearrangement(np.column_stack((weights[perm], values[perm])))
-        assert np.allclose(a.values, b.values)
-        assert np.allclose(a.knots, b.knots, atol=1e-12)
-
-    @given(st.integers(min_value=2, max_value=24), st.integers(min_value=0, max_value=2**31))
-    @settings(max_examples=50, deadline=None)
-    def test_output_nonincreasing_and_mass_preserving(self, k, seed):
-        rng = np.random.default_rng(seed)
-        weights = rng.dirichlet(np.ones(k))
-        values = rng.uniform(0.0, 5.0, size=k)
-        p = lebesgue_rearrangement(np.column_stack((weights, values)))
-        assert np.all(np.diff(p.values) <= 0)
-        assert p.cumulative(1.0) == pytest.approx(float(np.sum(weights * values)), abs=1e-12)
 
 
 class TestEqualWeightSort:

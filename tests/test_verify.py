@@ -541,9 +541,7 @@ class TestAnalysisSorts:
         reps, K = representatives(grid), grid.num_cells
         vals = np.abs(jet_at(field, reps)[0])
         order = np.argsort(-vals, kind="stable")
-        p_ref = Profile(np.arange(K + 1) / K, vals[order])
-        assert_same_bits(a.p.values, p_ref.values)
-        assert_same_bits(a.p.knots, p_ref.knots)
+        assert_same_bits(a.p.values, vals[order])
         grads_by_level = gradient_norms(field, reps)[order]
         prefix = np.concatenate(([0.0], np.cumsum(grads_by_level * grid.cell_measure)))
         # kept only where mt reads it: the t-grid, then the fold edges
@@ -551,10 +549,9 @@ class TestAnalysisSorts:
         assert_same_bits(a.mt_grad_cum, prefix[np.rint(reads * K).astype(int)])
         fo = symmetrized_field(a.p, dim=dim, n_bins=a.m_d)
         sym_vals = gradient_norms(fo, reps)
-        sym_ref = Profile(np.arange(K + 1) / K, sym_vals[np.argsort(-sym_vals, kind="stable")])
+        sym_ref = sym_vals[np.argsort(-sym_vals, kind="stable")]
         # N pieces of width 1/N: the same step function as the K-piece reference
-        assert_same_bits(np.repeat(a.sym_grad_prof.values, K // N), sym_ref.values)
-        assert_same_bits(a.sym_grad_prof.knots, sym_ref.knots[:: K // N])
+        assert_same_bits(np.repeat(a.sym_grad_prof.values, K // N), sym_ref)
 
     # K = 5000 is no multiple of M = 512: at about half the t-grid, floor(tK)
     # and round(tK) differ, as do the mt cuts at the fold edges
@@ -724,14 +721,14 @@ class TestBlockedSampling:
 
     @pytest.mark.parametrize("dim,N", [(1, 4096), (2, 64)])
     def test_no_grid_sized_knot_or_width_array_is_kept(self, dim, N):
-        """Every profile of the analysis is equal-width: it keeps its values
-        and no knot or width array, after every check, ``norm`` and ``dos``
-        too; the knots it is read on are those of ``uniform_knots``."""
+        """Every profile of the analysis keeps its values and no knot or
+        width array, after every check, ``norm`` and ``dos`` too; the knots
+        it is read on are those of ``uniform_knots``."""
         grid = equal_measure_grid(dim, N)
         a = analyze(builtin_field("mixture", dim=dim), grid, 512)
         run_checks(a, list(CHECKS), intervals=[(0.1, 0.2)])
         for prof in (a.p, a.grad_prof, a.surr_prof, a.sym_grad_prof):
-            assert vars(prof) == {"_knots": None, "values": prof.values}
+            assert vars(prof) == {"values": prof.values}
             assert np.ndim(prof.widths) == 0
         assert_same_bits(a.p.knots, np.arange(N**dim + 1) / N**dim)
         assert not a.p.knots.flags.writeable
@@ -742,7 +739,7 @@ class TestBlockedSampling:
     def test_profiles_pass_validation_unchanged_on_the_builtin_scan(self):
         """The analysis builds every profile without Profile's validating
         re-scan, so each must already be what validation would leave:
-        read-only, NaN-free, nonincreasing on knots from 0 to 1."""
+        read-only, NaN-free and nonincreasing."""
         for dim, Ns in BUILTIN_SCAN:
             for name in corpus_names():
                 for N in Ns:
@@ -751,9 +748,7 @@ class TestBlockedSampling:
                     for prof in (a.p, a.grad_prof, a.surr_prof, a.sym_grad_prof):
                         assert not prof.values.flags.writeable
                         assert not np.any(np.isnan(prof.values)), (name, dim, N)
-                        checked = Profile(prof.knots, prof.values)
-                        assert checked.values is prof.values
-                        assert_same_bits(checked.knots, prof.knots)
+                        assert Profile(prof.values).values is prof.values
 
     def test_first_bad_point_named_across_blocks(self):
         B = BLOCK_CELLS
