@@ -15,15 +15,17 @@ before the command line, so the command line wins per option and per
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad
 configuration (a negative or non-finite --tol, an --sgrid below 8 or
-above the cell budget of 2,000,000, a NaN interval bound or norm
-exponent, lorentz:inf included, a --norms value that names no norm, an
---out path in a missing directory or naming a directory, a --curves path
-naming an existing file), refused before any work, or a field whose
-value or gradient is not finite on the grid, 3 runtime failure while
-checking, a report holding a non-finite number, a report or curve file
-that cannot be written, or (through the console script, which flushes
-stdout and stderr and then exits with os._exit) output that cannot be
-written, its reader gone.
+above the cell budget ``gaussian.DEFAULT_CELL_BUDGET``, an --intervals
+value that is not a union of ordered, disjoint pairs a < b in [0, 1], a
+NaN bound included, whatever the checks, a NaN norm exponent,
+lorentz:inf included, a --norms value that names no norm, a --param next
+to --expr, an --out path in a missing directory or naming a directory, a
+--curves path naming an existing file), refused before any work, or a
+field whose value or gradient is not finite on the grid, 3 runtime
+failure while checking, a report holding a non-finite number, a report
+or curve file that cannot be written, or (through the console script,
+which flushes stdout and stderr and then exits with os._exit) output
+that cannot be written, its reader gone.
 Report files are written atomically (temp file + rename), so a crash
 never leaves a partial report behind; they get the mode the umask gives
 (0644 under umask 022).
@@ -139,24 +141,6 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     return parser.parse_args(_config_argv(args.config, vars(args)) + argv)
 
 
-def _parse_intervals(text: str) -> list:
-    intervals = []
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        bits = part.split(",")
-        if len(bits) != 2:
-            raise ConfigError(f"interval {part!r} must be 'a,b'")
-        try:
-            intervals.append((float(bits[0]), float(bits[1])))
-        except ValueError as exc:
-            raise ConfigError(f"interval {part!r} has non-numeric bounds") from exc
-    if not intervals:
-        raise ConfigError("no intervals given")
-    return intervals
-
-
 def _validate(cfg: dict) -> dict:
     if cfg["grid"] < 2:
         raise ConfigError("grid must be ≥ 2")
@@ -166,6 +150,8 @@ def _validate(cfg: dict) -> dict:
         raise ConfigError(f"sgrid must be <= {DEFAULT_CELL_BUDGET}, the cell budget")
     if (cfg["expr"] is None) == (cfg["builtin"] is None):
         raise ConfigError("exactly one of --expr or --builtin is required")
+    if cfg["expr"] is not None and cfg["param"]:
+        raise ConfigError("--param applies to --builtin fields only")
     out, curves = cfg["out"], cfg["curves"]
     if out and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
         raise ConfigError(f"--out {out!r}: no such directory")
@@ -178,9 +164,8 @@ def _validate(cfg: dict) -> dict:
     if not tokens:
         raise ConfigError("no checks requested")
     cfg["check_tokens"] = tokens
-    cfg["interval_list"] = (
-        validate_intervals(_parse_intervals(cfg["intervals"])) if "interval" in tokens else None
-    )
+    pairs = [part.split(",") for part in cfg["intervals"].split(";") if part.strip()]
+    cfg["interval_list"] = validate_intervals(pairs)
     cfg["norm_list"] = list(DEFAULT_NORM_FAMILY)
     if cfg["norms"]:
         cfg["norm_list"] = [parse_norm(s) for s in cfg["norms"].split(",") if s.strip()]

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BracketingError, InvalidParameterError
+from .errors import BracketingError, DomainError, InvalidParameterError
 from .rearrange import PASS_BLOCK, Profile
 
 EXPSQ_DEFAULT_CAP = 20.0
@@ -152,8 +152,9 @@ def _luxemburg(p: Profile) -> float:
     Root of log theta against log lam by Illinois regula falsi (Dowell &
     Jarratt 1971) on a bracket theta(lo) > 1 >= theta(hi), one whole pass
     over the profile per probe: one call of A and four profile-length
-    loops (scale, square, expm1, sum) where the profile ends at or above 0
-    and sup / lam <= T, so that A skips |t| and the cap; the width 1/n
+    loops (scale, square, expm1, sum) where sup / lam <= T.  The profile
+    is nonnegative (``ri_norm`` refuses any other), so A skips |t| on
+    every probe, and the cap on those with sup / lam <= T; the width 1/n
     multiplies the pairwise sum instead of every term.  A profile of at
     least ``_COARSE_MIN_PIECES`` pieces takes its bracket, and the log
     theta it starts from at either end, from two coarse profiles
@@ -168,8 +169,6 @@ def _luxemburg(p: Profile) -> float:
         return 0.0
 
     values, width, sup = p.values, p.widths, p.sup
-    # a profile that ends at or above 0 is its own |p|: A skips that pass
-    nonnegative = bool(values[-1] >= 0.0)
     # One profile-sized array for every pass: A runs in place on it.
     # Fresh arrays per pass let the C allocator trim and regrow its heap on
     # every pass, which tripled the time of this loop depending on earlier
@@ -179,13 +178,13 @@ def _luxemburg(p: Profile) -> float:
     def log_theta(lam: float) -> float:
         inv = 1.0 / lam
         np.multiply(values, inv, out=scaled)
-        # on a nonnegative profile the largest scaled value is the top's,
-        # rounded alike: at most T there, A needs no cap
-        within_cap = nonnegative and sup * inv <= EXPSQ_DEFAULT_CAP
+        # the largest scaled value is the top's, rounded alike: at most T
+        # there, A needs no cap
+        within_cap = sup * inv <= EXPSQ_DEFAULT_CAP
         # summed pairwise: np.dot would hand the sum to BLAS, whose bits
         # depend on its thread count
         with np.errstate(over="ignore"):
-            _EXPSQ(scaled, out=scaled, nonnegative=nonnegative, within_cap=within_cap)
+            _EXPSQ(scaled, out=scaled, nonnegative=True, within_cap=within_cap)
             theta = float(np.sum(scaled)) * width
         return math.log(theta) if theta > 0.0 else -math.inf
 
@@ -318,29 +317,26 @@ def _marcinkiewicz(p: Profile, power: float) -> float:
 
     The prefix sums are one ``cumsum`` in place (one temporary per norm),
     weighted in place by the powered knots a ``PASS_BLOCK`` at a time.  A
-    block is weighted only while it can hold the max: the prefix sums of a
-    profile that ends at or above 0 never decrease (rounding is monotone)
-    and t^power decreases, so on each ``_BOUND_STEP`` run of knots the
-    terms are at most its last prefix sum times its first knot's power.
-    Those bounds, with a margin for the rounding of ``pow`` and of the
-    products, order the blocks; a block whose bound does not exceed the
-    max so far is skipped, and the max keeps the bits of weighting every
-    prefix."""
+    block is weighted only while it can hold the max: the prefix sums of
+    the profile, nonnegative as ``ri_norm`` requires, never decrease
+    (rounding is monotone) and t^power decreases, so on each
+    ``_BOUND_STEP`` run of knots the terms are at most its last prefix sum
+    times its first knot's power.  Those bounds, with a margin for the
+    rounding of ``pow`` and of the products, order the blocks; a block
+    whose bound does not exceed the max so far is skipped, and the max
+    keeps the bits of weighting every prefix."""
     terms = p.values * p.widths
     np.cumsum(terms, out=terms)
     n = terms.size
     blocks = np.arange(0, n, PASS_BLOCK)
-    if p.values[-1] >= 0.0:
-        step = math.gcd(PASS_BLOCK, _BOUND_STEP)  # runs that tile the blocks
-        starts = np.arange(0, n, step)
-        ends = np.minimum(starts + step, n)
-        with np.errstate(over="ignore"):
-            bound = terms[ends - 1] * p.knot(starts + 1) ** power
-            bound *= 1.0 + 2.0 ** -40
-            bound += _TINY  # above a subnormal product's absolute rounding
-        bound = np.maximum.reduceat(bound, blocks // step)
-    else:
-        bound = np.full(blocks.size, math.inf)
+    step = math.gcd(PASS_BLOCK, _BOUND_STEP)  # runs that tile the blocks
+    starts = np.arange(0, n, step)
+    ends = np.minimum(starts + step, n)
+    with np.errstate(over="ignore"):
+        bound = terms[ends - 1] * p.knot(starts + 1) ** power
+        bound *= 1.0 + 2.0 ** -40
+        bound += _TINY  # above a subnormal product's absolute rounding
+    bound = np.maximum.reduceat(bound, blocks // step)
     top = -math.inf
     for b in np.argsort(-bound, kind="stable"):
         if bound[b] <= top:
@@ -373,7 +369,14 @@ def ri_norm(p: Profile, X: RINorm) -> float:
     values come from two coarse profiles of its block bounds).  A Luxemburg
     norm that comes out inf for a finite profile had a bracket end
     overflow, and is found again on the values scaled by a power of two,
-    as for Lp."""
+    as for Lp.
+
+    The profiles are decreasing rearrangements of magnitudes, |f| and
+    |grad f| and the surrogate, so every norm takes a nonnegative one: a
+    profile that ends below 0 is refused with ``DomainError``, the one
+    sign test of the norm layer."""
+    if p.values[-1] < 0.0:
+        raise DomainError(f"r.i. norms take nonnegative profiles, got one ending at {p.values[-1]}")
     if X.kind == "lp":
         if math.isinf(X.param):
             return p.sup

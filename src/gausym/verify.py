@@ -5,12 +5,14 @@ rearrangement f* of |f|, the rearranged |grad f|, and the surrogate
 (-f*)' * I.  ``analyze(field, grid, M, checks)`` builds them once into an
 ``Analysis`` for the check tokens ``checks`` (every token by default),
 and refuses a field whose values or gradients are not finite on the grid
-(``NonFiniteFieldError``).  Each ``check_*`` takes an analysis plus its
-own options and reads the field, grid and M from it.  ``CHECKS`` maps
-each check token to the report rows it yields, and ``run_checks`` runs a
-list of tokens on one analysis.  ``convergence_study(analysis, tokens)``
-reruns the convergent checks among the tokens on coarser grids and
-relabels each rung's row as a ``converge:<check>[N=n]`` row.
+(``NonFiniteFieldError``), or whose dimension is not the grid's
+(``DomainError``, before sampling).  Each ``check_*`` takes an analysis
+plus its own options and reads the field, grid and M from it.
+``CHECKS`` maps each check token to the report rows it yields, and
+``run_checks`` runs a list of tokens on one analysis.
+``convergence_study(analysis, tokens)`` reruns the convergent checks
+among the tokens on coarser grids and relabels each rung's row as a
+``converge:<check>[N=n]`` row.
 
 The field is sampled one block of whole grid rows at a time, about
 ``BLOCK_CELLS`` cells, by one call of the field's ``jet`` on the rows'
@@ -152,6 +154,8 @@ class Analysis:
     ):
         if M < 8:
             raise DomainError(f"s-grid needs M >= 8, got {M}")
+        if field.dim != grid.dim:
+            raise DomainError(f"field {field.label!r} has dim {field.dim}, the grid {grid.dim}")
         checks = tuple(CHECKS) if checks is None else tuple(checks)
         require_known(checks)
         self.field = field
@@ -474,12 +478,21 @@ def check_mazya_talenti(analysis: Analysis, tol: Optional[float] = None) -> Ineq
 
 
 def validate_intervals(intervals) -> np.ndarray:
+    """The finite union ``intervals`` as an (n, 2) float array, one row
+    (a, b) per interval, or ``IntervalError``.  The pairs may hold numbers
+    or their strings, as the CLI hands them over from ``--intervals`` on
+    every run: anything ``np.asarray(..., dtype=float)`` does not take to
+    n >= 1 rows of two numbers is refused, a flat list of four bounds
+    included.  The bounds must lie in [0, 1] (NaN does not), with a < b,
+    and the intervals disjoint and in increasing order."""
     try:
-        arr = np.asarray(intervals, dtype=float).reshape(-1, 2)
+        arr = np.asarray(intervals, dtype=float)
     except (TypeError, ValueError):
-        raise IntervalError(f"intervals must be pairs (a, b), got {intervals!r}") from None
-    if arr.size == 0:
+        arr = None
+    if arr is not None and arr.size == 0:
         raise IntervalError("need at least one interval")
+    if arr is None or arr.shape[1:] != (2,):
+        raise IntervalError(f"intervals must be pairs (a, b), got {intervals!r}")
     # each test is written so that a NaN bound fails it
     if not (np.all(arr[:, 0] >= 0.0) and np.all(arr[:, 1] <= 1.0)):
         raise IntervalError("intervals must lie within [0, 1]")

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from gausym import cli, expr, majorize, verify
 from gausym.cli import main
 from gausym.fields import builtin_field
-from gausym.gaussian import BLOCK_CELLS, equal_measure_grid
+from gausym.gaussian import BLOCK_CELLS, DEFAULT_CELL_BUDGET, equal_measure_grid
 
 from conftest import expressions, past_a_block
 
@@ -324,13 +324,15 @@ class TestExitCodes:
         (["--checks", "uno", "--tol", "-1"], "expected a finite number >= 0, got '-1'"),
         (["--checks", "uno", "--tol=-1e-300"], "expected a finite number >= 0, got '-1e-300'"),
         ("tol=-1", "expected a finite number >= 0, got '-1'"),
-        (["--checks", "interval", "--intervals", "a,b"], "interval 'a,b' has non-numeric bounds"),
-        (["--checks", "interval", "--intervals", ";"], "no intervals given"),
+        (["--checks", "interval", "--intervals", "a,b"],
+         "intervals must be pairs (a, b), got [['a', 'b']]"),
+        (["--checks", "interval", "--intervals", ";"], "need at least one interval"),
         # a run that checked nothing would report success
         (["--checks", "norm", "--norms", ","], "no norms given"),
         (["--checks", "uno", "--sgrid", "4"], "sgrid must be >= 8"),
         # the t-grid and its curves are M long: refused before the grid is sampled
-        (["--checks", "uno", "--sgrid", "2000001"], "sgrid must be <= 2000000, the cell budget"),
+        (["--checks", "uno", "--sgrid", str(DEFAULT_CELL_BUDGET + 1)],
+         f"sgrid must be <= {DEFAULT_CELL_BUDGET}, the cell budget"),
         (["--checks", "uno", "--builtin", "monotone1d", "--param", "a=inf"],
          "parameter a=inf must be finite"),
         (["--checks", "uno", "--builtin", "monotone1d", "--param", "a=0"], "a must be positive"),
@@ -355,6 +357,41 @@ class TestExitCodes:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("checks", ["uno", "interval"])
+    @pytest.mark.parametrize("text,message", [
+        ("a,b", "intervals must be pairs (a, b), got [['a', 'b']]"),
+        ("0.5", "intervals must be pairs (a, b), got [['0.5']]"),
+        # four bounds in one part are no two intervals
+        ("0.1,0.2,0.3,0.4", "intervals must be pairs (a, b), got [['0.1', '0.2', '0.3', '0.4']]"),
+        (";", "need at least one interval"),
+        ("0.1,nan", "intervals must lie within [0, 1]"),
+        ("0.5,0.2", "each interval needs a < b"),
+        ("0.1,0.5;0.4,0.7", "intervals must be disjoint and ordered"),
+    ], ids=["non-numeric", "one-bound", "four-bounds", "none", "nan", "reversed", "overlapping"])
+    def test_intervals_refused_whatever_the_checks(self, tmp_path, capsys, monkeypatch, checks,
+                                                   text, message):
+        """--intervals is read on every run: a run without the interval
+        check refuses a bad union as one with it does, before any work."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("analysis built for an invalid configuration")
+
+        monkeypatch.setattr(cli, "analyze", refuse)
+        out = tmp_path / "never.json"
+        code = main(["--builtin", "coordinate", "--grid", "32", "--checks", checks,
+                     "--intervals", text, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_param_with_expr_is_two(self, capsys, monkeypatch):
+        """A parameter next to an expression field was dropped (exit 0)."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("analysis built for an invalid configuration")
+
+        monkeypatch.setattr(cli, "analyze", refuse)
+        assert main(["--expr", "x1", "--param", "a=1", "--grid", "32", "--checks", "uno"]) == 2
+        assert capsys.readouterr().err == "error: --param applies to --builtin fields only\n"
 
     def test_zero_tolerance_accepted(self, tmp_path):
         out = tmp_path / "r.json"

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from gausym import (
     DEFAULT_NORM_FAMILY,
+    DomainError,
     InvalidParameterError,
     Profile,
     RINorm,
@@ -255,6 +256,15 @@ class TestHlpEquivalence:
 class TestRiNorm:
     def test_constant_lp(self):
         assert ri_norm(constant_profile(2.0), RINorm("lp", 2.0)) == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("X", DEFAULT_NORM_FAMILY, ids=lambda X: X.label)
+    def test_negative_tail_refused(self, X):
+        """Every norm is one of a rearranged magnitude: a profile ending
+        below 0 is refused by each norm of the family, lp:inf included,
+        where it gave lp:1 = -0.125, lp:1.5 = NaN and lp:inf = 2 though
+        max |v| = 3."""
+        with pytest.raises(DomainError, match="nonnegative profiles, got one ending at -3.0"):
+            ri_norm(Profile([2.0, 1.0, -0.5, -3.0]), X)
 
     def test_hand_values(self):
         assert ri_norm(THREE_ONE, RINorm("lp", 1.0)) == pytest.approx(2.0)
@@ -582,13 +592,11 @@ class TestLuxemburg:
         assert got > 0.0
         assert got == pytest.approx(bisection_luxemburg(p), rel=1e-10, abs=0.0)
 
-    @pytest.mark.parametrize("tail,within_cap", [(0.0, True), (-1e-3, False)],
-                             ids=["nonnegative", "negative-tail"])
+    @pytest.mark.parametrize("tail,within_cap", [(0.0, True)], ids=["nonnegative"])
     def test_probes_skip_the_cap_only_on_nonnegative_profiles(self, monkeypatch, tail,
                                                               within_cap):
         """5 on one of 1024 pieces: every probe lies above sup / T, so on a
-        profile that ends at or above 0 each skips |t| and the cap; a
-        profile that ends below 0 takes both on every probe.  Either way
+        profile that ends at or above 0 each skips |t| and the cap, and
         the norm matches bisection."""
         p = Profile(np.concatenate(([5.0], np.full(1023, tail))))
         kinds, call = [], YoungFunction.__call__
@@ -602,6 +610,16 @@ class TestLuxemburg:
         assert kinds and set(kinds) == {within_cap}
         monkeypatch.undo()
         assert got == pytest.approx(bisection_luxemburg(p), rel=1e-10, abs=0.0)
+
+    def test_negative_tail_refused_before_any_probe(self, monkeypatch):
+        """5 on one of 1024 pieces and -1e-3 on the rest: refused before
+        any probe, so no call of A takes |t| or the cap."""
+        p = Profile(np.concatenate(([5.0], np.full(1023, -1e-3))))
+        calls = []
+        monkeypatch.setattr(YoungFunction, "__call__", lambda *a, **k: calls.append(a))
+        with pytest.raises(DomainError):
+            ri_norm(p, ORLICZ)
+        assert calls == []
 
 
 class TestParseNorm:

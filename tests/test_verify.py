@@ -1,5 +1,6 @@
 """Assembled inequality checks: trivial cases, closed forms, determinism."""
 
+import dataclasses
 import json
 import math
 import threading
@@ -489,8 +490,10 @@ class TestCheckTable:
         assert all(r.tolerance == 0.25 for r in converge)
         assert converge[2].max_violation == check_reformulated(a).max_violation
 
-    @pytest.mark.parametrize("intervals", [None, [0.1, 0.2, 0.3], [(0.1, 0.2), (0.3,)]],
-                             ids=["missing", "odd-bounds", "ragged"])
+    # four bounds in a row are no two intervals
+    @pytest.mark.parametrize("intervals", [None, [0.1, 0.2, 0.3], [(0.1, 0.2), (0.3,)],
+                                           [0.1, 0.2, 0.3, 0.4]],
+                             ids=["missing", "odd-bounds", "ragged", "flat-bounds"])
     def test_bad_intervals_raise_interval_error(self, intervals):
         a = analyze(COORD, equal_measure_grid(1, 64), 64)
         with pytest.raises(IntervalError, match="pairs"):
@@ -519,6 +522,16 @@ class TestCheckTable:
     def test_analysis_refuses_a_short_t_grid(self):
         with pytest.raises(DomainError, match="s-grid needs M >= 8, got 4"):
             analyze(COORD, equal_measure_grid(1, 64), 4)
+
+    @pytest.mark.parametrize("field_dim,grid_dim", [(2, 1), (1, 2), (3, 2)])
+    def test_analysis_refuses_a_field_of_another_dimension(self, field_dim, grid_dim):
+        """Refused before sampling: a 2-d field on a 1-d grid raised a bare
+        IndexError from its jet."""
+        field = parse_field("+".join(f"x{i}" for i in range(1, field_dim + 1)), field_dim)
+        field = dataclasses.replace(field, jet=None)  # never reached
+        message = f"field '{field.label}' has dim {field_dim}, the grid {grid_dim}"
+        with pytest.raises(DomainError, match=message.replace("+", r"\+")):
+            analyze(field, equal_measure_grid(grid_dim, 8), 64)
 
     def test_converge_alone_studies_uno(self):
         a = analyze(COORD, GRID_1K, 512)
